@@ -10,6 +10,7 @@ an explicit --seed; there are no wall-clock defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -45,25 +46,28 @@ EXIT_PARSE = 4
 
 
 def _canonical(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _emit(command: str, inputs: list[str], params: dict, result: dict,
           seed: int | None = None) -> None:
-    digest = hashlib.sha256(_canonical(result).encode()).hexdigest()
-    payload = {
-        "manifest": {
-            "tool": "embedlens",
-            "version": __version__,
-            "subcommand": command,
-            "inputs": inputs,
-            "params": params,
-            "seed": seed,
-            "digest": digest,
-        },
-        "result": result,
-    }
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    try:
+        payload = {
+            "manifest": {
+                "tool": "embedlens",
+                "version": __version__,
+                "subcommand": command,
+                "inputs": inputs,
+                "params": params,
+                "seed": seed,
+                "digest": hashlib.sha256(_canonical(result).encode()).hexdigest(),
+            },
+            "result": result,
+        }
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"output would hold a non-finite number: {exc}") from exc
+    print(text)
 
 
 def _fraction(text: str) -> Fraction:
@@ -186,7 +190,7 @@ def _cmd_reduce(args) -> int:
             raise ValidationError("--p-star is required for --op star-coupling")
         coupling_params = star_coupling_params(dist, args.p_star)
         if args.p_nu is not None:
-            coupling_params.p_nu = args.p_nu
+            coupling_params = dataclasses.replace(coupling_params, p_nu=args.p_nu)
         coupling = build_star_coupling(coupling_params)
         pc, _ = pairwise_connected(coupling)
         result = {

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .distributions import Alphabet, Atom, JointDistribution
 from .errors import ParseError, SizeGuardError, ValidationError
-from .intlattice import IntMatrix, row_basis, smith_normal_form
+from .intlattice import IntMatrix, normalize_vector, row_basis, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,14 @@ class ConstraintMatrix:
 
     Columns are indexed by (coordinate, symbol != base symbol) pairs in
     `index_map`; coordinates with singleton alphabets contribute no columns.
-    `rows` is None only in the fully degenerate case s == 0.
+    Row x is the ascending tuple of the columns where it holds a 1. `rows`
+    is None only in the fully degenerate case s == 0.
     """
 
     base_point: Atom
     s: int
     index_map: tuple[tuple[int, str], ...]
-    rows: IntMatrix | None
+    rows: tuple[tuple[int, ...], ...] | None
 
 
 @dataclass(frozen=True)
@@ -95,14 +96,9 @@ def constraint_matrix(support: Iterable[Atom], alphabets: Sequence[Alphabet]) ->
     s = len(index_map)
     if s == 0:
         return ConstraintMatrix(base, 0, (), None)
-    rows = []
-    for x in support:
-        row = [0] * s
-        for i, sym in enumerate(x):
-            if sym != base[i]:
-                row[col_of[(i, sym)]] = 1
-        rows.append(row)
-    return ConstraintMatrix(base, s, tuple(index_map), IntMatrix.from_rows(rows))
+    rows = tuple(tuple(col_of[(i, sym)] for i, sym in enumerate(x) if sym != base[i])
+                 for x in support)
+    return ConstraintMatrix(base, s, tuple(index_map), rows)
 
 
 def _witness_from_vector(cm: ConstraintMatrix, alphabets: Sequence[Alphabet],
@@ -144,7 +140,7 @@ def detect_embedding(dist: JointDistribution) -> EmbeddingVerdict:
     cm = constraint_matrix(dist.support, dist.alphabets)
     if cm.s == 0:
         return EmbeddingVerdict(False, None, (), 0, 0)
-    basis = row_basis(cm.rows.to_lists(), cm.s)
+    basis = row_basis([dict.fromkeys(cols, 1) for cols in cm.rows], cm.s)
     if not basis:
         # Lattice is {0}; any nonzero integer vector embeds into Z.
         vec = [1] + [0] * (cm.s - 1)
@@ -155,7 +151,7 @@ def detect_embedding(dist: JointDistribution) -> EmbeddingVerdict:
     divisors = snf.divisors[:snf.rank]
     if snf.rank < cm.s:
         vec = [snf.V.entry(i, snf.rank) for i in range(cm.s)]
-        vec = _normalize_kernel(vec)
+        vec = normalize_vector(vec)
         witness = _witness_from_vector(cm, dist.alphabets, vec, 0)
         _require_verified(dist, witness)
         return EmbeddingVerdict(True, witness, divisors, snf.rank, cm.s)
@@ -169,16 +165,6 @@ def detect_embedding(dist: JointDistribution) -> EmbeddingVerdict:
     return EmbeddingVerdict(False, None, divisors, snf.rank, cm.s)
 
 
-def _normalize_kernel(vec: list[int]) -> list[int]:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    if g > 1:
-        vec = [x // g for x in vec]
-    first = next((x for x in vec if x), 0)
-    return [-x for x in vec] if first < 0 else vec
-
-
 def _require_verified(dist: JointDistribution, witness: EmbeddingWitness) -> None:
     if not verify_witness(dist.support, witness):
         raise AssertionError("internal error: extracted witness failed verification")
@@ -186,7 +172,7 @@ def _require_verified(dist: JointDistribution, witness: EmbeddingWitness) -> Non
 
 # ---------------------------------------------------------------------------
 # Independent oracle: exhaustive search over small moduli plus a rational
-# rank test (Fraction elimination, no shared code with the SNF path).
+# rank test (rank mod p, then Fraction elimination; no code shared with SNF).
 
 def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet],
                           max_modulus: int, node_budget: int = 20_000_000,
@@ -220,7 +206,7 @@ def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet]
             if verify_witness(support, witness):
                 return witness
             raise AssertionError("internal error: DFS produced an invalid witness")
-    vec = _rational_kernel(cm)
+    vec = _rational_kernel(cm.rows, cm.s)
     if vec is not None:
         witness = _witness_from_vector(cm, alphabets, vec, 0)
         if verify_witness(support, witness):
@@ -257,8 +243,7 @@ def _column_order(s: int, constraints: list[tuple[int, ...]]) -> list[int]:
 def _dedupe_constraints(cm: ConstraintMatrix) -> list[tuple[int, ...]]:
     seen = set()
     out = []
-    for r in range(cm.rows.rows):
-        cols = tuple(j for j, v in enumerate(cm.rows.row(r)) if v)
+    for cols in cm.rows:
         if cols and cols not in seen:
             seen.add(cols)
             out.append(cols)
@@ -291,16 +276,54 @@ def _dfs_search(order: list[int], m: int, by_last, node_budget: int) -> tuple[in
     return rec(0)
 
 
-def _rational_kernel(cm: ConstraintMatrix) -> list[int] | None:
-    """Kernel vector of the constraint rows over Q, denominators cleared.
+_PRIME = 2 ** 61 - 1
+
+
+def _rational_kernel(rows: Sequence[tuple[int, ...]], s: int) -> tuple[int, ...] | None:
+    """Kernel vector over Q of the 0/1 rows, or None at full column rank.
+
+    Rank mod p never exceeds rank over Q, so full rank mod p proves None.
+    """
+    if _rank_mod_p(rows, s) == s:
+        return None
+    return _fraction_kernel(rows, s)
+
+
+def _rank_mod_p(rows: Sequence[tuple[int, ...]], s: int) -> int:
+    """Rank over GF(_PRIME) by sparse echelon insertion, stopping at s."""
+    pivots: dict[int, dict[int, int]] = {}  # lead column -> sparse row with lead 1
+    for cols in rows:
+        row = dict.fromkeys(cols, 1)
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(row[c], -1, _PRIME)
+                pivots[c] = {j: v * inv % _PRIME for j, v in row.items()}
+                if len(pivots) == s:
+                    return s
+                break
+            f = row[c]
+            for j, v in piv.items():
+                w = (row.get(j, 0) - f * v) % _PRIME
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return len(pivots)
+
+
+def _fraction_kernel(rows: Sequence[tuple[int, ...]], s: int) -> tuple[int, ...] | None:
+    """Kernel vector of the 0/1 rows over Q, denominators cleared.
 
     Incremental echelon insertion with an early exit at full column rank,
     so saturated systems never touch the remaining rows.
     """
-    s = cm.s
     pivots: dict[int, list[Fraction]] = {}  # lead column -> row with lead 1
-    for r in range(cm.rows.rows):
-        row = [Fraction(v) for v in cm.rows.row(r)]
+    for cols in rows:
+        row = [Fraction(0)] * s
+        for c in cols:
+            row[c] = Fraction(1)
         c = 0
         while c < s:
             if row[c] == 0:
@@ -328,8 +351,7 @@ def _rational_kernel(cm: ConstraintMatrix) -> list[int] | None:
     den = 1
     for x in sol:
         den = den * x.denominator // gcd(den, x.denominator)
-    vec = [int(x * den) for x in sol]
-    return _normalize_kernel(vec)
+    return normalize_vector([int(x * den) for x in sol])
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +361,19 @@ def pairwise_connected(dist: JointDistribution) -> tuple[bool, DisconnectedPair 
     """Connectivity of every pairwise-marginal bipartite support graph.
 
     Vertices are the symbols carrying positive marginal mass in the pair
-    marginal; on failure the reachable component gives the split whose
-    indicator maps embed the support into Z.
+    marginal, read off the support directly; the search starts from the
+    lowest-index such symbol of coordinate i. On failure the reachable
+    component gives the split whose indicator maps embed the support into Z.
     """
     k = dist.k
     for i in range(k):
         for j in range(i + 1, k):
-            marg = dist.marginal([i, j])
             adj_i: dict[str, set[str]] = {}
             adj_j: dict[str, set[str]] = {}
-            for (a, b) in marg.support:
+            for (a, b) in {(x[i], x[j]) for x in dist.support}:
                 adj_i.setdefault(a, set()).add(b)
                 adj_j.setdefault(b, set()).add(a)
-            start = marg.support[0][0]
+            start = min(adj_i, key=dist.alphabets[i].index)
             seen_i, seen_j = {start}, set()
             stack = [("i", start)]
             while stack:

@@ -38,6 +38,7 @@ class TableFunction:
         if len(vals) != len(alpha) ** n:
             raise ValidationError(
                 f"expected {len(alpha) ** n} values for n={n}, |alphabet|={len(alpha)}; got {len(vals)}")
+        _require_finite(vals)
         self.n = n
         self.alphabet = alpha
         self.values = vals
@@ -107,6 +108,7 @@ class ProductFunction:
         arr = np.array(factors, dtype=np.complex128)  # owning copy
         if arr.ndim != 2 or arr.shape[1] != len(alpha):
             raise ValidationError("factors must be an (n, |alphabet|) array")
+        _require_finite(arr)
         self.alphabet = alpha
         self.factors = arr
         self.factors.setflags(write=False)
@@ -210,6 +212,11 @@ class CharacterProduct:
 
     def is_one_bounded(self, slack: float = ONE_BOUND_SLACK) -> bool:
         return True
+
+
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValidationError("function values must be finite (no NaN or infinity)")
 
 
 def _unit(phase: Fraction) -> complex:

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -104,7 +102,7 @@ class SNFDecomposition:
 
 def _min_pivot(m, t, nrows, ncols):
     # Minimal |value| among nonzero entries of the trailing block; first hit
-    # in (row, col) order wins ties.
+    # in (row, col) order wins ties, so the first unit ends the scan.
     best = None
     pos = None
     for i in range(t, nrows):
@@ -113,6 +111,8 @@ def _min_pivot(m, t, nrows, ncols):
             v = mi[j]
             if v != 0:
                 a = -v if v < 0 else v
+                if a == 1:
+                    return i, j
                 if best is None or a < best:
                     best = a
                     pos = (i, j)
@@ -192,6 +192,8 @@ def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
                     break
             if any(m[i][t] for i in range(t + 1, nr)):
                 continue  # row clearing disturbed the column
+            if m[t][t] == 1:
+                break  # a unit divides the whole trailing block
             # Enforce divisibility of the trailing block by the pivot.
             fixed = True
             for i in range(t + 1, nr):
@@ -222,7 +224,8 @@ def lattice_is_full(generators: IntMatrix) -> bool:
     return snf.rank == generators.cols and all(d == 1 for d in snf.divisors[:snf.rank])
 
 
-def _normalize_vector(v: list[int]) -> tuple[int, ...]:
+def normalize_vector(v: Sequence[int]) -> tuple[int, ...]:
+    """v divided by the gcd of its entries, negated if its first nonzero is negative."""
     g = 0
     for x in v:
         g = gcd(g, x)
@@ -244,91 +247,49 @@ def rational_kernel_vector(generators: IntMatrix) -> tuple[int, ...] | None:
     if snf.rank >= generators.cols:
         return None
     c = snf.rank
-    v = [snf.V.entry(i, c) for i in range(generators.cols)]
-    return _normalize_vector(v)
+    return normalize_vector([snf.V.entry(i, c) for i in range(generators.cols)])
 
 
-def row_basis(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
-    """Echelon basis of the integer row span (span-preserving reduction).
+def row_basis(rows: Iterable[Mapping[int, int]], cols: int) -> list[list[int]]:
+    """Echelon basis of the integer span of sparse rows {column: entry}.
 
-    Large row sets are reduced before any SNF with certificates is run;
-    only elementary unimodular row operations are used, so the lattice is
-    unchanged. Tries int64 numpy rows first and falls back to exact Python
-    integers if entries threaten to overflow.
+    Large row sets are reduced before any SNF with certificates is run. Only
+    unimodular row operations are used (exact-quotient reduction, or an
+    extended-gcd merge when leading entries do not divide), so the lattice is
+    unchanged. Returns dense exact-integer rows sorted by leading column.
     """
-    try:
-        return _row_basis_numpy(rows, cols)
-    except OverflowError:
-        return _row_basis_python(rows, cols)
-
-
-_INT64_GUARD = 2 ** 59
-
-
-def _row_basis_numpy(rows, cols):
-    basis: dict[int, np.ndarray] = {}
+    basis: dict[int, dict[int, int]] = {}
     for src in rows:
-        r = np.asarray(src, dtype=np.int64)
-        if r.shape != (cols,):
-            raise ValidationError("row length mismatch")
-        while True:
-            nz = np.flatnonzero(r)
-            if nz.size == 0:
-                break
-            l = int(nz[0])
-            if l not in basis:
+        r = {j: x for j, x in src.items() if x}
+        if r and not (0 <= min(r) and max(r) < cols):
+            raise ValidationError(f"row column out of range for {cols} columns")
+        while r:
+            l = min(r)
+            b = basis.get(l)
+            if b is None:
                 if r[l] < 0:
-                    r = -r
+                    r = {j: -x for j, x in r.items()}
                 basis[l] = r
                 break
-            b = basis[l]
-            rl, bl = int(r[l]), int(b[l])
-            bmax = int(np.abs(b).max())
-            rmax = int(np.abs(r).max())
-            if rl % bl == 0:
-                q = rl // bl
-                # bound the combination before numpy touches it: int64 wraps silently
-                if rmax + abs(q) * bmax > _INT64_GUARD:
-                    raise OverflowError
-                r = r - q * b
-            else:
-                g, s, t = _ext_gcd(bl, rl)
-                qb, qr = rl // g, bl // g
-                bound = max((abs(s) + abs(t)), (abs(qb) + abs(qr))) * max(bmax, rmax)
-                if bound > _INT64_GUARD:
-                    raise OverflowError
-                new = s * b + t * r
-                basis[l] = new
-                r = qb * b - qr * r
-    return [[int(x) for x in basis[l]] for l in sorted(basis)]
-
-
-def _row_basis_python(rows, cols):
-    basis: dict[int, list[int]] = {}
-    for src in rows:
-        r = [int(x) for x in src]
-        if len(r) != cols:
-            raise ValidationError("row length mismatch")
-        while True:
-            l = next((j for j, x in enumerate(r) if x), None)
-            if l is None:
-                break
-            if l not in basis:
-                if r[l] < 0:
-                    r = [-x for x in r]
-                basis[l] = r
-                break
-            b = basis[l]
             rl, bl = r[l], b[l]
             if rl % bl == 0:
-                q = rl // bl
-                r = [x - q * y for x, y in zip(r, b)]
+                _add_multiple(r, -(rl // bl), b)
             else:
                 g, s, t = _ext_gcd(bl, rl)
-                basis[l] = [s * x + t * y for x, y in zip(b, r)]
-                qb, qr = rl // g, bl // g
-                r = [qb * x - qr * y for x, y in zip(b, r)]
-    return [basis[l] for l in sorted(basis)]
+                basis[l] = _add_multiple({j: s * x for j, x in b.items()} if s else {}, t, r)
+                r = _add_multiple({j: (rl // g) * x for j, x in b.items()}, -(bl // g), r)
+    return [[b.get(j, 0) for j in range(cols)] for _, b in sorted(basis.items())]
+
+
+def _add_multiple(x: dict[int, int], q: int, y: dict[int, int]) -> dict[int, int]:
+    """x += q*y in place for q != 0, zero entries dropped; returns x."""
+    for j, v in y.items():
+        w = x.get(j, 0) + q * v
+        if w:
+            x[j] = w
+        else:
+            del x[j]
+    return x
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:

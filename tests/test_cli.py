@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from embedlens import fixtures
-from embedlens.cli import main
+from embedlens.cli import _emit, main
+from embedlens.errors import ValidationError
 from embedlens.functions import ProductFunction
 
 
@@ -232,6 +234,93 @@ def test_fixture_writer(tmp_path, capsys):
     from embedlens.distributions import JointDistribution
 
     assert JointDistribution.load(str(out_path)) == fixtures.punctured_cube()
+
+
+# sha256 of the canonical analyze result (the manifest digest) per fixture,
+# recorded before the lattice path went sparse; verdict bytes must not drift.
+ANALYZE_DIGESTS = {
+    "3lin": "59148a84ca333d7fcc0ff8f61ef83dea2f3cc2f64db8d0d278dd7254f38153dc",
+    "z3sum": "7422b572198d5bfd59d2b79ef56ca4443006c6df17759a30337a9ef64d5fcfca",
+    "punctured-cube": "fb0f2d3b7d0b5d6cd739e7db539563fe85ff58575c56685dba0c1be69f5d5c92",
+    "disconnected-pair": "73d984e2c61df58a0058a55a36d442055bb9db5ccd4a3749de329675fd8109e4",
+    "single-atom": "1d9ef907ef001a1f1889cba9821133a2b23bcd17e08e4e619a4171164a49dc49",
+    "a5": "8351f634a8f2f2d0369398bcd5ffc6c50b1a37ad08f5bc1543d38d0a539c1e73",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_DIGESTS))
+def test_analyze_result_bytes_pinned(name, tmp_path, capsys):
+    dist = tmp_path / "mu.json"
+    fixtures.NAMED[name]().save(str(dist))
+    code, out = run_cli(capsys, "analyze", str(dist))
+    assert code == 0
+    payload = json.loads(out)
+    canonical = json.dumps(payload["result"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == ANALYZE_DIGESTS[name]
+    assert payload["manifest"]["digest"] == ANALYZE_DIGESTS[name]
+
+
+def run_cli_err(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+NAN = float("nan")
+
+
+def write_nan_function(path, kind):
+    if kind == "table":
+        payload = {"n": 1, "alphabet": ["0", "1"], "values": [[1.0, 0.0], [NAN, 0.0]]}
+    else:
+        payload = {"alphabet": ["0", "1"], "factors": [{"0": [1.0, 0.0], "1": [0.0, NAN]}]}
+    with open(path, "w") as fh:
+        json.dump(payload, fh)  # writes the bare NaN token json.load accepts
+
+
+@pytest.mark.parametrize("kind", ["table", "product"])
+def test_correlate_rejects_nan_function_values(kind, tmp_path, capsys):
+    dist = tmp_path / "mu.json"
+    fixtures.three_lin().save(str(dist))
+    bad = tmp_path / "bad.json"
+    write_nan_function(str(bad), kind)
+    good = tmp_path / "good.json"
+    write_parity_product(str(good), 1)
+    code, out, err = run_cli_err(capsys, "correlate", str(dist), str(bad), str(good), str(good),
+                                 "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("kind", ["table", "product"])
+def test_stability_rejects_nan_function_values(kind, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    write_nan_function(str(bad), kind)
+    code, out, err = run_cli_err(capsys, "stability", str(bad), "--rho", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+def test_emit_refuses_non_finite_results(capsys):
+    with pytest.raises(ValidationError, match="non-finite"):
+        _emit("stability", [], {}, {"stability": NAN})
+    assert capsys.readouterr().out == ""
+
+
+def test_reduce_star_coupling_p_nu_is_validated(tmp_path, capsys):
+    dist = tmp_path / "mu.json"
+    fixtures.three_lin().save(str(dist))
+    code, out, err = run_cli_err(capsys, "reduce", str(dist), "--op", "star-coupling",
+                                 "--p-star", "1/3", "--p-nu", "2")
+    assert code == 2
+    assert out == ""
+    assert "branch probabilities must lie in [0, 1]" in err
+    code, out = run_cli(capsys, "reduce", str(dist), "--op", "star-coupling",
+                        "--p-star", "1/3", "--p-nu", "1/2")
+    assert code == 0
+    assert json.loads(out)["result"]["p_nu"] == [1, 2]
 
 
 def test_byte_reproducibility(tmp_path, capsys):

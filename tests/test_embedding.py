@@ -1,9 +1,14 @@
 import random
 from itertools import product
 
+from hypothesis import given, settings, strategies as st
+
 from embedlens import fixtures
 from embedlens.distributions import alphabet, uniform_on
 from embedlens.embedding import (
+    _fraction_kernel,
+    _rank_mod_p,
+    _rational_kernel,
     brute_force_embedding,
     connected,
     constraint_matrix,
@@ -17,23 +22,30 @@ from embedlens.embedding import (
 B = alphabet(["0", "1"])
 
 
+def dense_rows(cm):
+    return [[1 if j in cols else 0 for j in range(cm.s)] for cols in cm.rows]
+
+
 def test_constraint_matrix_disconnected_pair():
     cm = constraint_matrix([("0", "0"), ("1", "1")], [B, B])
     assert cm.base_point == ("0", "0")
     assert cm.s == 2
-    assert cm.rows.to_lists() == [[0, 0], [1, 1]]
+    assert cm.rows == ((), (0, 1))
+    assert dense_rows(cm) == [[0, 0], [1, 1]]
 
 
 def test_constraint_matrix_singleton_support():
     cm = constraint_matrix([("0", "1")], [B, B])
-    assert cm.rows.to_lists() == [[0, 0]]
+    assert cm.rows == ((),)
+    assert dense_rows(cm) == [[0, 0]]
 
 
 def test_constraint_matrix_three_lin():
     mu = fixtures.three_lin()
     cm = constraint_matrix(mu.support, mu.alphabets)
     assert cm.s == 3
-    assert cm.rows.to_lists() == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    assert cm.rows == ((), (1, 2), (0, 2), (0, 1))
+    assert dense_rows(cm) == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
 def test_detect_three_lin_parity_witness():
@@ -132,6 +144,26 @@ def test_oracle_equivalence_random_sample():
         else:
             assert verdict.rank == verdict.s
             assert all(d == 1 for d in verdict.snf_divisors)
+
+
+@st.composite
+def zero_one_rows(draw):
+    s = draw(st.integers(1, 7))
+    cols = st.lists(st.integers(0, s - 1), max_size=s, unique=True).map(lambda c: tuple(sorted(c)))
+    return draw(st.lists(cols, min_size=1, max_size=9)), s
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_one_rows())
+def test_rank_mod_p_shortcut_agrees_with_fraction_elimination(case):
+    rows, s = case
+    exact = _fraction_kernel(rows, s)
+    assert (_rational_kernel(rows, s) is None) == (exact is None)
+    if _rank_mod_p(rows, s) == s:
+        assert exact is None
+    if exact is not None:
+        assert any(exact)
+        assert all(sum(exact[c] for c in cols) == 0 for cols in rows)
 
 
 def test_detector_invariant_under_renaming_and_permutation():

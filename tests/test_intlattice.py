@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from embedlens.errors import ValidationError
 from embedlens.intlattice import (
     IntMatrix,
+    _ext_gcd,
     lattice_is_full,
     rational_kernel_vector,
     row_basis,
@@ -159,13 +160,74 @@ def test_rational_kernel_vector_random():
             assert sum(x * y for x, y in zip(a.row(i), v)) == 0
 
 
+def sparse(rows):
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+def dense_row_basis(rows, cols):
+    """Reference: the same echelon reduction on dense Python-integer rows."""
+    basis: dict[int, list[int]] = {}
+    for src in rows:
+        r = [int(x) for x in src]
+        assert len(r) == cols
+        while True:
+            l = next((j for j, x in enumerate(r) if x), None)
+            if l is None:
+                break
+            if l not in basis:
+                if r[l] < 0:
+                    r = [-x for x in r]
+                basis[l] = r
+                break
+            b = basis[l]
+            rl, bl = r[l], b[l]
+            if rl % bl == 0:
+                q = rl // bl
+                r = [x - q * y for x, y in zip(r, b)]
+            else:
+                g, s, t = _ext_gcd(bl, rl)
+                basis[l] = [s * x + t * y for x, y in zip(b, r)]
+                qb, qr = rl // g, bl // g
+                r = [qb * x - qr * y for x, y in zip(b, r)]
+    return [basis[l] for l in sorted(basis)]
+
+
+@st.composite
+def integer_rows(draw, entries):
+    cols = draw(st.integers(1, 6))
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=1, max_size=10)), cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_rows(st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 3)))
+def test_row_basis_identical_to_dense_reference_wide_entries(case):
+    rows, cols = case
+    assert row_basis(sparse(rows), cols) == dense_row_basis(rows, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 3), st.data())
+def test_row_basis_identical_to_dense_reference_constraint_rows(cols, k, data):
+    # 0/1 rows with at most k ones, the shape the embedding detector feeds in
+    support = st.lists(st.integers(0, cols - 1), max_size=k, unique=True)
+    rows = [[1 if j in ones else 0 for j in range(cols)]
+            for ones in data.draw(st.lists(support, min_size=1, max_size=30))]
+    assert row_basis(sparse(rows), cols) == dense_row_basis(rows, cols)
+
+
+def test_row_basis_rejects_out_of_range_columns():
+    with pytest.raises(ValidationError):
+        row_basis([{0: 1, 3: 2}], 3)
+
+
 def test_row_basis_preserves_lattice():
     rng = random.Random(11)
     for _ in range(60):
         cols = rng.randrange(1, 6)
         nrows = rng.randrange(1, 9)
         rows = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(nrows)]
-        basis = row_basis(rows, cols)
+        basis = row_basis(sparse(rows), cols)
         a = smith_normal_form(IntMatrix.from_rows(rows))
         if basis:
             b = smith_normal_form(IntMatrix.from_rows(basis))
