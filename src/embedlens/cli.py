@@ -119,7 +119,7 @@ def _cmd_correlate(args) -> int:
     dist = _load_dist(args.dist)
     functions = [load_function_file(p) for p in args.functions]
     params = {"n": args.n, "mode": args.mode, "samples": args.samples,
-              "sweep_n": args.sweep_n, "threads": args.threads}
+              "sweep_n": args.sweep_n}
     if args.sweep_n:
         rows = []
         for f in functions:
@@ -235,7 +235,7 @@ def _cmd_dicttest(args) -> int:
     report = validate_instance(inst)
     if not report.ok:
         raise ValidationError("; ".join(report.violations))
-    params = {"mode": args.mode, "samples": args.samples, "n": f.n, "threads": args.threads}
+    params = {"mode": args.mode, "samples": args.samples, "n": f.n}
     if args.mode == "exact":
         acc = run_test_exact(inst, f, f.n)
         result = {"acceptance": _frac_pair(acc), "acceptance_float": float(acc)}
@@ -287,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="embedlens",
         description="Exact embeddability, correlation and stability analysis "
                     "of k-ary distributions.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (current build runs serially)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="embeddability and connectivity report")
@@ -349,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.fn(args)
     except ParseError as exc:

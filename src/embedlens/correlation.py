@@ -4,7 +4,10 @@ Three evaluation routes, chosen by input type: tuples of exact-phase
 characters are folded column-by-column in rational arithmetic (the result
 is an exact complex rational whenever all phase sums stay on the quarter
 circle); tuples of product functions use the per-coordinate factorization;
-anything else enumerates support columns under a term guard.
+anything else goes through dense tables on the per-coordinate tensor path
+of `functions`: the product of f_1..f_{k-1} over the distinct support
+projections S' meets f_k mapped through the S' x a_k joint mass matrix.
+Its guard is the one dense-tensor guard of `functions`.
 
 Also hosts the alternating-ascent search for the best-correlating
 1-bounded product function and the random-restriction correlation
@@ -16,7 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
 from math import fsum, log, sqrt
 from typing import Sequence
 
@@ -30,11 +32,13 @@ from .functions import (
     TableFunction,
     _measure_weights,
     _unit,
+    _weight_tensor,
+    column_map,
+    column_product,
     restrict,
 )
 
 CONFIDENCE = 0.01  # fixed 99% confidence for every Monte Carlo half-width
-EXACT_TERM_GUARD = 10 ** 8
 
 AnyFunction = TableFunction | ProductFunction | CharacterProduct
 
@@ -77,7 +81,7 @@ def _check_shapes(dist: JointDistribution, functions: Sequence[AnyFunction], n: 
 
 
 def exact_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
-                      n: int, term_guard: int = EXACT_TERM_GUARD) -> CorrelationResult:
+                      n: int) -> CorrelationResult:
     """E over the n-fold product power of the product of the k functions."""
     _check_shapes(dist, functions, n)
     if all(isinstance(f, CharacterProduct) for f in functions):
@@ -85,7 +89,7 @@ def exact_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
     if all(isinstance(f, (ProductFunction, CharacterProduct)) for f in functions):
         prods = [f.to_product() if isinstance(f, CharacterProduct) else f for f in functions]
         return _exact_products(dist, prods, n)
-    return _exact_tables(dist, functions, n, term_guard)
+    return _exact_tables(dist, functions, n)
 
 
 def _exact_characters(dist, functions, n) -> CorrelationResult:
@@ -131,24 +135,28 @@ def _exact_products(dist, prods: Sequence[ProductFunction], n) -> CorrelationRes
     return CorrelationResult(value, "exact")
 
 
-def _exact_tables(dist, functions, n, term_guard) -> CorrelationResult:
-    terms = len(dist.support) ** n
-    if terms > term_guard:
-        raise SizeGuardError(
-            f"exact correlation needs {terms} weighted terms, guard is {term_guard}")
-    massf = {x: float(m) for x, m in dist.atoms.items()}
-    res, ims = [], []
-    for cols in iter_product(dist.support, repeat=n):
-        w = 1.0
-        for c in cols:
-            w *= massf[c]
-        val = complex(w)
-        for i, f in enumerate(functions):
-            row = tuple(c[i] for c in cols)
-            val *= f.evaluate(row)
-        res.append(val.real)
-        ims.append(val.imag)
-    return CorrelationResult(complex(fsum(res), fsum(ims)), "exact")
+def _head_columns(dist: JointDistribution) -> tuple[list[list[int]], list[list[Fraction]]]:
+    """The distinct projections S' of the support onto the first k-1 coordinates.
+
+    Returns, for each of those coordinates, the symbol index of every column
+    in S' (in support order), and the S' x a_k matrix of exact joint masses.
+    """
+    heads = list(dict.fromkeys(x[:-1] for x in dist.support))
+    row = {h: r for r, h in enumerate(heads)}
+    last = dist.alphabets[-1]
+    joint = [[Fraction(0)] * len(last) for _ in heads]
+    for x, m in dist.atoms.items():
+        joint[row[x[:-1]]][last.index(x[-1])] = m
+    index_lists = [[dist.alphabets[i].index(h[i]) for h in heads] for i in range(dist.k - 1)]
+    return index_lists, joint
+
+
+def _exact_tables(dist, functions, n) -> CorrelationResult:
+    tables = [f if isinstance(f, TableFunction) else f.to_table() for f in functions]
+    index_lists, joint = _head_columns(dist)
+    heads = column_product(tables[:-1], index_lists, n)
+    terms = np.ravel(heads * column_map(tables[-1].values, np.array(joint, dtype=float), n))
+    return CorrelationResult(complex(fsum(terms.real), fsum(terms.imag)), "exact")
 
 
 def mc_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
@@ -203,10 +211,7 @@ def best_product_correlation(nu: JointDistribution, f: TableFunction,
         empty = ProductFunction(f.alphabet, np.zeros((0, a), dtype=np.complex128))
         v = abs(complex(f.values[0]))
         return AscentResult(v, empty, [v])
-    w = _measure_weights(nu, f.alphabet)
-    weight = np.ones(1)
-    for _ in range(n):
-        weight = np.multiply.outer(weight, w).ravel()
+    weight = _weight_tensor(_measure_weights(nu, f.alphabet), n)
     g = (f.values * weight).reshape((a,) * n)
     rng = random.Random(seed)
     best: AscentResult | None = None

@@ -136,7 +136,7 @@ def symbol_function_from_json(data: dict) -> SymbolFunction:
         if "constant" in data:
             return ConstantSymbolFunction(n, alpha, str(data["constant"]))
         return DenseSymbolFunction(n, alpha, [str(s) for s in data["symbols"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ParseError(f"bad symbol function payload: {exc}") from exc
 
 
@@ -185,7 +185,7 @@ class Predicate:
         try:
             return cls(make_alphabet(data["alphabet"]), int(data["k"]),
                        tuple(int(v) for v in data["truth"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"bad predicate payload: {exc}") from exc
 
 
@@ -232,7 +232,7 @@ class TestInstance:
                     x = tuple(str(s) for s in a["x"])
                     atoms[x] = atoms.get(x, Fraction(0)) + Fraction(*a["p"])
                 constraints.append((Fraction(num, den), JointDistribution(alphabets, atoms)))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"bad instance payload: {exc}") from exc
         return cls(pred, tuple(constraints))
 

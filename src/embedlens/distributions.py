@@ -179,7 +179,7 @@ class JointDistribution:
                 x = tuple(str(s) for s in entry["x"])
                 num, den = entry["p"]
                 atoms[x] = atoms.get(x, Fraction(0)) + Fraction(num, den)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"bad distribution payload: {exc}") from exc
         return cls(alphabets, atoms)
 

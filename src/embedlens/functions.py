@@ -2,10 +2,16 @@
 
 Dense tables, coordinate-factored products, and exact-phase characters,
 together with the inner product, the per-coordinate noise operator, noise
-stability, the orthogonal degree decomposition, restrictions and low-degree
+stability, the graded degree decomposition, restrictions and low-degree
 projections. Function values are complex doubles with compensated
 summation; identities are expected to hold to 1e-10 and boundedness slack
 is 1e-12.
+
+Dense work on powers goes through one per-coordinate tensor path:
+`column_product` reads tables through per-column symbol indices and
+`column_map` applies one matrix along every axis. Both, the degree
+decomposition and `ProductFunction.to_table` check `TENSOR_GUARD` on the
+largest tensor they would build, before building it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import fsum
 from typing import Callable, Mapping, Sequence
 
@@ -26,6 +31,7 @@ from .errors import ParseError, SizeGuardError, ValidationError
 
 ONE_BOUND_SLACK = 1e-12
 IDENTITY_TOL = 1e-10
+TENSOR_GUARD = 10 ** 7  # entries of the largest dense tensor any route may build
 
 
 class TableFunction:
@@ -97,7 +103,7 @@ class TableFunction:
             alpha = make_alphabet(data["alphabet"])
             vals = [complex(re, im) for re, im in data["values"]]
             return cls(int(data["n"]), alpha, vals)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"bad table function payload: {exc}") from exc
 
 
@@ -127,6 +133,7 @@ class ProductFunction:
         return ProductFunction(self.alphabet, np.conj(self.factors))
 
     def to_table(self) -> TableFunction:
+        _check_tensor_size(len(self.alphabet) ** self.n, "product table")
         vals = np.ones(1, dtype=np.complex128)
         for j in range(self.n):
             vals = np.multiply.outer(vals, self.factors[j]).ravel()
@@ -168,7 +175,7 @@ class ProductFunction:
             for table in data["factors"]:
                 rows.append([complex(*table[sym]) for sym in alpha.symbols])
             return cls(alpha, np.array(rows, dtype=np.complex128))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"bad product function payload: {exc}") from exc
 
 
@@ -205,7 +212,8 @@ class CharacterProduct:
 
     def to_product(self) -> ProductFunction:
         rows = [[_unit(p) for p in row] for row in self.phases]
-        return ProductFunction(self.alphabet, np.array(rows, dtype=np.complex128))
+        return ProductFunction(self.alphabet, np.array(rows, dtype=np.complex128)
+                               .reshape(self.n, len(self.alphabet)))
 
     def to_table(self) -> TableFunction:
         return self.to_product().to_table()
@@ -265,6 +273,41 @@ def _weight_tensor(w: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The per-coordinate tensor path
+
+def _check_tensor_size(entries: int, what: str) -> None:
+    """Raise SizeGuardError before a dense tensor of more than TENSOR_GUARD entries is built."""
+    if entries > TENSOR_GUARD:
+        raise SizeGuardError(
+            f"{what} needs a dense tensor of {entries} entries; guard is {TENSOR_GUARD}")
+
+
+def column_product(tables: Sequence[TableFunction], index_lists: Sequence[Sequence[int]],
+                   n: int) -> np.ndarray:
+    """The tensor over (S')^n of prod_i f_i, f_i read through per-column symbol indices.
+
+    Entry (c_1, ..., c_n) is prod_i f_i(x_i) with x_i[j] symbol index_lists[i][c_j]
+    of f_i's alphabet. With no tables the result is the scalar 1.
+    """
+    out = np.ones(())
+    for f, idx in zip(tables, index_lists):
+        _check_tensor_size(len(idx) ** n, "column product")
+        arr = f.values.reshape((len(f.alphabet),) * n)
+        out = out * arr[np.ix_(*[idx] * n)]
+    return out
+
+
+def column_map(values, matrix: np.ndarray, n: int) -> np.ndarray:
+    """Apply one (out x in) matrix along each of the n axes of an in^n tensor."""
+    out_size, in_size = matrix.shape
+    arr = np.reshape(values, (in_size,) * n)
+    for axis in range(n):
+        _check_tensor_size(arr.size // in_size * out_size, "column map")
+        arr = np.moveaxis(np.tensordot(matrix, arr, axes=([1], [axis])), 0, axis)
+    return arr
+
+
+# ---------------------------------------------------------------------------
 # Inner products and the noise operator
 
 def inner_product(f: TableFunction, g: TableFunction, nu: JointDistribution) -> complex:
@@ -302,9 +345,14 @@ def noise_apply(f: TableFunction, rho: float, nu: JointDistribution,
 
 
 def stability(f: TableFunction, rho: float, nu: JointDistribution) -> float:
-    """Stab_rho(f) = <f, T_rho f>; real and nonnegative for any complex f."""
+    """Stab_rho(f) = <f, T_rho f>; real and nonnegative for any complex f.
+
+    The realness check is relative: rounding in the imaginary part scales
+    with ||f||^2, so the tolerance is IDENTITY_TOL * max(1, ||f||^2).
+    """
     val = inner_product(f, noise_apply(f, rho, nu), nu)
-    if abs(val.imag) > IDENTITY_TOL:
+    err = abs(val.imag)
+    if err > IDENTITY_TOL and err > IDENTITY_TOL * inner_product(f, f, nu).real:
         raise AssertionError(f"stability came out non-real: {val}")
     return val.real
 
@@ -314,76 +362,50 @@ def stability(f: TableFunction, rho: float, nu: JointDistribution) -> float:
 
 @dataclass
 class EfronSteinDecomposition:
-    """f = sum_S f^{=S}; W_d collects the squared mass at degree d."""
+    """f = sum_d f^{=d}; W_d = ||f^{=d}||^2 is the squared mass at degree d."""
 
     n: int
     alphabet: Alphabet
-    components: dict[tuple[int, ...], TableFunction] | None
-    component_norms: dict[tuple[int, ...], float]
+    parts: tuple[TableFunction, ...]
     degree_weights: tuple[float, ...]
     norm_sq: float
 
 
-def efron_stein(f: TableFunction, nu: JointDistribution, n_max: int = 10,
-                materialize: bool = True,
-                work_guard: int = 10 ** 8) -> EfronSteinDecomposition:
-    """Inclusion-exclusion of conditional expectations, one subset at a time.
+def efron_stein(f: TableFunction, nu: JointDistribution) -> EfronSteinDecomposition:
+    """Graded Efron-Stein transform, one coordinate at a time.
 
-    Components are materialized only up to n_max coordinates; past that the
-    decomposition silently degrades to degree weights alone. The guard is
-    on total work (2^n subsets, each over alphabet^n points).
+    At each coordinate every degree part splits into its nu-average along
+    that coordinate (same degree) and the remainder (degree + 1), so after
+    the last coordinate part d is f^{=d} = sum_{|S|=d} f^{=S}. The guard is
+    on the n+1 stacked parts.
     """
-    if (2 ** f.n) * (len(f.alphabet) ** f.n) > work_guard:
-        raise SizeGuardError(
-            f"degree decomposition needs {2 ** f.n} x {len(f.alphabet) ** f.n} work; "
-            f"guard is {work_guard}")
-    materialize = materialize and f.n <= n_max
-    w = _measure_weights(nu, f.alphabet)
     a = len(f.alphabet)
-    base = f.values.reshape((a,) * f.n) if f.n else f.values
-
-    def avg(arr, i):
-        return np.expand_dims(np.tensordot(arr, w, axes=([i], [0])), axis=i)
-
-    comps: dict[tuple[int, ...], TableFunction] | None = {} if materialize else None
-    norms: dict[tuple[int, ...], float] = {}
-    weights = [0.0] * (f.n + 1)
-    for d in range(f.n + 1):
-        for subset in combinations(range(f.n), d):
-            inside = set(subset)
-            arr = base
-            for i in range(f.n):
-                if i in inside:
-                    arr = arr - avg(arr, i)
-                else:
-                    arr = avg(arr, i)
-            comp = TableFunction(f.n, f.alphabet, np.broadcast_to(arr, base.shape).ravel())
-            nsq = inner_product(comp, comp, nu).real
-            norms[subset] = nsq
-            weights[d] += nsq
-            if comps is not None:
-                comps[subset] = comp
+    _check_tensor_size((f.n + 1) * a ** f.n, "degree decomposition")
+    w = _measure_weights(nu, f.alphabet)
+    parts = f.values.reshape((1,) + (a,) * f.n)
+    for axis in range(1, f.n + 1):
+        avg = np.expand_dims(np.tensordot(parts, w, axes=([axis], [0])), axis)
+        graded = np.zeros((len(parts) + 1,) + parts.shape[1:], dtype=np.complex128)
+        graded[:-1] += avg
+        graded[1:] += parts - avg
+        parts = graded
+    tables = tuple(TableFunction(f.n, f.alphabet, part) for part in parts)
     return EfronSteinDecomposition(
         n=f.n,
         alphabet=f.alphabet,
-        components=comps,
-        component_norms=norms,
-        degree_weights=tuple(weights),
+        parts=tables,
+        degree_weights=tuple(inner_product(t, t, nu).real for t in tables),
         norm_sq=inner_product(f, f, nu).real,
     )
 
 
-def low_degree_project(f: TableFunction, d: int, nu: JointDistribution,
-                       n_max: int = 10) -> tuple[TableFunction, float]:
+def low_degree_project(f: TableFunction, d: int,
+                       nu: JointDistribution) -> tuple[TableFunction, float]:
     """Projection onto degrees <= d and its L2 norm under nu^n."""
-    if f.n > n_max:
-        raise SizeGuardError(
-            f"projection needs materialized components; n <= {n_max}")
-    dec = efron_stein(f, nu, n_max=n_max, materialize=True)
     total = np.zeros(len(f.values), dtype=np.complex128)
-    for subset, comp in dec.components.items():
-        if len(subset) <= d:
-            total = total + comp.values
+    for degree, part in enumerate(efron_stein(f, nu).parts):
+        if degree <= d:
+            total += part.values
     proj = TableFunction(f.n, f.alphabet, total)
     return proj, l2_norm(proj, nu)
 
@@ -477,7 +499,9 @@ def global_inverse_check(f: TableFunction, low: TableFunction, prod: ProductFunc
     )
 
 
-def load_function(data: dict) -> TableFunction | ProductFunction:
+def load_function(data) -> TableFunction | ProductFunction:
+    if not isinstance(data, dict):
+        raise ParseError("function payload must be a JSON object")
     if "values" in data:
         return TableFunction.from_json(data)
     if "factors" in data:

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlation import exact_correlation
+from .correlation import _head_columns, exact_correlation
 from .distributions import (
     Alphabet,
     Atom,
@@ -37,6 +37,8 @@ from .functions import (
     TableFunction,
     _lex_tuples,
     _measure_weights,
+    column_map,
+    column_product,
     restrict,
     stability,
 )
@@ -183,41 +185,22 @@ def star_sample(x_plus: Sequence[str], mu1: JointDistribution,
     return tuple(x), tuple(xp)
 
 
-def build_g(f1: TableFunction, mu1: JointDistribution,
-            size_guard: int = 10 ** 6) -> TableFunction:
+def build_g(f1: TableFunction, mu1: JointDistribution) -> TableFunction:
     """g(x+) = E over star fills of f1(x) * conj(f1(x')), exactly.
 
     The fill is shared between the two copies, so star positions contribute
-    diagonal second moments rather than squared means.
+    diagonal second moments rather than squared means: per coordinate, g is
+    f1 (x) conj(f1) mapped through the identity on pair symbols plus a star
+    row carrying mu1 on the diagonal pairs.
     """
     sigma = f1.alphabet
     star = StarAlphabet.build(sigma)
-    n = f1.n
-    if len(star.alphabet) ** n > size_guard:
-        raise SizeGuardError(f"g table would need {len(star.alphabet) ** n} entries")
-    fills = [(x, float(m)) for (x,), m in mu1.atoms.items()]
-    values = []
-    for xplus in _lex_tuples(star.alphabet, n):
-        stars = [j for j, sym in enumerate(xplus) if decode_symbol(sym) is None]
-        base_x = [None] * n
-        base_xp = [None] * n
-        for j, sym in enumerate(xplus):
-            pair = decode_symbol(sym)
-            if pair is not None:
-                base_x[j], base_xp[j] = pair
-        res, ims = [], []
-        for fill in iter_product(fills, repeat=len(stars)):
-            w = 1.0
-            for _, m in fill:
-                w *= m
-            for j, (v, _) in zip(stars, fill):
-                base_x[j] = v
-                base_xp[j] = v
-            t = w * f1.evaluate(base_x) * f1.evaluate(base_xp).conjugate()
-            res.append(t.real)
-            ims.append(t.imag)
-        values.append(complex(fsum(res), fsum(ims)))
-    return TableFunction(n, star.alphabet, values)
+    a = len(sigma)
+    firsts = [p // a for p in range(a * a)]  # pair symbol p is (p // a, p % a)
+    seconds = [p % a for p in range(a * a)]
+    h = column_product([f1, f1.conj()], [firsts, seconds], f1.n)
+    fill = np.vstack([np.eye(a * a), np.diag(_measure_weights(mu1, sigma)).ravel()])
+    return TableFunction(f1.n, star.alphabet, np.ravel(column_map(h, fill, f1.n)))
 
 
 @dataclass
@@ -274,11 +257,11 @@ def check_coupling_identity(dist: JointDistribution, f1: TableFunction, n: int,
 
 
 def conditional_product_given_last(dist: JointDistribution,
-                                   functions: Sequence[TableFunction],
-                                   term_guard: int = 10 ** 7) -> TableFunction:
+                                   functions: Sequence[TableFunction]) -> TableFunction:
     """Conditional expectation of the (k-1)-wise product given the last row.
 
-    Exact enumeration over conditional supports, column by column; requires
+    The product over the support's distinct first-(k-1) columns, mapped
+    coordinate by coordinate through the conditional mass matrix; requires
     every last-coordinate symbol to carry positive marginal mass.
     """
     k = dist.k
@@ -288,32 +271,16 @@ def conditional_product_given_last(dist: JointDistribution,
     for i, f in enumerate(functions):
         if f.n != n or f.alphabet != dist.alphabets[i]:
             raise ValidationError(f"function {i} shape mismatch")
-    last = k - 1
-    sigma_k = dist.alphabets[last]
-    muk = dist.marginal([last])
-    conds: dict[str, list[tuple[Atom, float]]] = {}
-    for v in sigma_k.symbols:
-        if muk.mass((v,)) == 0:
+    sigma_k = dist.alphabets[k - 1]
+    muk = dist.marginal([k - 1])
+    mass = [muk.mass((v,)) for v in sigma_k.symbols]
+    for v, m in zip(sigma_k.symbols, mass):
+        if m == 0:
             raise ValidationError(f"zero-probability conditioning cell: symbol {v!r}")
-        cond = dist.condition(last, v)
-        conds[v] = [(y, float(m)) for y, m in cond.atoms.items()]
-    if len(dist.support) ** n > term_guard:
-        raise SizeGuardError("conditional product expectation exceeds term guard")
-    values = []
-    for x in _lex_tuples(sigma_k, n):
-        res, ims = [], []
-        for combo in iter_product(*[conds[v] for v in x]):
-            w = 1.0
-            for _, m in combo:
-                w *= m
-            val = complex(w)
-            for i, f in enumerate(functions):
-                row = tuple(col[0][i] for col in combo)
-                val *= f.evaluate(row)
-            res.append(val.real)
-            ims.append(val.imag)
-        values.append(complex(fsum(res), fsum(ims)))
-    return TableFunction(n, sigma_k, values)
+    index_lists, joint = _head_columns(dist)
+    cond = np.array([[float(m / mv) for m, mv in zip(row, mass)] for row in joint])
+    values = column_map(column_product(functions, index_lists, n), cond.T, n)
+    return TableFunction(n, sigma_k, np.ravel(values))
 
 
 def conditional_product_given_first(dist: JointDistribution,

@@ -1,0 +1,161 @@
+"""Term-by-term enumeration oracles for the dense routes, and small inputs to
+compare them on.
+
+Each oracle walks every term of its sum in Python and shares no code with
+the per-coordinate tensor path it checks: functions are read only through
+`evaluate`, and the degree oracle builds all 2^n subset components. Keep
+them slow and obvious.
+"""
+
+from fractions import Fraction
+from itertools import combinations, product as iter_product
+from math import fsum
+
+import numpy as np
+from hypothesis import strategies as st
+
+from embedlens.distributions import JointDistribution, alphabet, univariate
+from embedlens.functions import (
+    CharacterProduct,
+    ProductFunction,
+    TableFunction,
+    _lex_tuples,
+    _measure_weights,
+)
+from embedlens.reduction import StarAlphabet, decode_symbol
+
+
+def enumerate_correlation(dist, functions, n) -> complex:
+    """E over the n-fold product power of prod_i f_i, one support column tuple at a time."""
+    massf = {x: float(m) for x, m in dist.atoms.items()}
+    res, ims = [], []
+    for cols in iter_product(dist.support, repeat=n):
+        w = 1.0
+        for c in cols:
+            w *= massf[c]
+        val = complex(w)
+        for i, f in enumerate(functions):
+            val *= f.evaluate(tuple(c[i] for c in cols))
+        res.append(val.real)
+        ims.append(val.imag)
+    return complex(fsum(res), fsum(ims))
+
+
+def enumerate_conditional_product_given_last(dist, functions) -> TableFunction:
+    """E[prod_{i<k} f_i | last row], enumerating each conditional support."""
+    last = dist.k - 1
+    sigma_k = dist.alphabets[last]
+    n = functions[0].n
+    conds = {v: [(y, float(m)) for y, m in dist.condition(last, v).atoms.items()]
+             for v in sigma_k.symbols}
+    values = []
+    for x in _lex_tuples(sigma_k, n):
+        res, ims = [], []
+        for combo in iter_product(*[conds[v] for v in x]):
+            w = 1.0
+            for _, m in combo:
+                w *= m
+            val = complex(w)
+            for i, f in enumerate(functions):
+                val *= f.evaluate(tuple(col[0][i] for col in combo))
+            res.append(val.real)
+            ims.append(val.imag)
+        values.append(complex(fsum(res), fsum(ims)))
+    return TableFunction(n, sigma_k, values)
+
+
+def enumerate_g(f1, mu1) -> TableFunction:
+    """g(x+) = E over shared star fills of f1(x) conj(f1(x')), one word at a time."""
+    star = StarAlphabet.build(f1.alphabet)
+    n = f1.n
+    fills = [(x, float(m)) for (x,), m in mu1.atoms.items()]
+    values = []
+    for xplus in _lex_tuples(star.alphabet, n):
+        stars = [j for j, sym in enumerate(xplus) if decode_symbol(sym) is None]
+        base_x = [None] * n
+        base_xp = [None] * n
+        for j, sym in enumerate(xplus):
+            pair = decode_symbol(sym)
+            if pair is not None:
+                base_x[j], base_xp[j] = pair
+        res, ims = [], []
+        for fill in iter_product(fills, repeat=len(stars)):
+            w = 1.0
+            for _, m in fill:
+                w *= m
+            for j, (v, _) in zip(stars, fill):
+                base_x[j] = v
+                base_xp[j] = v
+            t = w * f1.evaluate(base_x) * f1.evaluate(base_xp).conjugate()
+            res.append(t.real)
+            ims.append(t.imag)
+        values.append(complex(fsum(res), fsum(ims)))
+    return TableFunction(n, star.alphabet, values)
+
+
+def subset_efron_stein(f, nu) -> dict[tuple[int, ...], TableFunction]:
+    """Every component f^{=S}, by inclusion-exclusion of conditional expectations."""
+    w = _measure_weights(nu, f.alphabet)
+    a = len(f.alphabet)
+    base = f.values.reshape((a,) * f.n)
+    comps = {}
+    for d in range(f.n + 1):
+        for subset in combinations(range(f.n), d):
+            arr = base
+            for i in range(f.n):
+                avg = np.expand_dims(np.tensordot(arr, w, axes=([i], [0])), axis=i)
+                arr = arr - avg if i in subset else avg
+            comps[subset] = TableFunction(f.n, f.alphabet,
+                                          np.broadcast_to(arr, base.shape).ravel())
+    return comps
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+
+def _alphabet(size: int):
+    return alphabet([str(s) for s in range(size)])
+
+
+@st.composite
+def distributions(draw, k=st.integers(1, 3), full_last=False):
+    """A k-ary distribution on alphabets of size 1..3 with at most 8 atoms (plus
+    one per last symbol with full_last, which gives every last symbol mass)."""
+    k = draw(k)
+    alphabets = [_alphabet(draw(st.integers(1, 3))) for _ in range(k)]
+    cells = list(iter_product(*[a.symbols for a in alphabets]))
+    support = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=8, unique=True))
+    if full_last:
+        for v in alphabets[-1].symbols:
+            if all(x[-1] != v for x in support):
+                support.append(draw(st.sampled_from([x for x in cells if x[-1] == v])))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+    total = sum(weights)
+    return JointDistribution(alphabets, {x: Fraction(w, total) for x, w in zip(support, weights)})
+
+
+@st.composite
+def measures(draw, alpha):
+    """A univariate measure on alpha, non-uniform and possibly with zero-mass symbols."""
+    weights = draw(st.lists(st.integers(0, 5), min_size=len(alpha), max_size=len(alpha))
+                   .filter(any))
+    total = sum(weights)
+    return univariate(alpha, {s: Fraction(w, total) for s, w in zip(alpha.symbols, weights)})
+
+
+@st.composite
+def functions(draw, n, alpha, kinds=("table",)):
+    """A function in the unit disk on alpha^n: a dense table, a product or a character."""
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = len(alpha)
+
+    def disk(*shape):
+        return np.sqrt(rng.random(shape)) * np.exp(2j * np.pi * rng.random(shape))
+
+    if kind == "table":
+        return TableFunction(n, alpha, disk(a ** n))
+    if kind == "product":
+        return ProductFunction(alpha, disk(n, a))
+    return CharacterProduct(alpha, [[Fraction(int(p), 8) for p in rng.integers(0, 8, a)]
+                                    for _ in range(n)])

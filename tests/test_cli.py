@@ -1,8 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embedlens import fixtures
 from embedlens.cli import _emit, main
@@ -209,9 +214,10 @@ def test_dicttest_mc(tmp_path, capsys):
 
 
 def test_stability_size_guard_exit_code(tmp_path, capsys):
-    # n = 14 exceeds the degree-decomposition work guard (2^n * 2^n terms)
+    # n = 19 is the smallest n whose n + 1 stacked degree parts (20 * 2^19
+    # entries) exceed the dense-tensor guard
     f = tmp_path / "f.json"
-    write_parity_product(str(f), 14)
+    write_parity_product(str(f), 19)
     code, _ = run_cli(capsys, "stability", str(f), "--rho", "0.5", "--decompose")
     assert code == 3
 
@@ -329,3 +335,122 @@ def test_byte_reproducibility(tmp_path, capsys):
     _, out1 = run_cli(capsys, "analyze", str(dist))
     _, out2 = run_cli(capsys, "analyze", str(dist))
     assert out1 == out2
+
+
+@pytest.mark.parametrize("payload", [5, None, True, 0.0])
+@pytest.mark.parametrize("command", ["correlate", "stability", "conditional-product"])
+def test_non_object_function_file_is_a_parse_error(payload, command, tmp_path, capsys):
+    dist = tmp_path / "mu.json"
+    fixtures.three_lin().save(str(dist))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    good = tmp_path / "good.json"
+    write_parity_product(str(good), 1)
+    argv = {
+        "correlate": ("correlate", str(dist), str(bad), str(good), str(good), "--n", "1"),
+        "stability": ("stability", str(bad), "--rho", "0.5"),
+        "conditional-product": ("reduce", str(dist), "--op", "conditional-product",
+                                "--functions", str(bad), str(good)),
+    }[command]
+    code, out, err = run_cli_err(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert "must be a JSON object" in err
+
+
+def test_stability_of_large_values_is_real(tmp_path, capsys):
+    # |values| ~ 1e6: the imaginary rounding (~1e-6) is tiny relative to ||f||^2 ~ 1e12
+    rng = np.random.default_rng(0)
+    vals = 1e6 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"n": 6, "alphabet": ["0", "1"],
+                             "values": [[v.real, v.imag] for v in vals]}))
+    code, out = run_cli(capsys, "stability", str(f), "--rho", "0.5", "--decompose")
+    assert code == 0
+    result = json.loads(out)["result"]
+    predicted = sum(0.5 ** d * w for d, w in enumerate(result["degree_weights"]))
+    assert result["stability"] == pytest.approx(predicted, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: arbitrary and near-valid JSON through every loader must end in a
+# documented exit code, never in an exception escaping main.
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-4, 300) | st.floats()
+               | st.text(max_size=3))
+JSON_ANY = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12)
+SYMBOLS = st.sampled_from(["0", "1", "2"]) | JSON_ANY
+ALPHABET = st.lists(st.sampled_from(["0", "1", "2"]), max_size=3, unique=True) | JSON_ANY
+# Sizes stay small or non-finite: a valid but huge n is a work-size question,
+# not a loader one. Values also take integers too large for a float.
+COUNT = st.integers(-1, 4) | st.sampled_from([float("inf"), float("-inf"), float("nan")]) \
+    | JSON_ANY
+NUMBER = st.integers(-2, 3) | st.floats() | st.just(10 ** 400) | JSON_ANY
+ATOMS = st.lists(st.fixed_dictionaries({
+    "x": st.lists(SYMBOLS, max_size=3) | JSON_ANY,
+    "p": st.lists(st.integers(-1, 4), min_size=2, max_size=2) | JSON_ANY}), max_size=4)
+PAYLOADS = {
+    "distribution": st.fixed_dictionaries({
+        "alphabets": st.lists(ALPHABET, max_size=3) | JSON_ANY, "atoms": ATOMS | JSON_ANY}),
+    "function": st.fixed_dictionaries({
+        "n": COUNT, "alphabet": ALPHABET,
+        "values": st.lists(st.lists(NUMBER, max_size=3), max_size=8) | JSON_ANY})
+    | st.fixed_dictionaries({
+        "alphabet": ALPHABET,
+        "factors": st.lists(st.dictionaries(st.sampled_from(["0", "1", "2"]) | st.text(max_size=2),
+                                            st.lists(NUMBER, max_size=3), max_size=3)
+                            | JSON_ANY, max_size=3) | JSON_ANY}),
+    "instance": st.fixed_dictionaries({
+        "predicate": st.fixed_dictionaries({
+            "alphabet": ALPHABET, "k": COUNT,
+            "truth": st.lists(st.integers(0, 1), max_size=8) | JSON_ANY}) | JSON_ANY,
+        "constraints": st.lists(st.fixed_dictionaries({
+            "w": st.lists(st.integers(-1, 3), min_size=2, max_size=2) | JSON_ANY,
+            "mu": ATOMS | JSON_ANY}), max_size=2) | JSON_ANY}),
+    "symbol-function": st.fixed_dictionaries({
+        "n": COUNT, "alphabet": ALPHABET,
+        "symbols": st.lists(SYMBOLS, max_size=8) | JSON_ANY,
+    }, optional={"dictator": COUNT, "constant": SYMBOLS}),
+}
+
+
+def _fuzz_argvs(kind, path, d):
+    """CLI invocations that read `path` through the loader for `kind`."""
+    mu = os.path.join(d, "mu.json")
+    fixtures.three_lin().save(mu)
+    table = os.path.join(d, "table.json")
+    with open(table, "w") as fh:
+        json.dump({"n": 1, "alphabet": ["0", "1"], "values": [[1, 0], [0, 1]]}, fh)
+    inst = os.path.join(d, "inst.json")
+    fixtures.three_lin_instance().save(inst)
+    sym = os.path.join(d, "sym.json")
+    with open(sym, "w") as fh:
+        json.dump({"n": 2, "alphabet": ["0", "1"], "dictator": 1}, fh)
+    return {
+        "distribution": [("analyze", path)],
+        "measure": [("stability", table, "--rho", "0.5", "--nu", path, "--decompose")],
+        "function": [("stability", path, "--rho", "0.5", "--decompose"),
+                     ("correlate", mu, path, path, path, "--n", "1"),
+                     ("reduce", mu, "--op", "conditional-product", "--functions", path, path)],
+        "instance": [("dicttest", path, sym)],
+        "symbol-function": [("dicttest", inst, path)],
+    }[kind]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(PAYLOADS) + ["measure"]), data=st.data())
+def test_fuzz_json_loaders_end_in_documented_exit_codes(kind, data):
+    payload = data.draw(JSON_ANY | PAYLOADS["distribution" if kind == "measure" else kind])
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "payload.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        for argv in _fuzz_argvs(kind, path, d):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(list(argv))
+            assert code in (0, 2, 3, 4), (argv, payload)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embedlens import fixtures
 from embedlens.distributions import alphabet, univariate
@@ -23,6 +24,7 @@ from embedlens.functions import (
     character_function,
     uniform_measure,
 )
+from oracles import distributions, enumerate_correlation, functions
 
 B = alphabet(["0", "1"])
 
@@ -101,10 +103,11 @@ def test_correlation_bounded_by_sup_norms():
 
 
 def test_exact_size_guard():
+    # 3-LIN has 4 distinct first-two columns; 4^12 exceeds the dense-tensor guard
     mu = fixtures.three_lin()
-    fs = [random_table(random.Random(1), 4) for _ in range(3)]
+    fs = [random_table(random.Random(1), 12) for _ in range(3)]
     with pytest.raises(SizeGuardError):
-        exact_correlation(mu, fs, 4, term_guard=10)
+        exact_correlation(mu, fs, 12)
 
 
 def test_arity_mismatch_rejected():
@@ -211,3 +214,13 @@ def test_result_json():
     payload = res.to_json()
     assert payload["exact"] == [[1, 1], [0, 1]]
     assert payload["value"] == [1.0, 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dist=distributions(), n=st.integers(0, 3), data=st.data())
+def test_exact_correlation_matches_enumeration(dist, n, data):
+    # every route, tables mixed with products and characters included
+    fs = [data.draw(functions(n, a, kinds=("table", "product", "character")))
+          for a in dist.alphabets]
+    got = exact_correlation(dist, fs, n).value
+    assert abs(got - enumerate_correlation(dist, fs, n)) <= 1e-12

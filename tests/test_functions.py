@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embedlens import fixtures
 from embedlens.distributions import alphabet, univariate
@@ -24,6 +25,7 @@ from embedlens.functions import (
     stability,
     uniform_measure,
 )
+from oracles import functions, measures, subset_efron_stein
 
 B = alphabet(["0", "1"])
 UB = uniform_measure(B)
@@ -142,37 +144,19 @@ def test_efron_stein_reconstruction_and_orthogonality():
     nu = univariate(T, {"a": Fraction(1, 2), "b": Fraction(1, 3), "c": Fraction(1, 6)})
     f = random_table(rng, 2, T)
     dec = efron_stein(f, nu)
-    total = sum(c.values for c in dec.components.values())
+    total = sum(p.values for p in dec.parts)
     assert np.allclose(total, f.values, atol=1e-10)
-    comps = list(dec.components.values())
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            assert abs(inner_product(comps[i], comps[j], nu)) < 1e-10
+    for i in range(len(dec.parts)):
+        for j in range(i + 1, len(dec.parts)):
+            assert abs(inner_product(dec.parts[i], dec.parts[j], nu)) < 1e-10
     assert sum(dec.degree_weights) == pytest.approx(dec.norm_sq, abs=1e-10)
-
-
-def test_degree_weights_only_mode():
-    rng = random.Random(8)
-    f = random_table(rng, 2)
-    dec = efron_stein(f, UB, materialize=False)
-    assert dec.components is None
-    assert sum(dec.degree_weights) == pytest.approx(dec.norm_sq, abs=1e-10)
-
-
-def test_efron_stein_weights_only_beyond_n_max():
-    rng = random.Random(88)
-    f = random_table(rng, 3)
-    dec = efron_stein(f, UB, n_max=2)
-    assert dec.components is None  # degraded to degree weights only
-    assert sum(dec.degree_weights) == pytest.approx(dec.norm_sq, abs=1e-10)
-    with pytest.raises(SizeGuardError):
-        low_degree_project(f, 1, UB, n_max=2)
 
 
 def test_efron_stein_work_guard():
-    f = TableFunction.constant(3, B, 1)
+    # n = 19 is the smallest n whose 20 stacked degree parts exceed the guard
+    f = TableFunction.constant(19, B, 1)
     with pytest.raises(SizeGuardError):
-        efron_stein(f, UB, work_guard=10)
+        efron_stein(f, UB)
 
 
 def test_stability_diagonalization_random():
@@ -324,3 +308,23 @@ def test_table_function_validates_shape():
         TableFunction(2, B, [1, 2, 3])
     with pytest.raises(ValidationError):
         inner_product(TableFunction(1, B, [1, 1]), TableFunction.constant(2, B, 1), UB)
+
+
+@settings(max_examples=150, deadline=None)
+@given(size=st.integers(1, 3), n=st.integers(0, 3), data=st.data())
+def test_efron_stein_matches_subset_components(size, n, data):
+    alpha = alphabet([str(s) for s in range(size)])
+    nu = data.draw(measures(alpha))
+    f = data.draw(functions(n, alpha))
+    comps = subset_efron_stein(f, nu)
+    dec = efron_stein(f, nu)
+    assert len(dec.parts) == n + 1
+    for d, part in enumerate(dec.parts):
+        want = sum(c.values for s, c in comps.items() if len(s) == d)
+        assert np.max(np.abs(part.values - want)) <= 1e-12
+        weight = sum(inner_product(c, c, nu).real for s, c in comps.items() if len(s) == d)
+        assert abs(dec.degree_weights[d] - weight) <= 1e-12
+    for d in range(-1, n + 1):
+        low, _ = low_degree_project(f, d, nu)
+        want = sum((c.values for s, c in comps.items() if len(s) <= d), np.zeros(size ** n))
+        assert np.max(np.abs(low.values - want)) <= 1e-12

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embedlens import fixtures
 from embedlens.distributions import JointDistribution, alphabet, decompose_mixture, univariate
@@ -34,6 +35,13 @@ from embedlens.reduction import (
     conditional_product_given_first,
     conditional_product_given_last,
     star_coupling_params,
+)
+from oracles import (
+    distributions,
+    enumerate_conditional_product_given_last,
+    enumerate_g,
+    functions,
+    measures,
 )
 
 B = alphabet(["0", "1"])
@@ -402,3 +410,25 @@ def test_stability_transfer_noisy_perturbation():
     rep = stability_transfer_check(mu, perturbed, products)
     if rep.delta > 1e-6:
         assert rep.ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(dist=distributions(k=st.integers(2, 3), full_last=True), n=st.integers(0, 3),
+       data=st.data())
+def test_conditional_product_last_matches_enumeration(dist, n, data):
+    fs = [data.draw(functions(n, a)) for a in dist.alphabets[:-1]]
+    got = conditional_product_given_last(dist, fs)
+    want = enumerate_conditional_product_given_last(dist, fs)
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(1, 3), n=st.integers(0, 3), data=st.data())
+def test_build_g_matches_enumeration(size, n, data):
+    sigma = alphabet([str(s) for s in range(size)])
+    mu1 = data.draw(measures(sigma))
+    f1 = data.draw(functions(n, sigma))
+    got = build_g(f1, mu1)
+    want = enumerate_g(f1, mu1)
+    assert got.alphabet == want.alphabet
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12
