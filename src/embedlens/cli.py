@@ -3,8 +3,9 @@
 Every command emits {"manifest": ..., "result": ...} with a sha256 digest
 of the canonically serialized result, so identical manifests produce
 identical bytes. Exit codes: 0 success, 1 failed verify suite, 2
-validation failure, 3 size guard, 4 parse error. Randomized modes require
-an explicit --seed; there are no wall-clock defaults.
+validation failure, 3 size guard, 4 parse error, 5 internal error (a
+self-check of the program failed). Randomized modes require an explicit
+--seed; there are no wall-clock defaults.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_SUITE_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_SIZE_GUARD = 3
 EXIT_PARSE = 4
+EXIT_INTERNAL = 5
 
 
 def _canonical(data) -> str:
@@ -361,6 +363,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

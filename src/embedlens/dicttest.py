@@ -2,12 +2,17 @@
 matrix with i.i.d. columns from its local distribution, and evaluate the
 predicate on the row images under the tested function.
 
-Exact acceptance is computed by a column dynamic program over equivalence
-classes of function restrictions: after j columns each row is tracked only
-up to the restriction of f by its prefix, and fully-determined rows are
-absorbed immediately. Dictators and constants stay in O(1) classes per
-row, so exact completeness checks run even when a local distribution has
-thousands of atoms; dense tables degrade gracefully under a state guard.
+Exact acceptance is computed by a column dynamic program over a layered
+decision diagram of f, compiled once: the nodes at depth j are the
+distinct restrictions of f by a j-symbol prefix, and a restriction that is
+constant is absorbed at once. A state is the k-tuple of the rows' nodes;
+each column is one vectorised step over all states and atoms, with integer
+weights over a power of the masses' common denominator and one Fraction at
+the end. Dictators and constants keep one state per column, so exact
+completeness checks run even when a local distribution has thousands of
+atoms. The DP stops when no state is left, and `state_guard` bounds its
+total transitions (states times atoms, summed over columns and
+constraints).
 """
 
 from __future__ import annotations
@@ -17,7 +22,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 from typing import Sequence
+
+import numpy as np
 
 from .correlation import hoeffding_half_width
 from .distributions import (
@@ -29,13 +37,14 @@ from .distributions import (
 )
 from .embedding import connected, detect_embedding, pairwise_connected
 from .errors import ParseError, SizeGuardError, ValidationError
+from .functions import is_table_length
 
 
 # ---------------------------------------------------------------------------
 # Symbol-valued functions f: Sigma^n -> Sigma
 
 class SymbolFunction:
-    """Interface: evaluate on a word, restrict by the first coordinate."""
+    """Interface: evaluate on a word."""
 
     n: int
     alphabet: Alphabet
@@ -43,19 +52,10 @@ class SymbolFunction:
     def evaluate(self, x: Sequence[str]) -> str:
         raise NotImplementedError
 
-    def child(self, sym: str) -> "SymbolFunction":
-        raise NotImplementedError
-
-    def key(self):
-        raise NotImplementedError
-
-    def as_constant(self) -> str | None:
-        return None
-
 
 class DenseSymbolFunction(SymbolFunction):
     def __init__(self, n: int, alpha: Alphabet, symbols: Sequence[str]):
-        if len(symbols) != len(alpha) ** n:
+        if not is_table_length(len(symbols), len(alpha), n):
             raise ValidationError("dense symbol table has wrong length")
         for s in symbols:
             if s not in alpha:
@@ -71,20 +71,6 @@ class DenseSymbolFunction(SymbolFunction):
             idx = idx * a + self.alphabet.index(sym)
         return self.symbols[idx]
 
-    def child(self, sym):
-        if self.n == 0:
-            raise ValidationError("cannot restrict a 0-ary function")
-        block = len(self.alphabet) ** (self.n - 1)
-        start = self.alphabet.index(sym) * block
-        return DenseSymbolFunction(self.n - 1, self.alphabet,
-                                   self.symbols[start:start + block])
-
-    def key(self):
-        return ("t", self.symbols)
-
-    def as_constant(self):
-        return self.symbols[0] if self.n == 0 else None
-
 
 class DictatorFunction(SymbolFunction):
     def __init__(self, n: int, alpha: Alphabet, coordinate: int):
@@ -97,14 +83,6 @@ class DictatorFunction(SymbolFunction):
     def evaluate(self, x):
         return x[self.coordinate]
 
-    def child(self, sym):
-        if self.coordinate == 0:
-            return ConstantSymbolFunction(self.n - 1, self.alphabet, sym)
-        return DictatorFunction(self.n - 1, self.alphabet, self.coordinate - 1)
-
-    def key(self):
-        return ("d", self.n, self.coordinate)
-
 
 class ConstantSymbolFunction(SymbolFunction):
     def __init__(self, n: int, alpha: Alphabet, value: str):
@@ -115,15 +93,6 @@ class ConstantSymbolFunction(SymbolFunction):
         self.value = value
 
     def evaluate(self, x):
-        return self.value
-
-    def child(self, sym):
-        return ConstantSymbolFunction(self.n - 1, self.alphabet, self.value)
-
-    def key(self):
-        return ("c", self.value)
-
-    def as_constant(self):
         return self.value
 
 
@@ -159,7 +128,7 @@ class Predicate:
     truth: tuple[int, ...]  # lexicographic over alphabet^k
 
     def __post_init__(self):
-        if len(self.truth) != len(self.alphabet) ** self.k:
+        if not is_table_length(len(self.truth), len(self.alphabet), self.k):
             raise ValidationError("truth table has wrong length")
         if any(v not in (0, 1) for v in self.truth):
             raise ValidationError("truth table entries must be 0/1")
@@ -302,55 +271,113 @@ def validate_instance(inst: TestInstance) -> InstanceReport:
 
 def run_test_exact(inst: TestInstance, f: SymbolFunction, n: int,
                    state_guard: int = 200_000) -> Fraction:
-    """Exact rational acceptance probability of the boxed test."""
+    """Exact rational acceptance probability of the boxed test.
+
+    `state_guard` bounds the DP's total transitions (states times atoms,
+    summed over columns and constraints)."""
     if f.n != n:
         raise ValidationError(f"function arity {f.n} != n = {n}")
     if f.alphabet != inst.predicate.alphabet:
         raise ValidationError("function alphabet mismatch")
+    if isinstance(f, DictatorFunction):
+        # one state per column for c + 1 columns: refuse before building them
+        needed = (f.coordinate + 1) * sum(len(mu.atoms) for _, mu in inst.constraints)
+        if needed > state_guard:
+            raise SizeGuardError(
+                f"acceptance DP needs {needed} transitions; guard is {state_guard}")
+    root, layers = _diagram(f)
     total = sum((w for w, _ in inst.constraints), Fraction(0))
     acc = Fraction(0)
+    spent = 0
     for w, mu in inst.constraints:
-        acc += (w / total) * _acceptance_one(mu, inst.predicate, f, n, state_guard)
+        p, spent = _acceptance_one(mu, inst.predicate, root, layers, spent, state_guard)
+        acc += (w / total) * p
     return acc
 
 
-def _acceptance_one(mu: JointDistribution, pred: Predicate, f: SymbolFunction,
-                    n: int, state_guard: int) -> Fraction:
-    atoms = list(mu.atoms.items())
-    interned: dict = {}
+def _diagram(f: SymbolFunction) -> tuple[int, list[np.ndarray]]:
+    """Compile f into a layered decision diagram (root id, layers).
 
-    def intern(fn: SymbolFunction):
-        return interned.setdefault(fn.key(), fn)
+    Nodes at depth j are the distinct restrictions of f by a j-symbol
+    prefix. Ids below |Sigma| are the constant restrictions (id = symbol
+    index, so their rows are absorbed); `layers[j][v, s]` is the id at
+    depth j + 1 of node v restricted by symbol s. Every node at depth
+    len(layers) is constant."""
+    if isinstance(f, ConstantSymbolFunction):
+        return f.alphabet.index(f.value), []
+    a = len(f.alphabet)
+    held = np.repeat(np.arange(a), a).reshape(a, a)  # a constant stays itself
+    if isinstance(f, DictatorFunction):
+        wait = np.vstack([held, np.full((1, a), a)])
+        read = np.vstack([held, np.arange(a)[None, :]])
+        return a, [wait] * f.coordinate + [read]
+    ids = np.array([f.alphabet.index(s) for s in f.symbols], dtype=np.int64)
+    layers = []
+    for _ in range(f.n):  # bottom-up: the children of each node are one row
+        rows = ids.reshape(-1, a)
+        const = (rows[:, 0] < a) & (rows == rows[:, :1]).all(axis=1)
+        nodes, inverse = np.unique(rows[~const], axis=0, return_inverse=True)
+        ids = rows[:, 0].copy()
+        ids[~const] = a + inverse.reshape(-1)
+        layers.append(np.vstack([held, nodes]))
+    layers.reverse()
+    return int(ids[0]), layers
 
-    accept = Fraction(0)
-    start = intern(f)
-    const = start.as_constant()
-    if const is not None:
-        return Fraction(1) if pred.evaluate([const] * pred.k) else Fraction(0)
-    states: dict[tuple, Fraction] = {(start.key(),) * pred.k: Fraction(1)}
-    for _ in range(n):
-        if len(states) * len(atoms) > state_guard:
+
+def _acceptance_one(mu: JointDistribution, pred: Predicate, root: int,
+                    layers: list[np.ndarray], spent: int,
+                    state_guard: int) -> tuple[Fraction, int]:
+    """Acceptance under one local distribution, and the transition count so far.
+
+    A state is a k-tuple of diagram node ids, one per row. Masses are
+    integers over D = lcm of their denominators, so after j columns every
+    weight is an integer over D^j and `accept` is one over D^(j+1) after
+    column j; the only division is the final Fraction."""
+    a, k = len(pred.alphabet), pred.k
+    truth = np.array(pred.truth, dtype=bool)
+    place = a ** np.arange(k - 1, -1, -1)
+    if root < a:
+        return Fraction(int(truth[root * place.sum()])), spent
+    cols = np.array([[pred.alphabet.index(s) for s in x] for x in mu.atoms], dtype=np.int64)
+    denom = lcm(*(p.denominator for p in mu.atoms.values()))
+    mass = np.array([p.numerator * (denom // p.denominator) for p in mu.atoms.values()],
+                    dtype=object)
+    states = np.full((1, k), root, dtype=np.int64)
+    weights = np.array([1], dtype=object)
+    accept = 0
+    for depth, layer in enumerate(layers):
+        spent += len(states) * len(cols)
+        if spent > state_guard:
             raise SizeGuardError(
-                f"acceptance DP needs {len(states) * len(atoms)} transitions; "
-                f"guard is {state_guard}")
-        new_states: dict[tuple, Fraction] = {}
-        for state, weight in states.items():
-            fns = [interned[k] for k in state]
-            for atom, mass in atoms:
-                children = [intern(fn.child(sym)) for fn, sym in zip(fns, atom)]
-                consts = [c.as_constant() for c in children]
-                wm = weight * mass
-                if all(v is not None for v in consts):
-                    if pred.evaluate(consts):
-                        accept += wm
-                else:
-                    key = tuple(c.key() for c in children)
-                    new_states[key] = new_states.get(key, Fraction(0)) + wm
-        states = new_states
-    # every state is absorbed by arity 0
-    if states:
-        raise AssertionError("acceptance DP left unabsorbed states")
-    return accept
+                f"acceptance DP needs more than {state_guard} transitions "
+                f"(guard reached at column {depth + 1})")
+        nxt = layer[states[:, None, :], cols[None, :, :]].reshape(-1, k)
+        w = np.multiply.outer(weights, mass).reshape(-1)
+        done = (nxt < a).all(axis=1)
+        accept = accept * denom + sum(w[done][truth[nxt[done] @ place]].tolist())
+        if done.all():
+            return Fraction(accept, denom ** (depth + 1)), spent
+        states, weights = _merge(nxt[~done], w[~done])
+    raise AssertionError("acceptance DP left unabsorbed states")
+
+
+_KEY_LIMIT = 2 ** 62
+
+
+def _merge(states: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of `states` with the summed weights of their copies."""
+    width = int(states.max()) + 1
+    key = np.zeros(len(states), dtype=np.int64)
+    span = 1  # every key is below span
+    for col in states.T:  # mixed-radix key of the row, one column at a time
+        if span * width > _KEY_LIMIT:  # re-rank before it overflows
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+            span = len(states)
+        key = key * width + col
+        span *= width
+    order = np.argsort(key)
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    return states[order[starts]], np.add.reduceat(weights[order], starts)
 
 
 @dataclass

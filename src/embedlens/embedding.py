@@ -167,7 +167,7 @@ def detect_embedding(dist: JointDistribution) -> EmbeddingVerdict:
 
 def _require_verified(dist: JointDistribution, witness: EmbeddingWitness) -> None:
     if not verify_witness(dist.support, witness):
-        raise AssertionError("internal error: extracted witness failed verification")
+        raise AssertionError("extracted witness failed verification")
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet]
             witness = _witness_from_vector(cm, alphabets, vec, m)
             if verify_witness(support, witness):
                 return witness
-            raise AssertionError("internal error: DFS produced an invalid witness")
+            raise AssertionError("DFS produced an invalid witness")
     vec = _rational_kernel(cm.rows, cm.s)
     if vec is not None:
         witness = _witness_from_vector(cm, alphabets, vec, 0)

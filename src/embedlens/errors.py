@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all embedlens modules.
 
 The CLI maps these onto exit codes: validation failures exit 2, size
-guards exit 3, parse errors exit 4.
+guards exit 3, parse errors exit 4. A failed internal self-check raises
+AssertionError, which the CLI reports as an internal error with exit 5.
 """
 
 

@@ -34,6 +34,11 @@ IDENTITY_TOL = 1e-10
 TENSOR_GUARD = 10 ** 7  # entries of the largest dense tensor any route may build
 
 
+def is_table_length(length: int, a: int, n: int) -> bool:
+    """length == a ** n, decided without building a ** n for a huge n."""
+    return (a == 1 or n <= length.bit_length()) and length == a ** n
+
+
 class TableFunction:
     """Dense function on alphabet^n, values indexed lexicographically."""
 
@@ -41,9 +46,9 @@ class TableFunction:
         if n < 0:
             raise ValidationError("arity must be nonnegative")
         vals = np.array(values, dtype=np.complex128).ravel()  # owning copy
-        if len(vals) != len(alpha) ** n:
+        if not is_table_length(len(vals), len(alpha), n):
             raise ValidationError(
-                f"expected {len(alpha) ** n} values for n={n}, |alphabet|={len(alpha)}; got {len(vals)}")
+                f"table has wrong length: expected {len(alpha)}**{n} values, got {len(vals)}")
         _require_finite(vals)
         self.n = n
         self.alphabet = alpha

@@ -1,10 +1,10 @@
-"""Term-by-term enumeration oracles for the dense routes, and small inputs to
-compare them on.
+"""Term-by-term enumeration oracles for the dense routes and the dictatorship
+test, and small inputs to compare them on.
 
 Each oracle walks every term of its sum in Python and shares no code with
-the per-coordinate tensor path it checks: functions are read only through
-`evaluate`, and the degree oracle builds all 2^n subset components. Keep
-them slow and obvious.
+the per-coordinate tensor path or the decision-diagram DP it checks:
+functions are read only through `evaluate`, and the degree oracle builds all
+2^n subset components. Keep them slow and obvious.
 """
 
 from fractions import Fraction
@@ -14,6 +14,13 @@ from math import fsum
 import numpy as np
 from hypothesis import strategies as st
 
+from embedlens.dicttest import (
+    ConstantSymbolFunction,
+    DenseSymbolFunction,
+    DictatorFunction,
+    Predicate,
+    TestInstance,
+)
 from embedlens.distributions import JointDistribution, alphabet, univariate
 from embedlens.functions import (
     CharacterProduct,
@@ -110,6 +117,22 @@ def subset_efron_stein(f, nu) -> dict[tuple[int, ...], TableFunction]:
     return comps
 
 
+def enumerate_acceptance(inst, f, n) -> Fraction:
+    """Exact acceptance of the boxed test: every n-tuple of support columns of
+    every constraint, f evaluated on each of the k rows."""
+    total = sum((w for w, _ in inst.constraints), Fraction(0))
+    acc = Fraction(0)
+    for w, mu in inst.constraints:
+        for cols in iter_product(mu.support, repeat=n):
+            mass = w / total
+            for c in cols:
+                mass *= mu.atoms[c]
+            rows = [tuple(c[i] for c in cols) for i in range(inst.predicate.k)]
+            if inst.predicate.evaluate([f.evaluate(r) for r in rows]):
+                acc += mass
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 
@@ -159,3 +182,37 @@ def functions(draw, n, alpha, kinds=("table",)):
         return ProductFunction(alpha, disk(n, a))
     return CharacterProduct(alpha, [[Fraction(int(p), 8) for p in rng.integers(0, 8, a)]
                                     for _ in range(n)])
+
+
+@st.composite
+def dicttest_instances(draw, alpha, k, constraints=st.integers(1, 2)):
+    """A random predicate on alpha^k with one or two weighted constraints, each
+    on at most 4 atoms with masses w_i / sum(w) (so denominators differ)."""
+    cells = list(iter_product(alpha.symbols, repeat=k))
+    truth = draw(st.lists(st.integers(0, 1), min_size=len(cells), max_size=len(cells)))
+    local = []
+    for _ in range(draw(constraints)):
+        support = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4, unique=True))
+        masses = draw(st.lists(st.integers(1, 7), min_size=len(support), max_size=len(support)))
+        mu = JointDistribution([alpha] * k, {x: Fraction(m, sum(masses))
+                                             for x, m in zip(support, masses)})
+        local.append((Fraction(draw(st.integers(1, 5))), mu))
+    return TestInstance(Predicate(alpha, k, tuple(truth)), tuple(local))
+
+
+@st.composite
+def symbol_functions(draw, n, alpha):
+    """A dictator, a constant, or a dense table (some with constant sub-tables)."""
+    kind = draw(st.sampled_from(["table", "blocks", "dictator", "constant"]))
+    if kind == "dictator" and n > 0:
+        return DictatorFunction(n, alpha, draw(st.integers(0, n - 1)))
+    if kind == "constant":
+        return ConstantSymbolFunction(n, alpha, draw(st.sampled_from(alpha.symbols)))
+    a = len(alpha)
+    symbols = draw(st.lists(st.sampled_from(alpha.symbols), min_size=a ** n, max_size=a ** n))
+    if kind == "blocks":  # the restrictions by some prefixes are constant
+        for _ in range(draw(st.integers(1, 3))):
+            size = a ** draw(st.integers(0, n))
+            start = size * draw(st.integers(0, a ** n // size - 1))
+            symbols[start:start + size] = [draw(st.sampled_from(alpha.symbols))] * size
+    return DenseSymbolFunction(n, alpha, symbols)

@@ -4,12 +4,13 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embedlens import fixtures
+from embedlens import embedding, fixtures
 from embedlens.cli import _emit, main
 from embedlens.errors import ValidationError
 from embedlens.functions import ProductFunction
@@ -222,6 +223,36 @@ def test_stability_size_guard_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command, payload, code", [
+    ("stability", {"n": 10 ** 30, "alphabet": ["0", "1"], "values": []}, 2),
+    ("dicttest", {"n": 10 ** 11, "alphabet": ["0", "1"], "dictator": 0}, 0),
+    ("dicttest", {"n": 10 ** 11, "alphabet": ["0", "1"], "dictator": 10 ** 11 - 1}, 3),
+])
+def test_huge_sizes_end_fast(command, payload, code, tmp_path, capsys):
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps(payload))
+    inst = tmp_path / "inst.json"
+    fixtures.three_lin_instance().save(str(inst))
+    argv = ([str(fn), "--rho", "0.5"] if command == "stability" else [str(inst), str(fn)])
+    start = time.perf_counter()
+    got, out = run_cli(capsys, command, *argv)
+    assert time.perf_counter() - start < 5
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["result"]["acceptance"] == [1, 1]
+
+
+def test_internal_check_failure_exits_5(tmp_path, capsys, monkeypatch):
+    dist = tmp_path / "mu.json"
+    fixtures.three_lin().save(str(dist))
+    monkeypatch.setattr(embedding, "verify_witness", lambda support, witness: False)
+    code = main(["analyze", str(dist)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == "internal error: extracted witness failed verification\n"
+
+
 def test_verify_snf_suite(capsys):
     code, out = run_cli(capsys, "verify", "snf")
     assert code == 0
@@ -385,10 +416,10 @@ JSON_ANY = st.recursive(
     max_leaves=12)
 SYMBOLS = st.sampled_from(["0", "1", "2"]) | JSON_ANY
 ALPHABET = st.lists(st.sampled_from(["0", "1", "2"]), max_size=3, unique=True) | JSON_ANY
-# Sizes stay small or non-finite: a valid but huge n is a work-size question,
-# not a loader one. Values also take integers too large for a float.
-COUNT = st.integers(-1, 4) | st.sampled_from([float("inf"), float("-inf"), float("nan")]) \
-    | JSON_ANY
+# Sizes are small, huge or non-finite; values also take integers too large
+# for a float.
+COUNT = st.integers(-1, 4) | st.sampled_from([10 ** 30, float("inf"), float("-inf"),
+                                              float("nan")]) | JSON_ANY
 NUMBER = st.integers(-2, 3) | st.floats() | st.just(10 ** 400) | JSON_ANY
 ATOMS = st.lists(st.fixed_dictionaries({
     "x": st.lists(SYMBOLS, max_size=3) | JSON_ANY,

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import product as iprod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from embedlens import fixtures
 from embedlens.distributions import JointDistribution, alphabet, uniform_on
@@ -18,6 +20,7 @@ from embedlens.dicttest import (
     validate_instance,
 )
 from embedlens.errors import SizeGuardError, ValidationError
+from oracles import dicttest_instances, enumerate_acceptance, symbol_functions
 
 B = alphabet(["0", "1"])
 
@@ -233,3 +236,45 @@ def test_instance_json_roundtrip(tmp_path):
     assert again.predicate == inst.predicate
     assert again.constraints[0][0] == 1
     assert again.constraints[0][1] == inst.constraints[0][1]
+
+
+# ---------------------------------------------------------------------------
+# The decision-diagram DP against brute-force enumeration, guards, huge sizes
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), a=st.integers(2, 3), k=st.integers(1, 3), n=st.integers(0, 3))
+def test_exact_matches_enumeration_oracle(data, a, k, n):
+    alpha = alphabet([str(s) for s in range(a)])
+    inst = data.draw(dicttest_instances(alpha, k))
+    f = data.draw(symbol_functions(n, alpha))
+    assert run_test_exact(inst, f, n) == enumerate_acceptance(inst, f, n)
+
+
+def test_exact_two_constraints_with_different_denominators():
+    pred = xor_instance().predicate
+    mu_third = JointDistribution([B] * 3, {("0", "0", "0"): Fraction(1, 3),
+                                           ("0", "1", "1"): Fraction(2, 3)})
+    mu_quarter = JointDistribution([B] * 3, {("1", "1", "0"): Fraction(3, 4),
+                                             ("1", "0", "0"): Fraction(1, 4)})
+    inst = TestInstance(pred, ((Fraction(2, 7), mu_third), (Fraction(5, 7), mu_quarter)))
+    rng = random.Random(8)
+    for n in (1, 2, 3):
+        for _ in range(5):
+            f = DenseSymbolFunction(n, B, [rng.choice("01") for _ in range(2 ** n)])
+            assert run_test_exact(inst, f, n) == enumerate_acceptance(inst, f, n)
+
+
+def test_state_guard_bounds_total_transitions():
+    inst = xor_instance()  # 4 atoms: a dictator at coordinate 3 costs 4 * 4 transitions
+    as_table = DenseSymbolFunction(4, B, [x[3] for x in iprod("01", repeat=4)])
+    for f in (DictatorFunction(4, B, 3), as_table):
+        assert run_test_exact(inst, f, 4, state_guard=16) == 1
+        with pytest.raises(SizeGuardError):
+            run_test_exact(inst, f, 4, state_guard=15)
+
+
+def test_huge_table_sizes_fail_fast():
+    with pytest.raises(ValidationError, match="wrong length"):
+        DenseSymbolFunction(10 ** 30, B, [])
+    with pytest.raises(ValidationError, match="wrong length"):
+        Predicate(B, 10 ** 30, ())
