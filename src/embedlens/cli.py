@@ -3,9 +3,10 @@
 Every command emits {"manifest": ..., "result": ...} with a sha256 digest
 of the canonically serialized result, so identical manifests produce
 identical bytes. Exit codes: 0 success, 1 failed verify suite, 2
-validation failure, 3 size guard, 4 parse error, 5 internal error (a
-self-check of the program failed). Randomized modes require an explicit
---seed; there are no wall-clock defaults.
+validation failure, 3 size guard, 4 parse error or a file that cannot be
+read or written, 5 internal error (a self-check of the program failed).
+Randomized modes require an explicit --seed; there are no wall-clock
+defaults.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from fractions import Fraction
 
 from . import __version__, acceptance, fixtures
 from .correlation import exact_correlation, mc_correlation
-from .dicttest import TestInstance, load_symbol_function, run_test_exact, run_test_mc, validate_instance
+from .dicttest import TestInstance, instance_violations, load_symbol_function, run_test_exact, run_test_mc
 from .distributions import JointDistribution
 from .embedding import connected, detect_embedding, pairwise_connected
-from .errors import ParseError, SizeGuardError, ValidationError
+from .errors import ParseError, SizeGuardError, ValidationError, WriteError, write_json
 from .functions import (
     ProductFunction,
+    TableFunction,
     efron_stein,
     load_function_file,
     stability,
@@ -86,15 +88,16 @@ def _frac_pair(f: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
 
 
-def _load_dist(path: str) -> JointDistribution:
-    return JointDistribution.load(path)
+def _load_table(path: str) -> TableFunction:
+    f = load_function_file(path)
+    return f.to_table() if isinstance(f, ProductFunction) else f
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
 def _cmd_analyze(args) -> int:
-    dist = _load_dist(args.dist)
+    dist = JointDistribution.load(args.dist)
     verdict = detect_embedding(dist)
     pc, split = pairwise_connected(dist)
     result = {
@@ -118,7 +121,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    dist = _load_dist(args.dist)
+    dist = JointDistribution.load(args.dist)
     functions = [load_function_file(p) for p in args.functions]
     params = {"n": args.n, "mode": args.mode, "samples": args.samples,
               "sweep_n": args.sweep_n}
@@ -128,10 +131,12 @@ def _cmd_correlate(args) -> int:
             if not isinstance(f, ProductFunction) or f.n != 1:
                 raise ValidationError(
                     "--sweep-n needs single-row product functions (the row is repeated)")
+        # n equal columns: multiply in the order the product route would
+        column = exact_correlation(dist, functions, 1).value
+        value = 1 + 0j
         for n in range(1, args.sweep_n + 1):
-            fs = [ProductFunction(f.alphabet, list(f.factors) * n) for f in functions]
-            res = exact_correlation(dist, fs, n)
-            rows.append((n, res.value.real, res.value.imag, abs(res.value)))
+            value *= column
+            rows.append((n, value.real, value.imag, abs(value)))
         if args.csv:
             print("n,re,im,abs")
             for row in rows:
@@ -153,10 +158,8 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    f = load_function_file(args.function)
-    if isinstance(f, ProductFunction):
-        f = f.to_table()
-    nu = _load_dist(args.nu) if args.nu else uniform_measure(f.alphabet)
+    f = _load_table(args.function)
+    nu = JointDistribution.load(args.nu) if args.nu else uniform_measure(f.alphabet)
     value = stability(f, args.rho, nu)
     result: dict = {"stability": value, "rho": args.rho}
     if args.decompose:
@@ -179,7 +182,7 @@ def _identity_json(rep: CouplingIdentityReport) -> dict:
 
 
 def _cmd_reduce(args) -> int:
-    dist = _load_dist(args.dist)
+    dist = JointDistribution.load(args.dist)
     params = {"op": args.op, "p_star": str(args.p_star) if args.p_star is not None else None,
               "p_nu": str(args.p_nu) if args.p_nu is not None else None,
               "rate": str(args.rate) if args.rate is not None else None, "n": args.n}
@@ -205,18 +208,12 @@ def _cmd_reduce(args) -> int:
     elif args.op == "conditional-product":
         if not args.functions:
             raise ValidationError("--op conditional-product needs --functions f1.json ... f_{k-1}.json")
-        tables = []
-        for p in args.functions:
-            f = load_function_file(p)
-            tables.append(f.to_table() if isinstance(f, ProductFunction) else f)
-        out = conditional_product_given_last(dist, tables)
+        out = conditional_product_given_last(dist, [_load_table(p) for p in args.functions])
         result = {"function": out.to_json()}
     elif args.op == "coupling-identity":
         if not args.functions or args.n is None or args.p_star is None:
             raise ValidationError("--op coupling-identity needs --functions f1.json, --n and --p-star")
-        f1 = load_function_file(args.functions[0])
-        if isinstance(f1, ProductFunction):
-            f1 = f1.to_table()
+        f1 = _load_table(args.functions[0])
         alpha = dist.min_atom_mass()
         rate = args.rate if args.rate is not None else 1 - alpha * alpha
         rep = check_coupling_identity(dist, f1, args.n, rate, args.p_star)
@@ -224,9 +221,7 @@ def _cmd_reduce(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown reduce op {args.op}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, result)
     _emit("reduce", inputs, params, result)
     return EXIT_OK
 
@@ -234,9 +229,9 @@ def _cmd_reduce(args) -> int:
 def _cmd_dicttest(args) -> int:
     inst = TestInstance.load(args.instance)
     f = load_symbol_function(args.function)
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ValidationError("; ".join(report.violations))
+    violations = instance_violations(inst)
+    if violations:
+        raise ValidationError("; ".join(violations))
     params = {"mode": args.mode, "samples": args.samples, "n": f.n}
     if args.mode == "exact":
         acc = run_test_exact(inst, f, f.n)
@@ -268,16 +263,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
-    if args.name == "3lin-instance":
-        fixtures.three_lin_instance().save(args.out)
-    elif args.name == "a5-instance":
-        fixtures.a5_instance().save(args.out)
-    elif args.name in fixtures.NAMED:
-        fixtures.NAMED[args.name]().save(args.out)
-    else:
+    if args.name not in fixtures.NAMED:
         raise ValidationError(
-            f"unknown fixture {args.name!r}; choose from "
-            f"{sorted(fixtures.NAMED) + ['3lin-instance', 'a5-instance']}")
+            f"unknown fixture {args.name!r}; choose from {sorted(fixtures.NAMED)}")
+    fixtures.NAMED[args.name]().save(args.out)
     _emit("fixture", [], {"name": args.name, "out": args.out}, {"written": args.out})
     return EXIT_OK
 
@@ -356,6 +345,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except WriteError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)

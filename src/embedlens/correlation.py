@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import ExactChooser, JointDistribution, ProductPowerSampler
+from .distributions import ExactChooser, JointDistribution, ProductPowerSampler, check_draws
 from .errors import SizeGuardError, ValidationError
 from .functions import (
     CharacterProduct,
@@ -165,6 +165,7 @@ def mc_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
     _check_shapes(dist, functions, n)
     if samples <= 0:
         raise ValidationError("samples must be positive")
+    check_draws(samples, n)
     sampler = ProductPowerSampler(dist, n, seed)
     res, ims = [], []
     for _ in range(samples):

@@ -12,12 +12,13 @@ the end. Dictators and constants keep one state per column, so exact
 completeness checks run even when a local distribution has thousands of
 atoms. The DP stops when no state is left, and `state_guard` bounds its
 total transitions (states times atoms, summed over columns and
-constraints).
+constraints). Monte Carlo acceptance draws samples x n columns, at most
+`distributions.MC_DRAW_GUARD`. The test needs only `instance_violations`;
+`validate_instance` adds the embedding analysis of each local distribution.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,13 +31,13 @@ import numpy as np
 from .correlation import hoeffding_half_width
 from .distributions import (
     Alphabet,
-    Atom,
     ExactChooser,
     JointDistribution,
     alphabet as make_alphabet,
+    check_draws,
 )
 from .embedding import connected, detect_embedding, pairwise_connected
-from .errors import ParseError, SizeGuardError, ValidationError
+from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, read_json, write_json
 from .functions import is_table_length
 
 
@@ -65,11 +66,7 @@ class DenseSymbolFunction(SymbolFunction):
         self.symbols = tuple(symbols)
 
     def evaluate(self, x):
-        a = len(self.alphabet)
-        idx = 0
-        for sym in x:
-            idx = idx * a + self.alphabet.index(sym)
-        return self.symbols[idx]
+        return self.symbols[self.alphabet.word_index(x)]
 
 
 class DictatorFunction(SymbolFunction):
@@ -105,17 +102,12 @@ def symbol_function_from_json(data: dict) -> SymbolFunction:
         if "constant" in data:
             return ConstantSymbolFunction(n, alpha, str(data["constant"]))
         return DenseSymbolFunction(n, alpha, [str(s) for s in data["symbols"]])
-    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+    except PAYLOAD_ERRORS as exc:
         raise ParseError(f"bad symbol function payload: {exc}") from exc
 
 
 def load_symbol_function(path: str) -> SymbolFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return symbol_function_from_json(data)
+    return symbol_function_from_json(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +131,7 @@ class Predicate:
         return cls(alpha, k, tuple(1 if fn(c) else 0 for c in cells))
 
     def evaluate(self, symbols: Sequence[str]) -> bool:
-        a = len(self.alphabet)
-        idx = 0
-        for sym in symbols:
-            idx = idx * a + self.alphabet.index(sym)
-        return bool(self.truth[idx])
+        return bool(self.truth[self.alphabet.word_index(symbols)])
 
     def to_json(self) -> dict:
         return {"alphabet": list(self.alphabet.symbols), "k": self.k,
@@ -154,7 +142,7 @@ class Predicate:
         try:
             return cls(make_alphabet(data["alphabet"]), int(data["k"]),
                        tuple(int(v) for v in data["truth"]))
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad predicate payload: {exc}") from exc
 
 
@@ -180,44 +168,31 @@ class TestInstance:
     def to_json(self) -> dict:
         return {
             "predicate": self.predicate.to_json(),
-            "constraints": [
-                {"w": [w.numerator, w.denominator],
-                 "mu": [{"x": list(x), "p": [p.numerator, p.denominator]}
-                        for x, p in mu.atoms.items()]}
-                for w, mu in self.constraints
-            ],
+            "constraints": [{"w": [w.numerator, w.denominator], "mu": mu.to_json()["atoms"]}
+                            for w, mu in self.constraints],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "TestInstance":
+        """Each "mu" is the atom list of a distribution file on alphabet^k."""
         try:
             pred = Predicate.from_json(data["predicate"])
-            alphabets = [pred.alphabet] * pred.k
+            alphabets = [list(pred.alphabet.symbols)] * pred.k
             constraints = []
             for entry in data["constraints"]:
                 num, den = entry["w"]
-                atoms: dict[Atom, Fraction] = {}
-                for a in entry["mu"]:
-                    x = tuple(str(s) for s in a["x"])
-                    atoms[x] = atoms.get(x, Fraction(0)) + Fraction(*a["p"])
-                constraints.append((Fraction(num, den), JointDistribution(alphabets, atoms)))
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+                mu = JointDistribution.from_json({"alphabets": alphabets, "atoms": entry["mu"]})
+                constraints.append((Fraction(num, den), mu))
+        except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad instance payload: {exc}") from exc
         return cls(pred, tuple(constraints))
 
     @classmethod
     def load(cls, path: str) -> "TestInstance":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: {exc}") from exc
-        return cls.from_json(data)
+        return cls.from_json(read_json(path))
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
 
 @dataclass
@@ -241,29 +216,36 @@ class InstanceReport:
         return not self.violations
 
 
-def validate_instance(inst: TestInstance) -> InstanceReport:
-    """Support and weight checks plus the embedding/connectivity analysis
-    of every local distribution (hypothesis screening, reported not raised)."""
+def instance_violations(inst: TestInstance) -> list[str]:
+    """What makes an instance unfit for the test: weights that do not sum to
+    one, and mass on an atom the predicate rejects."""
     total = sum((w for w, _ in inst.constraints), Fraction(0))
     violations = []
     if total != 1:
         violations.append(f"weights sum to {total}, expected 1")
-    reports = []
     for idx, (_, mu) in enumerate(inst.constraints):
-        support_ok = all(inst.predicate.evaluate(x) for x in mu.support)
-        if not support_ok:
-            bad = next(x for x in mu.support if not inst.predicate.evaluate(x))
+        bad = next((x for x in mu.support if not inst.predicate.evaluate(x)), None)
+        if bad is not None:
             violations.append(f"constraint {idx}: mass on falsifying atom {bad}")
+    return violations
+
+
+def validate_instance(inst: TestInstance) -> InstanceReport:
+    """`instance_violations` plus the embedding/connectivity analysis of
+    every local distribution (hypothesis screening, reported not raised)."""
+    total = sum((w for w, _ in inst.constraints), Fraction(0))
+    reports = []
+    for _, mu in inst.constraints:
         verdict = detect_embedding(mu)
         pc, _ = pairwise_connected(mu)
         reports.append(ConstraintReport(
-            support_ok=support_ok,
+            support_ok=all(inst.predicate.evaluate(x) for x in mu.support),
             admits_embedding=verdict.admits,
             witness_modulus=verdict.witness.modulus if verdict.witness else None,
             connected=connected(mu),
             pairwise_connected=pc,
         ))
-    return InstanceReport(total, total == 1, violations, reports)
+    return InstanceReport(total, total == 1, instance_violations(inst), reports)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +381,7 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
         raise ValidationError("samples must be positive")
     if f.alphabet != inst.predicate.alphabet:
         raise ValidationError("function alphabet mismatch")
+    check_draws(samples, f.n)
     rng = random.Random(seed)
     picker = ExactChooser(range(len(inst.constraints)),
                           [w for w, _ in inst.constraints])
@@ -415,22 +398,3 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
         if inst.predicate.evaluate(images):
             accepted += 1
     return McAcceptance(accepted / samples, samples, hoeffding_half_width(samples), accepted)
-
-
-def max_acceptance(inst: TestInstance, n: int,
-                   table_guard: int = 10 ** 6) -> tuple[Fraction, DenseSymbolFunction]:
-    """Soundness diagnostic: exhaustive maximum of the exact acceptance over
-    all dense tables Sigma^n -> Sigma. Tiny n only (the table count is
-    |Sigma| ** (|Sigma| ** n))."""
-    alpha = inst.predicate.alphabet
-    cells = len(alpha) ** n
-    count = len(alpha) ** cells
-    if count > table_guard:
-        raise SizeGuardError(f"{count} tables exceed the diagnostic guard")
-    best: tuple[Fraction, DenseSymbolFunction] | None = None
-    for combo in iter_product(alpha.symbols, repeat=cells):
-        f = DenseSymbolFunction(n, alpha, combo)
-        acc = run_test_exact(inst, f, n)
-        if best is None or acc > best[0]:
-            best = (acc, f)
-    return best

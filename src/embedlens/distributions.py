@@ -9,7 +9,6 @@ every enumeration order in the package derives from it.
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -17,9 +16,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, read_json, write_json
 
 Atom = tuple[str, ...]
+
+MC_DRAW_GUARD = 10 ** 6  # column draws (samples x n) of one Monte Carlo run
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,13 @@ class Alphabet:
             return self._index[symbol]
         except KeyError:
             raise ValidationError(f"symbol {symbol!r} not in alphabet") from None
+
+    def word_index(self, word: Iterable[str]) -> int:
+        """Position of `word` in the lexicographic order of alphabet^len(word)."""
+        idx = 0
+        for sym in word:
+            idx = idx * len(self.symbols) + self.index(sym)
+        return idx
 
 
 def alphabet(symbols: Iterable[str]) -> Alphabet:
@@ -179,23 +187,16 @@ class JointDistribution:
                 x = tuple(str(s) for s in entry["x"])
                 num, den = entry["p"]
                 atoms[x] = atoms.get(x, Fraction(0)) + Fraction(num, den)
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad distribution payload: {exc}") from exc
         return cls(alphabets, atoms)
 
     @classmethod
     def load(cls, path: str) -> "JointDistribution":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: {exc}") from exc
-        return cls.from_json(data)
+        return cls.from_json(read_json(path))
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
 
 def univariate(alpha: Alphabet | Iterable[str], masses: Mapping[str, Fraction]) -> JointDistribution:
@@ -231,6 +232,13 @@ def decompose_mixture(total: JointDistribution, base: JointDistribution,
         out[x] = r
     nu = {x: p / (1 - c) for x, p in out.items() if p > 0}
     return JointDistribution(total.alphabets, nu)
+
+
+def check_draws(samples: int, n: int) -> None:
+    """Refuse a Monte Carlo run of more than MC_DRAW_GUARD column draws."""
+    if samples * n > MC_DRAW_GUARD:
+        raise SizeGuardError(
+            f"Monte Carlo run needs {samples} x {n} column draws; guard is {MC_DRAW_GUARD}")
 
 
 class ExactChooser:

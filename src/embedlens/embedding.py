@@ -11,14 +11,13 @@ is returned.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
 from .distributions import Alphabet, Atom, JointDistribution
-from .errors import ParseError, SizeGuardError, ValidationError
+from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, write_json
 from .intlattice import IntMatrix, normalize_vector, row_basis, smith_normal_form
 
 
@@ -53,13 +52,11 @@ class EmbeddingWitness:
         try:
             return cls(int(data["modulus"]),
                        tuple({str(s): int(v) for s, v in t.items()} for t in data["sigma"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad witness payload: {exc}") from exc
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Named desk-scale fixtures used by the test suites and the CLI verify command."""
+"""Named desk-scale fixtures (distributions and dictatorship-test instances) used
+by the test suites, the CLI verify command and `embedlens fixture`."""
 
 from __future__ import annotations
 
@@ -113,4 +114,6 @@ NAMED = {
     "disconnected-pair": disconnected_pair,
     "punctured-cube": punctured_cube,
     "a5": a5_triple_product,
+    "3lin-instance": three_lin_instance,
+    "a5-instance": a5_instance,
 }

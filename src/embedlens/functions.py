@@ -17,9 +17,9 @@ largest tensor they would build, before building it.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iter_product
 from math import fsum
 from typing import Callable, Mapping, Sequence
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import Alphabet, JointDistribution, alphabet as make_alphabet
 from .embedding import EmbeddingWitness
-from .errors import ParseError, SizeGuardError, ValidationError
+from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, read_json
 
 ONE_BOUND_SLACK = 1e-12
 IDENTITY_TOL = 1e-10
@@ -61,15 +61,11 @@ class TableFunction:
 
     @classmethod
     def from_callable(cls, n: int, alpha: Alphabet, fn: Callable[[tuple[str, ...]], complex]) -> "TableFunction":
-        vals = [fn(x) for x in _lex_tuples(alpha, n)]
+        vals = [fn(x) for x in iter_product(alpha.symbols, repeat=n)]
         return cls(n, alpha, vals)
 
     def index(self, x: Sequence[str]) -> int:
-        a = len(self.alphabet)
-        idx = 0
-        for sym in x:
-            idx = idx * a + self.alphabet.index(sym)
-        return idx
+        return self.alphabet.word_index(x)
 
     def evaluate(self, x: Sequence[str]) -> complex:
         return complex(self.values[self.index(x)])
@@ -108,7 +104,7 @@ class TableFunction:
             alpha = make_alphabet(data["alphabet"])
             vals = [complex(re, im) for re, im in data["values"]]
             return cls(int(data["n"]), alpha, vals)
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad table function payload: {exc}") from exc
 
 
@@ -180,7 +176,7 @@ class ProductFunction:
             for table in data["factors"]:
                 rows.append([complex(*table[sym]) for sym in alpha.symbols])
             return cls(alpha, np.array(rows, dtype=np.complex128))
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad product function payload: {exc}") from exc
 
 
@@ -243,15 +239,6 @@ def _unit(phase: Fraction) -> complex:
     if phase == Fraction(3, 4):
         return -1j
     return cmath.exp(2j * cmath.pi * float(phase))
-
-
-def _lex_tuples(alpha: Alphabet, n: int):
-    if n == 0:
-        yield ()
-        return
-    for head in alpha.symbols:
-        for tail in _lex_tuples(alpha, n - 1):
-            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +502,4 @@ def load_function(data) -> TableFunction | ProductFunction:
 
 
 def load_function_file(path: str) -> TableFunction | ProductFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return load_function(data)
+    return load_function(read_json(path))

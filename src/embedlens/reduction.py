@@ -35,7 +35,6 @@ from .errors import SizeGuardError, ValidationError
 from .functions import (
     ProductFunction,
     TableFunction,
-    _lex_tuples,
     _measure_weights,
     column_map,
     column_product,
@@ -340,26 +339,6 @@ def product_smoothness(p: ProductFunction, mu1: JointDistribution, gamma: float)
         s_prod *= sj
         r_prod *= (1 - gamma) * sj + gamma * abs(mj) ** 2
     return 2 * s_prod - 2 * r_prod
-
-
-def product_smoothness_bruteforce(p: ProductFunction, mu1: JointDistribution,
-                                  gamma: float, size_guard: int = 10 ** 6) -> float:
-    """Two-point enumeration oracle for the closed form (tiny n only)."""
-    a = len(p.alphabet)
-    if a ** (2 * p.n) > size_guard:
-        raise SizeGuardError("brute-force smoothness exceeds guard")
-    w = _measure_weights(mu1, p.alphabet)
-    terms = []
-    for x in _lex_tuples(p.alphabet, p.n):
-        for y in _lex_tuples(p.alphabet, p.n):
-            weight = 1.0
-            for xj, yj in zip(x, y):
-                trans = gamma * w[p.alphabet.index(yj)]
-                if xj == yj:
-                    trans += 1 - gamma
-                weight *= w[p.alphabet.index(xj)] * trans
-            terms.append(weight * abs(p.evaluate(x) - p.evaluate(y)) ** 2)
-    return fsum(terms)
 
 
 @dataclass

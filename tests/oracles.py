@@ -1,10 +1,13 @@
-"""Term-by-term enumeration oracles for the dense routes and the dictatorship
-test, and small inputs to compare them on.
+"""Term-by-term enumeration oracles for the dense routes, product smoothness
+and the dictatorship test, the exhaustive soundness diagnostic
+`max_acceptance`, and small inputs to compare them on.
 
 Each oracle walks every term of its sum in Python and shares no code with
-the per-coordinate tensor path or the decision-diagram DP it checks:
-functions are read only through `evaluate`, and the degree oracle builds all
-2^n subset components. Keep them slow and obvious.
+the per-coordinate tensor path, closed form or decision-diagram DP it
+checks: functions are read only through `evaluate`, and the degree oracle
+builds all 2^n subset components. Keep them slow and obvious.
+`max_acceptance` is no oracle: it maximizes the DP's exact acceptance over
+every dense table.
 """
 
 from fractions import Fraction
@@ -20,13 +23,14 @@ from embedlens.dicttest import (
     DictatorFunction,
     Predicate,
     TestInstance,
+    run_test_exact,
 )
 from embedlens.distributions import JointDistribution, alphabet, univariate
+from embedlens.errors import SizeGuardError
 from embedlens.functions import (
     CharacterProduct,
     ProductFunction,
     TableFunction,
-    _lex_tuples,
     _measure_weights,
 )
 from embedlens.reduction import StarAlphabet, decode_symbol
@@ -56,7 +60,7 @@ def enumerate_conditional_product_given_last(dist, functions) -> TableFunction:
     conds = {v: [(y, float(m)) for y, m in dist.condition(last, v).atoms.items()]
              for v in sigma_k.symbols}
     values = []
-    for x in _lex_tuples(sigma_k, n):
+    for x in iter_product(sigma_k.symbols, repeat=n):
         res, ims = [], []
         for combo in iter_product(*[conds[v] for v in x]):
             w = 1.0
@@ -77,7 +81,7 @@ def enumerate_g(f1, mu1) -> TableFunction:
     n = f1.n
     fills = [(x, float(m)) for (x,), m in mu1.atoms.items()]
     values = []
-    for xplus in _lex_tuples(star.alphabet, n):
+    for xplus in iter_product(star.alphabet.symbols, repeat=n):
         stars = [j for j, sym in enumerate(xplus) if decode_symbol(sym) is None]
         base_x = [None] * n
         base_xp = [None] * n
@@ -117,6 +121,26 @@ def subset_efron_stein(f, nu) -> dict[tuple[int, ...], TableFunction]:
     return comps
 
 
+def product_smoothness_bruteforce(p: ProductFunction, mu1: JointDistribution,
+                                  gamma: float, size_guard: int = 10 ** 6) -> float:
+    """Two-point enumeration oracle for the closed form (tiny n only)."""
+    a = len(p.alphabet)
+    if a ** (2 * p.n) > size_guard:
+        raise SizeGuardError("brute-force smoothness exceeds guard")
+    w = _measure_weights(mu1, p.alphabet)
+    terms = []
+    for x in iter_product(p.alphabet.symbols, repeat=p.n):
+        for y in iter_product(p.alphabet.symbols, repeat=p.n):
+            weight = 1.0
+            for xj, yj in zip(x, y):
+                trans = gamma * w[p.alphabet.index(yj)]
+                if xj == yj:
+                    trans += 1 - gamma
+                weight *= w[p.alphabet.index(xj)] * trans
+            terms.append(weight * abs(p.evaluate(x) - p.evaluate(y)) ** 2)
+    return fsum(terms)
+
+
 def enumerate_acceptance(inst, f, n) -> Fraction:
     """Exact acceptance of the boxed test: every n-tuple of support columns of
     every constraint, f evaluated on each of the k rows."""
@@ -131,6 +155,25 @@ def enumerate_acceptance(inst, f, n) -> Fraction:
             if inst.predicate.evaluate([f.evaluate(r) for r in rows]):
                 acc += mass
     return acc
+
+
+def max_acceptance(inst: TestInstance, n: int,
+                   table_guard: int = 10 ** 6) -> tuple[Fraction, DenseSymbolFunction]:
+    """Soundness diagnostic: exhaustive maximum of the exact acceptance over
+    all dense tables Sigma^n -> Sigma. Tiny n only (the table count is
+    |Sigma| ** (|Sigma| ** n))."""
+    alpha = inst.predicate.alphabet
+    cells = len(alpha) ** n
+    count = len(alpha) ** cells
+    if count > table_guard:
+        raise SizeGuardError(f"{count} tables exceed the diagnostic guard")
+    best: tuple[Fraction, DenseSymbolFunction] | None = None
+    for combo in iter_product(alpha.symbols, repeat=cells):
+        f = DenseSymbolFunction(n, alpha, combo)
+        acc = run_test_exact(inst, f, n)
+        if best is None or acc > best[0]:
+            best = (acc, f)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embedlens import embedding, fixtures
+from embedlens import dicttest, embedding, fixtures
 from embedlens.cli import _emit, main
+from embedlens.correlation import exact_correlation
+from embedlens.distributions import MC_DRAW_GUARD
 from embedlens.errors import ValidationError
 from embedlens.functions import ProductFunction
 
@@ -401,6 +403,130 @@ def test_stability_of_large_values_is_real(tmp_path, capsys):
     result = json.loads(out)["result"]
     predicted = sum(0.5 ** d * w for d, w in enumerate(result["degree_weights"]))
     assert result["stability"] == pytest.approx(predicted, rel=1e-10)
+
+
+# sha256 of every file `embedlens fixture NAME` writes, recorded before the
+# file readers and writers moved behind one JSON boundary.
+FIXTURE_FILE_DIGESTS = {
+    "3lin": "65e10b16fb18292777bdf0ccfdee9e94f38b93856c666d91f6ebfc79ec3581aa",
+    "3lin-instance": "1406fa15004c48474085f7230df7d8aad4945c8704dad19e933fa5da26c4751a",
+    "a5": "db3f61d8ef0b87c5d5f229b7d0cc638f5818a0f1798d641cf4ca1d39f6c5e45d",
+    "a5-instance": "95a58b4fc2d02f8db0efab558e37d5ff1c8dda31b421c490bc321fca274e25ce",
+    "disconnected-pair": "db7645be59fafb80bf0497467897f6c3075b0439d56ea07c1f3c1f9f1373b677",
+    "full-support": "249f6bc8c03e8c3b37aa22a87784dedb25cd47992ce44e5f2559386751a7bccf",
+    "punctured-cube": "9949d6b5fd04228d3083e05c7edccc18b5d96d872f432cdda855513e655780e1",
+    "single-atom": "b69b1a8676f978406a95e63778e928e51f886b03d0343e09942fbd04bc3b42e2",
+    "z3sum": "85d4b0b051fa67811d014a53eb25e3f7527a585bd48c9a5ec3f6ed0a9c1077b0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_FILE_DIGESTS))
+def test_fixture_file_bytes_pinned(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    code, _ = run_cli(capsys, "fixture", name, str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXTURE_FILE_DIGESTS[name]
+
+
+def test_unknown_fixture_lists_every_name(capsys):
+    code, out, err = run_cli_err(capsys, "fixture", "no-such-fixture", "x.json")
+    assert code == 2
+    assert all(repr(name) in err for name in FIXTURE_FILE_DIGESTS)
+
+
+@pytest.mark.parametrize("command", ["fixture", "reduce"])
+def test_failed_write_exits_4_and_names_the_write(command, tmp_path, capsys):
+    dist = tmp_path / "mu.json"
+    fixtures.three_lin().save(str(dist))
+    target = str(tmp_path / "missing" / "out.json")
+    argv = (["fixture", "3lin", target] if command == "fixture"
+            else ["reduce", str(dist), "--op", "paired-copies", "--out", target])
+    code, out, err = run_cli_err(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("cannot write output: ") and target in err
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli_err(capsys, "analyze", str(bad))
+    assert code == 4
+    assert err.startswith("parse error: ")
+
+
+def test_dicttest_does_not_run_the_embedding_analysis(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "inst.json"
+    fixtures.three_lin_instance().save(str(inst))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"n": 3, "alphabet": ["0", "1"], "dictator": 1}))
+
+    def refuse(mu):
+        raise AssertionError("dicttest ran the embedding verdict")
+
+    monkeypatch.setattr(dicttest, "detect_embedding", refuse)
+    code, out = run_cli(capsys, "dicttest", str(inst), str(fn))
+    assert code == 0
+    assert json.loads(out)["result"]["acceptance"] == [1, 1]
+
+
+def test_dicttest_rejects_unnormalized_weights(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    data = fixtures.three_lin_instance().to_json()
+    data["constraints"][0]["w"] = [1, 2]
+    inst.write_text(json.dumps(data))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"n": 2, "alphabet": ["0", "1"], "dictator": 0}))
+    code, out, err = run_cli_err(capsys, "dicttest", str(inst), str(fn))
+    assert code == 2
+    assert err == "validation failure: weights sum to 1/2, expected 1\n"
+
+
+@pytest.mark.parametrize("command", ["dicttest", "correlate"])
+def test_monte_carlo_draws_are_bounded(command, tmp_path, capsys):
+    if command == "dicttest":  # 10 samples of a dictator on 10**11 coordinates
+        inst = tmp_path / "inst.json"
+        fixtures.three_lin_instance().save(str(inst))
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"n": 10 ** 11, "alphabet": ["0", "1"], "dictator": 0}))
+        argv = ["dicttest", str(inst), str(fn), "--samples", "10"]
+    else:  # 10**12 samples at n = 1
+        dist = tmp_path / "mu.json"
+        fixtures.three_lin().save(str(dist))
+        f = tmp_path / "f.json"
+        write_parity_product(str(f), 1)
+        argv = ["correlate", str(dist), str(f), str(f), str(f), "--n", "1",
+                "--samples", str(10 ** 12)]
+    start = time.perf_counter()
+    code, out, err = run_cli_err(capsys, *argv, "--mode", "mc", "--seed", "1")
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert f"guard is {MC_DRAW_GUARD}" in err
+
+
+def test_sweep_row_n_equals_exact_correlation(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    for name in ("3lin", "z3sum"):
+        mu = fixtures.NAMED[name]()
+        dist = tmp_path / f"{name}.json"
+        mu.save(str(dist))
+        alpha = mu.alphabets[0]
+        rows, paths = [], []
+        for i in range(3):
+            rows.append(rng.uniform(-1, 1, (1, len(alpha))) + 1j * rng.uniform(-1, 1, (1, len(alpha))))
+            paths.append(str(tmp_path / f"{name}-f{i}.json"))
+            with open(paths[-1], "w") as fh:
+                json.dump(ProductFunction(alpha, rows[-1]).to_json(), fh)
+        code, out = run_cli(capsys, "correlate", str(dist), *paths, "--sweep-n", "25")
+        assert code == 0
+        sweep = json.loads(out)["result"]["sweep"]
+        assert [r["n"] for r in sweep] == list(range(1, 26))
+        for r in sweep:
+            n = r["n"]
+            fs = [ProductFunction(alpha, np.repeat(row, n, axis=0)) for row in rows]
+            value = exact_correlation(mu, fs, n).value
+            assert complex(*r["value"]) == value
+            assert r["abs"] == abs(value)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,13 @@ from embedlens.dicttest import (
     DictatorFunction,
     Predicate,
     TestInstance,
-    max_acceptance,
     run_test_exact,
     run_test_mc,
     symbol_function_from_json,
     validate_instance,
 )
 from embedlens.errors import SizeGuardError, ValidationError
-from oracles import dicttest_instances, enumerate_acceptance, symbol_functions
+from oracles import dicttest_instances, enumerate_acceptance, max_acceptance, symbol_functions
 
 B = alphabet(["0", "1"])
 

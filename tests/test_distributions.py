@@ -1,20 +1,23 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from embedlens.distributions import (
+    MC_DRAW_GUARD,
     Alphabet,
     JointDistribution,
     ProductPowerSampler,
     alphabet,
+    check_draws,
     decompose_mixture,
     uniform_on,
     univariate,
     validate,
 )
-from embedlens.errors import ValidationError
+from embedlens.errors import SizeGuardError, ValidationError
 
 B = alphabet(["0", "1"])
 
@@ -27,6 +30,22 @@ def three_lin():
 def test_alphabet_rejects_duplicates():
     with pytest.raises(ValidationError):
         Alphabet(("a", "a"))
+
+
+def test_word_index_is_the_lexicographic_position():
+    alpha = alphabet(["2", "0", "1"])  # the alphabet's order, not the symbols' order
+    for n in range(5):
+        words = list(product(alpha.symbols, repeat=n))
+        assert [alpha.word_index(w) for w in words] == list(range(len(words)))
+
+
+def test_check_draws_bounds_samples_times_n():
+    check_draws(MC_DRAW_GUARD, 1)
+    check_draws(1, MC_DRAW_GUARD)
+    with pytest.raises(SizeGuardError):
+        check_draws(MC_DRAW_GUARD + 1, 1)
+    with pytest.raises(SizeGuardError):
+        check_draws(2, MC_DRAW_GUARD // 2 + 1)
 
 
 def test_validate_uniform_cube():

@@ -29,7 +29,6 @@ from embedlens.reduction import (
     diagonal_pairing,
     pair_symbol,
     product_smoothness,
-    product_smoothness_bruteforce,
     stability_transfer_check,
     star_sample,
     conditional_product_given_first,
@@ -42,6 +41,7 @@ from oracles import (
     enumerate_g,
     functions,
     measures,
+    product_smoothness_bruteforce,
 )
 
 B = alphabet(["0", "1"])
