@@ -14,7 +14,6 @@ from .distributions import (
     decompose_mixture,
     uniform_on,
     univariate,
-    validate,
 )
 from .embedding import (
     EmbeddingVerdict,
@@ -23,7 +22,6 @@ from .embedding import (
     connected,
     constraint_matrix,
     detect_embedding,
-    no_embedding_implies_pc_check,
     pairwise_connected,
     verify_witness,
 )
@@ -34,9 +32,7 @@ from .functions import (
     TableFunction,
     character_function,
     efron_stein,
-    global_inverse_check,
     inner_product,
-    low_degree_project,
     noise_apply,
     restrict,
     stability,
@@ -49,15 +45,13 @@ from .correlation import (
     mc_correlation,
     restricted_product_correlation,
 )
-from .intlattice import IntMatrix, SNFDecomposition, lattice_is_full, rational_kernel_vector, smith_normal_form
+from .intlattice import IntMatrix, SNFDecomposition, smith_normal_form
 from .reduction import (
     StarCouplingParams,
     build_g,
     build_paired_copies,
     build_star_coupling,
     check_coupling_identity,
-    product_smoothness,
-    star_sample,
     conditional_product_given_first,
     conditional_product_given_last,
     star_coupling_params,

@@ -94,12 +94,12 @@ def _random_full_support_dist(rng: random.Random, alphabets) -> JointDistributio
 
 # ---------------------------------------------------------------------------
 
-def criterion_1_embedding_oracle(trials: int = 200, seed: int = 20250810,
-                                 budget_s: float = 120.0) -> CriterionResult:
+def criterion_1_embedding_oracle() -> CriterionResult:
     """Detector verdicts match the exhaustive oracle on random and named supports."""
+    trials, budget_s = 200, 120.0
     start = time.time()
     failures = []
-    rng = random.Random(seed)
+    rng = random.Random(20250810)
     cases = []
     for _ in range(trials):
         alphabets, support = _random_support(rng)
@@ -128,10 +128,10 @@ def criterion_1_embedding_oracle(trials: int = 200, seed: int = 20250810,
     return CriterionResult(1, "embedding-oracle", not failures, details)
 
 
-def criterion_2_snf_certificates(count: int = 500, seed: int = 987,
-                                 budget_s: float = 60.0) -> CriterionResult:
+def criterion_2_snf_certificates() -> CriterionResult:
+    count, budget_s = 500, 60.0
     start = time.time()
-    rng = random.Random(seed)
+    rng = random.Random(987)
     failures = 0
     for _ in range(count):
         r = rng.randrange(1, 9)
@@ -178,8 +178,9 @@ def criterion_3_necessity() -> CriterionResult:
     return CriterionResult(3, "necessity-construction", not failures, details)
 
 
-def criterion_4_stability_diagonalization(count: int = 100, seed: int = 433) -> CriterionResult:
-    rng = random.Random(seed)
+def criterion_4_stability_diagonalization() -> CriterionResult:
+    count = 100
+    rng = random.Random(433)
     failures = []
     for t in range(count):
         size = rng.randrange(2, 4)
@@ -199,11 +200,12 @@ def criterion_4_stability_diagonalization(count: int = 100, seed: int = 433) -> 
     return CriterionResult(4, "stability-diagonalization", not failures, details)
 
 
-def criterion_5_coupling_identity(count: int = 50, seed: int = 555) -> CriterionResult:
+def criterion_5_coupling_identity() -> CriterionResult:
+    count = 50
     mu = fixtures.three_lin()
     alpha = mu.min_atom_mass()
     p_star = Fraction(1, 3)
-    rng = random.Random(seed)
+    rng = random.Random(555)
     failures = []
     # resolution run at n = 1: exactly one of the two candidate rates closes
     # the identity (each coordinate enters I with that probability)
@@ -253,7 +255,8 @@ def criterion_6_decay() -> CriterionResult:
     return CriterionResult(6, "correlation-decay", not failures, details)
 
 
-def criterion_7_dicttest_completeness(mc_samples: int = 10_000) -> CriterionResult:
+def criterion_7_dicttest_completeness() -> CriterionResult:
+    mc_samples = 10_000
     failures = []
     for name, build in (("3lin", fixtures.three_lin_instance), ("a5", fixtures.a5_instance)):
         inst = build()
@@ -315,8 +318,9 @@ def criterion_8_reduction_constructions() -> CriterionResult:
     return CriterionResult(8, "reduction-constructions", not failures, details)
 
 
-def criterion_9_product_ascent(count: int = 100, seed: int = 9119) -> CriterionResult:
-    rng = random.Random(seed)
+def criterion_9_product_ascent() -> CriterionResult:
+    count = 100
+    rng = random.Random(9119)
     failures = []
     for t in range(count):
         size = rng.randrange(2, 4)
@@ -350,8 +354,9 @@ def criterion_9_product_ascent(count: int = 100, seed: int = 9119) -> CriterionR
     return CriterionResult(9, "product-ascent", not failures, details)
 
 
-def criterion_10_cauchy_schwarz(count: int = 100, seed: int = 1010) -> CriterionResult:
-    rng = random.Random(seed)
+def criterion_10_cauchy_schwarz() -> CriterionResult:
+    count = 100
+    rng = random.Random(1010)
     failures = []
     for t in range(count):
         sizes = [rng.randrange(2, 4) for _ in range(3)]

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -48,6 +49,20 @@ EXIT_SIZE_GUARD = 3
 EXIT_PARSE = 4
 EXIT_INTERNAL = 5
 
+SWEEP_GUARD = 10 ** 4  # rows of one --sweep-n run
+
+
+def _print(text: str) -> None:
+    """Write `text` and a newline to stdout; a failed write is a WriteError."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        if sys.stdout is sys.__stdout__:  # so the flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise WriteError(f"stdout: {exc}") from exc
+
 
 def _canonical(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -71,7 +86,7 @@ def _emit(command: str, inputs: list[str], params: dict, result: dict,
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise ValidationError(f"output would hold a non-finite number: {exc}") from exc
-    print(text)
+    _print(text)
 
 
 def _fraction(text: str) -> Fraction:
@@ -125,12 +140,16 @@ def _cmd_correlate(args) -> int:
     functions = [load_function_file(p) for p in args.functions]
     params = {"n": args.n, "mode": args.mode, "samples": args.samples,
               "sweep_n": args.sweep_n}
-    if args.sweep_n:
-        rows = []
+    if args.sweep_n is not None:
+        if args.sweep_n <= 0:
+            raise ValidationError("--sweep-n must be positive")
         for f in functions:
             if not isinstance(f, ProductFunction) or f.n != 1:
                 raise ValidationError(
                     "--sweep-n needs single-row product functions (the row is repeated)")
+        if args.sweep_n > SWEEP_GUARD:
+            raise SizeGuardError(f"--sweep-n {args.sweep_n} exceeds the guard {SWEEP_GUARD}")
+        rows = []
         # n equal columns: multiply in the order the product route would
         column = exact_correlation(dist, functions, 1).value
         value = 1 + 0j
@@ -138,9 +157,8 @@ def _cmd_correlate(args) -> int:
             value *= column
             rows.append((n, value.real, value.imag, abs(value)))
         if args.csv:
-            print("n,re,im,abs")
-            for row in rows:
-                print(f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r}")
+            _print("\n".join(["n,re,im,abs",
+                               *(f"{r[0]},{r[1]!r},{r[2]!r},{r[3]!r}" for r in rows)]))
             return EXIT_OK
         result = {"sweep": [{"n": r[0], "value": [r[1], r[2]], "abs": r[3]} for r in rows]}
         _emit("correlate", [args.dist, *args.functions], params, result, args.seed)
@@ -250,8 +268,7 @@ def _cmd_verify(args) -> int:
         results = acceptance.run_suite(args.suite)
     except KeyError as exc:
         raise ValidationError(str(exc)) from exc
-    for r in results:
-        print(r.line())
+    _print("\n".join(r.line() for r in results))
     summary = {
         "suite": args.suite,
         "criteria": [{"number": r.number, "name": r.name, "passed": r.passed,

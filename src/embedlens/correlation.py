@@ -190,11 +190,12 @@ class AscentResult:
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+ASCENT_MAX_SWEEPS = 200
+ASCENT_TOL = 1e-9  # a sweep gaining less than this ends the ascent
 
 
 def best_product_correlation(nu: JointDistribution, f: TableFunction,
-                             restarts: int = 8, max_iters: int = 200,
-                             tol: float = 1e-9, seed: int = 0) -> AscentResult:
+                             restarts: int = 8, seed: int = 0) -> AscentResult:
     """Maximize |E_{nu^n}[f * prod_i P_i]| over 1-bounded product functions.
 
     With all factors but one fixed the objective is linear in the remaining
@@ -202,7 +203,8 @@ def best_product_correlation(nu: JointDistribution, f: TableFunction,
     coefficient vector (coefficient 0 maps to 1). The objective never
     decreases; local optima are possible and accepted, so the best of
     `restarts` seeded unimodular initializations is returned (the first
-    start is all-ones).
+    start is all-ones). Each start stops after ASCENT_MAX_SWEEPS sweeps or
+    once a sweep gains less than ASCENT_TOL.
     """
     a = len(f.alphabet)
     n = f.n
@@ -224,7 +226,7 @@ def best_product_correlation(nu: JointDistribution, f: TableFunction,
                 [[rng.random() for _ in range(a)] for _ in range(n)]))
         trace: list[float] = []
         prev = -1.0
-        for _ in range(max_iters):
+        for _ in range(ASCENT_MAX_SWEEPS):
             obj = 0.0
             for t in range(n):
                 c = _coefficient(g, factors, t)
@@ -237,7 +239,7 @@ def best_product_correlation(nu: JointDistribution, f: TableFunction,
             if obj < prev - 1e-12:
                 raise AssertionError("ascent objective decreased")
             trace.append(obj)
-            if obj - prev < tol:
+            if obj - prev < ASCENT_TOL:
                 break
             prev = obj
         cand = AscentResult(trace[-1], ProductFunction(f.alphabet, factors.copy()), trace)
@@ -260,8 +262,7 @@ def _coefficient(g: np.ndarray, factors: np.ndarray, t: int) -> np.ndarray:
 
 def restricted_product_correlation(f: TableFunction, nu: JointDistribution,
                                    delta: float | Fraction, trials: int, seed: int,
-                                   threshold: float, restarts: int = 8,
-                                   max_iters: int = 200, tol: float = 1e-9) -> float:
+                                   threshold: float) -> float:
     """Fraction of random restrictions whose best product correlation clears the threshold.
 
     Each coordinate enters the restricted set I independently with
@@ -281,8 +282,7 @@ def restricted_product_correlation(f: TableFunction, nu: JointDistribution,
             if rng.random() < keep_prob
         }
         g = restrict(f, assignment)
-        res = best_product_correlation(nu, g, restarts=restarts, max_iters=max_iters,
-                                       tol=tol, seed=rng.getrandbits(32))
+        res = best_product_correlation(nu, g, seed=rng.getrandbits(32))
         if res.value >= threshold:
             hits += 1
     return hits / trials

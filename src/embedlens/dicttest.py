@@ -10,7 +10,7 @@ each column is one vectorised step over all states and atoms, with integer
 weights over a power of the masses' common denominator and one Fraction at
 the end. Dictators and constants keep one state per column, so exact
 completeness checks run even when a local distribution has thousands of
-atoms. The DP stops when no state is left, and `state_guard` bounds its
+atoms. The DP stops when no state is left, and TRANSITION_GUARD bounds its
 total transitions (states times atoms, summed over columns and
 constraints). Monte Carlo acceptance draws samples x n columns, at most
 `distributions.MC_DRAW_GUARD`. The test needs only `instance_violations`;
@@ -39,6 +39,8 @@ from .distributions import (
 from .embedding import connected, detect_embedding, pairwise_connected
 from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, read_json, write_json
 from .functions import is_table_length
+
+TRANSITION_GUARD = 200_000  # DP transitions (states x atoms) of one exact acceptance run
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +213,6 @@ class InstanceReport:
     violations: list[str]
     constraints: list[ConstraintReport]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def instance_violations(inst: TestInstance) -> list[str]:
     """What makes an instance unfit for the test: weights that do not sum to
@@ -251,11 +249,10 @@ def validate_instance(inst: TestInstance) -> InstanceReport:
 # ---------------------------------------------------------------------------
 # Exact and Monte Carlo acceptance
 
-def run_test_exact(inst: TestInstance, f: SymbolFunction, n: int,
-                   state_guard: int = 200_000) -> Fraction:
+def run_test_exact(inst: TestInstance, f: SymbolFunction, n: int) -> Fraction:
     """Exact rational acceptance probability of the boxed test.
 
-    `state_guard` bounds the DP's total transitions (states times atoms,
+    TRANSITION_GUARD bounds the DP's total transitions (states times atoms,
     summed over columns and constraints)."""
     if f.n != n:
         raise ValidationError(f"function arity {f.n} != n = {n}")
@@ -264,15 +261,15 @@ def run_test_exact(inst: TestInstance, f: SymbolFunction, n: int,
     if isinstance(f, DictatorFunction):
         # one state per column for c + 1 columns: refuse before building them
         needed = (f.coordinate + 1) * sum(len(mu.atoms) for _, mu in inst.constraints)
-        if needed > state_guard:
+        if needed > TRANSITION_GUARD:
             raise SizeGuardError(
-                f"acceptance DP needs {needed} transitions; guard is {state_guard}")
+                f"acceptance DP needs {needed} transitions; guard is {TRANSITION_GUARD}")
     root, layers = _diagram(f)
     total = sum((w for w, _ in inst.constraints), Fraction(0))
     acc = Fraction(0)
     spent = 0
     for w, mu in inst.constraints:
-        p, spent = _acceptance_one(mu, inst.predicate, root, layers, spent, state_guard)
+        p, spent = _acceptance_one(mu, inst.predicate, root, layers, spent)
         acc += (w / total) * p
     return acc
 
@@ -307,8 +304,7 @@ def _diagram(f: SymbolFunction) -> tuple[int, list[np.ndarray]]:
 
 
 def _acceptance_one(mu: JointDistribution, pred: Predicate, root: int,
-                    layers: list[np.ndarray], spent: int,
-                    state_guard: int) -> tuple[Fraction, int]:
+                    layers: list[np.ndarray], spent: int) -> tuple[Fraction, int]:
     """Acceptance under one local distribution, and the transition count so far.
 
     A state is a k-tuple of diagram node ids, one per row. Masses are
@@ -329,9 +325,9 @@ def _acceptance_one(mu: JointDistribution, pred: Predicate, root: int,
     accept = 0
     for depth, layer in enumerate(layers):
         spent += len(states) * len(cols)
-        if spent > state_guard:
+        if spent > TRANSITION_GUARD:
             raise SizeGuardError(
-                f"acceptance DP needs more than {state_guard} transitions "
+                f"acceptance DP needs more than {TRANSITION_GUARD} transitions "
                 f"(guard reached at column {depth + 1})")
         nxt = layer[states[:, None, :], cols[None, :, :]].reshape(-1, k)
         w = np.multiply.outer(weights, mass).reshape(-1)

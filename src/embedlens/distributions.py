@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -42,9 +42,6 @@ class Alphabet:
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._index
 
-    def __iter__(self):
-        return iter(self.symbols)
-
     def index(self, symbol: str) -> int:
         try:
             return self._index[symbol]
@@ -63,43 +60,6 @@ def alphabet(symbols: Iterable[str]) -> Alphabet:
     return Alphabet(tuple(str(s) for s in symbols))
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of validating raw distribution data; lists violations instead of raising."""
-
-    violations: list[str] = field(default_factory=list)
-    mass_sum: Fraction | None = None
-    min_atom_mass: Fraction | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(alphabets: Sequence[Alphabet], atoms: Mapping[Atom, Fraction]) -> ValidationReport:
-    """Check sum-to-one, nonnegativity and alphabet consistency of raw atom data."""
-    report = ValidationReport()
-    total = Fraction(0)
-    min_mass: Fraction | None = None
-    for x, p in atoms.items():
-        if len(x) != len(alphabets):
-            report.violations.append(f"atom {x} has arity {len(x)}, expected {len(alphabets)}")
-            continue
-        for i, s in enumerate(x):
-            if s not in alphabets[i]:
-                report.violations.append(f"atom {x}: symbol {s!r} not in alphabet {i}")
-        if p < 0:
-            report.violations.append(f"negative mass at atom {x}")
-        total += p
-        if p > 0 and (min_mass is None or p < min_mass):
-            min_mass = p
-    report.mass_sum = total
-    if total != 1:
-        report.violations.append(f"mass sum != 1 (got {total})")
-    report.min_atom_mass = min_mass
-    return report
-
-
 class JointDistribution:
     """A k-ary distribution with exact rational atom masses.
 
@@ -109,13 +69,32 @@ class JointDistribution:
 
     def __init__(self, alphabets: Sequence[Alphabet], atoms: Mapping[Atom, Fraction]):
         self.alphabets: tuple[Alphabet, ...] = tuple(alphabets)
-        report = validate(self.alphabets, atoms)
-        if not report.ok:
-            raise ValidationError("; ".join(report.violations))
+        violations = self._violations(atoms)
+        if violations:
+            raise ValidationError("; ".join(violations))
         kept = {tuple(x): Fraction(p) for x, p in atoms.items() if p > 0}
         order = sorted(kept, key=self._index_key)
         self.atoms: dict[Atom, Fraction] = {x: kept[x] for x in order}
         self.support: tuple[Atom, ...] = tuple(order)
+
+    def _violations(self, atoms: Mapping[Atom, Fraction]) -> list[str]:
+        """Sum-to-one, nonnegativity and alphabet consistency of raw atom data."""
+        k = len(self.alphabets)
+        violations = []
+        total = Fraction(0)
+        for x, p in atoms.items():
+            if len(x) != k:
+                violations.append(f"atom {x} has arity {len(x)}, expected {k}")
+                continue
+            for i, s in enumerate(x):
+                if s not in self.alphabets[i]:
+                    violations.append(f"atom {x}: symbol {s!r} not in alphabet {i}")
+            if p < 0:
+                violations.append(f"negative mass at atom {x}")
+            total += p
+        if total != 1:
+            violations.append(f"mass sum != 1 (got {total})")
+        return violations
 
     def _index_key(self, x: Atom) -> tuple[int, ...]:
         return tuple(a.index(s) for a, s in zip(self.alphabets, x))

@@ -17,8 +17,10 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .distributions import Alphabet, Atom, JointDistribution
-from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, write_json
+from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError
 from .intlattice import IntMatrix, normalize_vector, row_basis, smith_normal_form
+
+ORACLE_NODE_BUDGET = 20_000_000  # search nodes of one brute-force modulus
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,6 @@ class EmbeddingWitness:
                        tuple({str(s): int(v) for s, v in t.items()} for t in data["sigma"]))
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad witness payload: {exc}") from exc
-
-    def save(self, path: str) -> None:
-        write_json(path, self.to_json())
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,7 @@ def _require_verified(dist: JointDistribution, witness: EmbeddingWitness) -> Non
 # rank test (rank mod p, then Fraction elimination; no code shared with SNF).
 
 def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet],
-                          max_modulus: int, node_budget: int = 20_000_000,
+                          max_modulus: int,
                           space_guard: int | None = 10 ** 10) -> EmbeddingWitness | None:
     """First verified witness under exhaustive enumeration, or None.
 
@@ -197,7 +196,7 @@ def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet]
     for m in range(2, max_modulus + 1):
         if space_guard is not None and m ** cm.s > space_guard:
             raise SizeGuardError(f"brute force space m**S = {m}**{cm.s} exceeds guard")
-        vec = _dfs_search(order, m, by_last, node_budget)
+        vec = _dfs_search(order, m, by_last)
         if vec is not None:
             witness = _witness_from_vector(cm, alphabets, vec, m)
             if verify_witness(support, witness):
@@ -247,7 +246,7 @@ def _dedupe_constraints(cm: ConstraintMatrix) -> list[tuple[int, ...]]:
     return out
 
 
-def _dfs_search(order: list[int], m: int, by_last, node_budget: int) -> tuple[int, ...] | None:
+def _dfs_search(order: list[int], m: int, by_last) -> tuple[int, ...] | None:
     s = len(order)
     vals = [0] * s  # indexed by column, assigned in `order`
     nodes = 0
@@ -260,7 +259,7 @@ def _dfs_search(order: list[int], m: int, by_last, node_budget: int) -> tuple[in
         checks = by_last.get(pos, ())
         for v in range(m):
             nodes += 1
-            if nodes > node_budget:
+            if nodes > ORACLE_NODE_BUDGET:
                 raise SizeGuardError("brute force node budget exceeded")
             vals[col] = v
             if all(sum(vals[j] for j in cons) % m == 0 for cons in checks):
@@ -390,16 +389,6 @@ def pairwise_connected(dist: JointDistribution) -> tuple[bool, DisconnectedPair 
     return True, None
 
 
-def partition_witness(dp: DisconnectedPair, alphabets: Sequence[Alphabet]) -> EmbeddingWitness:
-    """The indicator embedding realized by a disconnected pair's split."""
-    tables = [{sym: 0 for sym in a.symbols} for a in alphabets]
-    for sym in dp.side_i:
-        tables[dp.i][sym] = 1
-    for sym in dp.side_j:
-        tables[dp.j][sym] = -1
-    return EmbeddingWitness(0, tuple(tables))
-
-
 def connected(dist: JointDistribution) -> bool:
     """Connectivity of the graph on supp(mu) with one-coordinate-change edges."""
     support = dist.support
@@ -429,24 +418,3 @@ def connected(dist: JointDistribution) -> bool:
                 buckets[key] = idx
     root = find(0)
     return all(find(i) == root for i in range(n))
-
-
-@dataclass(frozen=True)
-class PCCheckReport:
-    """Observation check: no Abelian embedding forces pairwise connectivity."""
-
-    admits: bool
-    pairwise: bool
-    consistent: bool
-    vacuous: bool
-
-
-def no_embedding_implies_pc_check(dist: JointDistribution) -> PCCheckReport:
-    verdict = detect_embedding(dist)
-    pc, _ = pairwise_connected(dist)
-    return PCCheckReport(
-        admits=verdict.admits,
-        pairwise=pc,
-        consistent=verdict.admits or pc,
-        vacuous=verdict.admits,
-    )

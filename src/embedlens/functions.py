@@ -2,10 +2,9 @@
 
 Dense tables, coordinate-factored products, and exact-phase characters,
 together with the inner product, the per-coordinate noise operator, noise
-stability, the graded degree decomposition, restrictions and low-degree
-projections. Function values are complex doubles with compensated
-summation; identities are expected to hold to 1e-10 and boundedness slack
-is 1e-12.
+stability, the graded degree decomposition and restrictions. Function
+values are complex doubles with compensated summation; identities are
+expected to hold to 1e-10 and boundedness slack is 1e-12.
 
 Dense work on powers goes through one per-coordinate tensor path:
 `column_product` reads tables through per-column symbol indices and
@@ -77,16 +76,12 @@ class TableFunction:
         self._check_same_shape(other)
         return TableFunction(self.n, self.alphabet, self.values * other.values)
 
-    def __sub__(self, other: "TableFunction") -> "TableFunction":
-        self._check_same_shape(other)
-        return TableFunction(self.n, self.alphabet, self.values - other.values)
-
     def _check_same_shape(self, other):
         if self.n != other.n or self.alphabet != other.alphabet:
             raise ValidationError("function shape mismatch")
 
-    def is_one_bounded(self, slack: float = ONE_BOUND_SLACK) -> bool:
-        return bool(np.max(np.abs(self.values), initial=0.0) <= 1 + slack)
+    def is_one_bounded(self) -> bool:
+        return bool(np.max(np.abs(self.values), initial=0.0) <= 1 + ONE_BOUND_SLACK)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values), initial=0.0))
@@ -130,9 +125,6 @@ class ProductFunction:
             out *= self.factors[j, self.alphabet.index(sym)]
         return out
 
-    def conj(self) -> "ProductFunction":
-        return ProductFunction(self.alphabet, np.conj(self.factors))
-
     def to_table(self) -> TableFunction:
         _check_tensor_size(len(self.alphabet) ** self.n, "product table")
         vals = np.ones(1, dtype=np.complex128)
@@ -140,23 +132,8 @@ class ProductFunction:
             vals = np.multiply.outer(vals, self.factors[j]).ravel()
         return TableFunction(self.n, self.alphabet, vals)
 
-    def is_one_bounded(self, slack: float = ONE_BOUND_SLACK) -> bool:
-        return bool(np.max(np.abs(self.factors), initial=0.0) <= 1 + slack)
-
-    def is_unimodular(self, slack: float = ONE_BOUND_SLACK) -> bool:
-        return bool(np.max(np.abs(np.abs(self.factors) - 1.0), initial=0.0) <= slack)
-
-    def restrict(self, assignment: Mapping[int, str]) -> tuple[complex, "ProductFunction"]:
-        """Scalar of the fixed factors and the product over the free coordinates."""
-        scalar = 1 + 0j
-        keep = []
-        for j in range(self.n):
-            if j in assignment:
-                scalar *= self.factors[j, self.alphabet.index(assignment[j])]
-            else:
-                keep.append(self.factors[j])
-        arr = np.array(keep, dtype=np.complex128).reshape(len(keep), len(self.alphabet))
-        return scalar, ProductFunction(self.alphabet, arr)
+    def is_one_bounded(self) -> bool:
+        return bool(np.max(np.abs(self.factors), initial=0.0) <= 1 + ONE_BOUND_SLACK)
 
     def to_json(self) -> dict:
         return {
@@ -208,9 +185,6 @@ class CharacterProduct:
         total = sum((self.phase_at(j, sym) for j, sym in enumerate(x)), Fraction(0)) % 1
         return _unit(total)
 
-    def conj(self) -> "CharacterProduct":
-        return CharacterProduct(self.alphabet, [[-p for p in row] for row in self.phases])
-
     def to_product(self) -> ProductFunction:
         rows = [[_unit(p) for p in row] for row in self.phases]
         return ProductFunction(self.alphabet, np.array(rows, dtype=np.complex128)
@@ -218,9 +192,6 @@ class CharacterProduct:
 
     def to_table(self) -> TableFunction:
         return self.to_product().to_table()
-
-    def is_one_bounded(self, slack: float = ONE_BOUND_SLACK) -> bool:
-        return True
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -316,12 +287,7 @@ def expectation(f: TableFunction, nu: JointDistribution) -> complex:
     return complex(fsum(terms.real), fsum(terms.imag))
 
 
-def l2_norm(f: TableFunction, nu: JointDistribution) -> float:
-    return abs(inner_product(f, f, nu)) ** 0.5
-
-
-def noise_apply(f: TableFunction, rho: float, nu: JointDistribution,
-                coords: Sequence[int] | None = None) -> TableFunction:
+def noise_apply(f: TableFunction, rho: float, nu: JointDistribution) -> TableFunction:
     """Per-coordinate noise: keep the coordinate w.p. rho, else resample from nu."""
     if not 0 <= rho <= 1:
         raise ValidationError("rho must lie in [0, 1]")
@@ -330,7 +296,7 @@ def noise_apply(f: TableFunction, rho: float, nu: JointDistribution,
     arr = f.values.reshape((a,) * f.n) if f.n else f.values.copy()
     if f.n == 0:
         return TableFunction(0, f.alphabet, arr)
-    for i in range(f.n) if coords is None else coords:
+    for i in range(f.n):
         mean = np.tensordot(arr, w, axes=([i], [0]))
         arr = rho * arr + (1 - rho) * np.expand_dims(mean, axis=i)
     return TableFunction(f.n, f.alphabet, arr.ravel())
@@ -391,17 +357,6 @@ def efron_stein(f: TableFunction, nu: JointDistribution) -> EfronSteinDecomposit
     )
 
 
-def low_degree_project(f: TableFunction, d: int,
-                       nu: JointDistribution) -> tuple[TableFunction, float]:
-    """Projection onto degrees <= d and its L2 norm under nu^n."""
-    total = np.zeros(len(f.values), dtype=np.complex128)
-    for degree, part in enumerate(efron_stein(f, nu).parts):
-        if degree <= d:
-            total += part.values
-    proj = TableFunction(f.n, f.alphabet, total)
-    return proj, l2_norm(proj, nu)
-
-
 def restrict(f: TableFunction, assignment: Mapping[int, str]) -> TableFunction:
     """Fix the given coordinates; the result lives on the remaining ones in order."""
     a = len(f.alphabet)
@@ -423,72 +378,28 @@ def restrict(f: TableFunction, assignment: Mapping[int, str]) -> TableFunction:
 # Character witness functions
 
 def character_function(witness: EmbeddingWitness, coordinate: int, n: int,
-                       alpha: Alphabet | None = None,
-                       theta: Fraction | None = None) -> CharacterProduct:
+                       alpha: Alphabet) -> CharacterProduct:
     """The unimodular product certifying non-decaying correlation.
 
     Every coordinate carries the same factor exp(2*pi*i*sigma(s)/m). For a
     Z-valued witness (modulus 0) the character is exp(2*pi*i*theta*sigma(s))
-    with rational theta, default 1/(1 + global sigma span), which keeps the
-    phase arithmetic exact and the factor nonconstant wherever sigma is.
+    with theta = 1/(1 + global sigma span), which keeps the phase arithmetic
+    exact and the factor nonconstant wherever sigma is.
     """
     m = witness.modulus
     if m == 1 or m < 0:
         raise ValidationError("witness modulus must be 0 or >= 2")
     table = witness.sigma[coordinate]
-    if alpha is None:
-        alpha = make_alphabet(sorted(table))
     if set(alpha.symbols) != set(table):
         raise ValidationError("alphabet does not match the witness table")
-    if m == 0 and theta is None:
-        lo = min(min(t.values()) for t in witness.sigma)
-        hi = max(max(t.values()) for t in witness.sigma)
-        theta = Fraction(1, 1 + (hi - lo))
     if m >= 2:
         row = [Fraction(table[s] % m, m) for s in alpha.symbols]
     else:
+        lo = min(min(t.values()) for t in witness.sigma)
+        hi = max(max(t.values()) for t in witness.sigma)
+        theta = Fraction(1, 1 + (hi - lo))
         row = [(Fraction(table[s]) * theta) % 1 for s in alpha.symbols]
     return CharacterProduct(alpha, [row] * n)
-
-
-# ---------------------------------------------------------------------------
-# Global inverse verification
-
-@dataclass
-class GlobalInverseReport:
-    value: float
-    correlation: complex
-    degree: int
-    degree_ok: bool
-    l2_norm: float
-    norm_ok: bool
-    unimodular_ok: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.degree_ok and self.norm_ok and self.unimodular_ok
-
-
-def global_inverse_check(f: TableFunction, low: TableFunction, prod: ProductFunction,
-                         nu: JointDistribution, degree_bound: int,
-                         tol: float = IDENTITY_TOL) -> GlobalInverseReport:
-    """|<f, L*P>| together with validity flags for the supplied witnesses."""
-    if low.n != f.n or prod.n != f.n:
-        raise ValidationError("witness arity mismatch")
-    lp = low * prod.to_table()
-    corr = inner_product(f, lp, nu)
-    dec = efron_stein(low, nu)
-    degree = max((d for d, wt in enumerate(dec.degree_weights) if wt > tol), default=0)
-    norm = l2_norm(low, nu)
-    return GlobalInverseReport(
-        value=abs(corr),
-        correlation=corr,
-        degree=degree,
-        degree_ok=degree <= degree_bound,
-        l2_norm=norm,
-        norm_ok=norm <= 1 + ONE_BOUND_SLACK,
-        unimodular_ok=prod.is_unimodular(),
-    )
 
 
 def load_function(data) -> TableFunction | ProductFunction:

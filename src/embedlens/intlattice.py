@@ -218,12 +218,6 @@ def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
     )
 
 
-def lattice_is_full(generators: IntMatrix) -> bool:
-    """True iff the row lattice of `generators` equals Z^cols."""
-    snf = smith_normal_form(generators)
-    return snf.rank == generators.cols and all(d == 1 for d in snf.divisors[:snf.rank])
-
-
 def normalize_vector(v: Sequence[int]) -> tuple[int, ...]:
     """v divided by the gcd of its entries, negated if its first nonzero is negative."""
     g = 0
@@ -235,19 +229,6 @@ def normalize_vector(v: Sequence[int]) -> tuple[int, ...]:
     if first < 0:
         v = [-x for x in v]
     return tuple(v)
-
-
-def rational_kernel_vector(generators: IntMatrix) -> tuple[int, ...] | None:
-    """Nonzero integer v with generators @ v = 0, or None at full column rank.
-
-    Taken from the columns of V past the rank: A (V e_c) = U^-1 (D e_c) = 0.
-    The result is gcd-normalized with positive leading entry.
-    """
-    snf = smith_normal_form(generators)
-    if snf.rank >= generators.cols:
-        return None
-    c = snf.rank
-    return normalize_vector([snf.V.entry(i, c) for i in range(generators.cols)])
 
 
 def row_basis(rows: Iterable[Mapping[int, int]], cols: int) -> list[list[int]]:

@@ -7,18 +7,15 @@ whose three-wise correlation identity ties a product of restrictions of
 f1 to a noise-stability average; check_coupling_identity verifies that
 identity by exhaustive enumeration. The conditional-expectation
 companions (given the last row, given the first row) implement the
-Cauchy-Schwarz and correlation-transfer steps, and product_smoothness
-evaluates the resampling smoothness of a product function in closed form
-from factor statistics.
+Cauchy-Schwarz and correlation-transfer steps.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import fsum, log
+from math import fsum
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +24,6 @@ from .correlation import _head_columns, exact_correlation
 from .distributions import (
     Alphabet,
     Atom,
-    ExactChooser,
     JointDistribution,
     alphabet as make_alphabet,
 )
@@ -44,6 +40,7 @@ from .functions import (
 
 STAR = "*"
 PAIR_SEP = "|"
+IDENTITY_N_GUARD = 3  # largest n the coupling identity check enumerates (2^n subsets)
 
 
 @dataclass(frozen=True)
@@ -161,29 +158,6 @@ def build_star_coupling(params: StarCouplingParams) -> JointDistribution:
     return JointDistribution([sigma, sigma, star.alphabet], atoms)
 
 
-def star_sample(x_plus: Sequence[str], mu1: JointDistribution,
-                seed: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Decode a word over Sigma^+ into a coupled pair over Sigma^n.
-
-    Non-star positions split deterministically into their two components;
-    each star position gets one fresh shared draw from mu1.
-    """
-    chooser = ExactChooser(mu1.support, [mu1.atoms[x] for x in mu1.support])
-    rng = random.Random(seed)
-    x: list[str] = []
-    xp: list[str] = []
-    for sym in x_plus:
-        pair = decode_symbol(sym)
-        if pair is None:
-            (v,) = chooser.draw(rng)
-            x.append(v)
-            xp.append(v)
-        else:
-            x.append(pair[0])
-            xp.append(pair[1])
-    return tuple(x), tuple(xp)
-
-
 def build_g(f1: TableFunction, mu1: JointDistribution) -> TableFunction:
     """g(x+) = E over star fills of f1(x) * conj(f1(x')), exactly.
 
@@ -212,8 +186,7 @@ class CouplingIdentityReport:
 
 
 def check_coupling_identity(dist: JointDistribution, f1: TableFunction, n: int,
-                            restriction_rate: Fraction, p_star: Fraction,
-                            n_guard: int = 3) -> CouplingIdentityReport:
+                            restriction_rate: Fraction, p_star: Fraction) -> CouplingIdentityReport:
     """Exhaustively compare the coupling's three-wise correlation with its stability form.
 
     lhs: E over the coupling's n-fold power of f1(x) conj(f1(x')) conj(g(x+)).
@@ -222,11 +195,13 @@ def check_coupling_identity(dist: JointDistribution, f1: TableFunction, n: int,
     1 - p_star of restrict(f1, z) * conj(restrict(f1, z')) under mu1.
     No sampling: subsets and assignments are enumerated exactly.
     """
-    if n > n_guard:
-        raise SizeGuardError(f"identity check enumerates 2^n subsets; n <= {n_guard}")
+    if n > IDENTITY_N_GUARD:
+        raise SizeGuardError(f"identity check enumerates 2^n subsets; n <= {IDENTITY_N_GUARD}")
     if f1.n != n:
         raise ValidationError("f1 arity must equal n")
     rate = Fraction(restriction_rate)
+    if not 0 <= rate <= 1:
+        raise ValidationError(f"restriction rate must lie in [0, 1], got {rate}")
     params = star_coupling_params(dist, p_star)
     coupling = build_star_coupling(params)
     g = build_g(f1, params.mu1)
@@ -316,60 +291,3 @@ def conditional_product_given_first(dist: JointDistribution,
                 ims.append(t.imag)
             rows[j, si] = complex(fsum(res), fsum(ims))
     return ProductFunction(sigma1, rows)
-
-
-def product_smoothness(p: ProductFunction, mu1: JointDistribution, gamma: float) -> float:
-    """E |P(x) - P(y)|^2 for y a (1-gamma)-resample of x, in closed form.
-
-    Expanding the squared difference reduces everything to per-factor
-    second moments s_j and squared means |m_j|^2:
-        E = 2 prod_j s_j - 2 prod_j ((1-gamma) s_j + gamma |m_j|^2),
-    so no enumeration of alphabet^n is needed.
-    """
-    if not 0 <= gamma <= 1:
-        raise ValidationError("gamma must lie in [0, 1]")
-    w = _measure_weights(mu1, p.alphabet)
-    s_prod = 1.0
-    r_prod = 1.0
-    for j in range(p.n):
-        fj = p.factors[j]
-        sj = fsum(float(wi) * abs(v) ** 2 for wi, v in zip(w, fj))
-        mj = complex(fsum(float(wi) * v.real for wi, v in zip(w, fj)),
-                     fsum(float(wi) * v.imag for wi, v in zip(w, fj)))
-        s_prod *= sj
-        r_prod *= (1 - gamma) * sj + gamma * abs(mj) ** 2
-    return 2 * s_prod - 2 * r_prod
-
-
-@dataclass
-class StabilityTransferReport:
-    delta: float
-    gamma: float
-    stab: float
-    bound: float
-    ok: bool
-
-
-def stability_transfer_check(dist: JointDistribution, f: TableFunction,
-                             products: Sequence[ProductFunction],
-                             c: float = 1e-2) -> StabilityTransferReport:
-    """Spot-check of the stability-transfer chain, not a proof.
-
-    delta is the exact correlation of f with the supplied products; gamma
-    is c * delta^2 / log(1/delta) (capped at 1/2), and the claim checked is
-    Stab_{1-gamma}(f) >= delta^2 / 4 under the first marginal.
-    """
-    n = f.n
-    corr = exact_correlation(dist, [f, *products], n)
-    delta = abs(corr.value)
-    if delta <= 0:
-        raise ValidationError("transfer check needs a nonzero correlation")
-    if delta >= 1:
-        gamma = min(c, 0.5)
-    else:
-        gamma = min(c * delta * delta / log(1 / delta), 0.5)
-    mu1 = dist.marginal([0])
-    stab = stability(f, 1 - gamma, mu1)
-    bound = delta * delta / 4
-    return StabilityTransferReport(delta=delta, gamma=gamma, stab=stab,
-                                   bound=bound, ok=stab >= bound - 1e-12)

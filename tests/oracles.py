@@ -1,11 +1,11 @@
-"""Term-by-term enumeration oracles for the dense routes, product smoothness
-and the dictatorship test, the exhaustive soundness diagnostic
-`max_acceptance`, and small inputs to compare them on.
+"""Term-by-term enumeration oracles for the dense routes and the dictatorship
+test, the exhaustive soundness diagnostic `max_acceptance`, and small inputs
+to compare them on.
 
 Each oracle walks every term of its sum in Python and shares no code with
-the per-coordinate tensor path, closed form or decision-diagram DP it
-checks: functions are read only through `evaluate`, and the degree oracle
-builds all 2^n subset components. Keep them slow and obvious.
+the per-coordinate tensor path or decision-diagram DP it checks: functions
+are read only through `evaluate`, and the degree oracle builds all 2^n
+subset components. Keep them slow and obvious.
 `max_acceptance` is no oracle: it maximizes the DP's exact acceptance over
 every dense table.
 """
@@ -119,26 +119,6 @@ def subset_efron_stein(f, nu) -> dict[tuple[int, ...], TableFunction]:
             comps[subset] = TableFunction(f.n, f.alphabet,
                                           np.broadcast_to(arr, base.shape).ravel())
     return comps
-
-
-def product_smoothness_bruteforce(p: ProductFunction, mu1: JointDistribution,
-                                  gamma: float, size_guard: int = 10 ** 6) -> float:
-    """Two-point enumeration oracle for the closed form (tiny n only)."""
-    a = len(p.alphabet)
-    if a ** (2 * p.n) > size_guard:
-        raise SizeGuardError("brute-force smoothness exceeds guard")
-    w = _measure_weights(mu1, p.alphabet)
-    terms = []
-    for x in iter_product(p.alphabet.symbols, repeat=p.n):
-        for y in iter_product(p.alphabet.symbols, repeat=p.n):
-            weight = 1.0
-            for xj, yj in zip(x, y):
-                trans = gamma * w[p.alphabet.index(yj)]
-                if xj == yj:
-                    trans += 1 - gamma
-                weight *= w[p.alphabet.index(xj)] * trans
-            terms.append(weight * abs(p.evaluate(x) - p.evaluate(y)) ** 2)
-    return fsum(terms)
 
 
 def enumerate_acceptance(inst, f, n) -> Fraction:

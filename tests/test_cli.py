@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -10,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import embedlens
 from embedlens import dicttest, embedding, fixtures
-from embedlens.cli import _emit, main
+from embedlens.cli import SWEEP_GUARD, _emit, main
 from embedlens.correlation import exact_correlation
 from embedlens.distributions import MC_DRAW_GUARD
 from embedlens.errors import ValidationError
@@ -527,6 +530,116 @@ def test_sweep_row_n_equals_exact_correlation(tmp_path, capsys):
             value = exact_correlation(mu, fs, n).value
             assert complex(*r["value"]) == value
             assert r["abs"] == abs(value)
+
+
+def write_sweep_inputs(tmp_path) -> list[str]:
+    """The punctured cube and one single-row parity product per coordinate."""
+    dist = tmp_path / "mu.json"
+    fixtures.punctured_cube().save(str(dist))
+    fns = []
+    for i in range(3):
+        fns.append(str(tmp_path / f"f{i}.json"))
+        write_parity_product(fns[-1], 1)
+    return [str(dist), *fns]
+
+
+@pytest.mark.parametrize("n, code", [(0, 2), (-3, 2), (SWEEP_GUARD + 1, 3)])
+def test_sweep_n_is_bounded_on_both_sides(n, code, tmp_path, capsys):
+    start = time.perf_counter()
+    got, out, err = run_cli_err(capsys, "correlate", *write_sweep_inputs(tmp_path),
+                                f"--sweep-n={n}")
+    assert time.perf_counter() - start < 5
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1 and ("must be positive" if code == 2 else "guard") in err
+
+
+class BrokenStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("extra", [[], ["--csv"]])
+def test_failed_stdout_write_exits_4_and_names_the_write(extra, tmp_path, capsys, monkeypatch):
+    argv = ["correlate", *write_sweep_inputs(tmp_path), "--sweep-n", "3", *extra]
+    monkeypatch.setattr("sys.stdout", BrokenStdout())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "cannot write output: stdout: [Errno 32] Broken pipe\n"
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    # the reader leaves after one line; the CSV is larger than a pipe holds
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(embedlens.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "embedlens.cli", "correlate", *write_sweep_inputs(tmp_path),
+         "--sweep-n", "3000", "--csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"n,re,im,abs\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 4
+    assert err == "cannot write output: stdout: [Errno 32] Broken pipe\n"
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: the numeric options end in a documented exit code with one line on
+# stderr, or in finite JSON on stdout.
+
+SMALL_OR_HUGE = (st.integers(-3, 40) | st.integers(10 ** 6, 10 ** 12)
+                 | st.integers(-10 ** 12, -10 ** 6))
+# without a guard every row of a sweep is built, so values stay just past it
+SWEEPS = st.integers(-3, 40) | st.integers(SWEEP_GUARD + 1, SWEEP_GUARD + 10)
+RATIONALS = (st.fractions(-3, 3, max_denominator=40).map(str)
+             | st.sampled_from(["0", "1", "0.5", "1e3", "7/7", "10"]))
+RHOS = st.floats().map(repr) | st.floats(0, 1).map(repr)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the output")
+
+
+def _numeric_argvs(d, draw):
+    mu = os.path.join(d, "mu.json")
+    fixtures.three_lin().save(mu)
+    p = os.path.join(d, "p.json")
+    write_parity_product(p, 1)
+    table = os.path.join(d, "table.json")
+    with open(table, "w") as fh:
+        json.dump({"n": 1, "alphabet": ["0", "1"], "values": [[1, 0], [0, 0.5]]}, fh)
+    inst = os.path.join(d, "inst.json")
+    fixtures.three_lin_instance().save(inst)
+    sym = os.path.join(d, "sym.json")
+    with open(sym, "w") as fh:
+        json.dump({"n": 2, "alphabet": ["0", "1"], "dictator": 1}, fh)
+    n, samples = draw(SMALL_OR_HUGE), draw(SMALL_OR_HUGE)
+    return [
+        ["correlate", mu, p, p, p, f"--n={n}"],
+        ["correlate", mu, p, p, p, f"--n={n}", "--mode=mc", f"--samples={samples}", "--seed=1"],
+        ["correlate", mu, p, p, p, f"--sweep-n={draw(SWEEPS)}"],
+        ["stability", table, f"--rho={draw(RHOS)}", "--decompose"],
+        ["reduce", mu, "--op=star-coupling", f"--p-star={draw(RATIONALS)}",
+         f"--p-nu={draw(RATIONALS)}"],
+        ["reduce", mu, "--op=coupling-identity", "--functions", table, f"--n={n}",
+         f"--p-star={draw(RATIONALS)}", f"--rate={draw(RATIONALS)}"],
+        ["dicttest", inst, sym, "--mode=mc", f"--samples={samples}", "--seed=1"],
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, 6), data=st.data())
+def test_fuzz_numeric_options_end_in_documented_exit_codes(which, data):
+    with tempfile.TemporaryDirectory() as d:
+        argv = _numeric_argvs(d, data.draw)[which]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code:
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue(), argv
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------

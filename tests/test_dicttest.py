@@ -5,7 +5,7 @@ from itertools import product as iprod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embedlens import fixtures
+from embedlens import dicttest, fixtures
 from embedlens.distributions import JointDistribution, alphabet, uniform_on
 from embedlens.dicttest import (
     ConstantSymbolFunction,
@@ -55,14 +55,13 @@ def test_validate_instance_three_lin():
     assert rep.constraints[0].witness_modulus == 2
     assert not rep.constraints[0].connected
     assert rep.constraints[0].pairwise_connected
-    assert rep.ok
+    assert not rep.violations
 
 
 def test_validate_instance_flags_falsifying_atom():
     pred = xor_instance().predicate
     bad_mu = uniform_on([B, B, B], [("0", "0", "0"), ("1", "0", "0")])
     rep = validate_instance(TestInstance(pred, ((Fraction(1), bad_mu),)))
-    assert not rep.ok
     assert any("falsifying" in v for v in rep.violations)
     assert not rep.constraints[0].support_ok
 
@@ -151,7 +150,7 @@ def test_acceptance_invariant_under_relabeling():
 
 def test_validate_instance_a5():
     rep = validate_instance(fixtures.a5_instance())
-    assert rep.ok
+    assert not rep.violations
     c = rep.constraints[0]
     assert c.support_ok
     assert not c.admits_embedding  # hypothesis screening: no Abelian embedding
@@ -181,14 +180,15 @@ def test_a5_falsifying_constant_zero():
         pytest.fail("no falsifying constant found")
 
 
-def test_state_guard_trips_on_dense_table_with_big_support():
+def test_state_guard_trips_on_dense_table_with_big_support(monkeypatch):
+    monkeypatch.setattr(dicttest, "TRANSITION_GUARD", 10_000)
     inst = fixtures.a5_instance()
     alpha = inst.predicate.alphabet
     rng = random.Random(6)
     table = [rng.choice(alpha.symbols) for _ in range(len(alpha) ** 2)]
     f = DenseSymbolFunction(2, alpha, table)
     with pytest.raises(SizeGuardError):
-        run_test_exact(inst, f, 2, state_guard=10_000)
+        run_test_exact(inst, f, 2)
 
 
 def test_mc_dictator_all_accept():
@@ -263,13 +263,15 @@ def test_exact_two_constraints_with_different_denominators():
             assert run_test_exact(inst, f, n) == enumerate_acceptance(inst, f, n)
 
 
-def test_state_guard_bounds_total_transitions():
+def test_state_guard_bounds_total_transitions(monkeypatch):
     inst = xor_instance()  # 4 atoms: a dictator at coordinate 3 costs 4 * 4 transitions
     as_table = DenseSymbolFunction(4, B, [x[3] for x in iprod("01", repeat=4)])
     for f in (DictatorFunction(4, B, 3), as_table):
-        assert run_test_exact(inst, f, 4, state_guard=16) == 1
+        monkeypatch.setattr(dicttest, "TRANSITION_GUARD", 16)
+        assert run_test_exact(inst, f, 4) == 1
+        monkeypatch.setattr(dicttest, "TRANSITION_GUARD", 15)
         with pytest.raises(SizeGuardError):
-            run_test_exact(inst, f, 4, state_guard=15)
+            run_test_exact(inst, f, 4)
 
 
 def test_huge_table_sizes_fail_fast():

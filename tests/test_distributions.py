@@ -15,7 +15,6 @@ from embedlens.distributions import (
     decompose_mixture,
     uniform_on,
     univariate,
-    validate,
 )
 from embedlens.errors import SizeGuardError, ValidationError
 
@@ -50,22 +49,22 @@ def test_check_draws_bounds_samples_times_n():
 
 def test_validate_uniform_cube():
     atoms = {(a, b, c): Fraction(1, 8) for a in "01" for b in "01" for c in "01"}
-    report = validate([B, B, B], atoms)
-    assert report.ok
-    assert report.min_atom_mass == Fraction(1, 8)
+    mu = JointDistribution([B, B, B], atoms)
+    assert mu.atoms == atoms
+    assert mu.min_atom_mass() == Fraction(1, 8)
 
 
 def test_validate_flags_bad_mass_sum():
     atoms = {(a, b, c): Fraction(1, 8) for a in "01" for b in "01" for c in "01"}
     del atoms[("1", "1", "1")]
-    report = validate([B, B, B], atoms)
-    assert any("mass sum" in v for v in report.violations)
+    with pytest.raises(ValidationError, match="mass sum"):
+        JointDistribution([B, B, B], atoms)
 
 
 def test_validate_flags_negative_mass():
     atoms = {("0",): Fraction(9, 8), ("1",): Fraction(-1, 8)}
-    report = validate([B], atoms)
-    assert any("negative" in v for v in report.violations)
+    with pytest.raises(ValidationError, match="negative"):
+        JointDistribution([B], atoms)
 
 
 def test_marginal_of_three_lin_is_uniform():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from embedlens import fixtures
 from embedlens.distributions import alphabet, uniform_on
+from embedlens.errors import read_json, write_json
 from embedlens.embedding import (
     _fraction_kernel,
     _rank_mod_p,
@@ -12,10 +13,9 @@ from embedlens.embedding import (
     brute_force_embedding,
     connected,
     constraint_matrix,
+    EmbeddingWitness,
     detect_embedding,
-    no_embedding_implies_pc_check,
     pairwise_connected,
-    partition_witness,
     verify_witness,
 )
 
@@ -209,8 +209,11 @@ def test_pairwise_connected_failure_gives_split():
     ok, split = pairwise_connected(fixtures.disconnected_pair())
     assert not ok
     assert split.side_i == frozenset({"0"}) and split.side_j == frozenset({"0"})
-    w = partition_witness(split, fixtures.disconnected_pair().alphabets)
-    assert verify_witness(fixtures.disconnected_pair().support, w)
+    # the split's indicator maps embed the support into Z
+    tables = [{sym: 0 for sym in a.symbols} for a in fixtures.disconnected_pair().alphabets]
+    tables[split.i].update(dict.fromkeys(split.side_i, 1))
+    tables[split.j].update(dict.fromkeys(split.side_j, -1))
+    assert verify_witness(fixtures.disconnected_pair().support, EmbeddingWitness(0, tuple(tables)))
 
 
 def test_connected_examples():
@@ -220,34 +223,30 @@ def test_connected_examples():
     assert connected(fixtures.single_atom())
 
 
+def admits_and_pc(dist) -> tuple[bool, bool]:
+    return detect_embedding(dist).admits, pairwise_connected(dist)[0]
+
+
 def test_pc_check_report():
-    rep = no_embedding_implies_pc_check(fixtures.full_support_cube())
-    assert rep.consistent and not rep.vacuous and rep.pairwise
-    rep = no_embedding_implies_pc_check(fixtures.three_lin())
-    assert rep.consistent and rep.vacuous
-    rep = no_embedding_implies_pc_check(fixtures.disconnected_pair())
-    assert rep.consistent and rep.vacuous
+    # no Abelian embedding forces pairwise connectivity
+    assert admits_and_pc(fixtures.full_support_cube()) == (False, True)
+    assert admits_and_pc(fixtures.three_lin())[0]
+    assert admits_and_pc(fixtures.disconnected_pair()) == (True, False)
 
 
 def test_obs_no_embedding_implies_pc_random():
     rng = random.Random(555)
     for _ in range(50):
         alphabets, support = random_support(rng)
-        rep = no_embedding_implies_pc_check(uniform_on(alphabets, support))
-        assert rep.consistent
+        admits, pc = admits_and_pc(uniform_on(alphabets, support))
+        assert admits or pc
 
 
 def test_witness_json_roundtrip(tmp_path):
     w = detect_embedding(fixtures.three_lin()).witness
     path = tmp_path / "w.json"
-    w.save(str(path))
-    import json
-
-    from embedlens.embedding import EmbeddingWitness
-
-    with open(path) as fh:
-        again = EmbeddingWitness.from_json(json.load(fh))
-    assert again == w
+    write_json(str(path), w.to_json())
+    assert EmbeddingWitness.from_json(read_json(str(path))) == w
 
 
 def test_a5_triple_product_admits_nothing():

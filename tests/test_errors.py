@@ -102,5 +102,5 @@ def test_instance_round_trip_keeps_the_distribution_atom_format(tmp_path):
 def test_witness_round_trip(tmp_path):
     witness = EmbeddingWitness(3, ({"0": 0, "1": 1, "2": 2},) * 3)
     path = tmp_path / "w.json"
-    witness.save(str(path))
+    write_json(str(path), witness.to_json())
     assert EmbeddingWitness.from_json(read_json(str(path))) == witness

@@ -16,10 +16,7 @@ from embedlens.functions import (
     character_function,
     efron_stein,
     expectation,
-    global_inverse_check,
     inner_product,
-    l2_norm,
-    low_degree_project,
     noise_apply,
     restrict,
     stability,
@@ -172,17 +169,24 @@ def test_stability_diagonalization_random():
             assert stability(f, rho, nu) == pytest.approx(predicted, abs=1e-10)
 
 
+def low_degree_part(f, d, nu) -> tuple[np.ndarray, float]:
+    """f^{<=d} as the sum of the degree parts up to d, and its squared norm sum_{e<=d} W_e."""
+    dec = efron_stein(f, nu)
+    return sum(part.values for part in dec.parts[:d + 1]), sum(dec.degree_weights[:d + 1])
+
+
 def test_low_degree_project():
     f = parity(3)
-    full, norm = low_degree_project(f, 3, UB)
-    assert np.allclose(full.values, f.values, atol=1e-10)
-    zero, znorm = low_degree_project(f, 2, UB)
-    assert np.allclose(zero.values, 0, atol=1e-10) and znorm < 1e-10
+    full, norm_sq = low_degree_part(f, 3, UB)
+    assert np.allclose(full, f.values, atol=1e-10) and norm_sq == pytest.approx(1)
+    zero, znorm_sq = low_degree_part(f, 2, UB)
+    assert np.allclose(zero, 0, atol=1e-10) and znorm_sq < 1e-20
     rng = random.Random(10)
     g = random_table(rng, 2)
-    const, cnorm = low_degree_project(g, 0, UB)
-    assert np.allclose(const.values, expectation(g, UB), atol=1e-10)
-    assert cnorm <= l2_norm(g, UB) + 1e-12
+    const, cnorm_sq = low_degree_part(g, 0, UB)
+    assert np.allclose(const, expectation(g, UB), atol=1e-10)
+    assert cnorm_sq == pytest.approx(abs(expectation(g, UB)) ** 2)
+    assert cnorm_sq <= inner_product(g, g, UB).real + 1e-12
 
 
 def test_restrict_basics():
@@ -199,12 +203,15 @@ def test_restrict_basics():
 
 
 def test_restrict_commutes_with_noise_on_free_coordinates():
+    # fixing x_1 = 1 after noise on every coordinate is noise on the free
+    # ones applied to rho f|_{x_1=1} + (1 - rho) E_{x_1} f
     rng = random.Random(12)
     f = random_table(rng, 3)
     rho = 0.55
-    noisy = noise_apply(f, rho, UB, coords=[0, 2])
-    lhs = restrict(noisy, {1: "1"})
-    rhs = noise_apply(restrict(f, {1: "1"}), rho, UB)
+    lhs = restrict(noise_apply(f, rho, UB), {1: "1"})
+    mixed = TableFunction(2, B, rho * restrict(f, {1: "1"}).values + (1 - rho) * 0.5 * (
+        restrict(f, {1: "0"}).values + restrict(f, {1: "1"}).values))
+    rhs = noise_apply(mixed, rho, UB)
     assert np.allclose(lhs.values, rhs.values, atol=1e-12)
 
 
@@ -212,11 +219,9 @@ def test_product_restriction_factorizes():
     rng = random.Random(13)
     rows = [[cmath.exp(2j * cmath.pi * rng.random()) for _ in range(2)] for _ in range(3)]
     p = ProductFunction(B, np.array(rows))
-    scalar, rest = p.restrict({1: "0"})
-    assert scalar == pytest.approx(rows[1][0])
-    table = p.to_table()
-    restricted = restrict(table, {1: "0"})
-    assert np.allclose(restricted.values, scalar * rest.to_table().values)
+    rest = ProductFunction(B, np.array([rows[0], rows[2]]))
+    restricted = restrict(p.to_table(), {1: "0"})
+    assert np.allclose(restricted.values, rows[1][0] * rest.to_table().values)
 
 
 def test_character_function_three_lin_parity():
@@ -256,26 +261,39 @@ def test_character_integer_witness_phase():
     assert g.phases[0][1] == Fraction(-3, 7) % 1
 
 
+# The inverse theorem asks for L with deg L <= d and ||L|| <= 1 correlating with f.
+# The best such delta is ||f^{<=d}|| = sqrt(sum_{e<=d} W_e), attained by the
+# normalized low-degree part: the degree weights of `stability --decompose`.
+
+def best_inverse_delta(f, d, nu) -> float:
+    return sum(efron_stein(f, nu).degree_weights[:d + 1]) ** 0.5
+
+
 def test_global_inverse_check_product_self():
     rng = random.Random(14)
     rows = [[cmath.exp(2j * cmath.pi * rng.random()) for _ in range(2)] for _ in range(3)]
-    p = ProductFunction(B, np.array(rows))
-    f = p.to_table()
-    one = TableFunction.constant(3, B, 1)
-    rep = global_inverse_check(f, one, p, UB, degree_bound=0)
-    assert rep.value == pytest.approx(1)
-    assert rep.all_ok
+    f = ProductFunction(B, np.array(rows)).to_table()
+    assert best_inverse_delta(f, 3, UB) == pytest.approx(1)
+    assert best_inverse_delta(f, 0, UB) == pytest.approx(abs(expectation(f, UB)))
+    for d in range(4):
+        low, norm_sq = low_degree_part(f, d, UB)
+        if norm_sq > 1e-12:
+            L = TableFunction(3, B, low / norm_sq ** 0.5)
+            assert abs(inner_product(f, L, UB)) == pytest.approx(best_inverse_delta(f, d, UB))
 
 
 def test_global_inverse_check_orthogonality_and_parity():
     f = parity(3)
-    one_prod = ProductFunction(B, np.ones((3, 2)))
-    low, _ = low_degree_project(f, 2, UB)
-    rep = global_inverse_check(f, TableFunction.constant(3, B, 1), one_prod, UB, degree_bound=2)
-    assert rep.value == pytest.approx(0, abs=1e-12)
-    rep2 = global_inverse_check(f, f, one_prod, UB, degree_bound=3)
-    assert rep2.value == pytest.approx(1)
-    assert rep2.degree == 3 and rep2.degree_ok and rep2.norm_ok
+    for d in range(3):
+        assert best_inverse_delta(f, d, UB) == pytest.approx(0, abs=1e-12)
+    assert best_inverse_delta(f, 3, UB) == pytest.approx(1)
+    rng = random.Random(18)
+    g = random_table(rng, 3)
+    for d in range(4):
+        low, norm_sq = low_degree_part(random_table(rng, 3), d, UB)
+        L = TableFunction(3, B, low / max(norm_sq ** 0.5, 1))  # deg L <= d, ||L|| <= 1
+        assert abs(inner_product(f, L, UB)) <= best_inverse_delta(f, d, UB) + 1e-12
+        assert abs(inner_product(g, L, UB)) <= best_inverse_delta(g, d, UB) + 1e-12
 
 
 def test_character_correlation_is_one_every_n():
@@ -324,7 +342,3 @@ def test_efron_stein_matches_subset_components(size, n, data):
         assert np.max(np.abs(part.values - want)) <= 1e-12
         weight = sum(inner_product(c, c, nu).real for s, c in comps.items() if len(s) == d)
         assert abs(dec.degree_weights[d] - weight) <= 1e-12
-    for d in range(-1, n + 1):
-        low, _ = low_degree_project(f, d, nu)
-        want = sum((c.values for s, c in comps.items() if len(s) <= d), np.zeros(size ** n))
-        assert np.max(np.abs(low.values - want)) <= 1e-12

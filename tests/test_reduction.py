@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from math import log
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from embedlens.functions import (
     TableFunction,
     expectation,
     inner_product,
+    stability,
 )
 from embedlens.reduction import (
     STAR,
@@ -28,9 +30,6 @@ from embedlens.reduction import (
     decode_symbol,
     diagonal_pairing,
     pair_symbol,
-    product_smoothness,
-    stability_transfer_check,
-    star_sample,
     conditional_product_given_first,
     conditional_product_given_last,
     star_coupling_params,
@@ -41,7 +40,6 @@ from oracles import (
     enumerate_g,
     functions,
     measures,
-    product_smoothness_bruteforce,
 )
 
 B = alphabet(["0", "1"])
@@ -174,29 +172,7 @@ def test_build_xi_atom_mass_lower_bound():
         assert coupling.min_atom_mass() >= floor
 
 
-def test_star_sample_deterministic_without_stars():
-    mu1 = univariate(B, {"0": Fraction(1, 2), "1": Fraction(1, 2)})
-    x, xp = star_sample([pair_symbol("0", "1"), pair_symbol("1", "1")], mu1, seed=0)
-    assert x == ("0", "1") and xp == ("1", "1")
 
-
-def test_star_sample_all_stars_agree():
-    mu1 = univariate(B, {"0": Fraction(1, 2), "1": Fraction(1, 2)})
-    for seed in range(5):
-        x, xp = star_sample([STAR] * 6, mu1, seed=seed)
-        assert x == xp
-    a = star_sample([STAR] * 6, mu1, seed=11)
-    b = star_sample([STAR] * 6, mu1, seed=11)
-    assert a == b
-
-
-def test_star_sample_mixed_positions():
-    mu1 = univariate(B, {"0": Fraction(1, 2), "1": Fraction(1, 2)})
-    word = [pair_symbol("0", "1"), STAR, pair_symbol("1", "0"), STAR]
-    x, xp = star_sample(word, mu1, seed=3)
-    assert (x[0], xp[0]) == ("0", "1")
-    assert (x[2], xp[2]) == ("1", "0")
-    assert x[1] == xp[1] and x[3] == xp[3]
 
 
 def test_build_g_values():
@@ -273,6 +249,13 @@ def test_coupling_identity_size_guard():
                     Fraction(15, 16), Fraction(1, 3))
 
 
+@pytest.mark.parametrize("rate", [Fraction(5), Fraction(-1), Fraction(17, 16)])
+def test_coupling_identity_rejects_a_rate_outside_the_unit_interval(rate):
+    with pytest.raises(ValidationError, match="restriction rate"):
+        check_coupling_identity(fixtures.three_lin(), TableFunction.constant(1, B, 1), 1,
+                                rate, Fraction(1, 3))
+
+
 def test_conditional_product_last_constant_ones():
     mu = fixtures.three_lin()
     fs = [TableFunction.constant(2, B, 1) for _ in range(2)]
@@ -343,46 +326,15 @@ def test_conditional_product_first_correlation_transfer():
             assert abs(lhs) == pytest.approx(abs(rhs), abs=1e-10)
 
 
-def test_product_smoothness_trivial_cases():
-    mu1 = univariate(B, {"0": Fraction(1, 2), "1": Fraction(1, 2)})
-    ones = ProductFunction(B, np.ones((4, 2)))
-    assert product_smoothness(ones, mu1, 0.7) == pytest.approx(0)
-    rng = random.Random(12)
-    p = random_unimodular_product(rng, 4)
-    assert product_smoothness(p, mu1, 0.0) == pytest.approx(0)
-
-
-def test_product_smoothness_matches_bruteforce():
-    rng = random.Random(13)
-    mu1 = univariate(B, {"0": Fraction(1, 3), "1": Fraction(2, 3)})
-    for n in (1, 2, 3):
-        for _ in range(5):
-            rows = [[rng.random() * cmath.exp(2j * cmath.pi * rng.random()) for _ in range(2)]
-                    for _ in range(n)]
-            p = ProductFunction(B, np.array(rows))
-            gamma = rng.random()
-            closed = product_smoothness(p, mu1, gamma)
-            brute = product_smoothness_bruteforce(p, mu1, gamma)
-            assert closed == pytest.approx(brute, abs=1e-12)
-
-
-def test_product_smoothness_monotone_in_gamma():
-    rng = random.Random(14)
-    mu1 = univariate(B, {"0": Fraction(1, 2), "1": Fraction(1, 2)})
-    p = random_unimodular_product(rng, 5)
-    values = [product_smoothness(p, mu1, g / 10) for g in range(11)]
-    for a, b in zip(values, values[1:]):
-        assert b >= a - 1e-12
-
-
-def test_product_smoothness_linear_slope_near_zero():
-    rng = random.Random(15)
-    mu1 = univariate(B, {"0": Fraction(1, 2), "1": Fraction(1, 2)})
-    p = random_unimodular_product(rng, 3)
-    tiny = product_smoothness(p, mu1, 1e-6)
-    small = product_smoothness(p, mu1, 1e-3)
-    assert tiny <= small
-    assert tiny / 1e-6 == pytest.approx(small / 1e-3, rel=1e-2)
+def stability_transfer_holds(mu, f, products) -> bool:
+    """Stab_{1-gamma}(f) >= delta^2 / 4 under the first marginal, where delta is
+    f's exact correlation with the products and gamma = 1e-2 delta^2 / log(1/delta)
+    (capped at 1/2); vacuous at delta = 0."""
+    delta = abs(exact_correlation(mu, [f, *products], f.n).value)
+    if delta <= 1e-6:
+        return True
+    gamma = min(1e-2 * (delta * delta / log(1 / delta) if delta < 1 else 1), 0.5)
+    return stability(f, 1 - gamma, mu.marginal([0])) >= delta * delta / 4 - 1e-12
 
 
 def test_stability_transfer_on_character_like_inputs():
@@ -390,11 +342,9 @@ def test_stability_transfer_on_character_like_inputs():
     mu = fixtures.three_lin()
     for n in (1, 2, 3):
         products = [random_unimodular_product(rng, n, mu.alphabets[i]) for i in (1, 2)]
+        # conditional expectations of 1-bounded products are 1-bounded
         f = conditional_product_given_first(mu, products).to_table()
-        # normalize to 1-bounded (conditional expectations already are)
-        rep = stability_transfer_check(mu, f, products)
-        if rep.delta > 1e-6:
-            assert rep.ok
+        assert stability_transfer_holds(mu, f, products)
 
 
 def test_stability_transfer_noisy_perturbation():
@@ -407,9 +357,7 @@ def test_stability_transfer_noisy_perturbation():
                       for _ in range(len(base.values))])
     perturbed = TableFunction(n, base.alphabet, np.clip ((np.abs(base.values + noise)), 0, 1) *
                               np.exp(1j * np.angle(base.values + noise)))
-    rep = stability_transfer_check(mu, perturbed, products)
-    if rep.delta > 1e-6:
-        assert rep.ok
+    assert stability_transfer_holds(mu, perturbed, products)
 
 
 @settings(max_examples=150, deadline=None)
