@@ -25,7 +25,6 @@ from .distributions import (
     alphabet as make_alphabet,
     decompose_mixture,
     uniform_on,
-    univariate,
 )
 from .embedding import brute_force_embedding, detect_embedding, pairwise_connected, verify_witness
 from .functions import (
@@ -39,6 +38,7 @@ from .functions import (
     stability,
     uniform_measure,
 )
+from .errors import ValidationError
 from .intlattice import IntMatrix, smith_normal_form
 from .reduction import (
     build_paired_copies,
@@ -77,12 +77,6 @@ def _random_unit_disc(rng: random.Random) -> complex:
 
 def _random_table(rng: random.Random, n: int, alpha) -> TableFunction:
     return TableFunction(n, alpha, [_random_unit_disc(rng) for _ in range(len(alpha) ** n)])
-
-
-def _random_measure(rng: random.Random, alpha) -> JointDistribution:
-    masses = [Fraction(rng.randrange(1, 9)) for _ in alpha.symbols]
-    total = sum(masses)
-    return univariate(alpha, {s: m / total for s, m in zip(alpha.symbols, masses)})
 
 
 def _random_full_support_dist(rng: random.Random, alphabets) -> JointDistribution:
@@ -185,7 +179,7 @@ def criterion_4_stability_diagonalization() -> CriterionResult:
     for t in range(count):
         size = rng.randrange(2, 4)
         alpha = make_alphabet([str(i) for i in range(size)])
-        nu = _random_measure(rng, alpha)
+        nu = _random_full_support_dist(rng, [alpha])
         n = rng.randrange(1, 5)
         f = _random_table(rng, n, alpha)
         dec = efron_stein(f, nu)
@@ -325,7 +319,7 @@ def criterion_9_product_ascent() -> CriterionResult:
     for t in range(count):
         size = rng.randrange(2, 4)
         alpha = make_alphabet([str(i) for i in range(size)])
-        nu = _random_measure(rng, alpha)
+        nu = _random_full_support_dist(rng, [alpha])
         n = rng.randrange(1, 4)
         f = _random_table(rng, n, alpha)
         res = best_product_correlation(nu, f, restarts=4, seed=rng.randrange(10 ** 9))
@@ -417,5 +411,5 @@ SUITES = {
 
 def run_suite(name: str) -> list[CriterionResult]:
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise ValidationError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return [fn() for fn in SUITES[name]]

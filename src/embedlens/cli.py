@@ -3,8 +3,8 @@
 Every command emits {"manifest": ..., "result": ...} with a sha256 digest
 of the canonically serialized result, so identical manifests produce
 identical bytes. Exit codes: 0 success, 1 failed verify suite, 2
-validation failure, 3 size guard, 4 parse error or a file that cannot be
-read or written, 5 internal error (a self-check of the program failed).
+validation failure, 3 size guard, 4 parse error (usage errors included) or
+a file that cannot be read or written, 5 internal error (a failed self-check).
 Randomized modes require an explicit --seed; there are no wall-clock
 defaults.
 """
@@ -264,10 +264,7 @@ def _cmd_dicttest(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        results = acceptance.run_suite(args.suite)
-    except KeyError as exc:
-        raise ValidationError(str(exc)) from exc
+    results = acceptance.run_suite(args.suite)
     _print("\n".join(r.line() for r in results))
     summary = {
         "suite": args.suite,
@@ -290,8 +287,15 @@ def _cmd_fixture(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseError (one line, exit 4) instead of exiting."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="embedlens",
         description="Exact embeddability, correlation and stability analysis "
                     "of k-ary distributions.")
@@ -353,9 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -1,13 +1,14 @@
 """k-wise correlations over product powers, exact and Monte Carlo.
 
 Three evaluation routes, chosen by input type: tuples of exact-phase
-characters are folded column-by-column in rational arithmetic (the result
-is an exact complex rational whenever all phase sums stay on the quarter
-circle); tuples of product functions use the per-coordinate factorization;
-anything else goes through dense tables on the per-coordinate tensor path
-of `functions`: the product of f_1..f_{k-1} over the distinct support
-projections S' meets f_k mapped through the S' x a_k joint mass matrix.
-Its guard is the one dense-tensor guard of `functions`.
+characters are folded column-by-column in integers (the result is an exact
+complex rational over D^n, D the distribution's denominator, whenever all
+phase sums stay on the quarter circle); tuples of product functions use the
+per-coordinate factorization; anything else goes through dense tables on
+the per-coordinate tensor path of `functions`: the product of
+f_1..f_{k-1} over the distinct support projections S' meets f_k mapped
+through the S' x a_k joint mass matrix. Its guard is the one dense-tensor
+guard of `functions`.
 
 Also hosts the alternating-ascent search for the best-correlating
 1-bounded product function and the random-restriction correlation
@@ -19,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import fsum, log, sqrt
+from math import fsum, lcm, log, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -93,69 +94,76 @@ def exact_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
 
 
 def _exact_characters(dist, functions, n) -> CorrelationResult:
-    masses = list(dist.atoms.items())
-    exact_re, exact_im = Fraction(1), Fraction(0)
-    exact_ok = True
-    value = 1 + 0j
-    quarters = {Fraction(0): (1, 0), Fraction(1, 4): (0, 1),
-                Fraction(1, 2): (-1, 0), Fraction(3, 4): (0, -1)}
+    """Fold in integers: phases over the lcm of their denominators, masses
+    over the distribution's D, and the exact value (re + i im) / D^j after j
+    columns. Columns with the same phase rows are bucketed once."""
+    phase_den = lcm(*(p.denominator for f in functions for row in f.phases for p in row))
+    phases = [[tuple(p.numerator * (phase_den // p.denominator) for p in row) for row in f.phases]
+              for f in functions]
+    d = dist.denominator
+    exact, value = (1, 0), 1 + 0j
+    columns: dict = {}
     for j in range(n):
-        buckets: dict[Fraction, Fraction] = {}
-        for atom, mass in masses:
-            ph = sum((f.phase_at(j, atom[i]) for i, f in enumerate(functions)),
-                     Fraction(0)) % 1
-            buckets[ph] = buckets.get(ph, Fraction(0)) + mass
-        col = complex(fsum(float(m) * _unit(ph).real for ph, m in buckets.items()),
-                      fsum(float(m) * _unit(ph).imag for ph, m in buckets.items()))
+        rows = tuple(ph[j] for ph in phases)
+        if rows not in columns:
+            buckets: dict[int, int] = {}
+            for code, w in zip(dist.codes, dist.weights):
+                ph = sum([row[c] for row, c in zip(rows, code)]) % phase_den
+                buckets[ph] = buckets.get(ph, 0) + w
+            units = [(w, _unit(ph, phase_den)) for ph, w in buckets.items()]
+            on_quarters = all(4 * ph % phase_den == 0 for ph in buckets)  # units 1, i, -1, -i
+            columns[rows] = (
+                complex(fsum(w / d * u.real for w, u in units),
+                        fsum(w / d * u.imag for w, u in units)),
+                (sum(w * int(u.real) for w, u in units),
+                 sum(w * int(u.imag) for w, u in units)) if on_quarters else None)
+        col, step = columns[rows]
         value *= col
-        if exact_ok and all(ph in quarters for ph in buckets):
-            cre = sum((m * quarters[ph][0] for ph, m in buckets.items()), Fraction(0))
-            cim = sum((m * quarters[ph][1] for ph, m in buckets.items()), Fraction(0))
-            exact_re, exact_im = (exact_re * cre - exact_im * cim,
-                                  exact_re * cim + exact_im * cre)
+        if exact and step:
+            (re, im), (cre, cim) = exact, step
+            exact = (re * cre - im * cim, re * cim + im * cre)
         else:
-            exact_ok = False
-    if exact_ok:
-        return CorrelationResult(complex(float(exact_re), float(exact_im)), "exact",
-                                 exact=(exact_re, exact_im))
+            exact = None
+    if exact:
+        exact = (Fraction(exact[0], d ** n), Fraction(exact[1], d ** n))
+        return CorrelationResult(complex(float(exact[0]), float(exact[1])), "exact", exact=exact)
     return CorrelationResult(value, "exact")
 
 
 def _exact_products(dist, prods: Sequence[ProductFunction], n) -> CorrelationResult:
-    masses = [(x, float(m)) for x, m in dist.atoms.items()]
+    masses = [(x, w / dist.denominator) for x, w in zip(dist.codes, dist.weights)]
     value = 1 + 0j
     for j in range(n):
         terms = []
-        for atom, m in masses:
+        for code, m in masses:
             t = m + 0j
             for i, f in enumerate(prods):
-                t *= f.factors[j, f.alphabet.index(atom[i])]
+                t *= f.factors[j, code[i]]
             terms.append(t)
         value *= complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
     return CorrelationResult(value, "exact")
 
 
-def _head_columns(dist: JointDistribution) -> tuple[list[list[int]], list[list[Fraction]]]:
+def _head_columns(dist: JointDistribution) -> tuple[list[list[int]], list[list[int]]]:
     """The distinct projections S' of the support onto the first k-1 coordinates.
 
     Returns, for each of those coordinates, the symbol index of every column
-    in S' (in support order), and the S' x a_k matrix of exact joint masses.
+    in S' (in support order), and the S' x a_k matrix of joint mass weights.
     """
-    heads = list(dict.fromkeys(x[:-1] for x in dist.support))
+    heads = list(dict.fromkeys(x[:-1] for x in dist.codes))
     row = {h: r for r, h in enumerate(heads)}
-    last = dist.alphabets[-1]
-    joint = [[Fraction(0)] * len(last) for _ in heads]
-    for x, m in dist.atoms.items():
-        joint[row[x[:-1]]][last.index(x[-1])] = m
-    index_lists = [[dist.alphabets[i].index(h[i]) for h in heads] for i in range(dist.k - 1)]
-    return index_lists, joint
+    joint = [[0] * len(dist.alphabets[-1]) for _ in heads]
+    for x, w in zip(dist.codes, dist.weights):
+        joint[row[x[:-1]]][x[-1]] = w
+    return [list(col) for col in zip(*heads)], joint
 
 
 def _exact_tables(dist, functions, n) -> CorrelationResult:
     tables = [f if isinstance(f, TableFunction) else f.to_table() for f in functions]
     index_lists, joint = _head_columns(dist)
+    masses = np.array([[w / dist.denominator for w in row] for row in joint])
     heads = column_product(tables[:-1], index_lists, n)
-    terms = np.ravel(heads * column_map(tables[-1].values, np.array(joint, dtype=float), n))
+    terms = np.ravel(heads * column_map(tables[-1].values, masses, n))
     return CorrelationResult(complex(fsum(terms.real), fsum(terms.imag)), "exact")
 
 
@@ -273,7 +281,7 @@ def restricted_product_correlation(f: TableFunction, nu: JointDistribution,
         raise ValidationError("trials must be positive")
     keep_prob = 1 - float(delta)
     rng = random.Random(seed)
-    chooser = ExactChooser(nu.support, [nu.atoms[x] for x in nu.support])
+    chooser = ExactChooser(nu.support, nu.weights)
     hits = 0
     for _ in range(trials):
         assignment = {

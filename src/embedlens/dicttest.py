@@ -7,11 +7,11 @@ decision diagram of f, compiled once: the nodes at depth j are the
 distinct restrictions of f by a j-symbol prefix, and a restriction that is
 constant is absorbed at once. A state is the k-tuple of the rows' nodes;
 each column is one vectorised step over all states and atoms, with integer
-weights over a power of the masses' common denominator and one Fraction at
-the end. Dictators and constants keep one state per column, so exact
-completeness checks run even when a local distribution has thousands of
-atoms. The DP stops when no state is left, and TRANSITION_GUARD bounds its
-total transitions (states times atoms, summed over columns and
+weights over a power of the local distribution's denominator and one
+Fraction at the end. Dictators and constants keep one state per column, so
+exact completeness checks run even when a local distribution has thousands
+of atoms. The DP stops when no state is left, and TRANSITION_GUARD bounds
+its total transitions (states times atoms, summed over columns and
 constraints). Monte Carlo acceptance draws samples x n columns, at most
 `distributions.MC_DRAW_GUARD`. The test needs only `instance_violations`;
 `validate_instance` adds the embedding analysis of each local distribution.
@@ -23,7 +23,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +34,7 @@ from .distributions import (
     JointDistribution,
     alphabet as make_alphabet,
     check_draws,
+    integer_weights,
 )
 from .embedding import connected, detect_embedding, pairwise_connected
 from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, read_json, write_json
@@ -85,6 +85,8 @@ class DictatorFunction(SymbolFunction):
 
 class ConstantSymbolFunction(SymbolFunction):
     def __init__(self, n: int, alpha: Alphabet, value: str):
+        if n < 0:
+            raise ValidationError("arity must be nonnegative")
         if value not in alpha:
             raise ValidationError(f"constant {value!r} not in alphabet")
         self.n = n
@@ -260,7 +262,7 @@ def run_test_exact(inst: TestInstance, f: SymbolFunction, n: int) -> Fraction:
         raise ValidationError("function alphabet mismatch")
     if isinstance(f, DictatorFunction):
         # one state per column for c + 1 columns: refuse before building them
-        needed = (f.coordinate + 1) * sum(len(mu.atoms) for _, mu in inst.constraints)
+        needed = (f.coordinate + 1) * sum(len(mu.codes) for _, mu in inst.constraints)
         if needed > TRANSITION_GUARD:
             raise SizeGuardError(
                 f"acceptance DP needs {needed} transitions; guard is {TRANSITION_GUARD}")
@@ -307,19 +309,17 @@ def _acceptance_one(mu: JointDistribution, pred: Predicate, root: int,
                     layers: list[np.ndarray], spent: int) -> tuple[Fraction, int]:
     """Acceptance under one local distribution, and the transition count so far.
 
-    A state is a k-tuple of diagram node ids, one per row. Masses are
-    integers over D = lcm of their denominators, so after j columns every
-    weight is an integer over D^j and `accept` is one over D^(j+1) after
-    column j; the only division is the final Fraction."""
+    A state is a k-tuple of diagram node ids, one per row. Masses are the
+    distribution's integer weights over its denominator D, so after j
+    columns every weight is an integer over D^j and `accept` is one over
+    D^(j+1) after column j; the only division is the final Fraction."""
     a, k = len(pred.alphabet), pred.k
     truth = np.array(pred.truth, dtype=bool)
     place = a ** np.arange(k - 1, -1, -1)
     if root < a:
         return Fraction(int(truth[root * place.sum()])), spent
-    cols = np.array([[pred.alphabet.index(s) for s in x] for x in mu.atoms], dtype=np.int64)
-    denom = lcm(*(p.denominator for p in mu.atoms.values()))
-    mass = np.array([p.numerator * (denom // p.denominator) for p in mu.atoms.values()],
-                    dtype=object)
+    cols = np.array(mu.codes, dtype=np.int64)
+    mass = np.array(mu.weights, dtype=object)
     states = np.full((1, k), root, dtype=np.int64)
     weights = np.array([1], dtype=object)
     accept = 0
@@ -332,9 +332,9 @@ def _acceptance_one(mu: JointDistribution, pred: Predicate, root: int,
         nxt = layer[states[:, None, :], cols[None, :, :]].reshape(-1, k)
         w = np.multiply.outer(weights, mass).reshape(-1)
         done = (nxt < a).all(axis=1)
-        accept = accept * denom + sum(w[done][truth[nxt[done] @ place]].tolist())
+        accept = accept * mu.denominator + sum(w[done][truth[nxt[done] @ place]].tolist())
         if done.all():
-            return Fraction(accept, denom ** (depth + 1)), spent
+            return Fraction(accept, mu.denominator ** (depth + 1)), spent
         states, weights = _merge(nxt[~done], w[~done])
     raise AssertionError("acceptance DP left unabsorbed states")
 
@@ -380,11 +380,8 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
     check_draws(samples, f.n)
     rng = random.Random(seed)
     picker = ExactChooser(range(len(inst.constraints)),
-                          [w for w, _ in inst.constraints])
-    column_choosers = [
-        ExactChooser(mu.support, [mu.atoms[x] for x in mu.support])
-        for _, mu in inst.constraints
-    ]
+                          integer_weights([w for w, _ in inst.constraints])[0])
+    column_choosers = [ExactChooser(mu.support, mu.weights) for _, mu in inst.constraints]
     k = inst.predicate.k
     accepted = 0
     for _ in range(samples):

@@ -1,10 +1,9 @@
 """Exact k-ary distributions over finite alphabets.
 
-All probabilities are arbitrary-precision rationals (`fractions.Fraction`);
-floating point enters only downstream, in function values and correlations.
-Support means strictly positive mass: zero-mass atoms are dropped at
-construction. Atom order is canonical (lexicographic by symbol indices) and
-every enumeration order in the package derives from it.
+Masses are held once, as integer weights over one denominator D (the lcm of
+the reduced masses' denominators) on atoms coded as symbol-index tuples in
+canonical, lexicographic order, from which every enumeration order derives.
+A float mass is the correctly rounded w / D. Zero-mass atoms are dropped.
 """
 
 from __future__ import annotations
@@ -13,7 +12,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, read_json, write_json
@@ -61,53 +62,67 @@ def alphabet(symbols: Iterable[str]) -> Alphabet:
 
 
 class JointDistribution:
-    """A k-ary distribution with exact rational atom masses.
+    """A k-ary distribution, immutable: atom `codes[i]` has mass weights[i] / denominator.
 
-    Immutable after construction; all derived operations return fresh
-    objects. `support` is sorted lexicographically by symbol indices.
+    `support` decodes the codes; `atoms`, `mass` and `min_atom_mass` read
+    masses as Fractions.
     """
 
     def __init__(self, alphabets: Sequence[Alphabet], atoms: Mapping[Atom, Fraction]):
-        self.alphabets: tuple[Alphabet, ...] = tuple(alphabets)
-        violations = self._violations(atoms)
+        alphabets = tuple(alphabets)
+        violations, kept = [], {}
+        for x, p in atoms.items():
+            if len(x) != len(alphabets):
+                violations.append(f"atom {x} has arity {len(x)}, expected {len(alphabets)}")
+                continue
+            violations.extend(f"atom {x}: symbol {s!r} not in alphabet {i}"
+                              for i, s in enumerate(x) if s not in alphabets[i])
+            kept[x] = p if isinstance(p, (int, Fraction)) else Fraction(p)  # a float, exactly
+            if kept[x].numerator < 0:
+                violations.append(f"negative mass at atom {x}")
+        weights, denominator = integer_weights(list(kept.values()))
+        if sum(weights) != denominator:
+            violations.append(f"mass sum != 1 (got {Fraction(sum(weights), denominator)})")
         if violations:
             raise ValidationError("; ".join(violations))
-        kept = {tuple(x): Fraction(p) for x, p in atoms.items() if p > 0}
-        order = sorted(kept, key=self._index_key)
-        self.atoms: dict[Atom, Fraction] = {x: kept[x] for x in order}
-        self.support: tuple[Atom, ...] = tuple(order)
+        lookups = [a._index for a in alphabets]
+        coded = {tuple([lookup[s] for lookup, s in zip(lookups, x)]): w
+                 for x, w in zip(kept, weights)}
+        vars(self).update(vars(JointDistribution._from_weights(alphabets, coded, denominator)))
 
-    def _violations(self, atoms: Mapping[Atom, Fraction]) -> list[str]:
-        """Sum-to-one, nonnegativity and alphabet consistency of raw atom data."""
-        k = len(self.alphabets)
-        violations = []
-        total = Fraction(0)
-        for x, p in atoms.items():
-            if len(x) != k:
-                violations.append(f"atom {x} has arity {len(x)}, expected {k}")
-                continue
-            for i, s in enumerate(x):
-                if s not in self.alphabets[i]:
-                    violations.append(f"atom {x}: symbol {s!r} not in alphabet {i}")
-            if p < 0:
-                violations.append(f"negative mass at atom {x}")
-            total += p
-        if total != 1:
-            violations.append(f"mass sum != 1 (got {total})")
-        return violations
-
-    def _index_key(self, x: Atom) -> tuple[int, ...]:
-        return tuple(a.index(s) for a, s in zip(self.alphabets, x))
+    @classmethod
+    def _from_weights(cls, alphabets: Sequence[Alphabet], weights: Mapping[tuple[int, ...], int],
+                      denominator: int) -> "JointDistribution":
+        """Mass w / denominator at each code; weights are nonnegative and sum to it."""
+        codes = sorted(c for c, w in weights.items() if w)
+        kept = [weights[c] for c in codes]
+        if sum(kept) != denominator:
+            raise AssertionError(f"masses sum to {sum(kept)}/{denominator}, not one")
+        g = gcd(denominator, *kept)  # reduce D to the lcm of the reduced denominators
+        symbols = [a.symbols for a in alphabets]
+        dist = cls.__new__(cls)
+        dist.alphabets = tuple(alphabets)
+        dist.codes: tuple[tuple[int, ...], ...] = tuple(codes)
+        dist.weights: tuple[int, ...] = tuple(w // g for w in kept)
+        dist.denominator: int = denominator // g
+        dist.support: tuple[Atom, ...] = tuple(
+            tuple([syms[i] for syms, i in zip(symbols, c)]) for c in codes)
+        return dist
 
     @property
     def k(self) -> int:
         return len(self.alphabets)
 
+    @cached_property
+    def atoms(self) -> dict[Atom, Fraction]:
+        """Support atom -> mass, in support order."""
+        return {x: Fraction(w, self.denominator) for x, w in zip(self.support, self.weights)}
+
     def mass(self, x: Atom) -> Fraction:
         return self.atoms.get(tuple(x), Fraction(0))
 
     def min_atom_mass(self) -> Fraction:
-        return min(self.atoms.values())
+        return Fraction(min(self.weights), self.denominator)
 
     def marginal(self, coords: Iterable[int]) -> "JointDistribution":
         """Exact marginal on the given coordinate subset (ascending order)."""
@@ -117,45 +132,44 @@ class JointDistribution:
         for c in coords:
             if not 0 <= c < self.k:
                 raise ValidationError(f"coordinate {c} out of range for k={self.k}")
-        out: dict[Atom, Fraction] = {}
-        for x, p in self.atoms.items():
-            y = tuple(x[c] for c in coords)
-            out[y] = out.get(y, Fraction(0)) + p
-        return JointDistribution([self.alphabets[c] for c in coords], out)
+        out: dict[tuple[int, ...], int] = {}
+        for x, w in zip(self.codes, self.weights):
+            y = tuple([x[c] for c in coords])
+            out[y] = out.get(y, 0) + w
+        return JointDistribution._from_weights([self.alphabets[c] for c in coords], out,
+                                               self.denominator)
 
     def condition(self, coord: int, value: str) -> "JointDistribution":
         """Distribution of the remaining k-1 coordinates given coordinate `coord` = `value`."""
         if not 0 <= coord < self.k:
             raise ValidationError(f"coordinate {coord} out of range for k={self.k}")
-        total = Fraction(0)
-        out: dict[Atom, Fraction] = {}
-        for x, p in self.atoms.items():
-            if x[coord] == value:
-                total += p
-                y = x[:coord] + x[coord + 1:]
-                out[y] = out.get(y, Fraction(0)) + p
+        v = self.alphabets[coord]._index.get(value)
+        out: dict[tuple[int, ...], int] = {}
+        for x, w in zip(self.codes, self.weights):
+            if x[coord] == v:  # distinct codes stay distinct without coordinate `coord`
+                out[x[:coord] + x[coord + 1:]] = w
+        total = sum(out.values())  # the conditional mass w / D over total / D is w / total
         if total == 0:
             raise ValidationError(f"conditioning on zero-mass value {value!r} at coordinate {coord}")
-        out = {y: p / total for y, p in out.items()}
         rest = self.alphabets[:coord] + self.alphabets[coord + 1:]
-        return JointDistribution(rest, out)
+        return JointDistribution._from_weights(rest, out, total)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointDistribution):
             return NotImplemented
-        return self.alphabets == other.alphabets and self.atoms == other.atoms
+        return (self.alphabets, self.codes, self.weights, self.denominator) == (
+            other.alphabets, other.codes, other.weights, other.denominator)
 
     def __repr__(self) -> str:
         return f"JointDistribution(k={self.k}, |supp|={len(self.support)})"
 
     def to_json(self) -> dict:
-        return {
-            "alphabets": [list(a.symbols) for a in self.alphabets],
-            "atoms": [
-                {"x": list(x), "p": [p.numerator, p.denominator]}
-                for x, p in self.atoms.items()
-            ],
-        }
+        d = self.denominator
+        atoms = []
+        for x, w in zip(self.support, self.weights):
+            g = gcd(w, d)
+            atoms.append({"x": list(x), "p": [w // g, d // g]})
+        return {"alphabets": [list(a.symbols) for a in self.alphabets], "atoms": atoms}
 
     @classmethod
     def from_json(cls, data: dict) -> "JointDistribution":
@@ -165,7 +179,8 @@ class JointDistribution:
             for entry in data["atoms"]:
                 x = tuple(str(s) for s in entry["x"])
                 num, den = entry["p"]
-                atoms[x] = atoms.get(x, Fraction(0)) + Fraction(num, den)
+                p = Fraction(num, den)
+                atoms[x] = atoms[x] + p if x in atoms else p
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad distribution payload: {exc}") from exc
         return cls(alphabets, atoms)
@@ -176,6 +191,12 @@ class JointDistribution:
 
     def save(self, path: str) -> None:
         write_json(path, self.to_json())
+
+
+def integer_weights(masses: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The numerators of `masses` over D, the lcm of their denominators, and D."""
+    d = lcm(*{p.denominator for p in masses})
+    return [p.numerator * (d // p.denominator) for p in masses], d
 
 
 def univariate(alpha: Alphabet | Iterable[str], masses: Mapping[str, Fraction]) -> JointDistribution:
@@ -202,15 +223,18 @@ def decompose_mixture(total: JointDistribution, base: JointDistribution,
         raise ValidationError(f"mixture weight must lie in (0,1), got {c}")
     if total.alphabets != base.alphabets:
         raise ValidationError("mixture components must share alphabets")
-    out: dict[Atom, Fraction] = dict(total.atoms)
-    for x, p in base.atoms.items():
-        r = out.get(x, Fraction(0)) - c * p
+    # (1 - c) nu = total - c base over dt * db * c_den; nu is over dt * db * (c_den - c_num)
+    dt, db = total.denominator, base.denominator
+    scale, cb = db * c.denominator, dt * c.numerator
+    out = {x: w * scale for x, w in zip(total.codes, total.weights)}
+    for x, atom, w in zip(base.codes, base.support, base.weights):
+        r = out.get(x, 0) - cb * w
         if r < 0:
-            raise ValidationError(
-                f"negative residual at atom {x}: total={total.mass(x)}, c*base={c * p}")
+            raise ValidationError(f"negative residual at atom {atom}: "
+                                  f"total={total.mass(atom)}, c*base={c * Fraction(w, db)}")
         out[x] = r
-    nu = {x: p / (1 - c) for x, p in out.items() if p > 0}
-    return JointDistribution(total.alphabets, nu)
+    return JointDistribution._from_weights(total.alphabets, out,
+                                           dt * db * (c.denominator - c.numerator))
 
 
 def check_draws(samples: int, n: int) -> None:
@@ -221,25 +245,18 @@ def check_draws(samples: int, n: int) -> None:
 
 
 class ExactChooser:
-    """Samples atoms with exact rational weights via integer arithmetic.
+    """Samples items with exact integer weights, such as a distribution's `weights`.
 
-    Draws an integer uniform in [0, D) with D the common denominator, then
-    a binary search over cumulative numerators: no float thresholds, so a
-    fixed seed reproduces draws bit-exactly.
+    Draws an integer uniform in [0, sum of weights), then a binary search over
+    cumulative weights: no float thresholds, so a seed replays draws bit-exactly.
     """
 
-    def __init__(self, items: Sequence, weights: Sequence[Fraction]):
+    def __init__(self, items: Sequence, weights: Sequence[int]):
         if len(items) != len(weights) or not items:
             raise ValidationError("chooser needs matching non-empty items/weights")
         self.items = list(items)
-        d = lcm(*[w.denominator for w in weights]) if len(weights) > 1 else weights[0].denominator
-        cum = []
-        acc = 0
-        for w in weights:
-            acc += w.numerator * (d // w.denominator)
-            cum.append(acc)
-        self.total = acc
-        self.cumulative = cum
+        self.cumulative = list(accumulate(weights))
+        self.total = self.cumulative[-1]
 
     def draw(self, rng: random.Random):
         r = rng.randrange(self.total)
@@ -261,11 +278,8 @@ class ProductPowerSampler:
         self.n = n
         self.seed = seed
         self._rng = random.Random(seed)
-        self._chooser = ExactChooser(base.support, [base.atoms[x] for x in base.support])
-
-    def draw_column(self) -> Atom:
-        return self._chooser.draw(self._rng)
+        self._chooser = ExactChooser(base.support, base.weights)
 
     def sample(self) -> tuple[tuple[str, ...], ...]:
-        cols = [self.draw_column() for _ in range(self.n)]
+        cols = [self._chooser.draw(self._rng) for _ in range(self.n)]
         return tuple(tuple(col[i] for col in cols) for i in range(self.base.k))

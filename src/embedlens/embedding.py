@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .distributions import Alphabet, Atom, JointDistribution
+from .distributions import Alphabet, Atom, JointDistribution, uniform_on
 from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError
 from .intlattice import IntMatrix, normalize_vector, row_basis, smith_normal_form
 
@@ -77,24 +77,22 @@ class DisconnectedPair:
     side_j: frozenset[str]
 
 
-def constraint_matrix(support: Iterable[Atom], alphabets: Sequence[Alphabet]) -> ConstraintMatrix:
-    support = sorted(support, key=lambda x: tuple(a.index(s) for a, s in zip(alphabets, x)))
-    if not support:
-        raise ValidationError("support must be non-empty")
-    base = support[0]
+def constraint_matrix(dist: JointDistribution) -> ConstraintMatrix:
+    """The constraint rows of `dist`'s support, base point its first atom."""
+    base = dist.codes[0]
     index_map: list[tuple[int, str]] = []
-    col_of: dict[tuple[int, str], int] = {}
-    for i, a in enumerate(alphabets):
-        for sym in a.symbols:
-            if sym != base[i]:
-                col_of[(i, sym)] = len(index_map)
+    col_of: dict[tuple[int, int], int] = {}  # (coordinate, symbol index) -> column
+    for i, a in enumerate(dist.alphabets):
+        for c, sym in enumerate(a.symbols):
+            if c != base[i]:
+                col_of[i, c] = len(index_map)
                 index_map.append((i, sym))
     s = len(index_map)
     if s == 0:
-        return ConstraintMatrix(base, 0, (), None)
-    rows = tuple(tuple(col_of[(i, sym)] for i, sym in enumerate(x) if sym != base[i])
-                 for x in support)
-    return ConstraintMatrix(base, s, tuple(index_map), rows)
+        return ConstraintMatrix(dist.support[0], 0, (), None)
+    rows = tuple(tuple([col_of[i, c] for i, c in enumerate(x) if c != base[i]])
+                 for x in dist.codes)
+    return ConstraintMatrix(dist.support[0], s, tuple(index_map), rows)
 
 
 def _witness_from_vector(cm: ConstraintMatrix, alphabets: Sequence[Alphabet],
@@ -133,7 +131,7 @@ def detect_embedding(dist: JointDistribution) -> EmbeddingVerdict:
     a kernel vector of the rows if the rank is deficient (target Z), else
     the V-column of the smallest divisor d > 1 reduced mod d (target Z_d).
     """
-    cm = constraint_matrix(dist.support, dist.alphabets)
+    cm = constraint_matrix(dist)
     if cm.s == 0:
         return EmbeddingVerdict(False, None, (), 0, 0)
     basis = row_basis([dict.fromkeys(cols, 1) for cols in cm.rows], cm.s)
@@ -184,7 +182,9 @@ def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet]
     that enumeration order.
     """
     support = list(support)
-    cm = constraint_matrix(support, alphabets)
+    if not support:
+        raise ValidationError("support must be non-empty")
+    cm = constraint_matrix(uniform_on(alphabets, set(support)))
     if cm.s == 0:
         return None
     constraints = _dedupe_constraints(cm)
@@ -369,7 +369,7 @@ def pairwise_connected(dist: JointDistribution) -> tuple[bool, DisconnectedPair 
             for (a, b) in {(x[i], x[j]) for x in dist.support}:
                 adj_i.setdefault(a, set()).add(b)
                 adj_j.setdefault(b, set()).add(a)
-            start = min(adj_i, key=dist.alphabets[i].index)
+            start = dist.alphabets[i].symbols[min(x[i] for x in dist.codes)]
             seen_i, seen_j = {start}, set()
             stack = [("i", start)]
             while stack:

@@ -77,13 +77,8 @@ def a5_triple_product() -> JointDistribution:
     """Uniform on {(x, y, z) : x * y * z = identity} over A5^3 (3600 atoms)."""
     alpha, names = a5_alphabet()
     elems = a5_elements()
-    mass = Fraction(1, len(elems) ** 2)
-    atoms = {}
-    for x in elems:
-        for y in elems:
-            z = _invert(_compose(x, y))
-            atoms[(names[x], names[y], names[z])] = mass
-    return JointDistribution([alpha, alpha, alpha], atoms)
+    return uniform_on([alpha, alpha, alpha], [(names[x], names[y], names[_invert(_compose(x, y))])
+                                              for x in elems for y in elems])
 
 
 def three_lin_instance():

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import Alphabet, JointDistribution, alphabet as make_alphabet
+from .distributions import Alphabet, JointDistribution, alphabet as make_alphabet, uniform_on
 from .embedding import EmbeddingWitness
 from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, read_json
 
@@ -34,8 +34,8 @@ TENSOR_GUARD = 10 ** 7  # entries of the largest dense tensor any route may buil
 
 
 def is_table_length(length: int, a: int, n: int) -> bool:
-    """length == a ** n, decided without building a ** n for a huge n."""
-    return (a == 1 or n <= length.bit_length()) and length == a ** n
+    """n >= 0 and length == a ** n, decided without building a ** n for a huge n."""
+    return n >= 0 and (a == 1 or n <= length.bit_length()) and length == a ** n
 
 
 class TableFunction:
@@ -178,15 +178,13 @@ class CharacterProduct:
     def n(self) -> int:
         return len(self.phases)
 
-    def phase_at(self, j: int, sym: str) -> Fraction:
-        return self.phases[j][self.alphabet.index(sym)]
-
     def evaluate(self, x: Sequence[str]) -> complex:
-        total = sum((self.phase_at(j, sym) for j, sym in enumerate(x)), Fraction(0)) % 1
-        return _unit(total)
+        total = sum((self.phases[j][self.alphabet.index(sym)] for j, sym in enumerate(x)),
+                    Fraction(0))
+        return _unit(total.numerator, total.denominator)
 
     def to_product(self) -> ProductFunction:
-        rows = [[_unit(p) for p in row] for row in self.phases]
+        rows = [[_unit(p.numerator, p.denominator) for p in row] for row in self.phases]
         return ProductFunction(self.alphabet, np.array(rows, dtype=np.complex128)
                                .reshape(self.n, len(self.alphabet)))
 
@@ -199,17 +197,12 @@ def _require_finite(values: np.ndarray) -> None:
         raise ValidationError("function values must be finite (no NaN or infinity)")
 
 
-def _unit(phase: Fraction) -> complex:
-    phase %= 1
-    if phase == 0:
-        return 1 + 0j
-    if phase == Fraction(1, 2):
-        return -1 + 0j
-    if phase == Fraction(1, 4):
-        return 1j
-    if phase == Fraction(3, 4):
-        return -1j
-    return cmath.exp(2j * cmath.pi * float(phase))
+def _unit(num: int, den: int) -> complex:
+    """exp(2 pi i num / den), exact on the quarter circle."""
+    quarter, rest = divmod(4 * num % (4 * den), den)
+    if rest == 0:
+        return (1 + 0j, 1j, -1 + 0j, -1j)[quarter]
+    return cmath.exp(2j * cmath.pi * (num % den / den))
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +213,12 @@ def _measure_weights(nu: JointDistribution, alpha: Alphabet) -> np.ndarray:
         raise ValidationError("measure must be univariate")
     if nu.alphabets[0] != alpha:
         raise ValidationError("measure alphabet does not match function alphabet")
-    return np.array([float(nu.mass((s,))) for s in alpha.symbols])
+    weight = dict(zip(nu.codes, nu.weights))
+    return np.array([weight.get((s,), 0) / nu.denominator for s in range(len(alpha))])
 
 
 def uniform_measure(alpha: Alphabet) -> JointDistribution:
-    p = Fraction(1, len(alpha))
-    return JointDistribution([alpha], {(s,): p for s in alpha.symbols})
+    return uniform_on([alpha], [(s,) for s in alpha.symbols])
 
 
 def _weight_tensor(w: np.ndarray, n: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import fsum
+from math import fsum, lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +23,9 @@ import numpy as np
 from .correlation import _head_columns, exact_correlation
 from .distributions import (
     Alphabet,
-    Atom,
     JointDistribution,
     alphabet as make_alphabet,
+    decompose_mixture,
 )
 from .errors import SizeGuardError, ValidationError
 from .functions import (
@@ -93,8 +93,9 @@ class StarCouplingParams:
 
 def diagonal_pairing(dist: JointDistribution) -> JointDistribution:
     """The measure on doubled coordinates carried by atoms (y, y)."""
-    return JointDistribution(dist.alphabets * 2,
-                             {x + x: p for x, p in dist.atoms.items()})
+    return JointDistribution._from_weights(
+        dist.alphabets * 2, {x + x: w for x, w in zip(dist.codes, dist.weights)},
+        dist.denominator)
 
 
 def build_paired_copies(dist: JointDistribution) -> JointDistribution:
@@ -102,20 +103,24 @@ def build_paired_copies(dist: JointDistribution) -> JointDistribution:
 
     Sample the last coordinate, then two independent draws of the rest
     conditioned on it. The diagonal carries at least the squared marginal
-    mass, which is what makes the alpha^2 mixture split below possible.
+    mass, which is what makes the alpha^2 mixture split below possible. In
+    weights, (y, y') given a last symbol of weight W has mass w_y w_y' / (D W).
     """
     if dist.k < 2:
         raise ValidationError("need at least two coordinates")
     last = dist.k - 1
-    muk = dist.marginal([last])
-    out: dict[Atom, Fraction] = {}
-    for (v,), w in muk.atoms.items():
-        cond = dist.condition(last, v)
-        for y, p in cond.atoms.items():
-            for y2, p2 in cond.atoms.items():
-                key = y + y2
-                out[key] = out.get(key, Fraction(0)) + w * p * p2
-    return JointDistribution(dist.alphabets[:last] * 2, out)
+    cells: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for x, w in zip(dist.codes, dist.weights):
+        cells.setdefault(x[last], []).append((x[:last], w))
+    common = lcm(*(sum(w for _, w in cell) for cell in cells.values()))
+    out: dict[tuple[int, ...], int] = {}
+    for cell in cells.values():
+        scale = common // sum(w for _, w in cell)
+        for y, w in cell:
+            for y2, w2 in cell:
+                out[y + y2] = out.get(y + y2, 0) + w * w2 * scale
+    return JointDistribution._from_weights(dist.alphabets[:last] * 2, out,
+                                           dist.denominator * common)
 
 
 def star_coupling_params(dist: JointDistribution, p_star: Fraction) -> StarCouplingParams:
@@ -132,30 +137,31 @@ def star_coupling_params(dist: JointDistribution, p_star: Fraction) -> StarCoupl
     mu1 = dist.marginal([0])
     if a2 == 1:
         return StarCouplingParams(Fraction(0), Fraction(p_star), paired.marginal(first_pair), mu1)
-    from .distributions import decompose_mixture
-
     diag = diagonal_pairing(dist.marginal(list(range(dist.k - 1))))
     nu = decompose_mixture(paired, diag, a2)
     return StarCouplingParams(1 - a2, Fraction(p_star), nu.marginal(first_pair), mu1)
 
 
 def build_star_coupling(params: StarCouplingParams) -> JointDistribution:
-    """Exact three-branch mixture over Sigma x Sigma x Sigma^+."""
+    """Exact three-branch mixture over Sigma x Sigma x Sigma^+.
+
+    Pair symbol (a, b) is symbol a |Sigma| + b of Sigma^+ and the star is the
+    last; weights are over both branch denominators, D(nu1) and D(mu1).
+    """
     sigma = params.mu1.alphabets[0]
     star = StarAlphabet.build(sigma)
-    atoms: dict[Atom, Fraction] = {}
-
-    def add(key: Atom, mass: Fraction):
-        if mass > 0:
-            atoms[key] = atoms.get(key, Fraction(0)) + mass
-
-    for (a, b), m in params.nu1.atoms.items():
-        add((a, b, pair_symbol(a, b)), params.p_nu * m)
-    diag_w = 1 - params.p_nu
-    for (x,), m in params.mu1.atoms.items():
-        add((x, x, pair_symbol(x, x)), diag_w * (1 - params.p_star) * m)
-        add((x, x, STAR), diag_w * params.p_star * m)
-    return JointDistribution([sigma, sigma, star.alphabet], atoms)
+    a = len(sigma)
+    pn, pd = params.p_nu.numerator, params.p_nu.denominator
+    sn, sd = params.p_star.numerator, params.p_star.denominator
+    dn, dm = params.nu1.denominator, params.mu1.denominator
+    out: dict[tuple[int, ...], int] = {}
+    for (x, y), w in zip(params.nu1.codes, params.nu1.weights):
+        out[(x, y, x * a + y)] = pn * sd * dm * w
+    for (x,), w in zip(params.mu1.codes, params.mu1.weights):
+        diag = (x, x, x * a + x)
+        out[diag] = out.get(diag, 0) + (pd - pn) * (sd - sn) * dn * w
+        out[(x, x, a * a)] = (pd - pn) * sn * dn * w
+    return JointDistribution._from_weights([sigma, sigma, star.alphabet], out, pd * sd * dn * dm)
 
 
 def build_g(f1: TableFunction, mu1: JointDistribution) -> TableFunction:
@@ -208,7 +214,7 @@ def check_coupling_identity(dist: JointDistribution, f1: TableFunction, n: int,
     lhs = exact_correlation(coupling, [f1, f1.conj(), g.conj()], n).value
 
     rho = float(1 - params.p_star)
-    pairs = list(params.nu1.atoms.items())
+    pairs = list(zip(params.nu1.support, params.nu1.weights))
     terms = []
     for mask in range(2 ** n):
         inside = [j for j in range(n) if mask >> j & 1]
@@ -216,13 +222,9 @@ def check_coupling_identity(dist: JointDistribution, f1: TableFunction, n: int,
         if w_i == 0:
             continue
         for assign in iter_product(pairs, repeat=len(inside)):
-            w_z = Fraction(1)
-            z: dict[int, str] = {}
-            zp: dict[int, str] = {}
-            for j, ((a, b), m) in zip(inside, assign):
-                w_z *= m
-                z[j] = a
-                zp[j] = b
+            w_z = Fraction(prod(w for _, w in assign), params.nu1.denominator ** len(inside))
+            z = {j: a for j, ((a, _), _) in zip(inside, assign)}
+            zp = {j: b for j, ((_, b), _) in zip(inside, assign)}
             h = restrict(f1, z) * restrict(f1, zp).conj()
             terms.append(float(w_i * w_z) * stability(h, rho, params.mu1))
     rhs = fsum(terms)
@@ -246,13 +248,12 @@ def conditional_product_given_last(dist: JointDistribution,
         if f.n != n or f.alphabet != dist.alphabets[i]:
             raise ValidationError(f"function {i} shape mismatch")
     sigma_k = dist.alphabets[k - 1]
-    muk = dist.marginal([k - 1])
-    mass = [muk.mass((v,)) for v in sigma_k.symbols]
-    for v, m in zip(sigma_k.symbols, mass):
-        if m == 0:
-            raise ValidationError(f"zero-probability conditioning cell: symbol {v!r}")
     index_lists, joint = _head_columns(dist)
-    cond = np.array([[float(m / mv) for m, mv in zip(row, mass)] for row in joint])
+    cells = [sum(col) for col in zip(*joint)]  # last-symbol marginal weights
+    for v, total in zip(sigma_k.symbols, cells):
+        if total == 0:
+            raise ValidationError(f"zero-probability conditioning cell: symbol {v!r}")
+    cond = np.array([[w / total for w, total in zip(row, cells)] for row in joint])
     values = column_map(column_product(functions, index_lists, n), cond.T, n)
     return TableFunction(n, sigma_k, np.ravel(values))
 
@@ -272,22 +273,16 @@ def conditional_product_given_first(dist: JointDistribution,
         if p.n != n or p.alphabet != dist.alphabets[i + 1]:
             raise ValidationError(f"product {i} shape mismatch")
     sigma1 = dist.alphabets[0]
-    mu1 = dist.marginal([0])
-    conds: dict[str, list[tuple[Atom, float]]] = {}
-    for s in sigma1.symbols:
-        if mu1.mass((s,)) > 0:
-            conds[s] = [(y, float(m)) for y, m in dist.condition(0, s).atoms.items()]
     rows = np.zeros((n, len(sigma1)), dtype=np.complex128)
-    for si, s in enumerate(sigma1.symbols):
-        if s not in conds:
-            continue
+    for s in {x[0] for x in dist.codes}:  # the symbols with positive mass
+        cond = dist.condition(0, sigma1.symbols[s])
         for j in range(n):
             res, ims = [], []
-            for y, m in conds[s]:
-                t = complex(m)
+            for y, w in zip(cond.codes, cond.weights):
+                t = complex(w / cond.denominator)
                 for i, p in enumerate(products):
-                    t *= p.factors[j, p.alphabet.index(y[i])]
+                    t *= p.factors[j, y[i]]
                 res.append(t.real)
                 ims.append(t.imag)
-            rows[j, si] = complex(fsum(res), fsum(ims))
+            rows[j, s] = complex(fsum(res), fsum(ims))
     return ProductFunction(sigma1, rows)

@@ -1,18 +1,22 @@
 """Term-by-term enumeration oracles for the dense routes and the dictatorship
-test, the exhaustive soundness diagnostic `max_acceptance`, and small inputs
-to compare them on.
+test, `Fraction` oracles for the integer mass arithmetic of distributions,
+reductions and the character fold, the exhaustive soundness diagnostic
+`max_acceptance`, and small inputs to compare them on.
 
 Each oracle walks every term of its sum in Python and shares no code with
 the per-coordinate tensor path or decision-diagram DP it checks: functions
 are read only through `evaluate`, and the degree oracle builds all 2^n
-subset components. Keep them slow and obvious.
+subset components. The `Fraction` oracles take the raw atom -> mass dict a
+distribution was built from, never its integer weights, and the character
+fold oracle reads phases as Fractions. Keep them slow and obvious.
 `max_acceptance` is no oracle: it maximizes the DP's exact acceptance over
 every dense table.
 """
 
+import cmath
 from fractions import Fraction
 from itertools import combinations, product as iter_product
-from math import fsum
+from math import fsum, lcm
 
 import numpy as np
 from hypothesis import strategies as st
@@ -33,7 +37,7 @@ from embedlens.functions import (
     TableFunction,
     _measure_weights,
 )
-from embedlens.reduction import StarAlphabet, decode_symbol
+from embedlens.reduction import STAR, StarAlphabet, decode_symbol, pair_symbol
 
 
 def enumerate_correlation(dist, functions, n) -> complex:
@@ -157,6 +161,114 @@ def max_acceptance(inst: TestInstance, n: int,
 
 
 # ---------------------------------------------------------------------------
+# Fraction oracles for integer mass arithmetic
+
+def assert_exact(dist, want: dict) -> None:
+    """`dist` holds exactly the masses `want` (zero masses dropped) in the one
+    representation: sorted codes decoding to the support, weights over the lcm
+    of the reduced denominators."""
+    want = {x: p for x, p in want.items() if p}
+    assert dist.atoms == want
+    assert dist.denominator == lcm(*(p.denominator for p in want.values()))
+    assert sum(dist.weights) == dist.denominator
+    assert list(dist.codes) == sorted(dist.codes)
+    assert dist.support == tuple(tuple(a.symbols[i] for a, i in zip(dist.alphabets, c))
+                                 for c in dist.codes)
+
+
+def fraction_marginal(atoms: dict, coords) -> dict:
+    out = {}
+    for x, p in atoms.items():
+        y = tuple(x[c] for c in sorted(set(coords)))
+        out[y] = out.get(y, Fraction(0)) + p
+    return {y: p for y, p in out.items() if p}
+
+
+def fraction_condition(atoms: dict, coord: int, value: str) -> dict | None:
+    """The conditional masses, or None when `value` carries no mass."""
+    out = {}
+    for x, p in atoms.items():
+        if x[coord] == value:
+            y = x[:coord] + x[coord + 1:]
+            out[y] = out.get(y, Fraction(0)) + p
+    total = sum(out.values(), Fraction(0))
+    return {y: p / total for y, p in out.items()} if total else None
+
+
+def fraction_mixture(total: dict, base: dict, c: Fraction) -> dict | None:
+    """nu with total = c base + (1 - c) nu, or None when total - c base < 0 somewhere."""
+    out = dict(total)
+    for x, p in base.items():
+        out[x] = out.get(x, Fraction(0)) - c * p
+        if out[x] < 0:
+            return None
+    return {x: p / (1 - c) for x, p in out.items()}
+
+
+def fraction_paired_copies(atoms: dict, k: int) -> dict:
+    """Draw the last coordinate, then two conditionally independent copies of the rest."""
+    out = {}
+    for v, w in fraction_marginal(atoms, [k - 1]).items():
+        cond = fraction_condition(atoms, k - 1, v[0])
+        for y, p in cond.items():
+            for y2, p2 in cond.items():
+                out[y + y2] = out.get(y + y2, Fraction(0)) + w * p * p2
+    return out
+
+
+def fraction_star_params(atoms: dict, k: int) -> tuple[Fraction, dict, dict]:
+    """(p_nu, nu1, mu1) of the star coupling, in Fractions."""
+    alpha = min(p for p in atoms.values() if p)
+    a2 = alpha * alpha
+    paired = fraction_paired_copies(atoms, k)
+    mu1 = fraction_marginal(atoms, [0])
+    if a2 == 1:
+        return Fraction(0), fraction_marginal(paired, [0, k - 1]), mu1
+    diag = {y + y: p for y, p in fraction_marginal(atoms, range(k - 1)).items()}
+    nu = fraction_mixture(paired, diag, a2)
+    return 1 - a2, fraction_marginal(nu, [0, k - 1]), mu1
+
+
+def fraction_star_coupling(p_nu: Fraction, p_star: Fraction, nu1: dict, mu1: dict) -> dict:
+    out = {}
+    for (a, b), m in nu1.items():
+        key = (a, b, pair_symbol(a, b))
+        out[key] = out.get(key, Fraction(0)) + p_nu * m
+    for (x,), m in mu1.items():
+        key = (x, x, pair_symbol(x, x))
+        out[key] = out.get(key, Fraction(0)) + (1 - p_nu) * (1 - p_star) * m
+        out[(x, x, STAR)] = (1 - p_nu) * p_star * m
+    return out
+
+
+def fraction_characters(atoms: dict, functions, n) -> tuple[complex, tuple | None]:
+    """The character fold in Fractions: each column buckets the atoms by their
+    phase sum mod 1; the exact (re, im) exists while every bucket sits on a
+    quarter of the circle, and then the value is its float."""
+    quarters = {Fraction(0): (1, 0), Fraction(1, 4): (0, 1),
+                Fraction(1, 2): (-1, 0), Fraction(3, 4): (0, -1)}
+    support = {x: m for x, m in atoms.items() if m}
+    re, im, value, exact = Fraction(1), Fraction(0), 1 + 0j, True
+    for j in range(n):
+        buckets = {}
+        for x, m in support.items():
+            ph = sum((f.phases[j][f.alphabet.index(x[i])] for i, f in enumerate(functions)),
+                     Fraction(0)) % 1
+            buckets[ph] = buckets.get(ph, Fraction(0)) + m
+        units = {ph: complex(*quarters[ph]) if ph in quarters
+                 else cmath.exp(2j * cmath.pi * float(ph)) for ph in buckets}
+        value *= complex(fsum(float(m) * units[ph].real for ph, m in buckets.items()),
+                         fsum(float(m) * units[ph].imag for ph, m in buckets.items()))
+        if exact and all(ph in quarters for ph in buckets):
+            cre = sum((m * quarters[ph][0] for ph, m in buckets.items()), Fraction(0))
+            cim = sum((m * quarters[ph][1] for ph, m in buckets.items()), Fraction(0))
+            re, im = re * cre - im * cim, re * cim + im * cre
+        else:
+            exact = False
+    return (complex(float(re), float(im)), (re, im)) if exact else (value, None)
+
+
+# ---------------------------------------------------------------------------
 # Strategies
 
 def _alphabet(size: int):
@@ -178,6 +290,26 @@ def distributions(draw, k=st.integers(1, 3), full_last=False):
     weights = draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
     total = sum(weights)
     return JointDistribution(alphabets, {x: Fraction(w, total) for x, w in zip(support, weights)})
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
+
+
+@st.composite
+def prime_masses(draw, k=st.integers(1, 3), alphabets=None):
+    """(alphabets, atom -> mass) on at most 12 atoms: every mass but the last
+    has its own prime in the denominator, some atoms carry an explicit zero,
+    and some alphabet symbols carry no mass."""
+    if alphabets is None:
+        alphabets = [_alphabet(draw(st.integers(1, 3))) for _ in range(draw(k))]
+    cells = list(iter_product(*[a.symbols for a in alphabets]))
+    support = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=12, unique=True))
+    primes = draw(st.permutations(PRIMES))[:len(support) - 1]
+    # each mass is below 1 / |support|, so the last one is positive
+    masses = [Fraction(draw(st.integers(1, p - 1)), p * len(support)) for p in primes]
+    atoms = {x: Fraction(0) for x in draw(st.lists(st.sampled_from(cells), max_size=2))}
+    atoms.update(zip(support, masses + [1 - sum(masses)]))
+    return alphabets, atoms
 
 
 @st.composite

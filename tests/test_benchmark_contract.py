@@ -1,15 +1,21 @@
 """The benchmark in perfbench/ wraps embedlens names from outside the program
 and calls the library directly for its oracle and character requests. A
 deleted name or a changed signature breaks its traced run, which the
-end-to-end run never exercises, so this test runs both paths once.
-
-It runs in a child process, so the wrappers the tracer installs do not leak
-into other tests.
+end-to-end run never exercises, so the first test runs both paths once, in
+a child process, so the wrappers the tracer installs do not leak into other
+tests. The second replays the requests whose answers the benchmark pins by
+digest.
 """
 
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
+
+import embedlens
+import embedlens.cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -66,3 +72,27 @@ def test_benchmark_traced_library_calls_still_resolve(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_exact_workload_answers_match_the_pinned_digests(tmp_path, monkeypatch):
+    """Every digest-pinned request of the `exact` workload (seed 1) replayed
+    through the benchmark's own call path and judged by its checker, so a
+    byte drift in those answers fails here and not only in a benchmark run."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import checker
+    import loop
+    import workloads
+
+    w = workloads.build("exact", 1, str(tmp_path))
+    pinned = [req for req in w.requests if "digest" in req.expect]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name in w.fixtures:  # the named fixtures those requests read
+            if any(w.path(name + ".json") in req.args for req in pinned):
+                assert embedlens.cli.main(["fixture", name, w.path(name + ".json")]) == 0
+    with open(os.path.join(ROOT, "perfbench", "golden.json"), encoding="utf-8") as fh:
+        judge = checker.Checker(json.load(fh)["exact"])
+    assert sorted(req.rid for req in pinned) == sorted(judge.golden)
+    for req in pinned:
+        rc, out = loop.call_embedlens(embedlens, req)
+        assert rc == 0, (req.rid, out)
+        assert judge.check(req, json.loads(out)["result"]) is None, req.rid

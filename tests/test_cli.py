@@ -208,6 +208,20 @@ def test_dicttest_falsifying_constant(tmp_path, capsys):
     assert json.loads(out)["result"]["acceptance"] == [0, 1]
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"n": -3, "alphabet": ["0", "1"], "constant": "0"}, "arity must be nonnegative"),
+    ({"n": -2, "alphabet": ["0"], "symbols": ["0"]}, "dense symbol table has wrong length"),
+])
+@pytest.mark.parametrize("mode", [[], ["--mode", "mc", "--samples", "10", "--seed", "1"]])
+def test_dicttest_rejects_negative_arity(payload, message, mode, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    fixtures.three_lin_instance().save(str(inst))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps(payload))
+    assert main(["dicttest", str(inst), str(fn), *mode]) == 2
+    assert capsys.readouterr().err == f"validation failure: {message}\n"
+
+
 def test_dicttest_mc(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     fixtures.three_lin_instance().save(str(inst))
@@ -265,8 +279,27 @@ def test_verify_snf_suite(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _ = run_cli(capsys, "verify", "no-such-suite")
+    code = main(["verify", "no-such-suite"])
     assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "validation failure: unknown suite 'no-such-suite'; choose from ['all', ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["correlate", "mu.json", "f.json", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+    (["reduce", "mu.json", "--op", "star-coupling", "--p-star", "-1/3"],
+     "argument --p-star: expected one argument"),
+])
+def test_usage_errors_are_one_line_parse_errors(argv, message, capsys):
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: embedlens")
 
 
 def test_fixture_writer(tmp_path, capsys):
@@ -569,11 +602,12 @@ def test_failed_stdout_write_exits_4_and_names_the_write(extra, tmp_path, capsys
 
 
 def test_closed_stdout_pipe_ends_quietly(tmp_path):
-    # the reader leaves after one line; the CSV is larger than a pipe holds
+    # the reader leaves after one line; the CSV (183 kB: most rows underflow to
+    # 0.0, so 3000 rows were only 64 kB) is larger than a 64 KiB pipe holds
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(embedlens.__file__)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "embedlens.cli", "correlate", *write_sweep_inputs(tmp_path),
-         "--sweep-n", "3000", "--csv"],
+         "--sweep-n", str(SWEEP_GUARD), "--csv"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline() == b"n,re,im,abs\n"
     proc.stdout.close()

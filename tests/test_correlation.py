@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from embedlens import fixtures
-from embedlens.distributions import alphabet, univariate
+from embedlens.distributions import JointDistribution, alphabet, univariate
 from embedlens.embedding import detect_embedding
 from embedlens.errors import SizeGuardError, ValidationError
 from embedlens.correlation import (
@@ -24,7 +24,13 @@ from embedlens.functions import (
     character_function,
     uniform_measure,
 )
-from oracles import distributions, enumerate_correlation, functions
+from oracles import (
+    distributions,
+    enumerate_correlation,
+    fraction_characters,
+    functions,
+    prime_masses,
+)
 
 B = alphabet(["0", "1"])
 
@@ -224,3 +230,19 @@ def test_exact_correlation_matches_enumeration(dist, n, data):
           for a in dist.alphabets]
     got = exact_correlation(dist, fs, n).value
     assert abs(got - enumerate_correlation(dist, fs, n)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=prime_masses(), n=st.integers(1, 5), data=st.data())
+def test_character_fold_matches_fraction_oracle(raw, n, data):
+    alphabets, atoms = raw
+    den = data.draw(st.sampled_from([2, 4, 8, 12]), label="phase denominator")
+    fs = []
+    for a in alphabets:  # at most two distinct rows per function, so columns repeat
+        row = st.lists(st.fractions(0, 1, max_denominator=den), min_size=len(a), max_size=len(a))
+        pool = data.draw(st.lists(row, min_size=1, max_size=2))
+        fs.append(CharacterProduct(a, [data.draw(st.sampled_from(pool)) for _ in range(n)]))
+    res = exact_correlation(JointDistribution(alphabets, atoms), fs, n)
+    value, exact = fraction_characters(atoms, fs, n)
+    assert res.exact == exact
+    assert res.value == value

@@ -17,6 +17,13 @@ from embedlens.distributions import (
     univariate,
 )
 from embedlens.errors import SizeGuardError, ValidationError
+from oracles import (
+    assert_exact,
+    fraction_condition,
+    fraction_marginal,
+    fraction_mixture,
+    prime_masses,
+)
 
 B = alphabet(["0", "1"])
 
@@ -206,3 +213,30 @@ def test_json_roundtrip(tmp_path):
     path = tmp_path / "mu.json"
     mu.save(str(path))
     assert JointDistribution.load(str(path)) == mu
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=prime_masses(), data=st.data())
+def test_integer_operations_match_fraction_oracles(raw, data):
+    alphabets, atoms = raw
+    mu = JointDistribution(alphabets, atoms)
+    assert_exact(mu, atoms)
+    assert JointDistribution.from_json(mu.to_json()) == mu
+    coords = data.draw(st.sets(st.integers(0, mu.k - 1), min_size=1), label="coords")
+    assert_exact(mu.marginal(coords), fraction_marginal(atoms, coords))
+    coord = data.draw(st.integers(0, mu.k - 1), label="coord")
+    value = data.draw(st.sampled_from(alphabets[coord].symbols), label="value")
+    want = fraction_condition(atoms, coord, value)
+    if want is None:
+        with pytest.raises(ValidationError, match="zero-mass value"):
+            mu.condition(coord, value)
+    else:
+        assert_exact(mu.condition(coord, value), want)
+    base = data.draw(prime_masses(alphabets=alphabets), label="base")[1]
+    c = data.draw(st.fractions(0, 1, max_denominator=60).filter(lambda c: 0 < c < 1))
+    want = fraction_mixture(atoms, base, c)
+    if want is None:
+        with pytest.raises(ValidationError, match="negative residual"):
+            decompose_mixture(mu, JointDistribution(alphabets, base), c)
+    else:
+        assert_exact(decompose_mixture(mu, JointDistribution(alphabets, base), c), want)

@@ -27,7 +27,7 @@ def dense_rows(cm):
 
 
 def test_constraint_matrix_disconnected_pair():
-    cm = constraint_matrix([("0", "0"), ("1", "1")], [B, B])
+    cm = constraint_matrix(uniform_on([B, B], [("0", "0"), ("1", "1")]))
     assert cm.base_point == ("0", "0")
     assert cm.s == 2
     assert cm.rows == ((), (0, 1))
@@ -35,14 +35,14 @@ def test_constraint_matrix_disconnected_pair():
 
 
 def test_constraint_matrix_singleton_support():
-    cm = constraint_matrix([("0", "1")], [B, B])
+    cm = constraint_matrix(uniform_on([B, B], [("0", "1")]))
     assert cm.rows == ((),)
     assert dense_rows(cm) == [[0, 0]]
 
 
 def test_constraint_matrix_three_lin():
     mu = fixtures.three_lin()
-    cm = constraint_matrix(mu.support, mu.alphabets)
+    cm = constraint_matrix(mu)
     assert cm.s == 3
     assert cm.rows == ((), (1, 2), (0, 2), (0, 1))
     assert dense_rows(cm) == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import random
 from fractions import Fraction
 from math import log
@@ -35,11 +36,16 @@ from embedlens.reduction import (
     star_coupling_params,
 )
 from oracles import (
+    assert_exact,
     distributions,
     enumerate_conditional_product_given_last,
     enumerate_g,
+    fraction_paired_copies,
+    fraction_star_coupling,
+    fraction_star_params,
     functions,
     measures,
+    prime_masses,
 )
 
 B = alphabet(["0", "1"])
@@ -380,3 +386,22 @@ def test_build_g_matches_enumeration(size, n, data):
     want = enumerate_g(f1, mu1)
     assert got.alphabet == want.alphabet
     assert np.max(np.abs(got.values - want.values)) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=prime_masses(k=st.integers(2, 3)), data=st.data())
+def test_paired_copies_and_star_coupling_match_fraction_oracles(raw, data):
+    alphabets, atoms = raw
+    mu = JointDistribution(alphabets, atoms)
+    assert_exact(build_paired_copies(mu), fraction_paired_copies(atoms, mu.k))
+    assert_exact(diagonal_pairing(mu), {x + x: p for x, p in atoms.items()})
+    p_star = data.draw(st.fractions(0, 1, max_denominator=30), label="p_star")
+    params = star_coupling_params(mu, p_star)
+    p_nu, nu1, mu1 = fraction_star_params(atoms, mu.k)
+    assert params.p_nu == p_nu
+    assert_exact(params.nu1, nu1)
+    assert_exact(params.mu1, mu1)
+    assert_exact(build_star_coupling(params), fraction_star_coupling(p_nu, p_star, nu1, mu1))
+    p_nu = data.draw(st.fractions(0, 1, max_denominator=30), label="p_nu")
+    assert_exact(build_star_coupling(dataclasses.replace(params, p_nu=p_nu)),
+                 fraction_star_coupling(p_nu, p_star, nu1, mu1))
