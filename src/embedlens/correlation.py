@@ -8,7 +8,9 @@ per-coordinate factorization; anything else goes through dense tables on
 the per-coordinate tensor path of `functions`: the product of
 f_1..f_{k-1} over the distinct support projections S' meets f_k mapped
 through the S' x a_k joint mass matrix. Its guard is the one dense-tensor
-guard of `functions`.
+guard of `functions`. The Monte Carlo estimate draws its columns in blocks
+on the stream of `distributions.ProductPowerSampler` and evaluates them by
+numpy indexing, with the same products as one sample at a time.
 
 Also hosts the alternating-ascent search for the best-correlating
 1-bounded product function and the random-restriction correlation
@@ -20,12 +22,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import fsum, lcm, log, sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import ExactChooser, JointDistribution, ProductPowerSampler, check_draws
+from .distributions import MC_BLOCK, ExactChooser, JointDistribution, ProductPowerSampler, check_draws
 from .errors import SizeGuardError, ValidationError
 from .functions import (
     CharacterProduct,
@@ -36,6 +39,7 @@ from .functions import (
     _weight_tensor,
     column_map,
     column_product,
+    complex_times,
     restrict,
 )
 
@@ -169,22 +173,34 @@ def _exact_tables(dist, functions, n) -> CorrelationResult:
 
 def mc_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
                    n: int, samples: int, seed: int) -> CorrelationResult:
-    """Empirical mean of the k-wise product over seeded i.i.d. column draws."""
+    """Empirical mean of the k-wise product over seeded i.i.d. column draws.
+
+    Samples are drawn and evaluated in blocks of about MC_BLOCK columns, on
+    the stream and with the products `ProductPowerSampler.sample` and
+    `evaluate` give one sample at a time, so the mean is the same to the bit.
+    """
     _check_shapes(dist, functions, n)
     if samples <= 0:
         raise ValidationError("samples must be positive")
     check_draws(samples, n)
     sampler = ProductPowerSampler(dist, n, seed)
-    res, ims = [], []
-    for _ in range(samples):
-        rows = sampler.sample()
-        val = 1 + 0j
-        for f, row in zip(functions, rows):
-            val *= f.evaluate(row)
-        res.append(val.real)
-        ims.append(val.imag)
-    mean = complex(fsum(res) / samples, fsum(ims) / samples)
+    codes = np.array(dist.codes, dtype=np.intp)
+    res, ims = np.empty(samples), np.empty(samples)
+    block = max(1, MC_BLOCK // n)
+    for start in range(0, samples, block):
+        atoms = sampler.sample_indices(min(block, samples - start))
+        re, im = np.ones(len(atoms)), np.zeros(len(atoms))
+        for i, f in enumerate(functions):
+            re, im = complex_times(re, im, *f.evaluate_many(codes[atoms, i]))
+        res[start:start + len(atoms)], ims[start:start + len(atoms)] = re, im
+    mean = complex(_fsum(res) / samples, _fsum(ims) / samples)
     return CorrelationResult(mean, "monte-carlo", samples, hoeffding_half_width(samples))
+
+
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum of a float array, read a block at a time."""
+    return fsum(chain.from_iterable(values[i:i + MC_BLOCK].tolist()
+                                    for i in range(0, len(values), MC_BLOCK)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,25 +3,29 @@ matrix with i.i.d. columns from its local distribution, and evaluate the
 predicate on the row images under the tested function.
 
 Exact acceptance is computed by a column dynamic program over a layered
-decision diagram of f, compiled once: the nodes at depth j are the
-distinct restrictions of f by a j-symbol prefix, and a restriction that is
-constant is absorbed at once. A state is the k-tuple of the rows' nodes;
-each column is one vectorised step over all states and atoms, with integer
-weights over a power of the local distribution's denominator and one
-Fraction at the end. Dictators and constants keep one state per column, so
-exact completeness checks run even when a local distribution has thousands
-of atoms. The DP stops when no state is left, and TRANSITION_GUARD bounds
-its total transitions (states times atoms, summed over columns and
-constraints). Monte Carlo acceptance draws samples x n columns, at most
-`distributions.MC_DRAW_GUARD`. The test needs only `instance_violations`;
-`validate_instance` adds the embedding analysis of each local distribution.
-"""
+decision diagram of f, compiled once: there is one layer per coordinate f
+reads (a coordinate at which no restriction of f depends on its symbol is
+dropped), the nodes at depth j are the distinct restrictions of f by the
+first j read symbols, and a restriction that is constant is absorbed at
+once. A state is the k-tuple of the rows' nodes; each layer is one
+vectorised step over all states and atoms, with integer weights over a
+power of the local distribution's denominator and one Fraction at the end.
+A dictator is one layer and one state at any coordinate, and a junta costs
+its support, so exact completeness checks run even when a local
+distribution has thousands of atoms. The DP stops when no state is left,
+and TRANSITION_GUARD bounds its total transitions (states times atoms,
+summed over layers and constraints). Monte Carlo acceptance draws samples
+x n columns, at most `distributions.MC_DRAW_GUARD`, on the stream of a
+sample-at-a-time loop, and evaluates them in blocks by numpy indexing. The
+test needs only `instance_violations`; `validate_instance` adds the
+embedding analysis of each local distribution."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -29,16 +33,18 @@ import numpy as np
 
 from .correlation import hoeffding_half_width
 from .distributions import (
+    MC_BLOCK,
     Alphabet,
     ExactChooser,
     JointDistribution,
     alphabet as make_alphabet,
     check_draws,
     integer_weights,
+    randbelow,
 )
 from .embedding import connected, detect_embedding, pairwise_connected
 from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, read_json, write_json
-from .functions import is_table_length
+from .functions import _places, is_table_length
 
 TRANSITION_GUARD = 200_000  # DP transitions (states x atoms) of one exact acceptance run
 
@@ -47,12 +53,17 @@ TRANSITION_GUARD = 200_000  # DP transitions (states x atoms) of one exact accep
 # Symbol-valued functions f: Sigma^n -> Sigma
 
 class SymbolFunction:
-    """Interface: evaluate on a word."""
+    """Interface: evaluate on a word, or on many words given as symbol indices."""
 
     n: int
     alphabet: Alphabet
 
     def evaluate(self, x: Sequence[str]) -> str:
+        raise NotImplementedError
+
+    def evaluate_many(self, x: np.ndarray) -> np.ndarray:
+        """The symbol index of `evaluate` at each row of x, an (m, n) array of
+        symbol indices."""
         raise NotImplementedError
 
 
@@ -70,6 +81,14 @@ class DenseSymbolFunction(SymbolFunction):
     def evaluate(self, x):
         return self.symbols[self.alphabet.word_index(x)]
 
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The table as symbol indices."""
+        return np.array([self.alphabet.index(s) for s in self.symbols], dtype=np.int64)
+
+    def evaluate_many(self, x):
+        return self.codes[x @ _places(len(self.alphabet), self.n)]
+
 
 class DictatorFunction(SymbolFunction):
     def __init__(self, n: int, alpha: Alphabet, coordinate: int):
@@ -81,6 +100,9 @@ class DictatorFunction(SymbolFunction):
 
     def evaluate(self, x):
         return x[self.coordinate]
+
+    def evaluate_many(self, x):
+        return x[:, self.coordinate]
 
 
 class ConstantSymbolFunction(SymbolFunction):
@@ -95,6 +117,9 @@ class ConstantSymbolFunction(SymbolFunction):
 
     def evaluate(self, x):
         return self.value
+
+    def evaluate_many(self, x):
+        return np.full(len(x), self.alphabet.index(self.value))
 
 
 def symbol_function_from_json(data: dict) -> SymbolFunction:
@@ -126,7 +151,7 @@ class Predicate:
     def __post_init__(self):
         if not is_table_length(len(self.truth), len(self.alphabet), self.k):
             raise ValidationError("truth table has wrong length")
-        if any(v not in (0, 1) for v in self.truth):
+        if not {0, 1}.issuperset(self.truth):
             raise ValidationError("truth table entries must be 0/1")
 
     @classmethod
@@ -145,7 +170,7 @@ class Predicate:
     def from_json(cls, data: dict) -> "Predicate":
         try:
             return cls(make_alphabet(data["alphabet"]), int(data["k"]),
-                       tuple(int(v) for v in data["truth"]))
+                       tuple(map(int, data["truth"])))
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad predicate payload: {exc}") from exc
 
@@ -255,17 +280,11 @@ def run_test_exact(inst: TestInstance, f: SymbolFunction, n: int) -> Fraction:
     """Exact rational acceptance probability of the boxed test.
 
     TRANSITION_GUARD bounds the DP's total transitions (states times atoms,
-    summed over columns and constraints)."""
+    summed over read layers and constraints)."""
     if f.n != n:
         raise ValidationError(f"function arity {f.n} != n = {n}")
     if f.alphabet != inst.predicate.alphabet:
         raise ValidationError("function alphabet mismatch")
-    if isinstance(f, DictatorFunction):
-        # one state per column for c + 1 columns: refuse before building them
-        needed = (f.coordinate + 1) * sum(len(mu.codes) for _, mu in inst.constraints)
-        if needed > TRANSITION_GUARD:
-            raise SizeGuardError(
-                f"acceptance DP needs {needed} transitions; guard is {TRANSITION_GUARD}")
     root, layers = _diagram(f)
     total = sum((w for w, _ in inst.constraints), Fraction(0))
     acc = Fraction(0)
@@ -277,26 +296,32 @@ def run_test_exact(inst: TestInstance, f: SymbolFunction, n: int) -> Fraction:
 
 
 def _diagram(f: SymbolFunction) -> tuple[int, list[np.ndarray]]:
-    """Compile f into a layered decision diagram (root id, layers).
+    """Compile f into a layered decision diagram (root id, layers), one
+    layer per coordinate that f reads.
 
-    Nodes at depth j are the distinct restrictions of f by a j-symbol
-    prefix. Ids below |Sigma| are the constant restrictions (id = symbol
-    index, so their rows are absorbed); `layers[j][v, s]` is the id at
-    depth j + 1 of node v restricted by symbol s. Every node at depth
-    len(layers) is constant."""
+    Nodes at depth j are the distinct restrictions of f by a prefix of
+    the first j read coordinates. Ids below |Sigma| are the constant
+    restrictions (id = symbol index, so their rows are absorbed);
+    `layers[j][v, s]` is the id at depth j + 1 of node v restricted by
+    symbol s. A coordinate at which every node has equal children is read
+    by no node and gets no layer (the reduction rule of ordered decision
+    diagrams): a dictator compiles to one layer, a junta to its support.
+    Every node at depth len(layers) is constant."""
     if isinstance(f, ConstantSymbolFunction):
         return f.alphabet.index(f.value), []
     a = len(f.alphabet)
     held = np.repeat(np.arange(a), a).reshape(a, a)  # a constant stays itself
     if isinstance(f, DictatorFunction):
-        wait = np.vstack([held, np.full((1, a), a)])
-        read = np.vstack([held, np.arange(a)[None, :]])
-        return a, [wait] * f.coordinate + [read]
-    ids = np.array([f.alphabet.index(s) for s in f.symbols], dtype=np.int64)
+        return a, [np.vstack([held, np.arange(a)[None, :]])]
+    ids = f.codes
     layers = []
     for _ in range(f.n):  # bottom-up: the children of each node are one row
         rows = ids.reshape(-1, a)
-        const = (rows[:, 0] < a) & (rows == rows[:, :1]).all(axis=1)
+        uniform = (rows == rows[:, :1]).all(axis=1)
+        if uniform.all():  # no node reads this coordinate
+            ids = rows[:, 0]
+            continue
+        const = (rows[:, 0] < a) & uniform
         nodes, inverse = np.unique(rows[~const], axis=0, return_inverse=True)
         ids = rows[:, 0].copy()
         ids[~const] = a + inverse.reshape(-1)
@@ -311,11 +336,13 @@ def _acceptance_one(mu: JointDistribution, pred: Predicate, root: int,
 
     A state is a k-tuple of diagram node ids, one per row. Masses are the
     distribution's integer weights over its denominator D, so after j
-    columns every weight is an integer over D^j and `accept` is one over
-    D^(j+1) after column j; the only division is the final Fraction."""
+    layers every weight is an integer over D^j and `accept` is one over
+    D^(j+1) after layer j; the only division is the final Fraction. A
+    coordinate with no layer would multiply every weight by D / D, so it
+    is skipped exactly."""
     a, k = len(pred.alphabet), pred.k
     truth = np.array(pred.truth, dtype=bool)
-    place = a ** np.arange(k - 1, -1, -1)
+    place = _places(a, k)
     if root < a:
         return Fraction(int(truth[root * place.sum()])), spent
     cols = np.array(mu.codes, dtype=np.int64)
@@ -328,7 +355,7 @@ def _acceptance_one(mu: JointDistribution, pred: Predicate, root: int,
         if spent > TRANSITION_GUARD:
             raise SizeGuardError(
                 f"acceptance DP needs more than {TRANSITION_GUARD} transitions "
-                f"(guard reached at column {depth + 1})")
+                f"(guard reached at read layer {depth + 1})")
         nxt = layer[states[:, None, :], cols[None, :, :]].reshape(-1, k)
         w = np.multiply.outer(weights, mass).reshape(-1)
         done = (nxt < a).all(axis=1)
@@ -372,7 +399,13 @@ class McAcceptance:
 
 def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
                 seed: int) -> McAcceptance:
-    """Seeded empirical acceptance of the boxed test."""
+    """Seeded empirical acceptance of the boxed test.
+
+    Each sample draws a constraint, then n columns from its local
+    distribution, all on one `random.Random(seed)` stream. A block of about
+    MC_BLOCK column draws is then mapped to atoms per constraint, and f and
+    the predicate are evaluated on it by numpy indexing: the count is the
+    one a sample-at-a-time loop over `evaluate` gives."""
     if samples <= 0:
         raise ValidationError("samples must be positive")
     if f.alphabet != inst.predicate.alphabet:
@@ -381,13 +414,22 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
     rng = random.Random(seed)
     picker = ExactChooser(range(len(inst.constraints)),
                           integer_weights([w for w, _ in inst.constraints])[0])
-    column_choosers = [ExactChooser(mu.support, mu.weights) for _, mu in inst.constraints]
-    k = inst.predicate.k
+    choosers = [ExactChooser(mu.codes, mu.weights) for _, mu in inst.constraints]
+    codes = [np.array(mu.codes, dtype=np.intp) for _, mu in inst.constraints]
+    a, k = len(inst.predicate.alphabet), inst.predicate.k
+    truth = np.array(inst.predicate.truth, dtype=bool)
     accepted = 0
-    for _ in range(samples):
-        ci = picker.draw(rng)
-        cols = [column_choosers[ci].draw(rng) for _ in range(f.n)]
-        images = [f.evaluate([col[i] for col in cols]) for i in range(k)]
-        if inst.predicate.evaluate(images):
-            accepted += 1
+    block = max(1, MC_BLOCK // max(f.n, 1))
+    for start in range(0, samples, block):
+        picks, draws = [0] * len(choosers), [[] for _ in choosers]
+        for _ in range(min(block, samples - start)):
+            ci = picker.draw(rng)
+            picks[ci] += 1
+            draws[ci].extend(randbelow(rng, choosers[ci].total, f.n))
+        for chooser, atom_codes, count, drawn in zip(choosers, codes, picks, draws):
+            atoms = chooser.locate(drawn).reshape(count, f.n)
+            cell = np.zeros(count, dtype=np.int64)  # index of the k images in the truth table
+            for i in range(k):
+                cell = cell * a + f.evaluate_many(atom_codes[atoms, i])
+            accepted += int(np.count_nonzero(truth[cell]))
     return McAcceptance(accepted / samples, samples, hoeffding_half_width(samples), accepted)

@@ -17,11 +17,14 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, read_json, write_json
 
 Atom = tuple[str, ...]
 
 MC_DRAW_GUARD = 10 ** 6  # column draws (samples x n) of one Monte Carlo run
+MC_BLOCK = 2 ** 16  # column draws a Monte Carlo run maps and evaluates at once
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,8 @@ def univariate(alpha: Alphabet | Iterable[str], masses: Mapping[str, Fraction]) 
 
 def uniform_on(alphabets: Sequence[Alphabet], support: Iterable[Atom]) -> JointDistribution:
     support = list(support)
+    if not support:
+        raise ValidationError("uniform distribution needs a non-empty support")
     p = Fraction(1, len(support))
     return JointDistribution(alphabets, {tuple(x): p for x in support})
 
@@ -244,6 +249,26 @@ def check_draws(samples: int, n: int) -> None:
             f"Monte Carlo run needs {samples} x {n} column draws; guard is {MC_DRAW_GUARD}")
 
 
+def randbelow(rng: random.Random, total: int, count: int) -> list[int]:
+    """`count` successive values of `rng.randrange(total)`, leaving `rng` where
+    those calls would.
+
+    CPython's randrange draws getrandbits(k), k the bit length of `total`,
+    until the value is below `total`; this is the same loop, inline, so it
+    replays the stream for a `total` of any size at a third of the cost.
+    """
+    getrandbits = rng.getrandbits
+    k = total.bit_length()
+    out = []
+    append = out.append
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= total:
+            r = getrandbits(k)
+        append(r)
+    return out
+
+
 class ExactChooser:
     """Samples items with exact integer weights, such as a distribution's `weights`.
 
@@ -257,10 +282,18 @@ class ExactChooser:
         self.items = list(items)
         self.cumulative = list(accumulate(weights))
         self.total = self.cumulative[-1]
+        # int64 bounds for a vectorised search, while the weights fit
+        self._bounds = np.array(self.cumulative, dtype=np.int64) if self.total < 2 ** 63 else None
 
     def draw(self, rng: random.Random):
         r = rng.randrange(self.total)
         return self.items[bisect_right(self.cumulative, r)]
+
+    def locate(self, draws: Sequence[int]) -> np.ndarray:
+        """The index of the item `draw` picks for each integer below `total`."""
+        if self._bounds is None:
+            return np.array([bisect_right(self.cumulative, r) for r in draws], dtype=np.intp)
+        return np.searchsorted(self._bounds, np.array(draws, dtype=np.int64), side="right")
 
 
 class ProductPowerSampler:
@@ -283,3 +316,9 @@ class ProductPowerSampler:
     def sample(self) -> tuple[tuple[str, ...], ...]:
         cols = [self._chooser.draw(self._rng) for _ in range(self.n)]
         return tuple(tuple(col[i] for col in cols) for i in range(self.base.k))
+
+    def sample_indices(self, count: int) -> np.ndarray:
+        """The next `count` samples as a (count, n) array of support indices:
+        the columns `count` calls of `sample` would return, from the same stream."""
+        draws = randbelow(self._rng, self._chooser.total, count * self.n)
+        return self._chooser.locate(draws).reshape(count, self.n)

@@ -95,10 +95,11 @@ def a5_instance():
     from .dicttest import Predicate, TestInstance
 
     mu = a5_triple_product()
-    support = set(mu.support)
-    alpha = mu.alphabets[0]
-    pred = Predicate.from_callable(alpha, 3, lambda x: tuple(x) in support)
-    return TestInstance(pred, ((Fraction(1), mu),))
+    a = len(mu.alphabets[0])
+    truth = [0] * a ** 3  # the predicate accepts exactly the support
+    for x, y, z in mu.codes:
+        truth[(x * a + y) * a + z] = 1
+    return TestInstance(Predicate(mu.alphabets[0], 3, tuple(truth)), ((Fraction(1), mu),))
 
 
 NAMED = {

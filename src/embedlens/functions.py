@@ -19,7 +19,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import fsum
+from math import fsum, lcm
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -68,6 +68,12 @@ class TableFunction:
 
     def evaluate(self, x: Sequence[str]) -> complex:
         return complex(self.values[self.index(x)])
+
+    def evaluate_many(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of `evaluate` at each row of x, an (m, n)
+        array of symbol indices, bit for bit."""
+        vals = self.values[x @ _places(len(self.alphabet), self.n)]
+        return vals.real, vals.imag
 
     def conj(self) -> "TableFunction":
         return TableFunction(self.n, self.alphabet, np.conj(self.values))
@@ -124,6 +130,15 @@ class ProductFunction:
         for j, sym in enumerate(x):
             out *= self.factors[j, self.alphabet.index(sym)]
         return out
+
+    def evaluate_many(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of `evaluate` at each row of x, an (m, n)
+        array of symbol indices, bit for bit: the same products in the same order."""
+        re, im = np.ones(len(x)), np.zeros(len(x))
+        for j in range(self.n):
+            factor = self.factors[j, x[:, j]]
+            re, im = complex_times(re, im, factor.real, factor.imag)
+        return re, im
 
     def to_table(self) -> TableFunction:
         _check_tensor_size(len(self.alphabet) ** self.n, "product table")
@@ -183,6 +198,22 @@ class CharacterProduct:
                     Fraction(0))
         return _unit(total.numerator, total.denominator)
 
+    def evaluate_many(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of `evaluate` at each row of x, an (m, n)
+        array of symbol indices, bit for bit. Phases are integers over their
+        lcm L; `_unit` gives the same value for a phase sum as for its
+        residue mod L, and is called once per distinct residue."""
+        den = lcm(*(p.denominator for row in self.phases for p in row))
+        dtype = np.int64 if den < 2 ** 62 else object  # a sum of two residues must fit
+        total = np.zeros(len(x), dtype=dtype)
+        for j, row in enumerate(self.phases):
+            steps = np.array([p.numerator * (den // p.denominator) for p in row], dtype=dtype)
+            total = (total + steps[x[:, j]]) % den
+        residues, inverse = np.unique(total, return_inverse=True)
+        units = np.array([_unit(int(r), den) for r in residues], dtype=np.complex128)
+        vals = units[inverse.reshape(-1)]
+        return vals.real, vals.imag
+
     def to_product(self) -> ProductFunction:
         rows = [[_unit(p.numerator, p.denominator) for p in row] for row in self.phases]
         return ProductFunction(self.alphabet, np.array(rows, dtype=np.complex128)
@@ -195,6 +226,17 @@ class CharacterProduct:
 def _require_finite(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         raise ValidationError("function values must be finite (no NaN or infinity)")
+
+
+def _places(a: int, n: int) -> np.ndarray:
+    """Place values of the n symbols of a word in its lexicographic index."""
+    return a ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def complex_times(re: np.ndarray, im: np.ndarray, c: np.ndarray, d: np.ndarray):
+    """(re + i im)(c + i d) as Python multiplies two complex numbers, elementwise
+    in float64: numpy's complex128 product may round differently."""
+    return re * c - im * d, re * d + im * c
 
 
 def _unit(num: int, den: int) -> complex:

@@ -1,19 +1,23 @@
 """Term-by-term enumeration oracles for the dense routes and the dictatorship
 test, `Fraction` oracles for the integer mass arithmetic of distributions,
-reductions and the character fold, the exhaustive soundness diagnostic
+reductions and the character fold, sample-at-a-time loops for the batched
+Monte Carlo estimates, the exhaustive soundness diagnostic
 `max_acceptance`, and small inputs to compare them on.
 
 Each oracle walks every term of its sum in Python and shares no code with
 the per-coordinate tensor path or decision-diagram DP it checks: functions
 are read only through `evaluate`, and the degree oracle builds all 2^n
-subset components. The `Fraction` oracles take the raw atom -> mass dict a
-distribution was built from, never its integer weights, and the character
-fold oracle reads phases as Fractions. Keep them slow and obvious.
+subset components. The Monte Carlo loops draw every column with
+`Random.randrange` through `ExactChooser.draw`, not with the inline
+rejection loop they check. The `Fraction` oracles take the raw atom -> mass
+dict a distribution was built from, never its integer weights, and the
+character fold oracle reads phases as Fractions. Keep them slow and obvious.
 `max_acceptance` is no oracle: it maximizes the DP's exact acceptance over
 every dense table.
 """
 
 import cmath
+import random
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 from math import fsum, lcm
@@ -29,7 +33,14 @@ from embedlens.dicttest import (
     TestInstance,
     run_test_exact,
 )
-from embedlens.distributions import JointDistribution, alphabet, univariate
+from embedlens.distributions import (
+    ExactChooser,
+    JointDistribution,
+    ProductPowerSampler,
+    alphabet,
+    integer_weights,
+    univariate,
+)
 from embedlens.errors import SizeGuardError
 from embedlens.functions import (
     CharacterProduct,
@@ -139,6 +150,36 @@ def enumerate_acceptance(inst, f, n) -> Fraction:
             if inst.predicate.evaluate([f.evaluate(r) for r in rows]):
                 acc += mass
     return acc
+
+
+def sample_loop_correlation(dist, functions, n, samples, seed) -> complex:
+    """The Monte Carlo mean one sample at a time: the rows of
+    `ProductPowerSampler.sample`, each function's `evaluate`, Python products."""
+    sampler = ProductPowerSampler(dist, n, seed)
+    res, ims = [], []
+    for _ in range(samples):
+        val = 1 + 0j
+        for f, row in zip(functions, sampler.sample()):
+            val *= f.evaluate(row)
+        res.append(val.real)
+        ims.append(val.imag)
+    return complex(fsum(res) / samples, fsum(ims) / samples)
+
+
+def sample_loop_acceptance(inst, f, samples, seed) -> int:
+    """Accepted samples of the boxed test one sample at a time: a constraint,
+    then its n columns, each drawn by `ExactChooser.draw`."""
+    rng = random.Random(seed)
+    picker = ExactChooser(range(len(inst.constraints)),
+                          integer_weights([w for w, _ in inst.constraints])[0])
+    choosers = [ExactChooser(mu.support, mu.weights) for _, mu in inst.constraints]
+    accepted = 0
+    for _ in range(samples):
+        chooser = choosers[picker.draw(rng)]
+        cols = [chooser.draw(rng) for _ in range(f.n)]
+        images = [f.evaluate([col[i] for col in cols]) for i in range(inst.predicate.k)]
+        accepted += inst.predicate.evaluate(images)
+    return accepted
 
 
 def max_acceptance(inst: TestInstance, n: int,
@@ -310,6 +351,43 @@ def prime_masses(draw, k=st.integers(1, 3), alphabets=None):
     atoms = {x: Fraction(0) for x in draw(st.lists(st.sampled_from(cells), max_size=2))}
     atoms.update(zip(support, masses + [1 - sum(masses)]))
     return alphabets, atoms
+
+
+# 1, 2^j, 2^j + 1, above 2^32 and above 2^63 (int64 no longer holds the weights)
+DENOMINATORS = st.one_of(
+    st.just(1),
+    st.integers(1, 40).map(lambda j: 2 ** j),
+    st.integers(1, 40).map(lambda j: 2 ** j + 1),
+    st.integers(2 ** 32 + 1, 2 ** 40),
+    st.integers(2 ** 63 + 1, 2 ** 100),
+)
+
+
+@st.composite
+def masses_over(draw, alphabets, den):
+    """atom -> mass on at most 8 atoms, every mass over `den`; with two atoms
+    or more one weight is 1, so `den` is the lcm of the reduced denominators."""
+    cells = list(iter_product(*[a.symbols for a in alphabets]))
+    size = draw(st.integers(1, min(8, len(cells), den)))
+    support = draw(st.lists(st.sampled_from(cells), min_size=size, max_size=size, unique=True))
+    cuts = draw(st.sets(st.integers(2, den - 1), min_size=size - 2, max_size=size - 2)) \
+        if size > 2 else set()
+    bounds = [0, den] if size == 1 else [0, 1, *sorted(cuts), den]
+    return {x: Fraction(hi - lo, den) for x, lo, hi in zip(support, bounds, bounds[1:])}
+
+
+@st.composite
+def wide_instances(draw, alpha, k):
+    """A random predicate with one to three constraints whose weights and
+    local masses range over DENOMINATORS (a local mass may be rejected by the
+    predicate: Monte Carlo counts acceptance regardless)."""
+    cells = list(iter_product(alpha.symbols, repeat=k))
+    truth = draw(st.lists(st.integers(0, 1), min_size=len(cells), max_size=len(cells)))
+    local = []
+    for _ in range(draw(st.integers(1, 3))):
+        mu = JointDistribution([alpha] * k, draw(masses_over([alpha] * k, draw(DENOMINATORS))))
+        local.append((Fraction(draw(st.integers(1, 2 ** 70)), draw(DENOMINATORS)), mu))
+    return TestInstance(Predicate(alpha, k, tuple(truth)), tuple(local))
 
 
 @st.composite

@@ -242,10 +242,12 @@ def test_stability_size_guard_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+# A dictator compiles to one read layer wherever its coordinate is, so
+# both dictators are answered (4 DP transitions each).
 @pytest.mark.parametrize("command, payload, code", [
     ("stability", {"n": 10 ** 30, "alphabet": ["0", "1"], "values": []}, 2),
     ("dicttest", {"n": 10 ** 11, "alphabet": ["0", "1"], "dictator": 0}, 0),
-    ("dicttest", {"n": 10 ** 11, "alphabet": ["0", "1"], "dictator": 10 ** 11 - 1}, 3),
+    ("dicttest", {"n": 10 ** 11, "alphabet": ["0", "1"], "dictator": 10 ** 11 - 1}, 0),
 ])
 def test_huge_sizes_end_fast(command, payload, code, tmp_path, capsys):
     fn = tmp_path / "f.json"

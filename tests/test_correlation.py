@@ -1,12 +1,13 @@
 import cmath
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embedlens import fixtures
+from embedlens import correlation, fixtures
 from embedlens.distributions import JointDistribution, alphabet, univariate
 from embedlens.embedding import detect_embedding
 from embedlens.errors import SizeGuardError, ValidationError
@@ -25,11 +26,14 @@ from embedlens.functions import (
     uniform_measure,
 )
 from oracles import (
+    DENOMINATORS,
     distributions,
     enumerate_correlation,
     fraction_characters,
     functions,
+    masses_over,
     prime_masses,
+    sample_loop_correlation,
 )
 
 B = alphabet(["0", "1"])
@@ -149,6 +153,27 @@ def test_mc_reproducible_and_near_exact():
     assert a.value == b.value
     exact = exact_correlation(mu, fs, 3)
     assert abs(a.value - exact.value) <= 3 * a.half_width
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), samples=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 64), block=st.integers(1, 12))
+def test_batched_mc_matches_the_sample_loop_bit_for_bit(data, n, samples, seed, block):
+    """Blocks of draws (shrunk here so that samples cross them), on masses
+    over 1, 2^j, 2^j + 1, >2^32, >2^63 or many primes, with table, product
+    and character functions mixed."""
+    if data.draw(st.booleans(), label="prime masses"):
+        alphabets, atoms = data.draw(prime_masses())
+    else:
+        alphabets = [alphabet([str(s) for s in range(data.draw(st.integers(1, 3)))])
+                     for _ in range(data.draw(st.integers(1, 3)))]
+        atoms = data.draw(masses_over(alphabets, data.draw(DENOMINATORS)))
+    mu = JointDistribution(alphabets, atoms)
+    fs = [data.draw(functions(n, a, kinds=("table", "product", "character"))) for a in alphabets]
+    with mock.patch.object(correlation, "MC_BLOCK", block):
+        got = mc_correlation(mu, fs, n, samples, seed).value
+    want = sample_loop_correlation(mu, fs, n, samples, seed)
+    assert [got.real.hex(), got.imag.hex()] == [want.real.hex(), want.imag.hex()]
 
 
 def test_ascent_recovers_unimodular_product():

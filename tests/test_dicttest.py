@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product as iprod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,14 @@ from embedlens.dicttest import (
     validate_instance,
 )
 from embedlens.errors import SizeGuardError, ValidationError
-from oracles import dicttest_instances, enumerate_acceptance, max_acceptance, symbol_functions
+from oracles import (
+    dicttest_instances,
+    enumerate_acceptance,
+    max_acceptance,
+    sample_loop_acceptance,
+    symbol_functions,
+    wide_instances,
+)
 
 B = alphabet(["0", "1"])
 
@@ -210,6 +218,22 @@ def test_mc_reproducible_and_matches_exact():
     assert abs(a.acceptance - exact) <= 3 * a.half_width
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), a=st.integers(1, 3), k=st.integers(1, 3), n=st.integers(0, 3),
+       samples=st.integers(1, 30), seed=st.integers(0, 2 ** 64), block=st.integers(1, 12))
+def test_batched_mc_acceptance_matches_the_sample_loop(data, a, k, n, samples, seed, block):
+    """Blocks of draws (shrunk here so that samples cross them), on one to
+    three constraints with unequal weights, over 1, 2^j, 2^j + 1, >2^32 or
+    >2^63 for both the weights and the local masses."""
+    alpha = alphabet([str(s) for s in range(a)])
+    inst = data.draw(wide_instances(alpha, k))
+    f = data.draw(symbol_functions(n, alpha))
+    with mock.patch.object(dicttest, "MC_BLOCK", block):
+        got = run_test_mc(inst, f, samples, seed)
+    assert got.accepted == sample_loop_acceptance(inst, f, samples, seed)
+    assert got.acceptance == got.accepted / samples
+
+
 def test_max_acceptance_diagnostic():
     inst = xor_instance()
     best, f = max_acceptance(inst, 1)
@@ -249,6 +273,44 @@ def test_exact_matches_enumeration_oracle(data, a, k, n):
     assert run_test_exact(inst, f, n) == enumerate_acceptance(inst, f, n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), a=st.integers(2, 3), k=st.integers(1, 3), n=st.integers(1, 4))
+def test_dp_has_one_layer_per_coordinate_read(data, a, k, n):
+    """Dictators at every coordinate (compact and as tables), juntas and
+    xors of a coordinate subset: the diagram has a layer for exactly the
+    coordinates f depends on, and the DP still matches the enumeration."""
+    alpha = alphabet([str(s) for s in range(a)])
+    inst = data.draw(dicttest_instances(alpha, k))
+    support = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
+    words = list(iprod(range(a), repeat=n))
+    kind = data.draw(st.sampled_from(["dictator", "junta", "xor"]))
+    if kind == "dictator":
+        c = support[0]
+        fs = [DictatorFunction(n, alpha, c),
+              DenseSymbolFunction(n, alpha, [str(x[c]) for x in words])]
+    elif kind == "junta":
+        g = data.draw(st.lists(st.sampled_from(alpha.symbols), min_size=a ** len(support),
+                               max_size=a ** len(support)))
+        fs = [DenseSymbolFunction(n, alpha, [g[sum(x[j] * a ** i for i, j in enumerate(support))]
+                                             for x in words])]
+    else:
+        shift = data.draw(st.integers(0, a - 1))
+        fs = [DenseSymbolFunction(n, alpha, [str((sum(x[j] for j in support) + shift) % a)
+                                             for x in words])]
+    for f in fs:
+        read = [j for j in range(n) if any(
+            f.evaluate(tuple(alpha.symbols[v] for v in x))
+            != f.evaluate(tuple(alpha.symbols[(v + 1) % a if i == j else v] for i, v in enumerate(x)))
+            for x in words)]
+        assert len(dicttest._diagram(f)[1]) == len(read)
+        assert run_test_exact(inst, f, n) == enumerate_acceptance(inst, f, n)
+
+
+def test_deep_dictator_costs_one_layer(monkeypatch):
+    monkeypatch.setattr(dicttest, "TRANSITION_GUARD", 4)  # one state times 4 atoms
+    assert run_test_exact(xor_instance(), DictatorFunction(50_000, B, 49_999), 50_000) == 1
+
+
 def test_exact_two_constraints_with_different_denominators():
     pred = xor_instance().predicate
     mu_third = JointDistribution([B] * 3, {("0", "0", "0"): Fraction(1, 3),
@@ -264,14 +326,27 @@ def test_exact_two_constraints_with_different_denominators():
 
 
 def test_state_guard_bounds_total_transitions(monkeypatch):
-    inst = xor_instance()  # 4 atoms: a dictator at coordinate 3 costs 4 * 4 transitions
+    # 4 atoms: a dictator at coordinate 3 reads one layer, so it costs 1 * 4
+    # transitions, as a table or not; the xor of coordinates 1 and 3 reads
+    # two layers, from 1 state and then from one per atom: 4 + 4 * 4
+    inst = xor_instance()
     as_table = DenseSymbolFunction(4, B, [x[3] for x in iprod("01", repeat=4)])
-    for f in (DictatorFunction(4, B, 3), as_table):
-        monkeypatch.setattr(dicttest, "TRANSITION_GUARD", 16)
+    xor13 = DenseSymbolFunction(4, B, [str((int(x[1]) + int(x[3])) % 2)
+                                       for x in iprod("01", repeat=4)])
+    for f, cost in ((DictatorFunction(4, B, 3), 4), (as_table, 4), (xor13, 20)):
+        monkeypatch.setattr(dicttest, "TRANSITION_GUARD", cost)
         assert run_test_exact(inst, f, 4) == 1
-        monkeypatch.setattr(dicttest, "TRANSITION_GUARD", 15)
+        monkeypatch.setattr(dicttest, "TRANSITION_GUARD", cost - 1)
         with pytest.raises(SizeGuardError):
             run_test_exact(inst, f, 4)
+
+
+def test_a5_instance_accepts_exactly_the_support():
+    inst = fixtures.a5_instance()
+    (_, mu), = inst.constraints
+    support = set(mu.support)
+    assert inst.predicate == Predicate.from_callable(mu.alphabets[0], 3,
+                                                     lambda x: tuple(x) in support)
 
 
 def test_huge_table_sizes_fail_fast():

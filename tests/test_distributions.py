@@ -8,16 +8,19 @@ from hypothesis import given, settings, strategies as st
 from embedlens.distributions import (
     MC_DRAW_GUARD,
     Alphabet,
+    ExactChooser,
     JointDistribution,
     ProductPowerSampler,
     alphabet,
     check_draws,
     decompose_mixture,
+    randbelow,
     uniform_on,
     univariate,
 )
 from embedlens.errors import SizeGuardError, ValidationError
 from oracles import (
+    DENOMINATORS,
     assert_exact,
     fraction_condition,
     fraction_marginal,
@@ -206,6 +209,40 @@ def test_sampler_columns_come_from_support():
     for j in range(50):
         col = tuple(rows[i][j] for i in range(3))
         assert col in mu.atoms
+
+
+@settings(max_examples=200, deadline=None)
+@given(total=DENOMINATORS | st.integers(1, 2 ** 200), count=st.integers(0, 60),
+       seed=st.integers(0, 2 ** 64))
+def test_randbelow_replays_randrange(total, count, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert randbelow(rng, total, count) == [ref.randrange(total) for _ in range(count)]
+    assert rng.getstate() == ref.getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=st.lists(st.integers(0, 9) | st.integers(0, 2 ** 70), min_size=1, max_size=6)
+       .filter(any), count=st.integers(0, 40), seed=st.integers(0, 2 ** 32))
+def test_locate_picks_what_draw_picks(weights, count, seed):
+    """With and without int64 bounds, zero weights included."""
+    chooser = ExactChooser(range(len(weights)), weights)
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = chooser.locate(randbelow(rng, chooser.total, count))
+    assert got.tolist() == [chooser.draw(ref) for _ in range(count)]
+
+
+def test_sample_indices_continue_the_sample_stream():
+    mu = three_lin()
+    batched, single = ProductPowerSampler(mu, 5, seed=3), ProductPowerSampler(mu, 5, seed=3)
+    for count in (1, 4, 2):
+        for atoms in batched.sample_indices(count):
+            rows = single.sample()
+            assert [mu.support[i] for i in atoms] == list(zip(*rows))
+
+
+def test_uniform_on_an_empty_support_is_a_validation_error():
+    with pytest.raises(ValidationError, match="non-empty support"):
+        uniform_on([B], [])
 
 
 def test_json_roundtrip(tmp_path):

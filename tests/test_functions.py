@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from itertools import product as iprod
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from embedlens.distributions import alphabet, univariate
 from embedlens.embedding import detect_embedding
 from embedlens.errors import SizeGuardError, ValidationError
 from embedlens.functions import (
+    CharacterProduct,
     ProductFunction,
     TableFunction,
     character_function,
@@ -35,6 +37,19 @@ def random_table(rng: random.Random, n: int, alpha=B) -> TableFunction:
         t = rng.random()
         vals.append(r * cmath.exp(2j * cmath.pi * t))
     return TableFunction(n, alpha, vals)
+
+
+@pytest.mark.parametrize("den", [8, 2 ** 61 - 1, 2 ** 89 - 1])
+def test_character_evaluate_many_is_evaluate_bit_for_bit(den):
+    """Phase sums in int64 and, past 2^62, in Python integers."""
+    rng = random.Random(den)
+    alpha = alphabet("012")
+    f = CharacterProduct(alpha, [[Fraction(rng.randrange(den), den) for _ in alpha.symbols]
+                                 for _ in range(4)])
+    words = np.array(list(iprod(range(3), repeat=4)))
+    for word, re, im in zip(words, *f.evaluate_many(words)):
+        value = f.evaluate([alpha.symbols[s] for s in word])
+        assert (re.hex(), im.hex()) == (value.real.hex(), value.imag.hex())
 
 
 def parity(n: int) -> TableFunction:
