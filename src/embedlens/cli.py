@@ -19,12 +19,14 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__, acceptance, fixtures
 from .correlation import exact_correlation, mc_correlation
 from .dicttest import TestInstance, instance_violations, load_symbol_function, run_test_exact, run_test_mc
 from .distributions import JointDistribution
 from .embedding import connected, detect_embedding, pairwise_connected
-from .errors import ParseError, SizeGuardError, ValidationError, WriteError, write_json
+from .errors import ParseError, SizeGuardError, ValidationError, WriteError, dumps, write_json
 from .functions import (
     ProductFunction,
     TableFunction,
@@ -83,7 +85,7 @@ def _emit(command: str, inputs: list[str], params: dict, result: dict,
             },
             "result": result,
         }
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        text = dumps(payload)
     except ValueError as exc:
         raise ValidationError(f"output would hold a non-finite number: {exc}") from exc
     _print(text)
@@ -359,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        # a float overflow is refused by the finiteness checks, on one line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

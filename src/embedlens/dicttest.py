@@ -402,10 +402,11 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
     """Seeded empirical acceptance of the boxed test.
 
     Each sample draws a constraint, then n columns from its local
-    distribution, all on one `random.Random(seed)` stream. A block of about
-    MC_BLOCK column draws is then mapped to atoms per constraint, and f and
-    the predicate are evaluated on it by numpy indexing: the count is the
-    one a sample-at-a-time loop over `evaluate` gives."""
+    distribution, all on one `random.Random(seed)` stream, at most MC_BLOCK
+    at a time. A block of about MC_BLOCK column draws (one sample, when n
+    is larger) is mapped to atoms per constraint, and f and the predicate
+    are evaluated on it by numpy indexing: the count is the one a
+    sample-at-a-time loop over `evaluate` gives."""
     if samples <= 0:
         raise ValidationError("samples must be positive")
     if f.alphabet != inst.predicate.alphabet:
@@ -415,21 +416,34 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
     picker = ExactChooser(range(len(inst.constraints)),
                           integer_weights([w for w, _ in inst.constraints])[0])
     choosers = [ExactChooser(mu.codes, mu.weights) for _, mu in inst.constraints]
-    codes = [np.array(mu.codes, dtype=np.intp) for _, mu in inst.constraints]
     a, k = len(inst.predicate.alphabet), inst.predicate.k
+    # atom and symbol indices in the narrowest dtypes that hold them, so a
+    # sample of 10^6 columns costs a few MB
+    located_dtype = np.min_scalar_type(max(len(c.items) for c in choosers) - 1)
+    codes = [np.array(mu.codes, dtype=np.min_scalar_type(a - 1)) for _, mu in inst.constraints]
     truth = np.array(inst.predicate.truth, dtype=bool)
     accepted = 0
     block = max(1, MC_BLOCK // max(f.n, 1))
+    widths = [min(MC_BLOCK, f.n - lo) for lo in range(0, f.n, MC_BLOCK)]  # one sample's slices
     for start in range(0, samples, block):
-        picks, draws = [0] * len(choosers), [[] for _ in choosers]
+        picks = [0] * len(choosers)
+        pending = [[] for _ in choosers]  # draws not yet located, fewer than MC_BLOCK
+        located = [[] for _ in choosers]
         for _ in range(min(block, samples - start)):
             ci = picker.draw(rng)
             picks[ci] += 1
-            draws[ci].extend(randbelow(rng, choosers[ci].total, f.n))
-        for chooser, atom_codes, count, drawn in zip(choosers, codes, picks, draws):
-            atoms = chooser.locate(drawn).reshape(count, f.n)
+            for width in widths:
+                pending[ci].extend(randbelow(rng, choosers[ci].total, width))
+                if len(pending[ci]) >= MC_BLOCK:
+                    located[ci].append(choosers[ci].locate(pending[ci]).astype(located_dtype))
+                    pending[ci] = []
+        for ci, count in enumerate(picks):
+            if not count:
+                continue
+            located[ci].append(choosers[ci].locate(pending[ci]).astype(located_dtype))
+            atoms = np.concatenate(located[ci]).reshape(count, f.n)
             cell = np.zeros(count, dtype=np.int64)  # index of the k images in the truth table
             for i in range(k):
-                cell = cell * a + f.evaluate_many(atom_codes[atoms, i])
+                cell = cell * a + f.evaluate_many(codes[ci][atoms, i])
             accepted += int(np.count_nonzero(truth[cell]))
     return McAcceptance(accepted / samples, samples, hoeffding_half_width(samples), accepted)

@@ -72,26 +72,39 @@ class JointDistribution:
     """
 
     def __init__(self, alphabets: Sequence[Alphabet], atoms: Mapping[Atom, Fraction]):
-        alphabets = tuple(alphabets)
-        violations, kept = [], {}
+        masses = {}
         for x, p in atoms.items():
+            p = p if isinstance(p, (int, Fraction)) else Fraction(p)  # a float, exactly
+            masses[x] = (p.numerator, p.denominator)
+        vars(self).update(vars(JointDistribution._from_masses(alphabets, masses)))
+
+    @classmethod
+    def _from_masses(cls, alphabets: Sequence[Alphabet],
+                     masses: Mapping[Atom, tuple[int, int]]) -> "JointDistribution":
+        """Validate atom -> reduced (numerator, positive denominator) masses;
+        the weights are taken over the lcm of the denominators."""
+        alphabets = tuple(alphabets)
+        lookups = [a._index for a in alphabets]
+        violations, codes, kept = [], [], []
+        for x, (num, den) in masses.items():
             if len(x) != len(alphabets):
                 violations.append(f"atom {x} has arity {len(x)}, expected {len(alphabets)}")
                 continue
-            violations.extend(f"atom {x}: symbol {s!r} not in alphabet {i}"
-                              for i, s in enumerate(x) if s not in alphabets[i])
-            kept[x] = p if isinstance(p, (int, Fraction)) else Fraction(p)  # a float, exactly
-            if kept[x].numerator < 0:
+            code = tuple([lookup.get(s) for lookup, s in zip(lookups, x)])
+            if None in code:
+                violations.extend(f"atom {x}: symbol {s!r} not in alphabet {i}"
+                                  for i, s in enumerate(x) if s not in alphabets[i])
+            if num < 0:
                 violations.append(f"negative mass at atom {x}")
-        weights, denominator = integer_weights(list(kept.values()))
+            codes.append(code)
+            kept.append((num, den))
+        denominator = lcm(*{den for _, den in kept})
+        weights = [num * (denominator // den) for num, den in kept]
         if sum(weights) != denominator:
             violations.append(f"mass sum != 1 (got {Fraction(sum(weights), denominator)})")
         if violations:
             raise ValidationError("; ".join(violations))
-        lookups = [a._index for a in alphabets]
-        coded = {tuple([lookup[s] for lookup, s in zip(lookups, x)]): w
-                 for x, w in zip(kept, weights)}
-        vars(self).update(vars(JointDistribution._from_weights(alphabets, coded, denominator)))
+        return cls._from_weights(alphabets, dict(zip(codes, weights)), denominator)
 
     @classmethod
     def _from_weights(cls, alphabets: Sequence[Alphabet], weights: Mapping[tuple[int, ...], int],
@@ -176,17 +189,22 @@ class JointDistribution:
 
     @classmethod
     def from_json(cls, data: dict) -> "JointDistribution":
+        """Read each "p" pair as Fraction(num, den) would, in integers; a
+        repeated atom's masses add."""
         try:
             alphabets = [alphabet(a) for a in data["alphabets"]]
-            atoms: dict[Atom, Fraction] = {}
+            masses: dict[Atom, tuple[int, int]] = {}
             for entry in data["atoms"]:
-                x = tuple(str(s) for s in entry["x"])
+                x = tuple(map(str, entry["x"]))
                 num, den = entry["p"]
-                p = Fraction(num, den)
-                atoms[x] = atoms[x] + p if x in atoms else p
+                num, den = _reduced(num, den)
+                if x in masses:
+                    num0, den0 = masses[x]
+                    num, den = _reduced(num0 * den + num * den0, den0 * den)
+                masses[x] = num, den
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad distribution payload: {exc}") from exc
-        return cls(alphabets, atoms)
+        return cls._from_masses(alphabets, masses)
 
     @classmethod
     def load(cls, path: str) -> "JointDistribution":
@@ -194,6 +212,16 @@ class JointDistribution:
 
     def save(self, path: str) -> None:
         write_json(path, self.to_json())
+
+
+def _reduced(num, den) -> tuple[int, int]:
+    """Fraction(num, den) as (numerator, denominator), without building the
+    Fraction when both are ints and den is not zero."""
+    if type(num) is not int or type(den) is not int or not den:
+        p = Fraction(num, den)  # Fraction's own rules and errors
+        return p.numerator, p.denominator
+    g = gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
 
 
 def integer_weights(masses: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -4,11 +4,14 @@ The CLI maps these onto exit codes: validation failures exit 2, size
 guards exit 3, parse errors and files that cannot be read or written exit
 4. A failed internal self-check raises AssertionError, which the CLI
 reports as an internal error with exit 5. Every file the package reads or
-writes goes through `read_json` and `write_json`, and every payload parser
-turns PAYLOAD_ERRORS into a ParseError.
+writes goes through `read_json` and `write_json`, every payload parser
+turns PAYLOAD_ERRORS into a ParseError, and every JSON text the package
+writes, to a file or to stdout, is built by `dumps`.
 """
 
 import json
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 
 # a missing key, a wrong type or shape, a number out of range (inf, 1/0)
 PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, AttributeError, ArithmeticError)
@@ -44,10 +47,138 @@ def read_json(path: str):
 
 
 def write_json(path: str, data) -> None:
-    """Write `data` as indented JSON with sorted keys and a final newline."""
+    """Write `dumps(data)` and a final newline to `path`.
+
+    The text is built before the file is opened, so data that cannot be
+    written (a non-finite number) is a ValidationError and leaves the file
+    untouched."""
+    try:
+        text = dumps(data) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"output would hold a non-finite number: {exc}") from exc
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise WriteError(str(exc)) from exc
+
+
+_int_text = int.__repr__
+_float_repr = float.__repr__
+_INF = float("inf")
+
+
+def _float_text(x) -> str:
+    if x != x or x == _INF or x == -_INF:
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+    return _float_repr(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as json converts it, in json's order of tests."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return _int_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+_SCALAR_LISTS = {str: _quote, int: _int_text, float: _float_text}
+
+
+def dumps(data) -> str:
+    """`json.dumps(data, indent=2, sort_keys=True, allow_nan=False)`: the
+    same text, or the same exception, built from C-level pieces.
+
+    With `indent` set, json runs its pure-Python encoder, one generator
+    step per token. Here scalars go by exact type to json's C string
+    quoting and the `int`/`float` reprs, a list of one scalar type is one
+    `str.join`, and each `"key": ` prefix is quoted once per call.
+    Subclasses (such as `np.float64`) and tuples take json's isinstance
+    tests; keys, their order, and the errors for unsupported types,
+    non-finite floats and circular containers are json's. A level of
+    nesting costs three recursion levels where json's costs one, so
+    RecursionError comes at about a third of json's depth (over 300 levels
+    at the default limit)."""
+    breaks = ["\n"]  # breaks[d]: a newline and the indent of depth d
+    prefixes: dict[str, str] = {}  # str key -> '"key": '
+    path: set[int] = set()  # ids of the containers being written
+
+    def value(o, depth: int) -> str:
+        t = type(o)
+        if t is str:
+            return _quote(o)
+        if t is int:
+            return _int_text(o)
+        if t is float:
+            return _float_text(o)
+        if t is list or t is tuple:
+            return array(o, depth)
+        if t is dict:
+            return obj(o, depth)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        # a subclass: json's isinstance tests, in its order
+        if isinstance(o, str):
+            return _quote(o)
+        if isinstance(o, int):
+            return _int_text(o)
+        if isinstance(o, float):
+            return _float_text(o)
+        if isinstance(o, (list, tuple)):
+            return array(o, depth)
+        if isinstance(o, dict):
+            return obj(o, depth)
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    def enter(container, depth: int) -> str:
+        """The break before each item of `container`, which is now on the path."""
+        if id(container) in path:
+            raise ValueError("Circular reference detected")
+        path.add(id(container))
+        while len(breaks) <= depth + 1:
+            breaks.append(breaks[-1] + "  ")
+        return breaks[depth + 1]
+
+    def array(lst, depth: int) -> str:
+        if not lst:
+            return "[]"
+        kinds = set(map(type, lst))
+        scalar = _SCALAR_LISTS.get(kinds.pop()) if len(kinds) == 1 else None
+        inner = enter(lst, depth)
+        if scalar is None:
+            body = f",{inner}".join(map(value, lst, repeat(depth + 1)))
+        else:
+            body = f",{inner}".join(map(scalar, lst))
+        path.discard(id(lst))
+        return "[" + inner + body + breaks[depth] + "]"
+
+    def obj(dct, depth: int) -> str:
+        if not dct:
+            return "{}"
+        inner = enter(dct, depth)
+        items = []
+        for key, val in sorted(dct.items()):
+            if type(key) is str:
+                prefix = prefixes.get(key)
+                if prefix is None:
+                    prefix = prefixes[key] = _quote(key) + ": "
+            else:
+                prefix = _quote(_key_text(key)) + ": "
+            items.append(prefix + value(val, depth + 1))
+        path.discard(id(dct))
+        return "{" + inner + f",{inner}".join(items) + breaks[depth] + "}"
+
+    return value(data, 0)

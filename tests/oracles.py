@@ -1,8 +1,9 @@
 """Term-by-term enumeration oracles for the dense routes and the dictatorship
 test, `Fraction` oracles for the integer mass arithmetic of distributions,
-reductions and the character fold, sample-at-a-time loops for the batched
-Monte Carlo estimates, the exhaustive soundness diagnostic
-`max_acceptance`, and small inputs to compare them on.
+reductions, the character fold and the reading of distribution payloads,
+sample-at-a-time loops for the batched Monte Carlo estimates, the
+exhaustive soundness diagnostic `max_acceptance`, and small inputs to
+compare them on.
 
 Each oracle walks every term of its sum in Python and shares no code with
 the per-coordinate tensor path or decision-diagram DP it checks: functions
@@ -41,7 +42,7 @@ from embedlens.distributions import (
     integer_weights,
     univariate,
 )
-from embedlens.errors import SizeGuardError
+from embedlens.errors import PAYLOAD_ERRORS, ParseError, SizeGuardError
 from embedlens.functions import (
     CharacterProduct,
     ProductFunction,
@@ -215,6 +216,22 @@ def assert_exact(dist, want: dict) -> None:
     assert list(dist.codes) == sorted(dist.codes)
     assert dist.support == tuple(tuple(a.symbols[i] for a, i in zip(dist.alphabets, c))
                                  for c in dist.codes)
+
+
+def fraction_from_json(data: dict) -> JointDistribution:
+    """A distribution payload read with one Fraction per "p" pair, repeated
+    atoms summed as Fractions."""
+    try:
+        alphabets = [alphabet(a) for a in data["alphabets"]]
+        atoms: dict = {}
+        for entry in data["atoms"]:
+            x = tuple(str(s) for s in entry["x"])
+            num, den = entry["p"]
+            p = Fraction(num, den)
+            atoms[x] = atoms[x] + p if x in atoms else p
+    except PAYLOAD_ERRORS as exc:
+        raise ParseError(f"bad distribution payload: {exc}") from exc
+    return JointDistribution(alphabets, atoms)
 
 
 def fraction_marginal(atoms: dict, coords) -> dict:

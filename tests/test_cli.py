@@ -17,7 +17,7 @@ from embedlens import dicttest, embedding, fixtures
 from embedlens.cli import SWEEP_GUARD, _emit, main
 from embedlens.correlation import exact_correlation
 from embedlens.distributions import MC_DRAW_GUARD
-from embedlens.errors import ValidationError
+from embedlens.errors import ValidationError, dumps
 from embedlens.functions import ProductFunction
 
 
@@ -335,6 +335,79 @@ def test_analyze_result_bytes_pinned(name, tmp_path, capsys):
     canonical = json.dumps(payload["result"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == ANALYZE_DIGESTS[name]
     assert payload["manifest"]["digest"] == ANALYZE_DIGESTS[name]
+
+
+# sha256 of the full stdout (manifest, indentation and final newline
+# included) of each command run on the inputs of `pinned_inputs` by relative
+# path, recorded while stdout was still written by json.dumps(indent=2,
+# sort_keys=True); the output bytes must not drift.
+FULL_STDOUT = {
+    "analyze-a5": (("analyze", "a5.json"),
+                   "ac0d50f70485ac32ef64476d6f1f6b83e25975a10772d33b232820bd2b44fe91"),
+    "paired-3lin": (("reduce", "3lin.json", "--op", "paired-copies"),
+                    "538680a802ff8bab59f402f1237ec836aa39268d8269a973939a28b258ca87ba"),
+    "paired-z3sum": (("reduce", "z3sum.json", "--op", "paired-copies"),
+                     "93bf889477506d55aaf904f78a8f5611a3e13a34d67e2c7101178d5abf659716"),
+    "star-3lin": (("reduce", "3lin.json", "--op", "star-coupling", "--p-star", "1/3"),
+                  "998098499a71a30417e98246ab5bf19373b7abe1beb867a07a45599cab51b86e"),
+    "star-z3sum": (("reduce", "z3sum.json", "--op", "star-coupling", "--p-star", "1/4"),
+                   "faab965de06a6f4cbf0a8aa44b5a6fd1e5a35b7b098ac6dda32ed98e5f1d3be1"),
+    "stability": (("stability", "f.json", "--rho", "0.7", "--decompose"),
+                  "4754aa500ad8c902854c04bb5618ecf431ec9e178f801b08c616a2bbd7b03c64"),
+    "dicttest-mc": (("dicttest", "3lin-instance.json", "dictator.json", "--mode", "mc",
+                     "--samples", "2000", "--seed", "5"),
+                    "0c3ab4b0030a2aaa5b5713eab52b8a05e35ba08461c9d9b9a14833bfcbdfb280"),
+    "verify": (("verify", "reduction"),
+               "904ceff6c1bcc3b28c238014d9d46fabf8848f0ae1c089146bc28862fb94c221"),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("pinned")
+    for name in ("a5", "3lin", "z3sum", "3lin-instance"):
+        fixtures.NAMED[name]().save(str(d / f"{name}.json"))
+    (d / "f.json").write_text(json.dumps({
+        "n": 3, "alphabet": ["0", "1", "2"],
+        "values": [[(i * 7 % 11) / 10 - 0.5, (i * 5 % 13) / 20] for i in range(27)]}))
+    (d / "dictator.json").write_text(json.dumps({"n": 9, "alphabet": ["0", "1"], "dictator": 4}))
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(FULL_STDOUT))
+def test_full_stdout_bytes_pinned(name, pinned_inputs, monkeypatch, capsys):
+    argv, digest = FULL_STDOUT[name]
+    monkeypatch.chdir(pinned_inputs)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_reduce_out_file_holds_the_result_as_stdout_writes_it(pinned_inputs, tmp_path, capsys):
+    target = tmp_path / "coupling.json"
+    code, out = run_cli(capsys, "reduce", str(pinned_inputs / "z3sum.json"), "--op",
+                        "star-coupling", "--p-star", "1/4", "--out", str(target))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert target.read_bytes() == (dumps(result) + "\n").encode()
+    assert target.read_bytes() == (json.dumps(result, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_float_overflow_in_a_handler_is_one_stderr_line(tmp_path):
+    # numpy warnings go to the real stderr, which capsys does not see
+    mu = tmp_path / "mu.json"
+    fixtures.three_lin().save(str(mu))
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": 1, "alphabet": ["0", "1"],
+                               "values": [[1e308, 1e308], [1e308, -1e308]]}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(embedlens.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "embedlens.cli", "reduce", str(mu), "--op", "conditional-product",
+         "--functions", str(big), str(big)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "validation failure: function values must be finite (no NaN or infinity)\n"
 
 
 def run_cli_err(capsys, *argv):

@@ -18,11 +18,12 @@ from embedlens.distributions import (
     uniform_on,
     univariate,
 )
-from embedlens.errors import SizeGuardError, ValidationError
+from embedlens.errors import ParseError, SizeGuardError, ValidationError
 from oracles import (
     DENOMINATORS,
     assert_exact,
     fraction_condition,
+    fraction_from_json,
     fraction_marginal,
     fraction_mixture,
     prime_masses,
@@ -277,3 +278,32 @@ def test_integer_operations_match_fraction_oracles(raw, data):
             decompose_mixture(mu, JointDistribution(alphabets, base), c)
     else:
         assert_exact(decompose_mixture(mu, JointDistribution(alphabets, base), c), want)
+
+
+# "p" entries: most pairs valid (negative, zero and huge parts included),
+# the rest a zero denominator, a float, a string, a bool or the wrong arity
+PAIR_PARTS = (st.integers(-3, 12) | st.integers(10 ** 20, 10 ** 22) | st.booleans()
+              | st.sampled_from([0.5, "1", None]))
+PAIRS = (st.tuples(st.integers(-2, 12), st.integers(-12, 12)).map(list)
+         | st.lists(PAIR_PARTS, min_size=2, max_size=2) | st.lists(PAIR_PARTS, max_size=3))
+PAYLOAD_SYMBOLS = st.sampled_from(["0", "1", "2", 0, 1, True])
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 3), atoms=st.lists(st.fixed_dictionaries({
+    "x": st.lists(PAYLOAD_SYMBOLS, min_size=1, max_size=4), "p": PAIRS}), max_size=6),
+    complete=st.booleans())
+def test_from_json_matches_the_fraction_reader(k, atoms, complete):
+    """Repeated atoms, zero and negative masses, bad pairs, unknown symbols
+    and wrong arities: the same distribution, or the same error."""
+    if complete:  # often a valid distribution: top up the last atom's mass to one
+        atoms = atoms + [{"x": ["0"] * k, "p": [1, 1]}]
+    data = {"alphabets": [["0", "1"]] * k, "atoms": atoms}
+
+    def outcome(read):
+        try:
+            return read(data)
+        except (ParseError, ValidationError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(JointDistribution.from_json) == outcome(fraction_from_json)

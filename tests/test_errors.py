@@ -1,9 +1,14 @@
-"""The JSON file boundary: `read_json`, `write_json` and every payload parser."""
+"""The JSON file boundary: `read_json`, `write_json`, `dumps` and every payload parser."""
 
+import ast
 import json
+import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import embedlens
 from embedlens import fixtures
 from embedlens.dicttest import (
     Predicate,
@@ -13,7 +18,7 @@ from embedlens.dicttest import (
 )
 from embedlens.distributions import JointDistribution
 from embedlens.embedding import EmbeddingWitness
-from embedlens.errors import ParseError, WriteError, read_json, write_json
+from embedlens.errors import ParseError, ValidationError, WriteError, dumps, read_json, write_json
 from embedlens.functions import ProductFunction, TableFunction, load_function, load_function_file
 
 INF = float("inf")
@@ -104,3 +109,104 @@ def test_witness_round_trip(tmp_path):
     path = tmp_path / "w.json"
     write_json(str(path), witness.to_json())
     assert EmbeddingWitness.from_json(read_json(str(path))) == witness
+
+
+def test_write_json_refuses_non_finite_numbers_and_leaves_the_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("before\n")
+    with pytest.raises(ValidationError, match="non-finite"):
+        write_json(str(path), {"a": [1.0, float("nan")]})
+    assert path.read_text() == "before\n"
+    with pytest.raises(ValidationError, match="non-finite"):
+        write_json(str(tmp_path / "new.json"), {"a": INF})
+    assert not (tmp_path / "new.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# `dumps` against json.dumps(indent=2, sort_keys=True, allow_nan=False)
+
+def json_outcome(encode, data):
+    """The text, or the type and message of the error."""
+    try:
+        return encode(data)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def reference(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(2 ** 64, 2 ** 80)
+           | st.integers(-2 ** 80, -2 ** 64) | st.floats() | st.floats().map(np.float64)
+           | st.just(-0.0) | st.text() | st.sampled_from(["é", "\x00\x1f", " ", "😀", '"\\/']))
+KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+SAME_TYPE_LISTS = (st.lists(st.text(), min_size=1) | st.lists(st.integers(), min_size=1)
+                   | st.lists(st.floats(), min_size=1))
+TREES = st.recursive(
+    SCALARS | SAME_TYPE_LISTS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(KEYS, inner, max_size=3)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=TREES)
+def test_dumps_matches_json(data):
+    assert json_outcome(dumps, data) == json_outcome(reference, data)
+
+
+def _circular_list():
+    a = [1]
+    a.append([a])
+    return a
+
+
+def _circular_dict():
+    d = {"a": 1}
+    d["b"] = {"c": (d,)}
+    return d
+
+
+def _nested(depth):
+    data = 1
+    for _ in range(depth):
+        data = [data]
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    _circular_list(), _circular_dict(), [1.0, float("nan")], {"a": -INF}, [np.float64("nan")],
+    {float("nan"): 1}, {1: "a", "b": 2}, {(1, 2): 3}, [1, object()], [np.int64(1)], {"a": {1, 2}},
+    10 ** 5000, _nested(300), {"z": [[[]], {}, ()], "a": {"": [True, False, None]}},
+], ids=lambda d: type(d).__name__)
+def test_dumps_matches_json_on_errors_and_deep_nesting(data):
+    assert json_outcome(dumps, data) == json_outcome(reference, data)
+
+
+# ---------------------------------------------------------------------------
+# The one JSON boundary: a scan of the package source.
+
+PACKAGE = os.path.dirname(embedlens.__file__)
+# cli._print points a broken stdout at os.devnull so the flush at exit is quiet
+ALLOWED_OPENS = {("cli.py", "os.open(os.devnull, os.O_WRONLY)")}
+
+
+def _calls(name):
+    with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py")))
+def test_only_errors_opens_files_and_runs_json_file_io(name):
+    for call in _calls(name):
+        func = ast.unparse(call.func)
+        if name != "errors.py":
+            opens = func == "open" or func.endswith((".open", ".read_text", ".write_text",
+                                                    ".read_bytes", ".write_bytes"))
+            assert not opens or (name, ast.unparse(call)) in ALLOWED_OPENS, ast.unparse(call)
+            assert func not in ("json.dump", "json.load"), ast.unparse(call)
+        if func == "json.dumps":  # the compact digest form only: the indented text is `dumps`
+            assert "indent" not in {kw.arg for kw in call.keywords}, ast.unparse(call)
