@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -26,7 +27,8 @@ from .correlation import exact_correlation, mc_correlation
 from .dicttest import TestInstance, instance_violations, load_symbol_function, run_test_exact, run_test_mc
 from .distributions import JointDistribution
 from .embedding import connected, detect_embedding, pairwise_connected
-from .errors import ParseError, SizeGuardError, ValidationError, WriteError, dumps, write_json
+from .errors import (ParseError, SizeGuardError, ValidationError, WriteError, dumps, unwritable,
+                     write_json)
 from .functions import (
     ProductFunction,
     TableFunction,
@@ -87,7 +89,7 @@ def _emit(command: str, inputs: list[str], params: dict, result: dict,
         }
         text = dumps(payload)
     except ValueError as exc:
-        raise ValidationError(f"output would hold a non-finite number: {exc}") from exc
+        raise unwritable(exc) from exc
     _print(text)
 
 
@@ -358,9 +360,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing builds a fresh namespace on
+    every call and leaves the parser unchanged, so calls share nothing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         # a float overflow is refused by the finiteness checks, on one line
         with np.errstate(over="ignore", invalid="ignore"):
             return args.fn(args)

@@ -216,8 +216,11 @@ class JointDistribution:
 
 def _reduced(num, den) -> tuple[int, int]:
     """Fraction(num, den) as (numerator, denominator), without building the
-    Fraction when both are ints and den is not zero."""
+    Fraction when both are ints and den is not zero. A null denominator is
+    refused: Fraction(num, None) would read num alone."""
     if type(num) is not int or type(den) is not int or not den:
+        if den is None:
+            raise TypeError("mass pair has a null denominator")
         p = Fraction(num, den)  # Fraction's own rules and errors
         return p.numerator, p.denominator
     g = gcd(num, den)

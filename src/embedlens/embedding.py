@@ -2,10 +2,13 @@
 
 A support admits an Abelian embedding exactly when its constraint lattice
 is a proper sublattice of Z^S. The detector builds one 0/1 constraint row
-per support atom (relative to a fixed base point), reduces the rows to a
-lattice basis, and reads the verdict off the Smith normal form: rank
-deficiency yields a witness into Z, a divisor d > 1 yields a witness into
-Z_d. Every positive verdict is re-verified against the support before it
+per support atom (relative to a fixed base point), finds the Hermite normal
+form H of the lattice the rows span (`span_hermite_form`: a few rows reduced
+exactly, every row certified), and reads the verdict off H: the identity
+means no embedding; otherwise the Smith normal form of H decides, rank
+deficiency yielding a witness into Z and a divisor d > 1 a witness into
+Z_d. H is unique for the lattice, so the witness depends on the lattice
+only. Every positive verdict is re-verified against the support before it
 is returned.
 """
 
@@ -18,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .distributions import Alphabet, Atom, JointDistribution, uniform_on
 from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError
-from .intlattice import IntMatrix, normalize_vector, row_basis, smith_normal_form
+from .intlattice import IntMatrix, normalize_vector, smith_normal_form, span_hermite_form
 
 ORACLE_NODE_BUDGET = 20_000_000  # search nodes of one brute-force modulus
 
@@ -126,22 +129,24 @@ def verify_witness(support: Iterable[Atom], witness: EmbeddingWitness) -> bool:
 def detect_embedding(dist: JointDistribution) -> EmbeddingVerdict:
     """Exact embeddability verdict for the support of `dist`.
 
-    Large row sets are first reduced to a spanning basis of the constraint
-    lattice (the verdict depends only on the lattice). Witness extraction:
-    a kernel vector of the rows if the rank is deficient (target Z), else
-    the V-column of the smallest divisor d > 1 reduced mod d (target Z_d).
+    The verdict is read off the Hermite normal form H of the constraint
+    lattice; the identity needs no Smith normal form. Witness extraction:
+    a kernel vector of H if the rank is deficient (target Z), else the
+    V-column of the smallest divisor d > 1 reduced mod d (target Z_d).
     """
     cm = constraint_matrix(dist)
     if cm.s == 0:
         return EmbeddingVerdict(False, None, (), 0, 0)
-    basis = row_basis([dict.fromkeys(cols, 1) for cols in cm.rows], cm.s)
-    if not basis:
+    h = span_hermite_form(cm.rows, cm.s)
+    if not h:
         # Lattice is {0}; any nonzero integer vector embeds into Z.
         vec = [1] + [0] * (cm.s - 1)
         witness = _witness_from_vector(cm, dist.alphabets, vec, 0)
         _require_verified(dist, witness)
         return EmbeddingVerdict(True, witness, (), 0, cm.s)
-    snf = smith_normal_form(IntMatrix.from_rows(basis))
+    if len(h) == cm.s and all(r[i] == 1 for i, r in enumerate(h)):
+        return EmbeddingVerdict(False, None, (1,) * cm.s, cm.s, cm.s)  # L = Z^s
+    snf = smith_normal_form(IntMatrix.from_rows(h))
     divisors = snf.divisors[:snf.rank]
     if snf.rank < cm.s:
         vec = [snf.V.entry(i, snf.rank) for i in range(cm.s)]

@@ -1,15 +1,17 @@
 """Exception hierarchy and the JSON file boundary shared by all embedlens modules.
 
 The CLI maps these onto exit codes: validation failures exit 2, size
-guards exit 3, parse errors and files that cannot be read or written exit
-4. A failed internal self-check raises AssertionError, which the CLI
-reports as an internal error with exit 5. Every file the package reads or
-writes goes through `read_json` and `write_json`, every payload parser
-turns PAYLOAD_ERRORS into a ParseError, and every JSON text the package
-writes, to a file or to stdout, is built by `dumps`.
+guards (an output integer over the digit limit included) exit 3, parse
+errors and files that cannot be read or written exit 4. A failed internal
+self-check raises AssertionError, which the CLI reports as an internal
+error with exit 5. Every file the package reads or writes goes through
+`read_json` and `write_json`, every payload parser turns PAYLOAD_ERRORS
+into a ParseError, and every JSON text the package writes, to a file or to
+stdout, is built by `dumps`.
 """
 
 import json
+import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -46,16 +48,27 @@ def read_json(path: str):
             raise ParseError(f"{path}: {exc}") from exc
 
 
+def unwritable(exc: ValueError) -> EmbedlensError:
+    """The error for data that `dumps` refused with `exc`: an integer longer
+    than CPython's int-to-str digit limit is a size guard, and anything else
+    (NaN or an infinity) a non-finite number."""
+    if "integer string conversion" in str(exc):
+        return SizeGuardError(f"output would hold an integer over the "
+                              f"{sys.get_int_max_str_digits()}-digit limit of "
+                              f"int-to-str conversion: {exc}")
+    return ValidationError(f"output would hold a non-finite number: {exc}")
+
+
 def write_json(path: str, data) -> None:
     """Write `dumps(data)` and a final newline to `path`.
 
     The text is built before the file is opened, so data that cannot be
-    written (a non-finite number) is a ValidationError and leaves the file
-    untouched."""
+    written (a non-finite number, an integer over the digit limit) raises
+    `unwritable`'s error and leaves the file untouched."""
     try:
         text = dumps(data) + "\n"
     except ValueError as exc:
-        raise ValidationError(f"output would hold a non-finite number: {exc}") from exc
+        raise unwritable(exc) from exc
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -6,15 +6,27 @@ has full rank and all invariant factors equal 1. Entry growth during
 elimination is accepted (desk-scale matrices); the pivot rule picks the
 minimal-absolute-value nonzero entry, tie-broken by smallest (row, col)
 lexicographically, so decompositions are deterministic.
+
+The lattice spanned by many 0/1 rows is found by `span_hermite_form`: a
+small selection of rows is reduced exactly, and every other row is
+certified to lie in the lattice of the selection by a vectorised check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
+
+INT64_BOUND = 2 ** 63  # magnitudes below this fit np.int64
+CERTIFY_BLOCK = 512  # support rows per block of the membership check (bounds its memory)
+SELECT_ALL_ROWS = 32  # up to this many rows, all are reduced and none is checked
 
 
 @dataclass(frozen=True)
@@ -35,11 +47,13 @@ class IntMatrix:
         c = len(rows[0])
         if any(len(row) != c for row in rows):
             raise ValidationError("ragged rows")
-        return cls(r, c, tuple(int(v) for row in rows for v in row))
+        return cls(r, c, tuple(map(int, chain.from_iterable(rows))))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        entries = [0] * (n * n)
+        entries[::n + 1] = [1] * n
+        return cls(n, n, tuple(entries))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -190,7 +204,7 @@ def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
                             dirty = True
                 if not dirty:
                     break
-            if any(m[i][t] for i in range(t + 1, nr)):
+            if any(map(itemgetter(t), m[t + 1:])):
                 continue  # row clearing disturbed the column
             if m[t][t] == 1:
                 break  # a unit divides the whole trailing block
@@ -210,9 +224,9 @@ def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
 
     divisors = tuple(m[t][t] for t in range(min(nr, nc)))
     return SNFDecomposition(
-        U=IntMatrix.from_rows(u),
-        V=IntMatrix.from_rows(v),
-        D=IntMatrix.from_rows(m),
+        U=IntMatrix(nr, nr, tuple(chain.from_iterable(u))),
+        V=IntMatrix(nc, nc, tuple(chain.from_iterable(v))),
+        D=IntMatrix(nr, nc, tuple(chain.from_iterable(m))),
         divisors=divisors,
         rank=rank,
     )
@@ -259,7 +273,149 @@ def row_basis(rows: Iterable[Mapping[int, int]], cols: int) -> list[list[int]]:
                 g, s, t = _ext_gcd(bl, rl)
                 basis[l] = _add_multiple({j: s * x for j, x in b.items()} if s else {}, t, r)
                 r = _add_multiple({j: (rl // g) * x for j, x in b.items()}, -(bl // g), r)
-    return [[b.get(j, 0) for j in range(cols)] for _, b in sorted(basis.items())]
+    out = []
+    for _, b in sorted(basis.items()):
+        row = [0] * cols
+        for j, x in b.items():
+            row[j] = x
+        out.append(row)
+    return out
+
+
+def hermite_normal_form(basis: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Row Hermite normal form of an echelon basis.
+
+    `basis` is as `row_basis` returns it: rows sorted by leading column,
+    leads positive. Each entry above a lead is reduced into [0, lead) by
+    subtracting multiples of the rows below it, bottom row first, so the
+    result is unique for the lattice the rows span.
+    """
+    h = [list(r) for r in basis]
+    leads = [_lead(r) for r in h]
+    for r in range(len(h) - 2, -1, -1):
+        row = h[r]
+        for i, c in enumerate(leads[r + 1:], r + 1):
+            if row[c]:
+                q = row[c] // h[i][c]
+                if q:
+                    row[c:] = [x - q * y for x, y in zip(row[c:], h[i][c:])]
+    return h
+
+
+def span_hermite_form(rows: Sequence[Sequence[int]], cols: int,
+                      start: Iterable[int] | None = None) -> list[list[int]]:
+    """Row Hermite normal form H of the integer span of 0/1 rows.
+
+    Row i holds a 1 in each of the distinct columns `rows[i]` and 0
+    elsewhere. Only a selection of rows is reduced exactly (`row_basis`,
+    then `hermite_normal_form`): by default, for each column, the first row
+    that holds it, or every row when there are at most `SELECT_ALL_ROWS`;
+    `start` lists other row indices to begin from. Every row outside the
+    selection is then checked for membership in L(H) (see `_outside`); the
+    rows that fail the check join the selection and the round repeats. L(H)
+    only grows and never leaves the span, so the loop ends, with L(H) equal
+    to the span.
+    """
+    if start is None and len(rows) <= SELECT_ALL_ROWS:
+        start = range(len(rows))
+    else:
+        idx = _column_index(rows, cols)
+        if not idx.size:
+            return []
+        if start is None:
+            seen, at = np.unique(idx.T, return_index=True)
+            start = at[seen < cols] // len(idx)
+    new = sorted({int(i) for i in start})
+    if len(new) == len(rows):  # no row is left to check
+        return hermite_normal_form(row_basis([dict.fromkeys(r, 1) for r in rows], cols))
+    h: list[list[int]] = []
+    new = new or _outside(idx, h, cols)
+    while new:
+        basis = row_basis([dict(filter(itemgetter(1), enumerate(r))) for r in h]
+                          + [dict.fromkeys(rows[i], 1) for i in new], cols)
+        h = hermite_normal_form(basis)
+        if len(h) == cols and all(r[i] == 1 for i, r in enumerate(h)):
+            break  # the identity: L(H) is all of Z^cols
+        new = _outside(idx, h, cols)
+    return h
+
+
+def _column_index(rows: Sequence[Sequence[int]], cols: int) -> np.ndarray:
+    """idx[t, i]: the t-th column of row i, or `cols` past the end of the row."""
+    idx = np.array(list(zip_longest(*rows, fillvalue=cols)), dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() > cols
+                     or np.count_nonzero(idx == cols) != idx.size - sum(map(len, rows))):
+        raise ValidationError(f"row column out of range for {cols} columns")
+    return idx
+
+
+def _outside(idx: np.ndarray, h: list[list[int]], cols: int) -> list[int]:
+    """Rows of `idx` (see `_column_index`) to add to L(h), for h in Hermite
+    normal form, ascending: none exactly when every row is in L(h). For each
+    column, the first row whose residue is nonzero there and the first whose
+    residue first goes nonzero there.
+
+    In the Hermite form a column whose lead is 1 holds a single 1, so
+    subtracting from a 0/1 row the rows of h that lead at its unit-lead
+    columns leaves a residue only on the other columns. One gather-add per
+    block of rows computes it. The rows of h with a lead above 1 then
+    reduce the residue in lead order; a row is in L(h) exactly when its
+    residue ends at zero. The arrays are int64 when a bound on the residue,
+    worked out from the entries of h, rules out overflow, else Python ints.
+    """
+    leads = [_lead(r) for r in h]
+    units = [i for i, c in enumerate(leads) if h[i][c] == 1]
+    others = [i for i, c in enumerate(leads) if h[i][c] != 1]
+    keep = sorted(set(range(cols)).difference(leads[i] for i in units))  # residue columns
+    free = sorted(set(keep).difference(leads))
+    # An entry at a lead's column lies in [0, lead]; the other columns are free.
+    big = max([1, *(h[i][c] for i, c in enumerate(leads)), *(abs(r[j]) for r in h for j in free)])
+    # |residue| <= r0 after the gather-add. Reducing by row i subtracts q_i
+    # times it, where |q_i| <= |entry at its lead| // lead + 1, and that
+    # entry is at most r0 + (lead - 1) * sum_{j<i} |q_j|, because the rows
+    # above row i hold entries in [0, lead) at its lead.
+    r0 = len(idx) * big
+    q = 0
+    for i in others:
+        lead = h[i][leads[i]]
+        q += (r0 + (lead - 1) * q) // lead + 1
+    dtype = np.int64 if r0 + q * big < INT64_BOUND else object
+    # e[c]: unit vector c, minus the row of h that leads at c if that lead is
+    # 1, on the residue columns; row `cols` (the padding) is zero.
+    e = np.zeros((cols + 1, len(keep)), dtype=dtype)
+    e[keep, range(len(keep))] = 1
+    if units:
+        e[[leads[i] for i in units]] = np.array([[-h[i][j] for j in keep] for i in units], dtype=dtype)
+    pos = {j: p for p, j in enumerate(keep)}
+    reducers = [(pos[leads[i]], h[i][leads[i]], np.array([h[i][j] for j in keep], dtype=dtype))
+                for i in others]
+    lead_first: dict[int, int] = {}  # residue column -> row
+    any_first: dict[int, int] = {}
+    for a in range(0, idx.shape[1], CERTIFY_BLOCK):
+        block = idx[:, a:a + CERTIFY_BLOCK]
+        res = e[block[0]]
+        for t in range(1, len(block)):
+            res += e[block[t]]
+        fail = np.flatnonzero(res.any(axis=1))
+        if not len(fail):
+            continue
+        res = res[fail]
+        for p, lead, row in reducers:
+            res -= (res[:, p] // lead)[:, None] * row
+        nonzero = res != 0
+        bad = nonzero.any(axis=1)
+        found, at = np.unique(nonzero.argmax(axis=1)[bad], return_index=True)
+        for j, i in zip(found.tolist(), (fail[bad][at] + a).tolist()):
+            lead_first.setdefault(j, i)
+        found = np.flatnonzero(nonzero.any(axis=0))
+        for j, i in zip(found.tolist(), (fail[nonzero.argmax(axis=0)[found]] + a).tolist()):
+            any_first.setdefault(j, i)
+    return sorted({*lead_first.values(), *any_first.values()})
+
+
+def _lead(row: Sequence[int]) -> int:
+    """Column of the first nonzero entry of a nonzero row."""
+    return row.index(next(filter(None, row)))
 
 
 def _add_multiple(x: dict[int, int], q: int, y: dict[int, int]) -> dict[int, int]:

@@ -1,9 +1,9 @@
 """Term-by-term enumeration oracles for the dense routes and the dictatorship
 test, `Fraction` oracles for the integer mass arithmetic of distributions,
 reductions, the character fold and the reading of distribution payloads,
-sample-at-a-time loops for the batched Monte Carlo estimates, the
-exhaustive soundness diagnostic `max_acceptance`, and small inputs to
-compare them on.
+sample-at-a-time loops for the batched Monte Carlo estimates, the all-rows
+lattice route for the embedding verdict, the exhaustive soundness
+diagnostic `max_acceptance`, and small inputs to compare them on.
 
 Each oracle walks every term of its sum in Python and shares no code with
 the per-coordinate tensor path or decision-diagram DP it checks: functions
@@ -12,7 +12,8 @@ subset components. The Monte Carlo loops draw every column with
 `Random.randrange` through `ExactChooser.draw`, not with the inline
 rejection loop they check. The `Fraction` oracles take the raw atom -> mass
 dict a distribution was built from, never its integer weights, and the
-character fold oracle reads phases as Fractions. Keep them slow and obvious.
+character fold oracle reads phases as Fractions. The lattice oracle reduces
+every constraint row and certifies none. Keep them slow and obvious.
 `max_acceptance` is no oracle: it maximizes the DP's exact acceptance over
 every dense table.
 """
@@ -20,7 +21,7 @@ every dense table.
 import cmath
 import random
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import combinations, permutations, product as iter_product
 from math import fsum, lcm
 
 import numpy as np
@@ -42,12 +43,25 @@ from embedlens.distributions import (
     integer_weights,
     univariate,
 )
+from embedlens.embedding import (
+    EmbeddingVerdict,
+    _require_verified,
+    _witness_from_vector,
+    constraint_matrix,
+)
 from embedlens.errors import PAYLOAD_ERRORS, ParseError, SizeGuardError
 from embedlens.functions import (
     CharacterProduct,
     ProductFunction,
     TableFunction,
     _measure_weights,
+)
+from embedlens.intlattice import (
+    IntMatrix,
+    hermite_normal_form,
+    normalize_vector,
+    row_basis,
+    smith_normal_form,
 )
 from embedlens.reduction import STAR, StarAlphabet, decode_symbol, pair_symbol
 
@@ -227,6 +241,8 @@ def fraction_from_json(data: dict) -> JointDistribution:
         for entry in data["atoms"]:
             x = tuple(str(s) for s in entry["x"])
             num, den = entry["p"]
+            if den is None:
+                raise TypeError("mass pair has a null denominator")
             p = Fraction(num, den)
             atoms[x] = atoms[x] + p if x in atoms else p
     except PAYLOAD_ERRORS as exc:
@@ -324,6 +340,45 @@ def fraction_characters(atoms: dict, functions, n) -> tuple[complex, tuple | Non
         else:
             exact = False
     return (complex(float(re), float(im)), (re, im)) if exact else (value, None)
+
+
+# ---------------------------------------------------------------------------
+# The all-rows lattice route for the embedding verdict
+
+def all_rows_embedding(dist, hermite: bool = True) -> EmbeddingVerdict:
+    """The verdict from `row_basis` over every constraint row, then the Smith
+    normal form, read as `detect_embedding` reads it.
+
+    With hermite=False this is the route `detect_embedding` took before it
+    reduced only a selection of rows. Its witness depends on the echelon
+    basis the rows reduce to, not only on their lattice. With hermite=True
+    the basis is first put in Hermite normal form, which is unique for the
+    lattice, so the witness is the one the selection route must give.
+    """
+    cm = constraint_matrix(dist)
+    if cm.s == 0:
+        return EmbeddingVerdict(False, None, (), 0, 0)
+    basis = row_basis([dict.fromkeys(cols, 1) for cols in cm.rows], cm.s)
+    if not basis:
+        witness = _witness_from_vector(cm, dist.alphabets, [1] + [0] * (cm.s - 1), 0)
+        _require_verified(dist, witness)
+        return EmbeddingVerdict(True, witness, (), 0, cm.s)
+    if hermite:
+        basis = hermite_normal_form(basis)
+    snf = smith_normal_form(IntMatrix.from_rows(basis))
+    divisors = snf.divisors[:snf.rank]
+    if snf.rank < cm.s:
+        vec = normalize_vector([snf.V.entry(i, snf.rank) for i in range(cm.s)])
+        witness = _witness_from_vector(cm, dist.alphabets, vec, 0)
+        _require_verified(dist, witness)
+        return EmbeddingVerdict(True, witness, divisors, snf.rank, cm.s)
+    j = next((idx for idx, d in enumerate(divisors) if d > 1), None)
+    if j is not None:
+        vec = [snf.V.entry(i, j) for i in range(cm.s)]
+        witness = _witness_from_vector(cm, dist.alphabets, vec, divisors[j])
+        _require_verified(dist, witness)
+        return EmbeddingVerdict(True, witness, divisors, snf.rank, cm.s)
+    return EmbeddingVerdict(False, None, divisors, snf.rank, cm.s)
 
 
 # ---------------------------------------------------------------------------
@@ -466,3 +521,52 @@ def symbol_functions(draw, n, alpha):
             start = size * draw(st.integers(0, a ** n // size - 1))
             symbols[start:start + size] = [draw(st.sampled_from(alpha.symbols))] * size
     return DenseSymbolFunction(n, alpha, symbols)
+
+
+def group_elements(n: int, alternating: bool) -> list[tuple[int, ...]]:
+    """S_n, or A_n, as permutation tuples."""
+    def parity(p):
+        return sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2
+    return [p for p in permutations(range(n)) if not alternating or parity(p) == 0]
+
+
+def triple_product(elems, orders=None):
+    """The support {(x, y, z) : xyz = e} of a permutation group; coordinate i
+    names element g by its position in `orders[i]` (default: list order)."""
+    orders = orders or [range(len(elems))] * 3
+    names = [{elems[j]: f"g{i:03d}" for i, j in enumerate(o)} for o in orders]
+    support = []
+    for x in elems:
+        for y in elems:
+            xy = tuple(x[y[i]] for i in range(len(y)))
+            z = tuple(sorted(range(len(xy)), key=xy.__getitem__))  # inverse of xy
+            support.append((names[0][x], names[1][y], names[2][z]))
+    return [alphabet(sorted(nm.values())) for nm in names], support
+
+
+@st.composite
+def lattice_supports(draw):
+    """(alphabets, support) of three kinds: a random support (k 2..5,
+    alphabets 1..4, any density); a random subset of {x : sum_i sigma_i(x_i)
+    = 0 mod m} for random maps sigma_i into Z_m, m 2..7, which often has
+    torsion (several divisors above 1 included); and a Z_m-sum (m 2..6)
+    with every coordinate relabelled."""
+    kind = draw(st.sampled_from(["random", "torsion", "zsum"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if kind == "zsum":
+        m, k = draw(st.sampled_from([(2, 2), (2, 5), (3, 3), (4, 4), (5, 3), (6, 3), (6, 4)]))
+        names = [rng.sample(range(m), m) for _ in range(k)]
+        support = [tuple(str(names[i][v]) for i, v in enumerate(x))
+                   for x in iter_product(range(m), repeat=k) if sum(x) % m == 0]
+        return [_alphabet(m)] * k, support
+    k = draw(st.integers(2, 5))
+    sizes = [draw(st.integers(1, 4)) for _ in range(k)]
+    cells = list(iter_product(*[range(a) for a in sizes]))
+    if kind == "torsion":
+        m = draw(st.integers(2, 7))
+        sigma = [[0] + [rng.randrange(m) for _ in range(a - 1)] for a in sizes]
+        cells = [x for x in cells if sum(sigma[i][c] for i, c in enumerate(x)) % m == 0]
+    density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.8, 1.0]))
+    support = [x for x in cells if rng.random() < density] or [rng.choice(cells)]
+    return ([_alphabet(a) for a in sizes],
+            [tuple(str(c) for c in x) for x in support])

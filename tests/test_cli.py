@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import embedlens
 from embedlens import dicttest, embedding, fixtures
-from embedlens.cli import SWEEP_GUARD, _emit, main
+from embedlens.cli import SWEEP_GUARD, _emit, _parser, build_parser, main
 from embedlens.correlation import exact_correlation
 from embedlens.distributions import MC_DRAW_GUARD
 from embedlens.errors import ValidationError, dumps
@@ -122,6 +122,41 @@ def test_correlate_mc_requires_seed(tmp_path, capsys):
                         "--samples", "100", "--seed", "7")
     assert code == 0
     assert json.loads(out)["result"]["mode"] == "monte-carlo"
+
+
+def test_consecutive_calls_share_the_parser_and_nothing_else(tmp_path, capsys):
+    """main reuses one parser; no option or default of one call reaches the
+    next: each output equals that of the same argv on a fresh parser."""
+    dist = tmp_path / "mu.json"
+    fixtures.three_lin().save(str(dist))
+    fns = []
+    for i in range(3):
+        path = tmp_path / f"f{i}.json"
+        write_parity_product(str(path), 2)
+        fns.append(str(path))
+    mc = ["correlate", str(dist), *fns, "--n", "2", "--mode", "mc", "--samples", "50",
+          "--seed", "7"]
+    default = ["correlate", str(dist), *fns, "--n", "2"]
+    analyze = ["analyze", str(dist)]
+
+    def fresh(argv):
+        args = build_parser().parse_args(argv)
+        assert args.fn(args) == 0
+        return capsys.readouterr().out
+
+    want = {tuple(argv): fresh(argv) for argv in (mc, default, analyze)}
+    for argv in (mc, default):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out == want[tuple(argv)]
+    manifest = json.loads(out)["manifest"]
+    assert manifest["params"] == {"n": 2, "mode": "exact", "samples": None, "sweep_n": None}
+    assert manifest["seed"] is None
+    code, out, err = run_cli_err(capsys, "correlate", str(dist), fns[0], "--n", "abc")
+    assert (code, out) == (4, "") and err.startswith("parse error: ")
+    for argv in (analyze, default):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out == want[tuple(argv)]
+    assert _parser() is _parser() and build_parser() is not build_parser()
 
 
 def test_correlate_sweep_csv(tmp_path, capsys):
@@ -457,6 +492,24 @@ def test_emit_refuses_non_finite_results(capsys):
     with pytest.raises(ValidationError, match="non-finite"):
         _emit("stability", [], {}, {"stability": NAN})
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_an_integer_over_the_digit_limit_is_a_size_guard(to_file, tmp_path, capsys):
+    # squared masses 1/d^2 with d = 10^2200 + 1 need 4,401 digits
+    d = 10 ** 2200 + 1
+    dist = tmp_path / "mu.json"
+    dist.write_text(json.dumps({"alphabets": [["0", "1"], ["0", "1"]], "atoms": [
+        {"x": ["0", "0"], "p": [1, d]}, {"x": ["0", "1"], "p": [d - 2, d]},
+        {"x": ["1", "1"], "p": [1, d]}]}))
+    out_file = tmp_path / "out.json"
+    extra = ["--out", str(out_file)] if to_file else []
+    code, out, err = run_cli_err(capsys, "reduce", str(dist), "--op", "paired-copies", *extra)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"size guard: output would hold an integer over the "
+                          f"{sys.get_int_max_str_digits()}-digit limit")
+    assert "non-finite" not in err and err.count("\n") == 1
+    assert not out_file.exists()
 
 
 def test_reduce_star_coupling_p_nu_is_validated(tmp_path, capsys):

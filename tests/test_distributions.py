@@ -280,6 +280,14 @@ def test_integer_operations_match_fraction_oracles(raw, data):
         assert_exact(decompose_mixture(mu, JointDistribution(alphabets, base), c), want)
 
 
+@pytest.mark.parametrize("pair", [[1, None], ["1/2", None], [0, None], [0.5, None]])
+def test_a_null_denominator_is_a_parse_error(pair):
+    data = {"alphabets": [["0", "1"]], "atoms": [{"x": ["0"], "p": pair}]}
+    for read in (JointDistribution.from_json, fraction_from_json):
+        with pytest.raises(ParseError, match="null denominator"):
+            read(data)
+
+
 # "p" entries: most pairs valid (negative, zero and huge parts included),
 # the rest a zero denominator, a float, a string, a bool or the wrong arity
 PAIR_PARTS = (st.integers(-3, 12) | st.integers(10 ** 20, 10 ** 22) | st.booleans()

@@ -1,11 +1,12 @@
 import random
 from itertools import product
+from math import prod
 
 from hypothesis import given, settings, strategies as st
 
-from embedlens import fixtures
+from embedlens import fixtures, intlattice
 from embedlens.distributions import alphabet, uniform_on
-from embedlens.errors import read_json, write_json
+from embedlens.errors import dumps, read_json, write_json
 from embedlens.embedding import (
     _fraction_kernel,
     _rank_mod_p,
@@ -18,6 +19,8 @@ from embedlens.embedding import (
     pairwise_connected,
     verify_witness,
 )
+from embedlens.intlattice import hermite_normal_form, row_basis, span_hermite_form
+from oracles import all_rows_embedding, group_elements, lattice_supports, triple_product
 
 B = alphabet(["0", "1"])
 
@@ -275,3 +278,95 @@ def test_unit_alphabet_coordinates_are_skipped():
     all_units = uniform_on([one, one], [("x", "x")])
     v2 = detect_embedding(all_units)
     assert not v2.admits and v2.s == 0
+
+
+# ---------------------------------------------------------------------------
+# The selection route against the all-rows route (tests/oracles.py)
+
+def verdict_bytes(v):
+    return v.admits, v.rank, v.snf_divisors, v.witness and dumps(v.witness.to_json())
+
+
+def assert_same_as_all_rows(dist):
+    got = detect_embedding(dist)
+    assert verdict_bytes(got) == verdict_bytes(all_rows_embedding(dist))
+    before = all_rows_embedding(dist, hermite=False)  # the lattice invariants
+    assert (got.admits, got.rank, got.snf_divisors) == (
+        before.admits, before.rank, before.snf_divisors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_supports())
+def test_detect_matches_the_all_rows_route(case):
+    assert_same_as_all_rows(uniform_on(*case))
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from([(4, True), (4, False)]), st.data())
+def test_detect_matches_the_all_rows_route_on_relabelled_groups(group, data):
+    elems = group_elements(*group)
+    orders = [data.draw(st.permutations(range(len(elems)))) for _ in range(3)]
+    assert_same_as_all_rows(uniform_on(*triple_product(elems, orders)))
+
+
+def test_detect_matches_the_all_rows_route_on_the_fixtures():
+    for name, build in sorted(fixtures.NAMED.items()):
+        if not name.endswith("instance"):
+            dist = build()
+            assert verdict_bytes(detect_embedding(dist)) == verdict_bytes(
+                all_rows_embedding(dist, hermite=False)), name
+
+
+def test_the_witness_depends_on_the_lattice_only():
+    # A torsion-rich support with lattice quotient Z_6: the basis that every
+    # row reduces to gives the witness 2, 1, ... (mod 6), its Hermite form
+    # the negation. Both are embeddings; the selection route gives the one
+    # its unique Hermite form gives, whatever rows it reduced.
+    support = [("0", "0", "3", "2"), ("0", "1", "1", "4"), ("0", "1", "2", "3"),
+               ("1", "0", "0", "4"), ("1", "0", "3", "3"), ("1", "0", "4", "0"),
+               ("1", "1", "0", "0"), ("1", "1", "1", "2"), ("1", "1", "2", "4"),
+               ("1", "1", "4", "1"), ("1", "1", "4", "2"), ("2", "0", "0", "3"),
+               ("2", "0", "3", "1"), ("2", "1", "2", "3"), ("2", "1", "4", "4")]
+    alphabets = [alphabet([str(v) for v in range(a)]) for a in (3, 2, 5, 5)]
+    dist = uniform_on(alphabets, support)
+    got, before = detect_embedding(dist), all_rows_embedding(dist, hermite=False)
+    assert got.snf_divisors == before.snf_divisors == (1,) * 10 + (6,)
+    assert got.witness.modulus == before.witness.modulus == 6
+    for a, b in zip(got.witness.sigma, before.witness.sigma):
+        assert {s: (-v) % 6 for s, v in a.items()} == b
+    assert verify_witness(support, got.witness) and verify_witness(support, before.witness)
+    assert verdict_bytes(got) == verdict_bytes(all_rows_embedding(dist))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_supports(), st.data())
+def test_the_loop_from_a_small_selection_reaches_the_span(case, data):
+    cm = constraint_matrix(uniform_on(*case))
+    if cm.s == 0:
+        return
+    want = hermite_normal_form(row_basis([dict.fromkeys(c, 1) for c in cm.rows], cm.s))
+    start = data.draw(st.lists(st.integers(0, len(cm.rows) - 1), max_size=2))
+    assert span_hermite_form(cm.rows, cm.s, start=start) == want
+    assert span_hermite_form(cm.rows, cm.s) == want
+
+
+def test_rank_raising_and_index_lowering_rounds(monkeypatch):
+    # S4 from one row: a round that raises the rank (46 -> 69), then one
+    # that keeps it and lowers the index of the lattice (4 -> 2)
+    cm = constraint_matrix(uniform_on(*triple_product(group_elements(4, False))))
+    rounds = []
+
+    def recording(rows, cols):
+        basis = row_basis(rows, cols)
+        leads = [next(x for x in r if x) for r in basis]
+        rounds.append((len(basis), prod(leads)))
+        return basis
+
+    monkeypatch.setattr(intlattice, "row_basis", recording)
+    h = span_hermite_form(cm.rows, cm.s, start=[1])
+    assert any(b[0] > a[0] for a, b in zip(rounds, rounds[1:]))
+    assert any(b[0] == a[0] and b[1] < a[1] for a, b in zip(rounds, rounds[1:]))
+    assert rounds[-1] == (69, 2)
+    monkeypatch.undo()
+    assert h == hermite_normal_form(row_basis([dict.fromkeys(c, 1) for c in cm.rows], cm.s))
+

@@ -18,7 +18,8 @@ from embedlens.dicttest import (
 )
 from embedlens.distributions import JointDistribution
 from embedlens.embedding import EmbeddingWitness
-from embedlens.errors import ParseError, ValidationError, WriteError, dumps, read_json, write_json
+from embedlens.errors import (ParseError, SizeGuardError, ValidationError, WriteError, dumps,
+                             read_json, write_json)
 from embedlens.functions import ProductFunction, TableFunction, load_function, load_function_file
 
 INF = float("inf")
@@ -120,6 +121,14 @@ def test_write_json_refuses_non_finite_numbers_and_leaves_the_file(tmp_path):
     with pytest.raises(ValidationError, match="non-finite"):
         write_json(str(tmp_path / "new.json"), {"a": INF})
     assert not (tmp_path / "new.json").exists()
+
+
+def test_write_json_refuses_an_integer_over_the_digit_limit_as_a_size_guard(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("before\n")
+    with pytest.raises(SizeGuardError, match="digit limit"):
+        write_json(str(path), {"a": [1, 10 ** 5000]})
+    assert path.read_text() == "before\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@ from hypothesis import given, settings, strategies as st
 from embedlens.errors import ValidationError
 from embedlens.intlattice import (
     IntMatrix,
+    _column_index,
     _ext_gcd,
+    _outside,
+    hermite_normal_form,
     row_basis,
     smith_normal_form,
+    span_hermite_form,
 )
 
 
@@ -271,3 +275,71 @@ def test_bareiss_det_matches_numpy_sign_pattern():
     assert IntMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
     with pytest.raises(ValidationError):
         IntMatrix.from_rows([[1, 2]]).det()
+
+
+# ---------------------------------------------------------------------------
+# Hermite normal form and the membership check of span_hermite_form
+
+WIDE = st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_rows(WIDE), st.randoms(use_true_random=False))
+def test_hermite_normal_form_is_reduced_and_unique_for_the_lattice(case, rnd):
+    rows, cols = case
+    h = hermite_normal_form(row_basis(sparse(rows), cols))
+    leads = [next(j for j, x in enumerate(r) if x) for r in h]
+    assert leads == sorted(set(leads))
+    for i, c in enumerate(leads):
+        assert h[i][c] > 0 and all(0 <= h[r][c] < h[i][c] for r in range(i))
+    # another generating set of the same lattice: the rows shuffled, plus
+    # integer combinations of them
+    more = rows[:]
+    rnd.shuffle(more)
+    more += [[x + 3 * y for x, y in zip(a, b)] for a, b in zip(rows, more)]
+    assert hermite_normal_form(row_basis(sparse(more), cols)) == h
+    if h:
+        a, b = smith_normal_form(IntMatrix.from_rows(rows)), smith_normal_form(IntMatrix.from_rows(h))
+        assert (a.rank, a.divisors[:a.rank]) == (b.rank, b.divisors[:b.rank])
+
+
+def member(h, row, cols):
+    """Whether `row` lies in the lattice of the Hermite form h."""
+    return hermite_normal_form(row_basis(sparse(h) + sparse([row]), cols)) == h
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_rows(WIDE), st.data())
+def test_membership_check_agrees_with_exact_reduction(case, data):
+    # entries past 2^63 take the Python-int arrays, small ones int64
+    gens, cols = case
+    h = hermite_normal_form(row_basis(sparse(gens), cols))
+    ones = st.lists(st.integers(0, cols - 1), max_size=cols, unique=True).map(sorted)
+    rows = data.draw(st.lists(ones.map(tuple), min_size=1, max_size=12))
+    dense = [[int(j in r) for j in range(cols)] for r in rows]
+    idx = _column_index(rows, cols)
+    if not idx.size:
+        return
+    added = _outside(idx, h, cols)
+    assert added == sorted(set(added))
+    assert all(not member(h, dense[i], cols) for i in added)
+    assert (not added) == all(member(h, r, cols) for r in dense)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 4), st.data())
+def test_span_hermite_form_matches_every_row_reduced(cols, k, data):
+    support = st.lists(st.integers(0, cols - 1), max_size=k, unique=True).map(tuple)
+    rows = data.draw(st.lists(support, min_size=1, max_size=80))
+    want = hermite_normal_form(row_basis([dict.fromkeys(r, 1) for r in rows], cols))
+    assert span_hermite_form(rows, cols) == want
+    start = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
+    assert span_hermite_form(rows, cols, start=start) == want
+
+
+@pytest.mark.parametrize("copies", [1, 40])  # every row reduced, or most checked
+def test_span_hermite_form_rejects_out_of_range_columns(copies):
+    for bad in ([(0, 3)], [(-1,)], [(3,)]):
+        with pytest.raises(ValidationError):
+            span_hermite_form(bad * copies, 3)
+
