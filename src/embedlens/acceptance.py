@@ -19,7 +19,7 @@ from .correlation import (
     exact_correlation,
     restricted_product_correlation,
 )
-from .dicttest import DictatorFunction, run_test_exact, run_test_mc
+from .dicttest import SymbolFunction, run_test_exact, run_test_mc
 from .distributions import (
     JointDistribution,
     alphabet as make_alphabet,
@@ -257,10 +257,10 @@ def criterion_7_dicttest_completeness() -> CriterionResult:
         alpha = inst.predicate.alphabet
         for n in range(1, 5):
             for j in range(n):
-                acc = run_test_exact(inst, DictatorFunction(n, alpha, j), n)
+                acc = run_test_exact(inst, SymbolFunction.dictator(n, alpha, j), n)
                 if acc != 1:
                     failures.append(f"{name} n={n} dictator {j}: exact {acc}")
-        mc = run_test_mc(inst, DictatorFunction(4, alpha, 2), samples=mc_samples, seed=271828)
+        mc = run_test_mc(inst, SymbolFunction.dictator(4, alpha, 2), samples=mc_samples, seed=271828)
         if mc.accepted != mc_samples:
             failures.append(f"{name}: MC accepted {mc.accepted}/{mc_samples}")
     details = f"all dictators exact 1 on both fixtures (n<=4); MC {mc_samples}/{mc_samples}"

@@ -2,21 +2,19 @@
 matrix with i.i.d. columns from its local distribution, and evaluate the
 predicate on the row images under the tested function.
 
-Exact acceptance is computed by a column dynamic program over a layered
-decision diagram of f, compiled once: there is one layer per coordinate f
-reads (a coordinate at which no restriction of f depends on its symbol is
-dropped), the nodes at depth j are the distinct restrictions of f by the
-first j read symbols, and a restriction that is constant is absorbed at
-once. A state is the k-tuple of the rows' nodes; each layer is one
+A tested function f: Sigma^n -> Sigma is held in one form, a reduced
+ordered decision diagram (Bryant 1986) compiled when f is made, with one
+layer per coordinate f reads. Exact acceptance is a column dynamic program
+over it: a state is the k-tuple of the rows' nodes, each layer one
 vectorised step over all states and atoms, with integer weights over a
 power of the local distribution's denominator and one Fraction at the end.
-A dictator is one layer and one state at any coordinate, and a junta costs
-its support, so exact completeness checks run even when a local
-distribution has thousands of atoms. The DP stops when no state is left,
-and TRANSITION_GUARD bounds its total transitions (states times atoms,
-summed over layers and constraints). Monte Carlo acceptance draws samples
-x n columns, at most `distributions.MC_DRAW_GUARD`, on the stream of a
-sample-at-a-time loop, and evaluates them in blocks by numpy indexing. The
+A dictator is one layer at any coordinate and a junta costs its support,
+so exact completeness checks run even when a local distribution has
+thousands of atoms. The DP stops when no state is left, and
+TRANSITION_GUARD bounds its total transitions (states times atoms, summed
+over layers and constraints). Monte Carlo acceptance draws samples x n
+columns, at most `distributions.MC_DRAW_GUARD`, on the stream of a
+sample-at-a-time loop, and walks the same diagram over blocks of them. The
 test needs only `instance_violations`; `validate_instance` adds the
 embedding analysis of each local distribution."""
 
@@ -25,7 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -37,6 +34,7 @@ from .distributions import (
     Alphabet,
     ExactChooser,
     JointDistribution,
+    _reduced,
     alphabet as make_alphabet,
     check_draws,
     integer_weights,
@@ -52,74 +50,74 @@ TRANSITION_GUARD = 200_000  # DP transitions (states x atoms) of one exact accep
 # ---------------------------------------------------------------------------
 # Symbol-valued functions f: Sigma^n -> Sigma
 
+@dataclass(frozen=True, eq=False)
 class SymbolFunction:
-    """Interface: evaluate on a word, or on many words given as symbol indices."""
+    """f: Sigma^n -> Sigma as a layered decision diagram.
+
+    Node ids below |Sigma| are the constant restrictions (id = symbol
+    index), and `root` is the id of f. `layers[j][v, s]` is the id of node
+    v restricted by symbol s at coordinate `reads[j]`; a constant maps
+    every symbol to itself. Every node after the last layer is constant."""
 
     n: int
     alphabet: Alphabet
+    root: int
+    layers: list[np.ndarray]
+    reads: tuple[int, ...]
 
-    def evaluate(self, x: Sequence[str]) -> str:
-        raise NotImplementedError
-
-    def evaluate_many(self, x: np.ndarray) -> np.ndarray:
-        """The symbol index of `evaluate` at each row of x, an (m, n) array of
-        symbol indices."""
-        raise NotImplementedError
-
-
-class DenseSymbolFunction(SymbolFunction):
-    def __init__(self, n: int, alpha: Alphabet, symbols: Sequence[str]):
-        if not is_table_length(len(symbols), len(alpha), n):
-            raise ValidationError("dense symbol table has wrong length")
-        for s in symbols:
-            if s not in alpha:
-                raise ValidationError(f"output symbol {s!r} not in alphabet")
-        self.n = n
-        self.alphabet = alpha
-        self.symbols = tuple(symbols)
-
-    def evaluate(self, x):
-        return self.symbols[self.alphabet.word_index(x)]
-
-    @cached_property
-    def codes(self) -> np.ndarray:
-        """The table as symbol indices."""
-        return np.array([self.alphabet.index(s) for s in self.symbols], dtype=np.int64)
-
-    def evaluate_many(self, x):
-        return self.codes[x @ _places(len(self.alphabet), self.n)]
-
-
-class DictatorFunction(SymbolFunction):
-    def __init__(self, n: int, alpha: Alphabet, coordinate: int):
+    @classmethod
+    def dictator(cls, n: int, alpha: Alphabet, coordinate: int) -> "SymbolFunction":
         if not 0 <= coordinate < n:
             raise ValidationError("dictator coordinate out of range")
-        self.n = n
-        self.alphabet = alpha
-        self.coordinate = coordinate
+        ident = cls.table(1, alpha, alpha.symbols)  # one layer, or none if |alpha| = 1
+        return cls(n, alpha, ident.root, ident.layers, (coordinate,) * len(ident.layers))
 
-    def evaluate(self, x):
-        return x[self.coordinate]
-
-    def evaluate_many(self, x):
-        return x[:, self.coordinate]
-
-
-class ConstantSymbolFunction(SymbolFunction):
-    def __init__(self, n: int, alpha: Alphabet, value: str):
+    @classmethod
+    def constant(cls, n: int, alpha: Alphabet, value: str) -> "SymbolFunction":
         if n < 0:
             raise ValidationError("arity must be nonnegative")
         if value not in alpha:
             raise ValidationError(f"constant {value!r} not in alphabet")
-        self.n = n
-        self.alphabet = alpha
-        self.value = value
+        return cls(n, alpha, alpha.index(value), [], ())
 
-    def evaluate(self, x):
-        return self.value
+    @classmethod
+    def table(cls, n: int, alpha: Alphabet, symbols: Sequence[str]) -> "SymbolFunction":
+        """The diagram of a table in lexicographic word order, compiled from
+        the last coordinate up: the children of each node are one row of the
+        ids below it. A coordinate at which every node has equal children is
+        read by no node and gets no layer (the reduction rule), so a junta
+        compiles to one layer per coordinate of its support."""
+        if not is_table_length(len(symbols), len(alpha), n):
+            raise ValidationError("dense symbol table has wrong length")
+        ids = list(map(alpha._index.get, symbols))
+        if None in ids:
+            raise ValidationError(f"output symbol {symbols[ids.index(None)]!r} not in alphabet")
+        a = len(alpha)
+        ids = np.array(ids, dtype=np.int64)
+        held = np.repeat(np.arange(a), a).reshape(a, a)  # a constant stays itself
+        layers, reads = [], []
+        for j in reversed(range(n)):
+            rows = ids.reshape(-1, a)
+            uniform = (rows == rows[:, :1]).all(axis=1)
+            if uniform.all():  # no node reads coordinate j
+                ids = rows[:, 0]
+                continue
+            const = (rows[:, 0] < a) & uniform
+            live = rows[~const]  # nodes numbered in the lexicographic order of their rows
+            _, first, inverse = np.unique(_row_keys(live), return_index=True, return_inverse=True)
+            ids = rows[:, 0].copy()
+            ids[~const] = a + inverse.reshape(-1)
+            layers.append(np.vstack([held, live[first]]))
+            reads.append(j)
+        return cls(n, alpha, int(ids[0]), layers[::-1], tuple(reads[::-1]))
 
-    def evaluate_many(self, x):
-        return np.full(len(x), self.alphabet.index(self.value))
+    def evaluate_many(self, x: np.ndarray) -> np.ndarray:
+        """The symbol index of f at each row of x, an (m, n) array of symbol
+        indices: the diagram walked over the columns it reads."""
+        node = np.full(len(x), self.root, dtype=np.int64)
+        for layer, c in zip(self.layers, self.reads):
+            node = layer[node, x[:, c]]
+        return node
 
 
 def symbol_function_from_json(data: dict) -> SymbolFunction:
@@ -127,10 +125,10 @@ def symbol_function_from_json(data: dict) -> SymbolFunction:
         alpha = make_alphabet(data["alphabet"])
         n = int(data["n"])
         if "dictator" in data:
-            return DictatorFunction(n, alpha, int(data["dictator"]))
+            return SymbolFunction.dictator(n, alpha, int(data["dictator"]))
         if "constant" in data:
-            return ConstantSymbolFunction(n, alpha, str(data["constant"]))
-        return DenseSymbolFunction(n, alpha, [str(s) for s in data["symbols"]])
+            return SymbolFunction.constant(n, alpha, str(data["constant"]))
+        return SymbolFunction.table(n, alpha, [str(s) for s in data["symbols"]])
     except PAYLOAD_ERRORS as exc:
         raise ParseError(f"bad symbol function payload: {exc}") from exc
 
@@ -158,9 +156,6 @@ class Predicate:
     def from_callable(cls, alpha: Alphabet, k: int, fn) -> "Predicate":
         cells = list(iter_product(alpha.symbols, repeat=k))
         return cls(alpha, k, tuple(1 if fn(c) else 0 for c in cells))
-
-    def evaluate(self, symbols: Sequence[str]) -> bool:
-        return bool(self.truth[self.alphabet.word_index(symbols)])
 
     def to_json(self) -> dict:
         return {"alphabet": list(self.alphabet.symbols), "k": self.k,
@@ -211,7 +206,7 @@ class TestInstance:
             for entry in data["constraints"]:
                 num, den = entry["w"]
                 mu = JointDistribution.from_json({"alphabets": alphabets, "atoms": entry["mu"]})
-                constraints.append((Fraction(num, den), mu))
+                constraints.append((Fraction(*_reduced(num, den)), mu))
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad instance payload: {exc}") from exc
         return cls(pred, tuple(constraints))
@@ -249,10 +244,17 @@ def instance_violations(inst: TestInstance) -> list[str]:
     if total != 1:
         violations.append(f"weights sum to {total}, expected 1")
     for idx, (_, mu) in enumerate(inst.constraints):
-        bad = next((x for x in mu.support if not inst.predicate.evaluate(x)), None)
-        if bad is not None:
-            violations.append(f"constraint {idx}: mass on falsifying atom {bad}")
+        holds = _holds(inst.predicate, mu)
+        if 0 in holds:
+            violations.append(f"constraint {idx}: mass on falsifying atom "
+                              f"{mu.support[holds.index(0)]}")
     return violations
+
+
+def _holds(pred: Predicate, mu: JointDistribution) -> list[int]:
+    """The predicate's truth value at each support atom, in support order."""
+    cells = np.array(mu.codes, dtype=np.int64) @ _places(len(pred.alphabet), pred.k)
+    return [pred.truth[c] for c in cells.tolist()]
 
 
 def validate_instance(inst: TestInstance) -> InstanceReport:
@@ -264,7 +266,7 @@ def validate_instance(inst: TestInstance) -> InstanceReport:
         verdict = detect_embedding(mu)
         pc, _ = pairwise_connected(mu)
         reports.append(ConstraintReport(
-            support_ok=all(inst.predicate.evaluate(x) for x in mu.support),
+            support_ok=0 not in _holds(inst.predicate, mu),
             admits_embedding=verdict.admits,
             witness_modulus=verdict.witness.modulus if verdict.witness else None,
             connected=connected(mu),
@@ -285,53 +287,17 @@ def run_test_exact(inst: TestInstance, f: SymbolFunction, n: int) -> Fraction:
         raise ValidationError(f"function arity {f.n} != n = {n}")
     if f.alphabet != inst.predicate.alphabet:
         raise ValidationError("function alphabet mismatch")
-    root, layers = _diagram(f)
     total = sum((w for w, _ in inst.constraints), Fraction(0))
     acc = Fraction(0)
     spent = 0
     for w, mu in inst.constraints:
-        p, spent = _acceptance_one(mu, inst.predicate, root, layers, spent)
+        p, spent = _acceptance_one(mu, inst.predicate, f, spent)
         acc += (w / total) * p
     return acc
 
 
-def _diagram(f: SymbolFunction) -> tuple[int, list[np.ndarray]]:
-    """Compile f into a layered decision diagram (root id, layers), one
-    layer per coordinate that f reads.
-
-    Nodes at depth j are the distinct restrictions of f by a prefix of
-    the first j read coordinates. Ids below |Sigma| are the constant
-    restrictions (id = symbol index, so their rows are absorbed);
-    `layers[j][v, s]` is the id at depth j + 1 of node v restricted by
-    symbol s. A coordinate at which every node has equal children is read
-    by no node and gets no layer (the reduction rule of ordered decision
-    diagrams): a dictator compiles to one layer, a junta to its support.
-    Every node at depth len(layers) is constant."""
-    if isinstance(f, ConstantSymbolFunction):
-        return f.alphabet.index(f.value), []
-    a = len(f.alphabet)
-    held = np.repeat(np.arange(a), a).reshape(a, a)  # a constant stays itself
-    if isinstance(f, DictatorFunction):
-        return a, [np.vstack([held, np.arange(a)[None, :]])]
-    ids = f.codes
-    layers = []
-    for _ in range(f.n):  # bottom-up: the children of each node are one row
-        rows = ids.reshape(-1, a)
-        uniform = (rows == rows[:, :1]).all(axis=1)
-        if uniform.all():  # no node reads this coordinate
-            ids = rows[:, 0]
-            continue
-        const = (rows[:, 0] < a) & uniform
-        nodes, inverse = np.unique(rows[~const], axis=0, return_inverse=True)
-        ids = rows[:, 0].copy()
-        ids[~const] = a + inverse.reshape(-1)
-        layers.append(np.vstack([held, nodes]))
-    layers.reverse()
-    return int(ids[0]), layers
-
-
-def _acceptance_one(mu: JointDistribution, pred: Predicate, root: int,
-                    layers: list[np.ndarray], spent: int) -> tuple[Fraction, int]:
+def _acceptance_one(mu: JointDistribution, pred: Predicate, f: SymbolFunction,
+                    spent: int) -> tuple[Fraction, int]:
     """Acceptance under one local distribution, and the transition count so far.
 
     A state is a k-tuple of diagram node ids, one per row. Masses are the
@@ -343,14 +309,14 @@ def _acceptance_one(mu: JointDistribution, pred: Predicate, root: int,
     a, k = len(pred.alphabet), pred.k
     truth = np.array(pred.truth, dtype=bool)
     place = _places(a, k)
-    if root < a:
-        return Fraction(int(truth[root * place.sum()])), spent
+    if f.root < a:
+        return Fraction(int(truth[f.root * place.sum()])), spent
     cols = np.array(mu.codes, dtype=np.int64)
     mass = np.array(mu.weights, dtype=object)
-    states = np.full((1, k), root, dtype=np.int64)
+    states = np.full((1, k), f.root, dtype=np.int64)
     weights = np.array([1], dtype=object)
     accept = 0
-    for depth, layer in enumerate(layers):
+    for depth, layer in enumerate(f.layers):
         spent += len(states) * len(cols)
         if spent > TRANSITION_GUARD:
             raise SizeGuardError(
@@ -369,17 +335,24 @@ def _acceptance_one(mu: JointDistribution, pred: Predicate, root: int,
 _KEY_LIMIT = 2 ** 62
 
 
-def _merge(states: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of `states` with the summed weights of their copies."""
-    width = int(states.max()) + 1
-    key = np.zeros(len(states), dtype=np.int64)
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row of nonnegative ints, in the lexicographic order of
+    the rows: equal rows have equal keys."""
+    width = int(rows.max()) + 1
+    key = np.zeros(len(rows), dtype=np.int64)
     span = 1  # every key is below span
-    for col in states.T:  # mixed-radix key of the row, one column at a time
+    for col in rows.T:  # mixed-radix key of the row, one column at a time
         if span * width > _KEY_LIMIT:  # re-rank before it overflows
             key = np.unique(key, return_inverse=True)[1].reshape(-1)
-            span = len(states)
+            span = len(rows)
         key = key * width + col
         span *= width
+    return key
+
+
+def _merge(states: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of `states` with the summed weights of their copies."""
+    key = _row_keys(states)
     order = np.argsort(key)
     starts = np.flatnonzero(np.diff(key[order], prepend=-1))
     return states[order[starts]], np.add.reduceat(weights[order], starts)
@@ -406,7 +379,7 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
     at a time. A block of about MC_BLOCK column draws (one sample, when n
     is larger) is mapped to atoms per constraint, and f and the predicate
     are evaluated on it by numpy indexing: the count is the one a
-    sample-at-a-time loop over `evaluate` gives."""
+    sample-at-a-time loop gives."""
     if samples <= 0:
         raise ValidationError("samples must be positive")
     if f.alphabet != inst.predicate.alphabet:

@@ -7,13 +7,15 @@ diagnostic `max_acceptance`, and small inputs to compare them on.
 
 Each oracle walks every term of its sum in Python and shares no code with
 the per-coordinate tensor path or decision-diagram DP it checks: functions
-are read only through `evaluate`, and the degree oracle builds all 2^n
-subset components. The Monte Carlo loops draw every column with
-`Random.randrange` through `ExactChooser.draw`, not with the inline
-rejection loop they check. The `Fraction` oracles take the raw atom -> mass
-dict a distribution was built from, never its integer weights, and the
-character fold oracle reads phases as Fractions. The lattice oracle reduces
-every constraint row and certifies none. Keep them slow and obvious.
+are read only through `evaluate`, a symbol function only from its JSON
+payload by `symbol_at`, a predicate only by `predicate_holds`, and the
+degree oracle builds all 2^n subset components. The Monte Carlo loops draw
+every column with `Random.randrange` through `ExactChooser.draw`, not with
+the inline rejection loop they check. The `Fraction` oracles take the raw
+atom -> mass dict a distribution was built from, never its integer
+weights, and the character fold oracle reads phases as Fractions. The
+lattice oracle reduces every constraint row and certifies none. Keep them
+slow and obvious.
 `max_acceptance` is no oracle: it maximizes the DP's exact acceptance over
 every dense table.
 """
@@ -27,14 +29,7 @@ from math import fsum, lcm
 import numpy as np
 from hypothesis import strategies as st
 
-from embedlens.dicttest import (
-    ConstantSymbolFunction,
-    DenseSymbolFunction,
-    DictatorFunction,
-    Predicate,
-    TestInstance,
-    run_test_exact,
-)
+from embedlens.dicttest import Predicate, SymbolFunction, TestInstance, run_test_exact
 from embedlens.distributions import (
     ExactChooser,
     JointDistribution,
@@ -151,9 +146,32 @@ def subset_efron_stein(f, nu) -> dict[tuple[int, ...], TableFunction]:
     return comps
 
 
+def lex_index(symbols, word) -> int:
+    """Position of `word` in the lexicographic order of symbols^len(word)."""
+    idx = 0
+    for s in word:
+        idx = idx * len(symbols) + symbols.index(s)
+    return idx
+
+
+def symbol_at(spec: dict, word) -> str:
+    """f(word) by definition, from the JSON payload of a symbol function: a
+    dictator at c returns word[c], a constant its value, and a table the
+    entry at the lexicographic index of the word."""
+    if "dictator" in spec:
+        return word[spec["dictator"]]
+    if "constant" in spec:
+        return spec["constant"]
+    return spec["symbols"][lex_index(spec["alphabet"], word)]
+
+
+def predicate_holds(pred, word) -> bool:
+    return bool(pred.truth[lex_index(pred.alphabet.symbols, word)])
+
+
 def enumerate_acceptance(inst, f, n) -> Fraction:
     """Exact acceptance of the boxed test: every n-tuple of support columns of
-    every constraint, f evaluated on each of the k rows."""
+    every constraint, the symbol function with payload f at each of the k rows."""
     total = sum((w for w, _ in inst.constraints), Fraction(0))
     acc = Fraction(0)
     for w, mu in inst.constraints:
@@ -162,7 +180,7 @@ def enumerate_acceptance(inst, f, n) -> Fraction:
             for c in cols:
                 mass *= mu.atoms[c]
             rows = [tuple(c[i] for c in cols) for i in range(inst.predicate.k)]
-            if inst.predicate.evaluate([f.evaluate(r) for r in rows]):
+            if predicate_holds(inst.predicate, [symbol_at(f, r) for r in rows]):
                 acc += mass
     return acc
 
@@ -183,7 +201,8 @@ def sample_loop_correlation(dist, functions, n, samples, seed) -> complex:
 
 def sample_loop_acceptance(inst, f, samples, seed) -> int:
     """Accepted samples of the boxed test one sample at a time: a constraint,
-    then its n columns, each drawn by `ExactChooser.draw`."""
+    then its n columns, each drawn by `ExactChooser.draw`, read by
+    `symbol_at` on the payload f."""
     rng = random.Random(seed)
     picker = ExactChooser(range(len(inst.constraints)),
                           integer_weights([w for w, _ in inst.constraints])[0])
@@ -191,14 +210,14 @@ def sample_loop_acceptance(inst, f, samples, seed) -> int:
     accepted = 0
     for _ in range(samples):
         chooser = choosers[picker.draw(rng)]
-        cols = [chooser.draw(rng) for _ in range(f.n)]
-        images = [f.evaluate([col[i] for col in cols]) for i in range(inst.predicate.k)]
-        accepted += inst.predicate.evaluate(images)
+        cols = [chooser.draw(rng) for _ in range(f["n"])]
+        images = [symbol_at(f, [col[i] for col in cols]) for i in range(inst.predicate.k)]
+        accepted += predicate_holds(inst.predicate, images)
     return accepted
 
 
 def max_acceptance(inst: TestInstance, n: int,
-                   table_guard: int = 10 ** 6) -> tuple[Fraction, DenseSymbolFunction]:
+                   table_guard: int = 10 ** 6) -> tuple[Fraction, SymbolFunction]:
     """Soundness diagnostic: exhaustive maximum of the exact acceptance over
     all dense tables Sigma^n -> Sigma. Tiny n only (the table count is
     |Sigma| ** (|Sigma| ** n))."""
@@ -207,9 +226,9 @@ def max_acceptance(inst: TestInstance, n: int,
     count = len(alpha) ** cells
     if count > table_guard:
         raise SizeGuardError(f"{count} tables exceed the diagnostic guard")
-    best: tuple[Fraction, DenseSymbolFunction] | None = None
+    best: tuple[Fraction, SymbolFunction] | None = None
     for combo in iter_product(alpha.symbols, repeat=cells):
-        f = DenseSymbolFunction(n, alpha, combo)
+        f = SymbolFunction.table(n, alpha, combo)
         acc = run_test_exact(inst, f, n)
         if best is None or acc > best[0]:
             best = (acc, f)
@@ -506,21 +525,32 @@ def dicttest_instances(draw, alpha, k, constraints=st.integers(1, 2)):
 
 
 @st.composite
-def symbol_functions(draw, n, alpha):
-    """A dictator, a constant, or a dense table (some with constant sub-tables)."""
-    kind = draw(st.sampled_from(["table", "blocks", "dictator", "constant"]))
+def symbol_specs(draw, n, alpha):
+    """The JSON payload of a symbol function on alpha^n: a dictator, a
+    constant, or a dense table over a random subset of alpha (so symbols go
+    unused, and a one-symbol subset makes a constant table) that is a junta
+    or has constant sub-tables by some prefixes."""
+    spec = {"n": n, "alphabet": list(alpha.symbols)}
+    kind = draw(st.sampled_from(["table", "blocks", "junta", "dictator", "constant"]))
     if kind == "dictator" and n > 0:
-        return DictatorFunction(n, alpha, draw(st.integers(0, n - 1)))
+        return {**spec, "dictator": draw(st.integers(0, n - 1))}
     if kind == "constant":
-        return ConstantSymbolFunction(n, alpha, draw(st.sampled_from(alpha.symbols)))
+        return {**spec, "constant": draw(st.sampled_from(alpha.symbols))}
     a = len(alpha)
-    symbols = draw(st.lists(st.sampled_from(alpha.symbols), min_size=a ** n, max_size=a ** n))
-    if kind == "blocks":  # the restrictions by some prefixes are constant
+    palette = st.sampled_from(draw(st.lists(st.sampled_from(alpha.symbols), min_size=1,
+                                            unique=True)))
+    if kind == "junta":
+        support = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else ())
+        g = draw(st.lists(palette, min_size=a ** len(support), max_size=a ** len(support)))
+        return {**spec, "symbols": [g[sum(x[j] * a ** i for i, j in enumerate(support))]
+                                    for x in iter_product(range(a), repeat=n)]}
+    symbols = draw(st.lists(palette, min_size=a ** n, max_size=a ** n))
+    if kind == "blocks":
         for _ in range(draw(st.integers(1, 3))):
             size = a ** draw(st.integers(0, n))
             start = size * draw(st.integers(0, a ** n // size - 1))
-            symbols[start:start + size] = [draw(st.sampled_from(alpha.symbols))] * size
-    return DenseSymbolFunction(n, alpha, symbols)
+            symbols[start:start + size] = [draw(palette)] * size
+    return {**spec, "symbols": symbols}
 
 
 def group_elements(n: int, alternating: bool) -> list[tuple[int, ...]]:

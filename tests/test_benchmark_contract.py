@@ -1,9 +1,10 @@
 """The benchmark in perfbench/ wraps embedlens names from outside the program
 and calls the library directly for its oracle and character requests. A
 deleted name or a changed signature breaks its traced run, which the
-end-to-end run never exercises, so the first test runs both paths once, in
-a child process, so the wrappers the tracer installs do not leak into other
-tests. The second replays the requests whose answers the benchmark pins by
+end-to-end run never exercises, so the first test runs the library
+requests and CLI requests through `cli.main` under the tracer, in a child
+process, so the wrappers the tracer installs do not leak into other tests,
+and checks that their spans and counters are recorded. The second replays the requests whose answers the benchmark pins by
 digest.
 """
 
@@ -20,8 +21,10 @@ import embedlens.cli
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CHILD = r"""
+import json
 import os
 import sys
+from fractions import Fraction
 
 import embedlens
 import embedlens.cli
@@ -42,25 +45,50 @@ for _, module, attr, _ in spans.TARGETS:
         owner = getattr(owner, part)
     assert hasattr(owner, "__wrapped__"), f"{module}.{attr} is not wrapped"
 
+
+def path(name, data=None):
+    out = os.path.join(sys.argv[1], name)
+    if data is not None:
+        write_json(out, data)
+    return out
+
+
 mu = fixtures.three_lin()
-dist, witness = os.path.join(sys.argv[1], "mu.json"), os.path.join(sys.argv[1], "w.json")
+dist, inst = path("mu.json"), path("inst.json")
 mu.save(dist)
-write_json(witness, detect_embedding(mu).witness.to_json())
+fixtures.three_lin_instance().save(inst)
+witness = path("w.json", detect_embedding(mu).witness.to_json())
+table = path("table.json", {"n": 3, "alphabet": ["0", "1"], "symbols": list("00110011")})
+dictator = path("dictator.json", {"n": 4, "alphabet": ["0", "1"], "dictator": 2})
 requests = [
     Request("oracle", "oracle", (dist, 4, 10 ** 10), {}),
     Request("witness", "characters", (dist, witness, None, 3), {}),
     Request("parity", "characters", (dist, None, [(1, 1, 1), (0, 0, 0)], 2), {}),
+    Request("analyze", "cli", ("analyze", dist), {"verdict": {"modulus": 2}}),
+    Request("exact", "cli", ("dicttest", inst, table), {"acceptance": Fraction(1)}),
+    Request("mc", "cli", ("dicttest", inst, dictator, "--mode", "mc", "--samples", "50",
+                          "--seed", "1"), {}),
 ]
 for req in requests:
     rc, value = loop.call_embedlens(embedlens, req)
+    assert rc == 0, (req.rid, value)
+    if req.kind == "cli":
+        result = json.loads(value)["result"]
+        assert checker.Checker({}).check(req, result) is None, (req.rid, result)
+        if req.rid == "mc":  # a dictator passes every sample
+            assert result["accepted"] == 50, result
+        continue
     result = checker.library_result(req.kind, value)
-    assert rc == 0, req.rid
     if req.kind == "oracle":
         assert result["witness"]["modulus"] == 2, result
     else:
         assert result["exact"] == [[1, 1], [0, 1]], (req.rid, result)
 seen = {span[0] for span in tracer.spans}
-assert {"embedding.brute_force_embedding", "correlation.characters"} <= seen, seen
+assert {"embedding.brute_force_embedding", "correlation.characters", "cli.main",
+        "dicttest.load", "dicttest.run_test_exact", "dicttest.run_test_mc",
+        "intlattice.smith_normal_form"} <= seen, seen
+for counter in ("dicttest.run_test_mc.samples", "intlattice.smith_normal_form.max_entry_bits"):
+    assert tracer.counters[counter] > 0, counter
 print("ok")
 """
 

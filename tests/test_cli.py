@@ -246,6 +246,9 @@ def test_dicttest_falsifying_constant(tmp_path, capsys):
 @pytest.mark.parametrize("payload, message", [
     ({"n": -3, "alphabet": ["0", "1"], "constant": "0"}, "arity must be nonnegative"),
     ({"n": -2, "alphabet": ["0"], "symbols": ["0"]}, "dense symbol table has wrong length"),
+    ({"n": 3, "alphabet": ["0", "1"], "dictator": 3}, "dictator coordinate out of range"),
+    ({"n": 1, "alphabet": ["0", "1"], "symbols": ["0", "2"]}, "output symbol '2' not in alphabet"),
+    ({"n": 2, "alphabet": ["0", "1"], "constant": "2"}, "constant '2' not in alphabet"),
 ])
 @pytest.mark.parametrize("mode", [[], ["--mode", "mc", "--samples", "10", "--seed", "1"]])
 def test_dicttest_rejects_negative_arity(payload, message, mode, tmp_path, capsys):
@@ -255,6 +258,26 @@ def test_dicttest_rejects_negative_arity(payload, message, mode, tmp_path, capsy
     fn.write_text(json.dumps(payload))
     assert main(["dicttest", str(inst), str(fn), *mode]) == 2
     assert capsys.readouterr().err == f"validation failure: {message}\n"
+
+
+@pytest.mark.parametrize("weight, code", [
+    ([1, None], 4), ([1, 0], 4), ([1, 1], 0), ([2, 2], 0), ([-1, -1], 0)])
+def test_dicttest_reads_a_weight_pair_as_a_mass_pair(weight, code, tmp_path, capsys):
+    """A null denominator is refused, as in a "p" pair; a pair that reduces
+    to 1 is the one constraint's full weight."""
+    data = fixtures.three_lin_instance().to_json()
+    data["constraints"][0]["w"] = weight
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"n": 2, "alphabet": ["0", "1"], "dictator": 1}))
+    assert main(["dicttest", str(inst), str(fn)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("parse error: bad instance payload: ")
+        assert weight[1] is not None or err.endswith("null denominator\n")
+    else:
+        assert json.loads(out)["result"]["acceptance"] == [1, 1]
 
 
 def test_dicttest_mc(tmp_path, capsys):

@@ -3,16 +3,15 @@ from fractions import Fraction
 from itertools import product as iprod
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from embedlens import dicttest, fixtures
 from embedlens.distributions import JointDistribution, alphabet, uniform_on
 from embedlens.dicttest import (
-    ConstantSymbolFunction,
-    DenseSymbolFunction,
-    DictatorFunction,
     Predicate,
+    SymbolFunction,
     TestInstance,
     run_test_exact,
     run_test_mc,
@@ -24,12 +23,21 @@ from oracles import (
     dicttest_instances,
     enumerate_acceptance,
     max_acceptance,
+    predicate_holds,
     sample_loop_acceptance,
-    symbol_functions,
+    symbol_at,
+    symbol_specs,
     wide_instances,
 )
 
 B = alphabet(["0", "1"])
+dictator = SymbolFunction.dictator
+constant = SymbolFunction.constant
+table = SymbolFunction.table
+
+
+def table_spec(n, symbols, alpha=B):
+    return {"n": n, "alphabet": list(alpha.symbols), "symbols": list(symbols)}
 
 
 def xor_instance():
@@ -38,8 +46,8 @@ def xor_instance():
 
 def test_predicate_roundtrip_and_eval():
     pred = xor_instance().predicate
-    assert pred.evaluate(("0", "0", "0"))
-    assert not pred.evaluate(("1", "0", "0"))
+    assert predicate_holds(pred, ("0", "0", "0"))
+    assert not predicate_holds(pred, ("1", "0", "0"))
     again = Predicate.from_json(pred.to_json())
     assert again == pred
 
@@ -78,21 +86,21 @@ def test_dictator_completeness_three_lin():
     inst = xor_instance()
     for n in (1, 2, 3, 4):
         for j in range(n):
-            f = DictatorFunction(n, B, j)
+            f = dictator(n, B, j)
             assert run_test_exact(inst, f, n) == 1
 
 
 def test_constant_acceptance_closed_form():
     inst = xor_instance()
-    f0 = ConstantSymbolFunction(3, B, "0")
-    f1 = ConstantSymbolFunction(3, B, "1")
+    f0 = constant(3, B, "0")
+    f1 = constant(3, B, "1")
     assert run_test_exact(inst, f0, 3) == 1  # (0,0,0) satisfies even parity
     assert run_test_exact(inst, f1, 3) == 0  # (1,1,1) falsifies it
 
 
 def test_exact_identity_function_n1():
     inst = xor_instance()
-    ident = DenseSymbolFunction(1, B, ("0", "1"))
+    ident = table(1, B, ("0", "1"))
     assert run_test_exact(inst, ident, 1) == 1
 
 
@@ -100,23 +108,11 @@ def test_exact_matches_bruteforce_small():
     # independent oracle: direct enumeration of all column tuples
     inst = xor_instance()
     rng = random.Random(3)
-    mu = inst.constraints[0][1]
     for n in (1, 2):
         for _ in range(10):
-            table = [rng.choice("01") for _ in range(2 ** n)]
-            f = DenseSymbolFunction(n, B, table)
-            got = run_test_exact(inst, f, n)
-            from itertools import product as iprod
-
-            expect = Fraction(0)
-            for cols in iprod(mu.support, repeat=n):
-                w = Fraction(1)
-                for c in cols:
-                    w *= mu.atoms[c]
-                rows = [[c[i] for c in cols] for i in range(3)]
-                if inst.predicate.evaluate([f.evaluate(r) for r in rows]):
-                    expect += w
-            assert got == expect
+            spec = table_spec(n, [rng.choice("01") for _ in range(2 ** n)])
+            got = run_test_exact(inst, symbol_function_from_json(spec), n)
+            assert got == enumerate_acceptance(inst, spec, n)
 
 
 def test_exact_weighted_two_constraints():
@@ -127,33 +123,29 @@ def test_exact_weighted_two_constraints():
     mu_odd = uniform_on([B, B, B], odd_support)
     inst = TestInstance(pred, ((Fraction(1, 3), mu_even), (Fraction(2, 3), mu_odd)))
     # dictators accept the even-parity constraint always, the odd one never
-    f = DictatorFunction(2, B, 0)
+    f = dictator(2, B, 0)
     assert run_test_exact(inst, f, 2) == Fraction(1, 3)
 
 
 def test_acceptance_invariant_under_relabeling():
-    from itertools import product as iprod
-
     inst = xor_instance()
     rng = random.Random(5)
     relabel = {"0": "b", "1": "a"}
     back = {v: k for k, v in relabel.items()}
     alpha2 = alphabet(["b", "a"])  # image order permutes the symbol indices
     pred2 = Predicate.from_callable(
-        alpha2, 3, lambda x: inst.predicate.evaluate(tuple(back[s] for s in x)))
+        alpha2, 3, lambda x: predicate_holds(inst.predicate, tuple(back[s] for s in x)))
     mu = inst.constraints[0][1]
     mu2 = JointDistribution([alpha2] * 3,
                             {tuple(relabel[s] for s in x): p for x, p in mu.atoms.items()})
     inst2 = TestInstance(pred2, ((Fraction(1), mu2),))
     n = 2
     for _ in range(5):
-        table = [rng.choice("01") for _ in range(2 ** n)]
-        f = DenseSymbolFunction(n, B, table)
-        f2 = DenseSymbolFunction(
-            n, alpha2,
-            [relabel[f.evaluate(tuple(back[s] for s in x))]
-             for x in iprod(alpha2.symbols, repeat=n)])
-        assert run_test_exact(inst, f, n) == run_test_exact(inst2, f2, n)
+        spec = table_spec(n, [rng.choice("01") for _ in range(2 ** n)])
+        f2 = table(n, alpha2, [relabel[symbol_at(spec, tuple(back[s] for s in x))]
+                               for x in iprod(alpha2.symbols, repeat=n)])
+        assert run_test_exact(inst, symbol_function_from_json(spec), n) == \
+            run_test_exact(inst2, f2, n)
 
 
 def test_validate_instance_a5():
@@ -171,7 +163,7 @@ def test_a5_dictator_completeness_exact():
     alpha = inst.predicate.alphabet
     for n in (1, 2, 3, 4):
         for j in range(n):
-            f = DictatorFunction(n, alpha, j)
+            f = dictator(n, alpha, j)
             assert run_test_exact(inst, f, n) == 1
 
 
@@ -180,8 +172,8 @@ def test_a5_falsifying_constant_zero():
     alpha = inst.predicate.alphabet
     # a constant g with g*g*g != identity falsifies the triple product
     for sym in alpha.symbols:
-        if not inst.predicate.evaluate((sym, sym, sym)):
-            f = ConstantSymbolFunction(2, alpha, sym)
+        if not predicate_holds(inst.predicate, (sym, sym, sym)):
+            f = constant(2, alpha, sym)
             assert run_test_exact(inst, f, 2) == 0
             break
     else:
@@ -193,15 +185,14 @@ def test_state_guard_trips_on_dense_table_with_big_support(monkeypatch):
     inst = fixtures.a5_instance()
     alpha = inst.predicate.alphabet
     rng = random.Random(6)
-    table = [rng.choice(alpha.symbols) for _ in range(len(alpha) ** 2)]
-    f = DenseSymbolFunction(2, alpha, table)
+    f = table(2, alpha, [rng.choice(alpha.symbols) for _ in range(len(alpha) ** 2)])
     with pytest.raises(SizeGuardError):
         run_test_exact(inst, f, 2)
 
 
 def test_mc_dictator_all_accept():
     inst = xor_instance()
-    f = DictatorFunction(3, B, 1)
+    f = dictator(3, B, 1)
     res = run_test_mc(inst, f, samples=2000, seed=11)
     assert res.acceptance == 1.0 and res.accepted == 2000
 
@@ -209,8 +200,7 @@ def test_mc_dictator_all_accept():
 def test_mc_reproducible_and_matches_exact():
     inst = xor_instance()
     rng = random.Random(7)
-    table = [rng.choice("01") for _ in range(2)]
-    f = DenseSymbolFunction(1, B, table)
+    f = table(1, B, [rng.choice("01") for _ in range(2)])
     a = run_test_mc(inst, f, samples=4000, seed=13)
     b = run_test_mc(inst, f, samples=4000, seed=13)
     assert a.acceptance == b.acceptance
@@ -227,10 +217,10 @@ def test_batched_mc_acceptance_matches_the_sample_loop(data, a, k, n, samples, s
     >2^63 for both the weights and the local masses."""
     alpha = alphabet([str(s) for s in range(a)])
     inst = data.draw(wide_instances(alpha, k))
-    f = data.draw(symbol_functions(n, alpha))
+    spec = data.draw(symbol_specs(n, alpha))
     with mock.patch.object(dicttest, "MC_BLOCK", block):
-        got = run_test_mc(inst, f, samples, seed)
-    assert got.accepted == sample_loop_acceptance(inst, f, samples, seed)
+        got = run_test_mc(inst, symbol_function_from_json(spec), samples, seed)
+    assert got.accepted == sample_loop_acceptance(inst, spec, samples, seed)
     assert got.acceptance == got.accepted / samples
 
 
@@ -244,11 +234,37 @@ def test_max_acceptance_diagnostic():
 
 def test_symbol_function_json_forms():
     d = symbol_function_from_json({"n": 3, "alphabet": ["0", "1"], "dictator": 2})
-    assert isinstance(d, DictatorFunction) and d.evaluate(("0", "0", "1")) == "1"
+    assert d.reads == (2,) and d.evaluate_many(np.array([[0, 0, 1]])).tolist() == [1]
     c = symbol_function_from_json({"n": 2, "alphabet": ["0", "1"], "constant": "1"})
-    assert isinstance(c, ConstantSymbolFunction) and c.evaluate(("0", "0")) == "1"
+    assert (c.root, c.layers, c.reads) == (1, [], ())
     t = symbol_function_from_json({"n": 1, "alphabet": ["0", "1"], "symbols": ["1", "0"]})
-    assert isinstance(t, DenseSymbolFunction) and t.evaluate(("0",)) == "1"
+    assert t.reads == (0,) and t.evaluate_many(np.array([[0], [1]])).tolist() == [1, 0]
+
+
+def assert_matches_definition(spec):
+    """evaluate_many on every word of alpha^n, in the narrow dtype Monte Carlo
+    passes, against the definition of f."""
+    alpha, n = alphabet(spec["alphabet"]), spec["n"]
+    words = list(iprod(range(len(alpha)), repeat=n))
+    got = symbol_function_from_json(spec).evaluate_many(
+        np.array(words, dtype=np.uint8).reshape(len(words), n))
+    assert [alpha.symbols[v] for v in got] == [
+        symbol_at(spec, tuple(alpha.symbols[v] for v in x)) for x in words]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), a=st.integers(1, 3), n=st.integers(0, 4))
+def test_evaluate_many_matches_the_definition(data, a, n):
+    """Random tables, constant tables, juntas and tables with unused symbols."""
+    assert_matches_definition(data.draw(symbol_specs(n, alphabet([str(s) for s in range(a)]))))
+
+
+def test_evaluate_many_of_every_dictator_and_constant():
+    for a in (1, 2, 3):
+        symbols = [str(s) for s in range(a)]
+        for n in range(5):  # constants from n = 0
+            for form in [{"dictator": c} for c in range(n)] + [{"constant": s} for s in symbols]:
+                assert_matches_definition({"n": n, "alphabet": symbols, **form})
 
 
 def test_instance_json_roundtrip(tmp_path):
@@ -269,8 +285,9 @@ def test_instance_json_roundtrip(tmp_path):
 def test_exact_matches_enumeration_oracle(data, a, k, n):
     alpha = alphabet([str(s) for s in range(a)])
     inst = data.draw(dicttest_instances(alpha, k))
-    f = data.draw(symbol_functions(n, alpha))
-    assert run_test_exact(inst, f, n) == enumerate_acceptance(inst, f, n)
+    spec = data.draw(symbol_specs(n, alpha))
+    assert run_test_exact(inst, symbol_function_from_json(spec), n) == \
+        enumerate_acceptance(inst, spec, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -284,31 +301,33 @@ def test_dp_has_one_layer_per_coordinate_read(data, a, k, n):
     support = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
     words = list(iprod(range(a), repeat=n))
     kind = data.draw(st.sampled_from(["dictator", "junta", "xor"]))
+    spec = {"n": n, "alphabet": list(alpha.symbols)}
     if kind == "dictator":
         c = support[0]
-        fs = [DictatorFunction(n, alpha, c),
-              DenseSymbolFunction(n, alpha, [str(x[c]) for x in words])]
+        specs = [{**spec, "dictator": c}, {**spec, "symbols": [str(x[c]) for x in words]}]
     elif kind == "junta":
         g = data.draw(st.lists(st.sampled_from(alpha.symbols), min_size=a ** len(support),
                                max_size=a ** len(support)))
-        fs = [DenseSymbolFunction(n, alpha, [g[sum(x[j] * a ** i for i, j in enumerate(support))]
-                                             for x in words])]
+        specs = [{**spec, "symbols": [g[sum(x[j] * a ** i for i, j in enumerate(support))]
+                                      for x in words]}]
     else:
         shift = data.draw(st.integers(0, a - 1))
-        fs = [DenseSymbolFunction(n, alpha, [str((sum(x[j] for j in support) + shift) % a)
-                                             for x in words])]
-    for f in fs:
-        read = [j for j in range(n) if any(
-            f.evaluate(tuple(alpha.symbols[v] for v in x))
-            != f.evaluate(tuple(alpha.symbols[(v + 1) % a if i == j else v] for i, v in enumerate(x)))
-            for x in words)]
-        assert len(dicttest._diagram(f)[1]) == len(read)
-        assert run_test_exact(inst, f, n) == enumerate_acceptance(inst, f, n)
+        specs = [{**spec, "symbols": [str((sum(x[j] for j in support) + shift) % a)
+                                      for x in words]}]
+    for spec in specs:
+        read = tuple(j for j in range(n) if any(
+            symbol_at(spec, tuple(alpha.symbols[v] for v in x))
+            != symbol_at(spec, tuple(alpha.symbols[(v + 1) % a if i == j else v]
+                                     for i, v in enumerate(x)))
+            for x in words))
+        f = symbol_function_from_json(spec)
+        assert f.reads == read and len(f.layers) == len(read)
+        assert run_test_exact(inst, f, n) == enumerate_acceptance(inst, spec, n)
 
 
 def test_deep_dictator_costs_one_layer(monkeypatch):
     monkeypatch.setattr(dicttest, "TRANSITION_GUARD", 4)  # one state times 4 atoms
-    assert run_test_exact(xor_instance(), DictatorFunction(50_000, B, 49_999), 50_000) == 1
+    assert run_test_exact(xor_instance(), dictator(50_000, B, 49_999), 50_000) == 1
 
 
 def test_exact_two_constraints_with_different_denominators():
@@ -321,8 +340,9 @@ def test_exact_two_constraints_with_different_denominators():
     rng = random.Random(8)
     for n in (1, 2, 3):
         for _ in range(5):
-            f = DenseSymbolFunction(n, B, [rng.choice("01") for _ in range(2 ** n)])
-            assert run_test_exact(inst, f, n) == enumerate_acceptance(inst, f, n)
+            spec = table_spec(n, [rng.choice("01") for _ in range(2 ** n)])
+            assert run_test_exact(inst, symbol_function_from_json(spec), n) == \
+                enumerate_acceptance(inst, spec, n)
 
 
 def test_state_guard_bounds_total_transitions(monkeypatch):
@@ -330,10 +350,9 @@ def test_state_guard_bounds_total_transitions(monkeypatch):
     # transitions, as a table or not; the xor of coordinates 1 and 3 reads
     # two layers, from 1 state and then from one per atom: 4 + 4 * 4
     inst = xor_instance()
-    as_table = DenseSymbolFunction(4, B, [x[3] for x in iprod("01", repeat=4)])
-    xor13 = DenseSymbolFunction(4, B, [str((int(x[1]) + int(x[3])) % 2)
-                                       for x in iprod("01", repeat=4)])
-    for f, cost in ((DictatorFunction(4, B, 3), 4), (as_table, 4), (xor13, 20)):
+    as_table = table(4, B, [x[3] for x in iprod("01", repeat=4)])
+    xor13 = table(4, B, [str((int(x[1]) + int(x[3])) % 2) for x in iprod("01", repeat=4)])
+    for f, cost in ((dictator(4, B, 3), 4), (as_table, 4), (xor13, 20)):
         monkeypatch.setattr(dicttest, "TRANSITION_GUARD", cost)
         assert run_test_exact(inst, f, 4) == 1
         monkeypatch.setattr(dicttest, "TRANSITION_GUARD", cost - 1)
@@ -351,6 +370,6 @@ def test_a5_instance_accepts_exactly_the_support():
 
 def test_huge_table_sizes_fail_fast():
     with pytest.raises(ValidationError, match="wrong length"):
-        DenseSymbolFunction(10 ** 30, B, [])
+        table(10 ** 30, B, [])
     with pytest.raises(ValidationError, match="wrong length"):
         Predicate(B, 10 ** 30, ())
