@@ -63,6 +63,12 @@ class CriterionResult:
         return f"[{status}] criterion {self.number} ({self.name}): {self.details}"
 
 
+def _result(number: int, name: str, failures: list[str], details: str) -> CriterionResult:
+    """Passed with `details` when nothing failed, else failed with the first five failures."""
+    return CriterionResult(number, name, not failures,
+                           "; ".join(failures[:5]) if failures else details)
+
+
 def _random_support(rng: random.Random):
     sizes = [rng.randrange(1, 4) for _ in range(3)]
     alphabets = [make_alphabet([str(x) for x in range(sz)]) for sz in sizes]
@@ -116,10 +122,8 @@ def criterion_1_embedding_oracle() -> CriterionResult:
     elapsed = time.time() - start
     if elapsed > budget_s:
         failures.append(f"runtime {elapsed:.1f}s exceeds {budget_s}s")
-    details = f"{len(cases)} supports, 100% agreement, {elapsed:.2f}s"
-    if failures:
-        details = "; ".join(failures[:5])
-    return CriterionResult(1, "embedding-oracle", not failures, details)
+    return _result(1, "embedding-oracle", failures,
+                   f"{len(cases)} supports, 100% agreement, {elapsed:.2f}s")
 
 
 def criterion_2_snf_certificates() -> CriterionResult:
@@ -166,10 +170,8 @@ def criterion_3_necessity() -> CriterionResult:
                     want = (1 - delta) ** n
                     if abs(got - want) > 1e-10:
                         failures.append(f"{name} stab n={n} d={delta} i={i}: {got} vs {want}")
-    details = "correlation exactly 1 for n<=10; Stab_(1-d) = (1-d)^n to 1e-10"
-    if failures:
-        details = "; ".join(failures[:5])
-    return CriterionResult(3, "necessity-construction", not failures, details)
+    return _result(3, "necessity-construction", failures,
+                   "correlation exactly 1 for n<=10; Stab_(1-d) = (1-d)^n to 1e-10")
 
 
 def criterion_4_stability_diagonalization() -> CriterionResult:
@@ -188,10 +190,8 @@ def criterion_4_stability_diagonalization() -> CriterionResult:
             got = stability(f, rho, nu)
             if abs(got - predicted) > 1e-10:
                 failures.append(f"case {t} rho={rho}: |{got} - {predicted}|")
-    details = f"{count} random functions, rho in {{0, 0.3, 1}}, tolerance 1e-10"
-    if failures:
-        details = "; ".join(failures[:5])
-    return CriterionResult(4, "stability-diagonalization", not failures, details)
+    return _result(4, "stability-diagonalization", failures,
+                   f"{count} random functions, rho in {{0, 0.3, 1}}, tolerance 1e-10")
 
 
 def criterion_5_coupling_identity() -> CriterionResult:
@@ -219,11 +219,9 @@ def criterion_5_coupling_identity() -> CriterionResult:
         rep = check_coupling_identity(mu, f1, n, resolved, p_star)
         if rep.gap > 1e-10:
             failures.append(f"case {t} n={n}: gap {rep.gap:.2e}")
-    details = (f"rate resolved to 1-alpha^2 (gaps: {max_gap['1-alpha^2']:.1e} vs "
-               f"{max_gap['1-alpha']:.1e}); {count} random f1 with gap <= 1e-10")
-    if failures:
-        details = "; ".join(failures[:5])
-    return CriterionResult(5, "coupling-identity", not failures, details)
+    return _result(5, "coupling-identity", failures,
+                   f"rate resolved to 1-alpha^2 (gaps: {max_gap['1-alpha^2']:.1e} vs "
+                   f"{max_gap['1-alpha']:.1e}); {count} random f1 with gap <= 1e-10")
 
 
 def criterion_6_decay() -> CriterionResult:
@@ -243,10 +241,8 @@ def criterion_6_decay() -> CriterionResult:
         failures.append("correlation not strictly decaying")
     if values[-1] >= 1e-8:
         failures.append(f"n=10 value {values[-1]:.2e} not below 1e-8")
-    details = f"(1/7)^n exactly for n<=10; final value {values[-1]:.2e} < 1e-8"
-    if failures:
-        details = "; ".join(failures[:5])
-    return CriterionResult(6, "correlation-decay", not failures, details)
+    return _result(6, "correlation-decay", failures,
+                   f"(1/7)^n exactly for n<=10; final value {values[-1]:.2e} < 1e-8")
 
 
 def criterion_7_dicttest_completeness() -> CriterionResult:
@@ -263,10 +259,8 @@ def criterion_7_dicttest_completeness() -> CriterionResult:
         mc = run_test_mc(inst, SymbolFunction.dictator(4, alpha, 2), samples=mc_samples, seed=271828)
         if mc.accepted != mc_samples:
             failures.append(f"{name}: MC accepted {mc.accepted}/{mc_samples}")
-    details = f"all dictators exact 1 on both fixtures (n<=4); MC {mc_samples}/{mc_samples}"
-    if failures:
-        details = "; ".join(failures[:5])
-    return CriterionResult(7, "dictatorship-completeness", not failures, details)
+    return _result(7, "dictatorship-completeness", failures,
+                   f"all dictators exact 1 on both fixtures (n<=4); MC {mc_samples}/{mc_samples}")
 
 
 def criterion_8_reduction_constructions() -> CriterionResult:
@@ -306,10 +300,9 @@ def criterion_8_reduction_constructions() -> CriterionResult:
         floor = alpha * alpha * p_star * params.mu1.min_atom_mass()
         if coupling.min_atom_mass() < floor:
             failures.append(f"{name}: coupling min mass {coupling.min_atom_mass()} < {floor}")
-    details = "diagonal dominance, exact mixture split, coupling pairwise-connected with mass floor"
-    if failures:
-        details = "; ".join(failures[:5])
-    return CriterionResult(8, "reduction-constructions", not failures, details)
+    return _result(8, "reduction-constructions", failures,
+                   "diagonal dominance, exact mixture split, "
+                   "coupling pairwise-connected with mass floor")
 
 
 def criterion_9_product_ascent() -> CriterionResult:
@@ -341,11 +334,9 @@ def criterion_9_product_ascent() -> CriterionResult:
                                           seed=777, threshold=1 - 1e-9)
     if frac != 1.0:
         failures.append(f"character restrictions: probability {frac} != 1.0")
-    details = (f"{count} monotone traces; unimodular products recovered to 1-1e-6; "
-               "character restrictions all above 1-1e-9")
-    if failures:
-        details = "; ".join(failures[:5])
-    return CriterionResult(9, "product-ascent", not failures, details)
+    return _result(9, "product-ascent", failures,
+                   f"{count} monotone traces; unimodular products recovered to 1-1e-6; "
+                   "character restrictions all above 1-1e-9")
 
 
 def criterion_10_cauchy_schwarz() -> CriterionResult:
@@ -375,10 +366,9 @@ def criterion_10_cauchy_schwarz() -> CriterionResult:
         rhs = abs(expectation(f1 * tp.to_table(), dist.marginal([0])))
         if abs(lhs - rhs) > 1e-10:
             failures.append(f"case {t}: transfer |{lhs} - {rhs}|")
-    details = f"{count} random inputs, n <= 3: eps^2 <= conditional-product norm^2 and exact transfer"
-    if failures:
-        details = "; ".join(failures[:5])
-    return CriterionResult(10, "cauchy-schwarz-chains", not failures, details)
+    return _result(10, "cauchy-schwarz-chains", failures,
+                   f"{count} random inputs, n <= 3: "
+                   "eps^2 <= conditional-product norm^2 and exact transfer")
 
 
 ALL_CRITERIA = (

@@ -140,6 +140,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    if args.sweep_n is not None and args.mode == "mc":
+        raise ValidationError("--sweep-n evaluates exactly; it cannot run --mode mc")
+    if args.csv and args.sweep_n is None:
+        raise ValidationError("--csv writes sweep rows; it needs --sweep-n")
     dist = JointDistribution.load(args.dist)
     functions = [load_function_file(p) for p in args.functions]
     params = {"n": args.n, "mode": args.mode, "samples": args.samples,

@@ -41,7 +41,8 @@ from .distributions import (
     randbelow,
 )
 from .embedding import connected, detect_embedding, pairwise_connected
-from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, read_json, write_json
+from .errors import (PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int, read_json,
+                     write_json)
 from .functions import _places, is_table_length
 
 TRANSITION_GUARD = 200_000  # DP transitions (states x atoms) of one exact acceptance run
@@ -123,9 +124,9 @@ class SymbolFunction:
 def symbol_function_from_json(data: dict) -> SymbolFunction:
     try:
         alpha = make_alphabet(data["alphabet"])
-        n = int(data["n"])
+        n = json_int(data["n"], "n")
         if "dictator" in data:
-            return SymbolFunction.dictator(n, alpha, int(data["dictator"]))
+            return SymbolFunction.dictator(n, alpha, json_int(data["dictator"], "dictator"))
         if "constant" in data:
             return SymbolFunction.constant(n, alpha, str(data["constant"]))
         return SymbolFunction.table(n, alpha, [str(s) for s in data["symbols"]])
@@ -164,8 +165,10 @@ class Predicate:
     @classmethod
     def from_json(cls, data: dict) -> "Predicate":
         try:
-            return cls(make_alphabet(data["alphabet"]), int(data["k"]),
-                       tuple(map(int, data["truth"])))
+            truth = tuple(data["truth"])
+            if not set(map(type, truth)) <= {int}:  # one C-level pass over the cells
+                raise TypeError("truth cells must be integers")
+            return cls(make_alphabet(data["alphabet"]), json_int(data["k"], "k"), truth)
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad predicate payload: {exc}") from exc
 

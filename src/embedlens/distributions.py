@@ -216,11 +216,14 @@ class JointDistribution:
 
 def _reduced(num, den) -> tuple[int, int]:
     """Fraction(num, den) as (numerator, denominator), without building the
-    Fraction when both are ints and den is not zero. A null denominator is
-    refused: Fraction(num, None) would read num alone."""
+    Fraction when both are ints and den is not zero. A null denominator and
+    a bool are refused: Fraction(num, None) would read num alone, and
+    Fraction reads a bool as 0 or 1."""
     if type(num) is not int or type(den) is not int or not den:
         if den is None:
             raise TypeError("mass pair has a null denominator")
+        if type(num) is bool or type(den) is bool:
+            raise TypeError("mass pair entries must be integers, not bools")
         p = Fraction(num, den)  # Fraction's own rules and errors
         return p.numerator, p.denominator
     g = gcd(num, den)

@@ -3,13 +3,13 @@
 A support admits an Abelian embedding exactly when its constraint lattice
 is a proper sublattice of Z^S. The detector builds one 0/1 constraint row
 per support atom (relative to a fixed base point), finds the Hermite normal
-form H of the lattice the rows span (`span_hermite_form`: a few rows reduced
-exactly, every row certified), and reads the verdict off H: the identity
-means no embedding; otherwise the Smith normal form of H decides, rank
-deficiency yielding a witness into Z and a divisor d > 1 a witness into
-Z_d. H is unique for the lattice, so the witness depends on the lattice
-only. Every positive verdict is re-verified against the support before it
-is returned.
+form H of the lattice the rows span (`span_hermite_form`, one route for
+every support: a few rows reduced exactly, every row checked), and reads
+the verdict off H: the identity means no embedding; otherwise the Smith
+normal form of H decides, rank deficiency yielding a witness into Z and a
+divisor d > 1 a witness into Z_d. H is unique for the lattice, so the
+witness depends on the lattice only. Every positive verdict is re-verified
+against the support before it is returned.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .distributions import Alphabet, Atom, JointDistribution, uniform_on
-from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError
+from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int
 from .intlattice import IntMatrix, normalize_vector, smith_normal_form, span_hermite_form
 
 ORACLE_NODE_BUDGET = 20_000_000  # search nodes of one brute-force modulus
@@ -55,8 +55,9 @@ class EmbeddingWitness:
     @classmethod
     def from_json(cls, data: dict) -> "EmbeddingWitness":
         try:
-            return cls(int(data["modulus"]),
-                       tuple({str(s): int(v) for s, v in t.items()} for t in data["sigma"]))
+            return cls(json_int(data["modulus"], "modulus"),
+                       tuple({str(s): json_int(v, "sigma value") for s, v in t.items()}
+                             for t in data["sigma"]))
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad witness payload: {exc}") from exc
 

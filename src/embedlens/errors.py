@@ -19,6 +19,14 @@ from json.encoder import encode_basestring_ascii as _quote
 PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, AttributeError, ArithmeticError)
 
 
+def json_int(value, name: str) -> int:
+    """`value` if it is a JSON integer. A float, a bool or a string is a
+    TypeError naming the field, where int() would truncate or parse it."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 class EmbedlensError(Exception):
     """Base class for all embedlens errors."""
 

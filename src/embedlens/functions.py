@@ -26,7 +26,7 @@ import numpy as np
 
 from .distributions import Alphabet, JointDistribution, alphabet as make_alphabet, uniform_on
 from .embedding import EmbeddingWitness
-from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, read_json
+from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int, read_json
 
 ONE_BOUND_SLACK = 1e-12
 IDENTITY_TOL = 1e-10
@@ -104,7 +104,7 @@ class TableFunction:
         try:
             alpha = make_alphabet(data["alphabet"])
             vals = [complex(re, im) for re, im in data["values"]]
-            return cls(int(data["n"]), alpha, vals)
+            return cls(json_int(data["n"], "n"), alpha, vals)
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad table function payload: {exc}") from exc
 

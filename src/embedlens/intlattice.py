@@ -7,9 +7,11 @@ elimination is accepted (desk-scale matrices); the pivot rule picks the
 minimal-absolute-value nonzero entry, tie-broken by smallest (row, col)
 lexicographically, so decompositions are deterministic.
 
-The lattice spanned by many 0/1 rows is found by `span_hermite_form`: a
-small selection of rows is reduced exactly, and every other row is
-certified to lie in the lattice of the selection by a vectorised check.
+The lattice spanned by 0/1 rows is found by `span_hermite_form`, by one
+route for any number of rows: a small selection of rows is reduced
+exactly, every row is checked for membership in the lattice of the
+selection by a vectorised check, and the rows that fail join the
+selection until none does.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import ValidationError
 
 INT64_BOUND = 2 ** 63  # magnitudes below this fit np.int64
 CERTIFY_BLOCK = 512  # support rows per block of the membership check (bounds its memory)
-SELECT_ALL_ROWS = 32  # up to this many rows, all are reduced and none is checked
 
 
 @dataclass(frozen=True)
@@ -302,40 +303,25 @@ def hermite_normal_form(basis: Sequence[Sequence[int]]) -> list[list[int]]:
     return h
 
 
-def span_hermite_form(rows: Sequence[Sequence[int]], cols: int,
-                      start: Iterable[int] | None = None) -> list[list[int]]:
+def span_hermite_form(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
     """Row Hermite normal form H of the integer span of 0/1 rows.
 
     Row i holds a 1 in each of the distinct columns `rows[i]` and 0
     elsewhere. Only a selection of rows is reduced exactly (`row_basis`,
-    then `hermite_normal_form`): by default, for each column, the first row
-    that holds it, or every row when there are at most `SELECT_ALL_ROWS`;
-    `start` lists other row indices to begin from. Every row outside the
-    selection is then checked for membership in L(H) (see `_outside`); the
-    rows that fail the check join the selection and the round repeats. L(H)
-    only grows and never leaves the span, so the loop ends, with L(H) equal
-    to the span.
+    then `hermite_normal_form`), starting from the first row that holds
+    each column. Every row is then checked for membership in L(H) (see
+    `_outside`); the rows that fail the check join the selection and the
+    round repeats. L(H) only grows and never leaves the span, so the loop
+    ends, with L(H) equal to the span.
     """
-    if start is None and len(rows) <= SELECT_ALL_ROWS:
-        start = range(len(rows))
-    else:
-        idx = _column_index(rows, cols)
-        if not idx.size:
-            return []
-        if start is None:
-            seen, at = np.unique(idx.T, return_index=True)
-            start = at[seen < cols] // len(idx)
-    new = sorted({int(i) for i in start})
-    if len(new) == len(rows):  # no row is left to check
-        return hermite_normal_form(row_basis([dict.fromkeys(r, 1) for r in rows], cols))
+    idx = _column_index(rows, cols)
+    seen, at = np.unique(idx.T, return_index=True)
+    new = sorted(set((at[seen < cols] // len(idx)).tolist()))  # np.unique would import numpy.ma
     h: list[list[int]] = []
-    new = new or _outside(idx, h, cols)
     while new:
         basis = row_basis([dict(filter(itemgetter(1), enumerate(r))) for r in h]
                           + [dict.fromkeys(rows[i], 1) for i in new], cols)
         h = hermite_normal_form(basis)
-        if len(h) == cols and all(r[i] == 1 for i, r in enumerate(h)):
-            break  # the identity: L(H) is all of Z^cols
         new = _outside(idx, h, cols)
     return h
 

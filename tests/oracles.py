@@ -262,6 +262,8 @@ def fraction_from_json(data: dict) -> JointDistribution:
             num, den = entry["p"]
             if den is None:
                 raise TypeError("mass pair has a null denominator")
+            if isinstance(num, bool) or isinstance(den, bool):
+                raise TypeError("mass pair entries must be integers, not bools")
             p = Fraction(num, den)
             atoms[x] = atoms[x] + p if x in atoms else p
     except PAYLOAD_ERRORS as exc:

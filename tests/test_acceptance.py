@@ -48,3 +48,12 @@ def test_criterion_9_product_ascent():
 
 def test_criterion_10_cauchy_schwarz():
     _run(acceptance.criterion_10_cauchy_schwarz)
+
+
+def test_a_failing_criterion_reports_its_first_five_failures(monkeypatch):
+    monkeypatch.setattr(acceptance, "run_test_exact", lambda inst, f, n: 0)
+    result = acceptance.criterion_7_dicttest_completeness()
+    assert not result.passed
+    assert result.details == "; ".join(f"3lin n={n} dictator {j}: exact 0"
+                                       for n, j in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1)))
+    assert result.line() == f"[FAIL] criterion 7 (dictatorship-completeness): {result.details}"

@@ -4,11 +4,13 @@ deleted name or a changed signature breaks its traced run, which the
 end-to-end run never exercises, so the first test runs the library
 requests and CLI requests through `cli.main` under the tracer, in a child
 process, so the wrappers the tracer installs do not leak into other tests,
-and checks that their spans and counters are recorded. The second replays the requests whose answers the benchmark pins by
-digest.
+and checks that their spans and counters are recorded. The second replays
+the requests whose answers the benchmark pins by digest, and the third pins
+the digests of the `lattice` workload's `analyze` requests.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -124,3 +126,26 @@ def test_exact_workload_answers_match_the_pinned_digests(tmp_path, monkeypatch):
         rc, out = loop.call_embedlens(embedlens, req)
         assert rc == 0, (req.rid, out)
         assert judge.check(req, json.loads(out)["result"]) is None, req.rid
+
+
+LATTICE_ANALYZE_DIGESTS = "a98804aa2f3532bc5df2e231cb1013f42747e2b86dce516cd8d3f1836cd226b9"
+
+
+def test_lattice_workload_analyze_digests_are_pinned(tmp_path, monkeypatch):
+    """The 79 `analyze` requests of the `lattice` workload (seed 1) run
+    through `cli.main`; the sha256 over their manifest digests, in request
+    order, pins every verdict, divisor chain and witness the lattice route
+    gives on them."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    w = workloads.build("lattice", 1, str(tmp_path))
+    analyze = [req for req in w.requests if req.kind == "cli" and req.args[0] == "analyze"]
+    assert len(analyze) == 79
+    h = hashlib.sha256()
+    for req in analyze:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert embedlens.cli.main(list(req.args)) == 0, req.rid
+        h.update(json.loads(out.getvalue())["manifest"]["digest"].encode())
+    assert h.hexdigest() == LATTICE_ANALYZE_DIGESTS

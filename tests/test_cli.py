@@ -280,6 +280,39 @@ def test_dicttest_reads_a_weight_pair_as_a_mass_pair(weight, code, tmp_path, cap
         assert json.loads(out)["result"]["acceptance"] == [1, 1]
 
 
+def _truncating_payloads():
+    """(argv, payload, parser name): an integer field that int() would
+    truncate or read from a bool; "{}" in the argv is the payload file."""
+    sym = {"n": 3, "alphabet": ["0", "1"], "dictator": 1}
+    inst = fixtures.three_lin_instance().to_json()
+    pred = inst["predicate"]
+    table = {"n": 1, "alphabet": ["0", "1"], "values": [[1, 0], [0, 1]]}
+    return [
+        (("dicttest", "inst", "{}"), {**sym, "dictator": 1.7}, "symbol function"),
+        (("dicttest", "inst", "{}"), {**sym, "n": 2.9}, "symbol function"),
+        (("dicttest", "{}", "sym"), {**inst, "predicate": {**pred, "k": 3.7}}, "predicate"),
+        (("dicttest", "{}", "sym"),
+         {**inst, "predicate": {**pred, "truth": [1.5, *pred["truth"][1:]]}}, "predicate"),
+        (("dicttest", "{}", "sym"),
+         {**inst, "predicate": {**pred, "truth": [1, 0.4, *pred["truth"][2:]]}}, "predicate"),
+        (("stability", "{}", "--rho", "0.5"), {**table, "n": 1.5}, "table function"),
+        (("analyze", "{}"), {"alphabets": [["0", "1"]], "atoms": [
+            {"x": ["0"], "p": [True, 2]}, {"x": ["1"], "p": [1, 2]}]}, "distribution"),
+    ]
+
+
+@pytest.mark.parametrize("argv, payload, parser", _truncating_payloads())
+def test_integer_fields_are_not_truncated(argv, payload, parser, tmp_path, capsys):
+    files = {"inst": tmp_path / "inst.json", "sym": tmp_path / "sym.json",
+             "{}": tmp_path / "payload.json"}
+    fixtures.three_lin_instance().save(str(files["inst"]))
+    files["sym"].write_text(json.dumps({"n": 2, "alphabet": ["0", "1"], "dictator": 1}))
+    files["{}"].write_text(json.dumps(payload))
+    assert main([str(files.get(a, a)) for a in argv]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"parse error: bad {parser} payload: ")
+
+
 def test_dicttest_mc(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     fixtures.three_lin_instance().save(str(inst))
@@ -735,6 +768,16 @@ def test_sweep_n_is_bounded_on_both_sides(n, code, tmp_path, capsys):
     assert time.perf_counter() - start < 5
     assert (got, out) == (code, "")
     assert err.count("\n") == 1 and ("must be positive" if code == 2 else "guard") in err
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--sweep-n", "2", "--mode", "mc", "--samples", "10", "--seed", "1"],
+     "--sweep-n evaluates exactly; it cannot run --mode mc"),
+    (["--n", "2", "--csv"], "--csv writes sweep rows; it needs --sweep-n"),
+])
+def test_correlate_refuses_flags_it_cannot_honour(extra, message, tmp_path, capsys):
+    code, out, err = run_cli_err(capsys, "correlate", *write_sweep_inputs(tmp_path), *extra)
+    assert (code, out, err) == (2, "", f"validation failure: {message}\n")
 
 
 class BrokenStdout(io.StringIO):

@@ -339,20 +339,19 @@ def test_the_witness_depends_on_the_lattice_only():
 
 
 @settings(max_examples=200, deadline=None)
-@given(lattice_supports(), st.data())
-def test_the_loop_from_a_small_selection_reaches_the_span(case, data):
+@given(lattice_supports())
+def test_the_loop_from_a_small_selection_reaches_the_span(case):
     cm = constraint_matrix(uniform_on(*case))
     if cm.s == 0:
         return
     want = hermite_normal_form(row_basis([dict.fromkeys(c, 1) for c in cm.rows], cm.s))
-    start = data.draw(st.lists(st.integers(0, len(cm.rows) - 1), max_size=2))
-    assert span_hermite_form(cm.rows, cm.s, start=start) == want
     assert span_hermite_form(cm.rows, cm.s) == want
 
 
 def test_rank_raising_and_index_lowering_rounds(monkeypatch):
-    # S4 from one row: a round that raises the rank (46 -> 69), then one
-    # that keeps it and lowers the index of the lattice (4 -> 2)
+    # S4 from the first row of each column: a round that raises the rank
+    # (46 -> 69), then one that keeps it and lowers the index of the lattice
+    # (4 -> 2)
     cm = constraint_matrix(uniform_on(*triple_product(group_elements(4, False))))
     rounds = []
 
@@ -363,7 +362,7 @@ def test_rank_raising_and_index_lowering_rounds(monkeypatch):
         return basis
 
     monkeypatch.setattr(intlattice, "row_basis", recording)
-    h = span_hermite_form(cm.rows, cm.s, start=[1])
+    h = span_hermite_form(cm.rows, cm.s)
     assert any(b[0] > a[0] for a, b in zip(rounds, rounds[1:]))
     assert any(b[0] == a[0] and b[1] < a[1] for a, b in zip(rounds, rounds[1:]))
     assert rounds[-1] == (69, 2)

@@ -54,6 +54,9 @@ MALFORMED = [
     (ProductFunction.from_json, {"alphabet": ["0"], "factors": [{"0": [10 ** 400, 0]}]}),
     (load_function, 5),
     (load_function, {"alphabet": ["0"]}),
+    # integer fields that int() would truncate or read from a bool
+    (EmbeddingWitness.from_json, {"modulus": 2.5, "sigma": []}),
+    (EmbeddingWitness.from_json, {"modulus": 2, "sigma": [{"0": 0, "1": True}]}),
 ]
 
 

@@ -333,11 +333,9 @@ def test_span_hermite_form_matches_every_row_reduced(cols, k, data):
     rows = data.draw(st.lists(support, min_size=1, max_size=80))
     want = hermite_normal_form(row_basis([dict.fromkeys(r, 1) for r in rows], cols))
     assert span_hermite_form(rows, cols) == want
-    start = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
-    assert span_hermite_form(rows, cols, start=start) == want
 
 
-@pytest.mark.parametrize("copies", [1, 40])  # every row reduced, or most checked
+@pytest.mark.parametrize("copies", [1, 40])  # the row selected, or most rows checked
 def test_span_hermite_form_rejects_out_of_range_columns(copies):
     for bad in ([(0, 3)], [(-1,)], [(3,)]):
         with pytest.raises(ValidationError):
