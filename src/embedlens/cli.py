@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import json
 import os
 import sys
 from fractions import Fraction
@@ -27,8 +26,8 @@ from .correlation import exact_correlation, mc_correlation
 from .dicttest import TestInstance, instance_violations, load_symbol_function, run_test_exact, run_test_mc
 from .distributions import JointDistribution
 from .embedding import connected, detect_embedding, pairwise_connected
-from .errors import (ParseError, SizeGuardError, ValidationError, WriteError, dumps, unwritable,
-                     write_json)
+from .errors import (ParseError, SizeGuardError, ValidationError, WriteError, canonical, dumps,
+                     unwritable, write_json)
 from .functions import (
     ProductFunction,
     TableFunction,
@@ -68,10 +67,6 @@ def _print(text: str) -> None:
         raise WriteError(f"stdout: {exc}") from exc
 
 
-def _canonical(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
 def _emit(command: str, inputs: list[str], params: dict, result: dict,
           seed: int | None = None) -> None:
     try:
@@ -83,7 +78,7 @@ def _emit(command: str, inputs: list[str], params: dict, result: dict,
                 "inputs": inputs,
                 "params": params,
                 "seed": seed,
-                "digest": hashlib.sha256(_canonical(result).encode()).hexdigest(),
+                "digest": hashlib.sha256(canonical(result).encode()).hexdigest(),
             },
             "result": result,
         }
@@ -105,6 +100,13 @@ def _fraction(text: str) -> Fraction:
 
 def _frac_pair(f: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
+
+
+def _refuse_sampling_flags(args) -> None:
+    """--samples and --seed steer Monte Carlo only; exact mode reads neither."""
+    if args.mode == "exact" and (args.samples is not None or args.seed is not None):
+        raise ValidationError("--mode exact reads neither --samples nor --seed; "
+                              "they are for --mode mc")
 
 
 def _load_table(path: str) -> TableFunction:
@@ -133,7 +135,7 @@ def _cmd_analyze(args) -> int:
             "side_i": sorted(split.side_i), "side_j": sorted(split.side_j),
         },
         "alpha": _frac_pair(dist.min_atom_mass()),
-        "support_size": len(dist.support),
+        "support_size": len(dist.codes),
     }
     _emit("analyze", [args.dist], {}, result)
     return EXIT_OK
@@ -144,6 +146,9 @@ def _cmd_correlate(args) -> int:
         raise ValidationError("--sweep-n evaluates exactly; it cannot run --mode mc")
     if args.csv and args.sweep_n is None:
         raise ValidationError("--csv writes sweep rows; it needs --sweep-n")
+    if args.sweep_n is not None and args.n is not None:
+        raise ValidationError("--sweep-n evaluates n = 1..N; it cannot take --n")
+    _refuse_sampling_flags(args)
     dist = JointDistribution.load(args.dist)
     functions = [load_function_file(p) for p in args.functions]
     params = {"n": args.n, "mode": args.mode, "samples": args.samples,
@@ -215,7 +220,7 @@ def _cmd_reduce(args) -> int:
     inputs = [args.dist, *(args.functions or [])]
     if args.op == "paired-copies":
         out = build_paired_copies(dist)
-        result = {"distribution": out.to_json(), "support_size": len(out.support)}
+        result = {"distribution": out.to_json(), "support_size": len(out.codes)}
     elif args.op == "star-coupling":
         if args.p_star is None:
             raise ValidationError("--p-star is required for --op star-coupling")
@@ -253,6 +258,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_dicttest(args) -> int:
+    _refuse_sampling_flags(args)
     inst = TestInstance.load(args.instance)
     f = load_symbol_function(args.function)
     violations = instance_violations(inst)

@@ -19,7 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, read_json, write_json
+from .errors import (PAYLOAD_ERRORS, Fragment, ParseError, SizeGuardError, ValidationError,
+                     atom_list_text, read_json, write_json)
 
 Atom = tuple[str, ...]
 
@@ -67,8 +68,8 @@ def alphabet(symbols: Iterable[str]) -> Alphabet:
 class JointDistribution:
     """A k-ary distribution, immutable: atom `codes[i]` has mass weights[i] / denominator.
 
-    `support` decodes the codes; `atoms`, `mass` and `min_atom_mass` read
-    masses as Fractions.
+    `support` decodes the codes on first read; `atoms`, `mass` and
+    `min_atom_mass` read masses as Fractions.
     """
 
     def __init__(self, alphabets: Sequence[Alphabet], atoms: Mapping[Atom, Fraction]):
@@ -115,19 +116,22 @@ class JointDistribution:
         if sum(kept) != denominator:
             raise AssertionError(f"masses sum to {sum(kept)}/{denominator}, not one")
         g = gcd(denominator, *kept)  # reduce D to the lcm of the reduced denominators
-        symbols = [a.symbols for a in alphabets]
         dist = cls.__new__(cls)
         dist.alphabets = tuple(alphabets)
         dist.codes: tuple[tuple[int, ...], ...] = tuple(codes)
         dist.weights: tuple[int, ...] = tuple(w // g for w in kept)
         dist.denominator: int = denominator // g
-        dist.support: tuple[Atom, ...] = tuple(
-            tuple([syms[i] for syms, i in zip(symbols, c)]) for c in codes)
         return dist
 
     @property
     def k(self) -> int:
         return len(self.alphabets)
+
+    @cached_property
+    def support(self) -> tuple[Atom, ...]:
+        """The atoms' symbol tuples, in code order."""
+        symbols = [a.symbols for a in self.alphabets]
+        return tuple(tuple([syms[i] for syms, i in zip(symbols, c)]) for c in self.codes)
 
     @cached_property
     def atoms(self) -> dict[Atom, Fraction]:
@@ -177,15 +181,14 @@ class JointDistribution:
             other.alphabets, other.codes, other.weights, other.denominator)
 
     def __repr__(self) -> str:
-        return f"JointDistribution(k={self.k}, |supp|={len(self.support)})"
+        return f"JointDistribution(k={self.k}, |supp|={len(self.codes)})"
 
     def to_json(self) -> dict:
-        d = self.denominator
-        atoms = []
-        for x, w in zip(self.support, self.weights):
-            g = gcd(w, d)
-            atoms.append({"x": list(x), "p": [w // g, d // g]})
-        return {"alphabets": [list(a.symbols) for a in self.alphabets], "atoms": atoms}
+        """The file payload; its atom list is a Fragment, rendered when first written."""
+        return {"alphabets": [list(a.symbols) for a in self.alphabets],
+                "atoms": Fragment(lambda depth: atom_list_text(
+                    [a.symbols for a in self.alphabets], self.codes, self.weights,
+                    self.denominator, depth))}
 
     @classmethod
     def from_json(cls, data: dict) -> "JointDistribution":
@@ -266,9 +269,10 @@ def decompose_mixture(total: JointDistribution, base: JointDistribution,
     dt, db = total.denominator, base.denominator
     scale, cb = db * c.denominator, dt * c.numerator
     out = {x: w * scale for x, w in zip(total.codes, total.weights)}
-    for x, atom, w in zip(base.codes, base.support, base.weights):
+    for i, (x, w) in enumerate(zip(base.codes, base.weights)):
         r = out.get(x, 0) - cb * w
         if r < 0:
+            atom = base.support[i]
             raise ValidationError(f"negative residual at atom {atom}: "
                                   f"total={total.mass(atom)}, c*base={c * Fraction(w, db)}")
         out[x] = r

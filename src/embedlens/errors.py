@@ -7,13 +7,16 @@ self-check raises AssertionError, which the CLI reports as an internal
 error with exit 5. Every file the package reads or writes goes through
 `read_json` and `write_json`, every payload parser turns PAYLOAD_ERRORS
 into a ParseError, and every JSON text the package writes, to a file or to
-stdout, is built by `dumps`.
+stdout, is built by `dumps`, and every digest text by `canonical`. A
+distribution goes into them as a `Fragment`, whose text is rendered once,
+straight from its codes and integer weights.
 """
 
 import json
 import sys
-from itertools import repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 # a missing key, a wrong type or shape, a number out of range (inf, 1/0)
 PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, AttributeError, ArithmeticError)
@@ -65,6 +68,74 @@ def unwritable(exc: ValueError) -> EmbedlensError:
                               f"{sys.get_int_max_str_digits()}-digit limit of "
                               f"int-to-str conversion: {exc}")
     return ValidationError(f"output would hold a non-finite number: {exc}")
+
+
+class Fragment:
+    """A JSON value given as text: `render(depth)` returns its indented text
+    at `depth`, where `dumps` places it, and `render(None)` its compact text,
+    the form `canonical` writes. It is rendered when written, so its errors
+    are raised inside the `try` of the writer."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        self.render = render
+
+
+def canonical(data) -> str:
+    """`json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)`,
+    the text a manifest digest hashes, with each Fragment's compact text
+    where it stands.
+
+    json writes each fragment as a marker string, which is then replaced. If
+    json wrote the marker more often than it met fragments, some string of
+    `data` equals it, and the next marker is tried."""
+    for attempt in count():
+        marker, found = f"\x00fragment {attempt}\x00", []
+
+        def default(o):
+            if type(o) is Fragment:
+                found.append(o.render(None))
+                return marker
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+        text = json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          default=default)
+        if not found:
+            return text
+        parts = text.split(_quote(marker))
+        if len(parts) == len(found) + 1:
+            return "".join(chain.from_iterable(zip(parts, found))) + parts[-1]
+
+
+def atom_list_text(symbols, codes, weights, denominator: int, depth: int | None) -> str:
+    """A distribution's atom list, {"p": [w/g, D/g], "x": [symbols]} per code
+    with g = gcd(w, D), as `dumps` writes it at `depth` or, for None, as
+    `canonical` writes it.
+
+    `symbols[j]` holds the symbols of column j. Each symbol is quoted once,
+    each distinct weight's "p" pair is written once, and the atoms are one
+    join over per-column lookups of the codes."""
+    if depth is None:
+        brk, colon = [""] * 4, ":"
+    else:
+        brk, colon = ["\n" + "  " * (depth + d) for d in range(4)], ": "
+    atom, field, cell = brk[1], brk[2], brk[3]
+    quoted = [list(map(_quote, column)) for column in symbols]
+    heads = {}  # weight -> the atom's text up to its first symbol
+    for w in set(weights):
+        g = gcd(w, denominator)
+        heads[w] = (f'{{{field}"p"{colon}[{cell}{_int_text(w // g)},{cell}'
+                    f'{_int_text(denominator // g)}{field}],{field}"x"{colon}'
+                    + (f"[{cell}" if quoted else "[]"))
+    # per column, symbol index -> the symbol's text with the separator before it
+    cells = [[f",{cell}{q}" for q in column] for column in quoted]
+    if cells:
+        cells[0] = quoted[0]
+    tail = (f"{field}]" if quoted else "") + f"{atom}}},{atom}"
+    pieces = zip(map(heads.__getitem__, weights),
+                 *[map(c.__getitem__, col) for c, col in zip(cells, zip(*codes))], repeat(tail))
+    return f"[{atom}" + "".join(chain.from_iterable(pieces))[:-len(atom) - 1] + f"{brk[0]}]"
 
 
 def write_json(path: str, data) -> None:
@@ -123,6 +194,7 @@ def dumps(data) -> str:
     step per token. Here scalars go by exact type to json's C string
     quoting and the `int`/`float` reprs, a list of one scalar type is one
     `str.join`, and each `"key": ` prefix is quoted once per call.
+    A Fragment is written as its text at the depth where it stands.
     Subclasses (such as `np.float64`) and tuples take json's isinstance
     tests; keys, their order, and the errors for unsupported types,
     non-finite floats and circular containers are json's. A level of
@@ -151,6 +223,8 @@ def dumps(data) -> str:
             return "true"
         if o is False:
             return "false"
+        if t is Fragment:
+            return o.render(depth)
         # a subclass: json's isinstance tests, in its order
         if isinstance(o, str):
             return _quote(o)
@@ -190,7 +264,8 @@ def dumps(data) -> str:
         if not dct:
             return "{}"
         inner = enter(dct, depth)
-        items = []
+        sep = "," + inner
+        pieces = []  # one join, so a long value (a Fragment) is copied once
         for key, val in sorted(dct.items()):
             if type(key) is str:
                 prefix = prefixes.get(key)
@@ -198,8 +273,10 @@ def dumps(data) -> str:
                     prefix = prefixes[key] = _quote(key) + ": "
             else:
                 prefix = _quote(_key_text(key)) + ": "
-            items.append(prefix + value(val, depth + 1))
+            pieces += (sep, prefix, value(val, depth + 1))
         path.discard(id(dct))
-        return "{" + inner + f",{inner}".join(items) + breaks[depth] + "}"
+        pieces[0] = "{" + inner
+        pieces.append(breaks[depth] + "}")
+        return "".join(pieces)
 
     return value(data, 0)

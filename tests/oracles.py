@@ -13,7 +13,8 @@ degree oracle builds all 2^n subset components. The Monte Carlo loops draw
 every column with `Random.randrange` through `ExactChooser.draw`, not with
 the inline rejection loop they check. The `Fraction` oracles take the raw
 atom -> mass dict a distribution was built from, never its integer
-weights, and the character fold oracle reads phases as Fractions. The
+weights, and the character fold oracle reads phases as Fractions, as the
+payload oracle `distribution_json` reads masses. The
 lattice oracle reduces every constraint row and certifies none. Keep them
 slow and obvious.
 `max_acceptance` is no oracle: it maximizes the DP's exact acceptance over
@@ -249,6 +250,22 @@ def assert_exact(dist, want: dict) -> None:
     assert list(dist.codes) == sorted(dist.codes)
     assert dist.support == tuple(tuple(a.symbols[i] for a, i in zip(dist.alphabets, c))
                                  for c in dist.codes)
+
+
+def distribution_json(dist: JointDistribution) -> dict:
+    """The file payload of `dist` as a dict, its "p" pairs read from the
+    Fraction masses of `atoms`: the reference for the text that
+    `JointDistribution.to_json` renders from the integer weights."""
+    return {"alphabets": [list(a.symbols) for a in dist.alphabets],
+            "atoms": [{"x": list(x), "p": [p.numerator, p.denominator]}
+                      for x, p in dist.atoms.items()]}
+
+
+def instance_json(inst: TestInstance) -> dict:
+    """The file payload of `inst` as a dict, each "mu" by `distribution_json`."""
+    return {"predicate": inst.predicate.to_json(),
+            "constraints": [{"w": [w.numerator, w.denominator],
+                             "mu": distribution_json(mu)["atoms"]} for w, mu in inst.constraints]}
 
 
 def fraction_from_json(data: dict) -> JointDistribution:

@@ -19,6 +19,7 @@ from embedlens.correlation import exact_correlation
 from embedlens.distributions import MC_DRAW_GUARD
 from embedlens.errors import ValidationError, dumps
 from embedlens.functions import ProductFunction
+from oracles import group_elements, instance_json, triple_product
 
 
 def run_cli(capsys, *argv):
@@ -265,7 +266,7 @@ def test_dicttest_rejects_negative_arity(payload, message, mode, tmp_path, capsy
 def test_dicttest_reads_a_weight_pair_as_a_mass_pair(weight, code, tmp_path, capsys):
     """A null denominator is refused, as in a "p" pair; a pair that reduces
     to 1 is the one constraint's full weight."""
-    data = fixtures.three_lin_instance().to_json()
+    data = instance_json(fixtures.three_lin_instance())
     data["constraints"][0]["w"] = weight
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(data))
@@ -284,7 +285,7 @@ def _truncating_payloads():
     """(argv, payload, parser name): an integer field that int() would
     truncate or read from a bool; "{}" in the argv is the payload file."""
     sym = {"n": 3, "alphabet": ["0", "1"], "dictator": 1}
-    inst = fixtures.three_lin_instance().to_json()
+    inst = instance_json(fixtures.three_lin_instance())
     pred = inst["predicate"]
     table = {"n": 1, "alphabet": ["0", "1"], "values": [[1, 0], [0, 1]]}
     return [
@@ -450,7 +451,46 @@ FULL_STDOUT = {
                     "0c3ab4b0030a2aaa5b5713eab52b8a05e35ba08461c9d9b9a14833bfcbdfb280"),
     "verify": (("verify", "reduction"),
                "904ceff6c1bcc3b28c238014d9d46fabf8848f0ae1c089146bc28862fb94c221"),
+    "paired-a4": (("reduce", "a4.json", "--op", "paired-copies"),
+                  "deb480e9f5cf65fb7c381cfe9d8a5c040c2e9c7649e0972f6fc06e6d53a024fa"),
+    "star-a4": (("reduce", "a4.json", "--op", "star-coupling", "--p-star", "1/5"),
+                "8fe5cfe0011c8388603600e228a278b99ad28658e89672d7e70f0b84e92361d0"),
+    "paired-escapes": (("reduce", "escapes.json", "--op", "paired-copies"),
+                       "a9ebf7efc04fd2e6d73a6f06cffab899b392d7ba1a267a2a049939bef58a94e5"),
+    "star-escapes": (("reduce", "escapes.json", "--op", "star-coupling", "--p-star", "1/5"),
+                     "0fbe0098975c41039cd4fc61c189379af2c6ee8f6e61fa716df9f910d966e22d"),
 }
+
+# sha256 of the file `reduce --out` writes for each FULL_STDOUT reduce request
+# on an input built in this file, recorded with the stdout digests above.
+OUT_FILE_DIGESTS = {
+    "paired-a4": "67c734f53eb14b7ed67e467aca87007ce03e05d737098343976c2593b62de221",
+    "star-a4": "3d1b554b006ac8a355d7e9aeee0564fc796d3e1a5c6ce20d5c2035a2cbfd7325",
+    "paired-escapes": "24d610cdb14d319ad5358a5aa3d03985f6cc3e9e22388700a9371cee2fe062e2",
+    "star-escapes": "925b130ce12d65308bf68eac90ea0db71b9c8984077f47ce77ce47be3c74a855",
+}
+
+
+def _a4_triple_product() -> dict:
+    """The payload of the uniform distribution on {(x, y, z) : xyz = e} over A4^3."""
+    alphabets, support = triple_product(group_elements(4, True))
+    return {"alphabets": [list(a.symbols) for a in alphabets],
+            "atoms": [{"x": list(x), "p": [1, len(support)]} for x in support]}
+
+
+# symbols that json must escape: a quote, a backslash, control characters and
+# non-ASCII text (none holds the pair separator "|" or is the star "*")
+ESCAPED_SYMBOLS = ['a"q', "b\\s", "c\x07", "\u00e9t\u00e9", "\U0001f600 x"]
+
+
+def _escapes_distribution() -> dict:
+    """The payload of a small distribution with ESCAPED_SYMBOLS and unequal masses."""
+    first, second = ESCAPED_SYMBOLS[:4], ESCAPED_SYMBOLS[1:] + ["\n"]
+    cells = [(i, j) for i in range(len(first)) for j in range(len(second))]
+    total = sum(1 + i * j % 3 for i, j in cells)
+    atoms = [{"x": [first[i], second[j], "1" if (i + j) % 3 else "0"],
+              "p": [1 + i * j % 3, total]} for i, j in cells]
+    return {"alphabets": [first, second, ["0", "1"]], "atoms": atoms}
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +502,8 @@ def pinned_inputs(tmp_path_factory):
         "n": 3, "alphabet": ["0", "1", "2"],
         "values": [[(i * 7 % 11) / 10 - 0.5, (i * 5 % 13) / 20] for i in range(27)]}))
     (d / "dictator.json").write_text(json.dumps({"n": 9, "alphabet": ["0", "1"], "dictator": 4}))
+    (d / "a4.json").write_text(json.dumps(_a4_triple_product()))
+    (d / "escapes.json").write_text(json.dumps(_escapes_distribution()))
     return d
 
 
@@ -482,6 +524,17 @@ def test_reduce_out_file_holds_the_result_as_stdout_writes_it(pinned_inputs, tmp
     result = json.loads(out)["result"]
     assert target.read_bytes() == (dumps(result) + "\n").encode()
     assert target.read_bytes() == (json.dumps(result, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", sorted(OUT_FILE_DIGESTS))
+def test_reduce_out_file_bytes_pinned(name, pinned_inputs, tmp_path, monkeypatch, capsys):
+    argv, stdout_digest = FULL_STDOUT[name]
+    monkeypatch.chdir(pinned_inputs)
+    target = tmp_path / "out.json"
+    code, out = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == OUT_FILE_DIGESTS[name]
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
 
 
 def test_float_overflow_in_a_handler_is_one_stderr_line(tmp_path):
@@ -692,7 +745,7 @@ def test_dicttest_does_not_run_the_embedding_analysis(tmp_path, capsys, monkeypa
 
 def test_dicttest_rejects_unnormalized_weights(tmp_path, capsys):
     inst = tmp_path / "inst.json"
-    data = fixtures.three_lin_instance().to_json()
+    data = instance_json(fixtures.three_lin_instance())
     data["constraints"][0]["w"] = [1, 2]
     inst.write_text(json.dumps(data))
     fn = tmp_path / "f.json"
@@ -770,14 +823,33 @@ def test_sweep_n_is_bounded_on_both_sides(n, code, tmp_path, capsys):
     assert err.count("\n") == 1 and ("must be positive" if code == 2 else "guard") in err
 
 
+EXACT_READS_NO_SAMPLES = "--mode exact reads neither --samples nor --seed; they are for --mode mc"
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--sweep-n", "2", "--mode", "mc", "--samples", "10", "--seed", "1"],
      "--sweep-n evaluates exactly; it cannot run --mode mc"),
     (["--n", "2", "--csv"], "--csv writes sweep rows; it needs --sweep-n"),
+    (["--mode", "exact", "--n", "1", "--samples", "10", "--seed", "3"], EXACT_READS_NO_SAMPLES),
+    (["--n", "1", "--seed", "3"], EXACT_READS_NO_SAMPLES),
+    (["--n", "1", "--samples", "10"], EXACT_READS_NO_SAMPLES),
+    (["--sweep-n", "2", "--n", "5"], "--sweep-n evaluates n = 1..N; it cannot take --n"),
+    (["--sweep-n", "2", "--seed", "4"], EXACT_READS_NO_SAMPLES),
 ])
 def test_correlate_refuses_flags_it_cannot_honour(extra, message, tmp_path, capsys):
     code, out, err = run_cli_err(capsys, "correlate", *write_sweep_inputs(tmp_path), *extra)
     assert (code, out, err) == (2, "", f"validation failure: {message}\n")
+
+
+@pytest.mark.parametrize("extra", [
+    ["--samples", "10", "--seed", "3"], ["--mode", "exact", "--seed", "3"], ["--samples", "10"]])
+def test_dicttest_exact_refuses_sampling_flags(extra, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    fixtures.three_lin_instance().save(str(inst))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps({"n": 3, "alphabet": ["0", "1"], "dictator": 1}))
+    code, out, err = run_cli_err(capsys, "dicttest", str(inst), str(fn), *extra)
+    assert (code, out, err) == (2, "", f"validation failure: {EXACT_READS_NO_SAMPLES}\n")
 
 
 class BrokenStdout(io.StringIO):

@@ -1,8 +1,11 @@
-"""The JSON file boundary: `read_json`, `write_json`, `dumps` and every payload parser."""
+"""The JSON file boundary: `read_json`, `write_json`, `dumps`, `canonical`, the
+distribution Fragment and every payload parser."""
 
 import ast
+import itertools
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,11 +19,12 @@ from embedlens.dicttest import (
     load_symbol_function,
     symbol_function_from_json,
 )
-from embedlens.distributions import JointDistribution
+from embedlens.distributions import JointDistribution, alphabet
 from embedlens.embedding import EmbeddingWitness
-from embedlens.errors import (ParseError, SizeGuardError, ValidationError, WriteError, dumps,
-                             read_json, write_json)
+from embedlens.errors import (ParseError, SizeGuardError, ValidationError, WriteError, canonical,
+                             dumps, read_json, write_json)
 from embedlens.functions import ProductFunction, TableFunction, load_function, load_function_file
+from oracles import distribution_json
 
 INF = float("inf")
 PRED = {"alphabet": ["0", "1"], "k": 1, "truth": [1, 1]}
@@ -104,7 +108,7 @@ def test_instance_round_trip_keeps_the_distribution_atom_format(tmp_path):
     inst.save(str(path))
     data = json.loads(path.read_text())
     mu = inst.constraints[0][1]
-    assert data["constraints"][0]["mu"] == mu.to_json()["atoms"]
+    assert data["constraints"][0]["mu"] == distribution_json(mu)["atoms"]
     assert TestInstance.load(str(path)) == inst
 
 
@@ -169,6 +173,61 @@ def test_dumps_matches_json(data):
     assert json_outcome(dumps, data) == json_outcome(reference, data)
 
 
+# ---------------------------------------------------------------------------
+# A distribution's payload, its atoms a Fragment, against json.dumps of its dict
+
+SYMBOLS = st.text(max_size=3) | st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "é", "😀", "a b"])
+
+
+@st.composite
+def rendered_distributions(draw):
+    """A distribution with escaped and non-ASCII symbols, k = 1 included,
+    one atom or several, and small weights (which share factors with D) or
+    huge ones."""
+    k = draw(st.integers(1, 3))
+    alphabets = [alphabet(draw(st.lists(SYMBOLS, min_size=1, max_size=3, unique=True)))
+                 for _ in range(k)]
+    cells = list(itertools.product(*[a.symbols for a in alphabets]))
+    support = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=6, unique=True))
+    sizes = st.integers(1, 6) | st.integers(10 ** 40, 10 ** 60)
+    weights = draw(st.lists(sizes, min_size=len(support), max_size=len(support)))
+    total = sum(weights)
+    return JointDistribution(alphabets, {x: Fraction(w, total) for x, w in zip(support, weights)})
+
+
+def _placed(value, depth: int):
+    """`value` under `depth` levels of alternating lists and dicts."""
+    for level in range(depth):
+        value = {"v": value, "a": 1} if level % 2 else [0, value]
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu=rendered_distributions(), atoms_only=st.booleans())
+def test_a_distribution_payload_writes_json_text_of_its_dict(mu, atoms_only):
+    want = distribution_json(mu)["atoms"] if atoms_only else distribution_json(mu)
+    payload = mu.to_json()["atoms"] if atoms_only else mu.to_json()
+    for depth in range(5):
+        assert dumps(_placed(payload, depth)) == reference(_placed(want, depth))
+        assert canonical(_placed(payload, depth)) == json.dumps(
+            _placed(want, depth), sort_keys=True, separators=(",", ":"))
+
+
+def test_a_fragment_without_coordinates_writes_empty_lists():
+    mu = JointDistribution([], {(): Fraction(1)})
+    assert dumps([mu.to_json()]) == reference([distribution_json(mu)])
+    assert canonical(mu.to_json()) == '{"alphabets":[],"atoms":[{"p":[1,1],"x":[]}]}'
+
+
+def test_canonical_splices_past_a_string_that_equals_its_marker():
+    payload = fixtures.three_lin().to_json()
+    for marker in ("\x00fragment 0\x00", "\x00fragment 1\x00"):
+        data = {"a": payload, "b": marker, marker: [payload]}
+        want = {"a": distribution_json(fixtures.three_lin()), "b": marker,
+                marker: [distribution_json(fixtures.three_lin())]}
+        assert canonical(data) == json.dumps(want, sort_keys=True, separators=(",", ":"))
+
+
 def _circular_list():
     a = [1]
     a.append([a])
@@ -209,6 +268,24 @@ def _calls(name):
     with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py")))
+def test_only_errors_quotes_json_strings_and_writes_digest_text(name):
+    """The indented text (`dumps`) and the digest text (`canonical`) keep one owner."""
+    if name == "errors.py":
+        return
+    with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {a.name for a in node.names} | {getattr(node, "module", None) or ""}
+            assert not any("encode_basestring" in n or n == "json.encoder" for n in names), \
+                ast.unparse(node)
+        if isinstance(node, ast.Attribute):
+            assert not node.attr.startswith("encode_basestring"), ast.unparse(node)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps":
+            assert "separators" not in {kw.arg for kw in node.keywords}, ast.unparse(node)
 
 
 @pytest.mark.parametrize("name", sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py")))
