@@ -212,7 +212,19 @@ def _identity_json(rep: CouplingIdentityReport) -> dict:
     }
 
 
+def _refuse_unread_reduce_flags(args) -> None:
+    """Each op reads only its own flags; --out is valid for every op."""
+    reads = {"paired-copies": (), "star-coupling": ("p_star", "p_nu"),
+             "conditional-product": ("functions",),
+             "coupling-identity": ("functions", "p_star", "rate", "n")}[args.op]
+    unread = [f"--{name.replace('_', '-')}" for name in ("functions", "p_star", "p_nu", "rate", "n")
+              if name not in reads and getattr(args, name) is not None]
+    if unread:
+        raise ValidationError(f"--op {args.op} does not read {', '.join(unread)}")
+
+
 def _cmd_reduce(args) -> int:
+    _refuse_unread_reduce_flags(args)
     dist = JointDistribution.load(args.dist)
     params = {"op": args.op, "p_star": str(args.p_star) if args.p_star is not None else None,
               "p_nu": str(args.p_nu) if args.p_nu is not None else None,
@@ -242,8 +254,9 @@ def _cmd_reduce(args) -> int:
         out = conditional_product_given_last(dist, [_load_table(p) for p in args.functions])
         result = {"function": out.to_json()}
     elif args.op == "coupling-identity":
-        if not args.functions or args.n is None or args.p_star is None:
-            raise ValidationError("--op coupling-identity needs --functions f1.json, --n and --p-star")
+        if len(args.functions or ()) != 1 or args.n is None or args.p_star is None:
+            raise ValidationError(
+                "--op coupling-identity needs one --functions file f1.json, --n and --p-star")
         f1 = _load_table(args.functions[0])
         alpha = dist.min_atom_mass()
         rate = args.rate if args.rate is not None else 1 - alpha * alpha

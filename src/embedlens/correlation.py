@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import fsum, lcm, log, sqrt
+from math import fsum, lcm, log, prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -134,9 +134,12 @@ def _exact_characters(dist, functions, n) -> CorrelationResult:
     return CorrelationResult(value, "exact")
 
 
-def _exact_products(dist, prods: Sequence[ProductFunction], n) -> CorrelationResult:
+def _product_columns(dist: JointDistribution, prods: Sequence[ProductFunction],
+                    n: int) -> list[complex]:
+    """For each column j < n, the sum over atoms x of mass(x) times
+    prod_i prods[i].factors[j, x_i], real and imaginary parts by fsum."""
     masses = [(x, w / dist.denominator) for x, w in zip(dist.codes, dist.weights)]
-    value = 1 + 0j
+    columns = []
     for j in range(n):
         terms = []
         for code, m in masses:
@@ -144,8 +147,12 @@ def _exact_products(dist, prods: Sequence[ProductFunction], n) -> CorrelationRes
             for i, f in enumerate(prods):
                 t *= f.factors[j, code[i]]
             terms.append(t)
-        value *= complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
-    return CorrelationResult(value, "exact")
+        columns.append(complex(fsum(t.real for t in terms), fsum(t.imag for t in terms)))
+    return columns
+
+
+def _exact_products(dist, prods: Sequence[ProductFunction], n) -> CorrelationResult:
+    return CorrelationResult(prod(_product_columns(dist, prods, n), start=1 + 0j), "exact")
 
 
 def _head_columns(dist: JointDistribution) -> tuple[list[list[int]], list[list[int]]]:

@@ -28,7 +28,8 @@ ORACLE_NODE_BUDGET = 20_000_000  # search nodes of one brute-force modulus
 
 @dataclass(frozen=True)
 class ConstraintMatrix:
-    """0/1 rows a_x with <a_x, alpha> = sum_i alpha_i(x_i), alpha_i(base_i) = 0.
+    """0/1 rows a_x with <a_x, alpha> = sum_i alpha_i(x_i), alpha_i(base_i) = 0
+    for the base point, the support's first atom.
 
     Columns are indexed by (coordinate, symbol != base symbol) pairs in
     `index_map`; coordinates with singleton alphabets contribute no columns.
@@ -36,7 +37,6 @@ class ConstraintMatrix:
     is None only in the fully degenerate case s == 0.
     """
 
-    base_point: Atom
     s: int
     index_map: tuple[tuple[int, str], ...]
     rows: tuple[tuple[int, ...], ...] | None
@@ -93,10 +93,10 @@ def constraint_matrix(dist: JointDistribution) -> ConstraintMatrix:
                 index_map.append((i, sym))
     s = len(index_map)
     if s == 0:
-        return ConstraintMatrix(dist.support[0], 0, (), None)
+        return ConstraintMatrix(0, (), None)
     rows = tuple(tuple([col_of[i, c] for i, c in enumerate(x) if c != base[i]])
                  for x in dist.codes)
-    return ConstraintMatrix(dist.support[0], s, tuple(index_map), rows)
+    return ConstraintMatrix(s, tuple(index_map), rows)
 
 
 def _witness_from_vector(cm: ConstraintMatrix, alphabets: Sequence[Alphabet],
@@ -357,70 +357,55 @@ def _fraction_kernel(rows: Sequence[tuple[int, ...]], s: int) -> tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# Connectivity
+# Connectivity: one disjoint-set forest over the codes, unions made in place
+
+def _find(parent: list[int], x: int) -> int:
+    """The root of x's tree, halving the path on the way (Tarjan & van Leeuwen)."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
 
 def pairwise_connected(dist: JointDistribution) -> tuple[bool, DisconnectedPair | None]:
     """Connectivity of every pairwise-marginal bipartite support graph.
 
-    Vertices are the symbols carrying positive marginal mass in the pair
-    marginal, read off the support directly; the search starts from the
-    lowest-index such symbol of coordinate i. On failure the reachable
-    component gives the split whose indicator maps embed the support into Z.
+    Vertices are the symbols carrying positive marginal mass, read off the
+    support directly: symbol code c of coordinate i is vertex c, of
+    coordinate j vertex |Sigma_i| + c. The split is the component of the
+    lowest-index such symbol of coordinate i; its indicator maps embed the
+    support into Z.
     """
-    k = dist.k
-    for i in range(k):
-        for j in range(i + 1, k):
-            adj_i: dict[str, set[str]] = {}
-            adj_j: dict[str, set[str]] = {}
-            for (a, b) in {(x[i], x[j]) for x in dist.support}:
-                adj_i.setdefault(a, set()).add(b)
-                adj_j.setdefault(b, set()).add(a)
-            start = dist.alphabets[i].symbols[min(x[i] for x in dist.codes)]
-            seen_i, seen_j = {start}, set()
-            stack = [("i", start)]
-            while stack:
-                side, sym = stack.pop()
-                if side == "i":
-                    for b in adj_i[sym]:
-                        if b not in seen_j:
-                            seen_j.add(b)
-                            stack.append(("j", b))
-                else:
-                    for a in adj_j[sym]:
-                        if a not in seen_i:
-                            seen_i.add(a)
-                            stack.append(("i", a))
-            if len(seen_i) < len(adj_i) or len(seen_j) < len(adj_j):
-                return False, DisconnectedPair(i, j, frozenset(seen_i), frozenset(seen_j))
+    columns = list(zip(*dist.codes))
+    present = [sorted(set(col)) for col in columns]
+    for i in range(dist.k):
+        a = len(dist.alphabets[i])
+        for j in range(i + 1, dist.k):
+            parent = list(range(a + len(dist.alphabets[j])))
+            for u, v in set(zip(columns[i], columns[j])):
+                parent[_find(parent, u)] = _find(parent, a + v)
+            root = _find(parent, present[i][0])
+            side_i = [c for c in present[i] if _find(parent, c) == root]
+            side_j = [c for c in present[j] if _find(parent, a + c) == root]
+            if len(side_i) + len(side_j) < len(present[i]) + len(present[j]):
+                syms_i, syms_j = dist.alphabets[i].symbols, dist.alphabets[j].symbols
+                return False, DisconnectedPair(i, j, frozenset(syms_i[c] for c in side_i),
+                                               frozenset(syms_j[c] for c in side_j))
     return True, None
 
 
 def connected(dist: JointDistribution) -> bool:
-    """Connectivity of the graph on supp(mu) with one-coordinate-change edges."""
-    support = dist.support
-    n = len(support)
-    if n <= 1:
-        return True
-    parent = list(range(n))
+    """Connectivity of the graph on supp(mu) with one-coordinate-change edges.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    buckets: dict[tuple, int] = {}
-    for idx, atom in enumerate(support):
-        for c in range(dist.k):
-            key = (c, atom[:c], atom[c + 1:])
-            if key in buckets:
-                union(idx, buckets[key])
-            else:
-                buckets[key] = idx
-    root = find(0)
-    return all(find(i) == root for i in range(n))
+    Atoms whose codes agree off coordinate c are adjacent; for each c, every
+    atom joins the first atom with its code without c.
+    """
+    parent = list(range(len(dist.codes)))
+    for c in range(dist.k):
+        first: dict[tuple[int, ...], int] = {}  # code without c -> first atom with it
+        for idx, x in enumerate(dist.codes):
+            other = first.setdefault(x[:c] + x[c + 1:], idx)
+            if other != idx:
+                parent[_find(parent, idx)] = _find(parent, other)
+    root = _find(parent, 0)
+    return all(_find(parent, idx) == root for idx in range(len(parent)))

@@ -4,7 +4,7 @@ Dense tables, coordinate-factored products, and exact-phase characters,
 together with the inner product, the per-coordinate noise operator, noise
 stability, the graded degree decomposition and restrictions. Function
 values are complex doubles with compensated summation; identities are
-expected to hold to 1e-10 and boundedness slack is 1e-12.
+expected to hold to 1e-10.
 
 Dense work on powers goes through one per-coordinate tensor path:
 `column_product` reads tables through per-column symbol indices and
@@ -28,7 +28,6 @@ from .distributions import Alphabet, JointDistribution, alphabet as make_alphabe
 from .embedding import EmbeddingWitness
 from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int, read_json
 
-ONE_BOUND_SLACK = 1e-12
 IDENTITY_TOL = 1e-10
 TENSOR_GUARD = 10 ** 7  # entries of the largest dense tensor any route may build
 
@@ -86,12 +85,6 @@ class TableFunction:
         if self.n != other.n or self.alphabet != other.alphabet:
             raise ValidationError("function shape mismatch")
 
-    def is_one_bounded(self) -> bool:
-        return bool(np.max(np.abs(self.values), initial=0.0) <= 1 + ONE_BOUND_SLACK)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values), initial=0.0))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -146,9 +139,6 @@ class ProductFunction:
         for j in range(self.n):
             vals = np.multiply.outer(vals, self.factors[j]).ravel()
         return TableFunction(self.n, self.alphabet, vals)
-
-    def is_one_bounded(self) -> bool:
-        return bool(np.max(np.abs(self.factors), initial=0.0) <= 1 + ONE_BOUND_SLACK)
 
     def to_json(self) -> dict:
         return {

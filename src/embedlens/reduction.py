@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correlation import _head_columns, exact_correlation
+from .correlation import _head_columns, _product_columns, exact_correlation
 from .distributions import (
     Alphabet,
     JointDistribution,
@@ -60,14 +60,6 @@ class StarAlphabet:
 
 def pair_symbol(a: str, b: str) -> str:
     return f"{a}{PAIR_SEP}{b}"
-
-
-def decode_symbol(sym: str) -> tuple[str, str] | None:
-    """The encoded pair, or None for the star symbol."""
-    if sym == STAR:
-        return None
-    a, b = sym.split(PAIR_SEP)
-    return a, b
 
 
 @dataclass
@@ -275,14 +267,5 @@ def conditional_product_given_first(dist: JointDistribution,
     sigma1 = dist.alphabets[0]
     rows = np.zeros((n, len(sigma1)), dtype=np.complex128)
     for s in {x[0] for x in dist.codes}:  # the symbols with positive mass
-        cond = dist.condition(0, sigma1.symbols[s])
-        for j in range(n):
-            res, ims = [], []
-            for y, w in zip(cond.codes, cond.weights):
-                t = complex(w / cond.denominator)
-                for i, p in enumerate(products):
-                    t *= p.factors[j, y[i]]
-                res.append(t.real)
-                ims.append(t.imag)
-            rows[j, s] = complex(fsum(res), fsum(ims))
+        rows[:, s] = _product_columns(dist.condition(0, sigma1.symbols[s]), products, n)
     return ProductFunction(sigma1, rows)

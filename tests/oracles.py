@@ -15,8 +15,9 @@ the inline rejection loop they check. The `Fraction` oracles take the raw
 atom -> mass dict a distribution was built from, never its integer
 weights, and the character fold oracle reads phases as Fractions, as the
 payload oracle `distribution_json` reads masses. The
-lattice oracle reduces every constraint row and certifies none. Keep them
-slow and obvious.
+lattice oracle reduces every constraint row and certifies none. The
+connectivity oracles search decoded symbol tuples, not the integer codes.
+Keep them slow and obvious.
 `max_acceptance` is no oracle: it maximizes the DP's exact acceptance over
 every dense table.
 """
@@ -40,6 +41,7 @@ from embedlens.distributions import (
     univariate,
 )
 from embedlens.embedding import (
+    DisconnectedPair,
     EmbeddingVerdict,
     _require_verified,
     _witness_from_vector,
@@ -59,7 +61,7 @@ from embedlens.intlattice import (
     row_basis,
     smith_normal_form,
 )
-from embedlens.reduction import STAR, StarAlphabet, decode_symbol, pair_symbol
+from embedlens.reduction import PAIR_SEP, STAR, StarAlphabet, pair_symbol
 
 
 def enumerate_correlation(dist, functions, n) -> complex:
@@ -108,13 +110,12 @@ def enumerate_g(f1, mu1) -> TableFunction:
     fills = [(x, float(m)) for (x,), m in mu1.atoms.items()]
     values = []
     for xplus in iter_product(star.alphabet.symbols, repeat=n):
-        stars = [j for j, sym in enumerate(xplus) if decode_symbol(sym) is None]
+        stars = [j for j, sym in enumerate(xplus) if sym == STAR]
         base_x = [None] * n
         base_xp = [None] * n
         for j, sym in enumerate(xplus):
-            pair = decode_symbol(sym)
-            if pair is not None:
-                base_x[j], base_xp[j] = pair
+            if sym != STAR:
+                base_x[j], base_xp[j] = sym.split(PAIR_SEP)
         res, ims = [], []
         for fill in iter_product(fills, repeat=len(stars)):
             w = 1.0
@@ -417,6 +418,61 @@ def all_rows_embedding(dist, hermite: bool = True) -> EmbeddingVerdict:
         _require_verified(dist, witness)
         return EmbeddingVerdict(True, witness, divisors, snf.rank, cm.s)
     return EmbeddingVerdict(False, None, divisors, snf.rank, cm.s)
+
+
+# ---------------------------------------------------------------------------
+# Connectivity over decoded symbol tuples
+
+def dfs_pairwise_connected(dist) -> tuple[bool, DisconnectedPair | None]:
+    """`pairwise_connected` by a depth-first search over symbol pairs, from
+    the lowest-index symbol of coordinate i that carries mass."""
+    k = dist.k
+    for i in range(k):
+        for j in range(i + 1, k):
+            adj_i: dict[str, set[str]] = {}
+            adj_j: dict[str, set[str]] = {}
+            for (a, b) in {(x[i], x[j]) for x in dist.support}:
+                adj_i.setdefault(a, set()).add(b)
+                adj_j.setdefault(b, set()).add(a)
+            start = next(s for s in dist.alphabets[i].symbols if s in adj_i)
+            seen_i, seen_j = {start}, set()
+            stack = [("i", start)]
+            while stack:
+                side, sym = stack.pop()
+                if side == "i":
+                    for b in adj_i[sym]:
+                        if b not in seen_j:
+                            seen_j.add(b)
+                            stack.append(("j", b))
+                else:
+                    for a in adj_j[sym]:
+                        if a not in seen_i:
+                            seen_i.add(a)
+                            stack.append(("i", a))
+            if len(seen_i) < len(adj_i) or len(seen_j) < len(adj_j):
+                return False, DisconnectedPair(i, j, frozenset(seen_i), frozenset(seen_j))
+    return True, None
+
+
+def bucket_connected(dist) -> bool:
+    """`connected` by a union-find keyed on slices of the symbol tuples."""
+    support = dist.support
+    parent = list(range(len(support)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    buckets: dict[tuple, int] = {}
+    for idx, atom in enumerate(support):
+        for c in range(dist.k):
+            key = (c, atom[:c], atom[c + 1:])
+            if key in buckets:
+                parent[find(idx)] = find(buckets[key])
+            else:
+                buckets[key] = idx
+    return len({find(i) for i in range(len(support))}) == 1
 
 
 # ---------------------------------------------------------------------------

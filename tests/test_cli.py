@@ -16,7 +16,7 @@ import embedlens
 from embedlens import dicttest, embedding, fixtures
 from embedlens.cli import SWEEP_GUARD, _emit, _parser, build_parser, main
 from embedlens.correlation import exact_correlation
-from embedlens.distributions import MC_DRAW_GUARD
+from embedlens.distributions import MC_DRAW_GUARD, JointDistribution
 from embedlens.errors import ValidationError, dumps
 from embedlens.functions import ProductFunction
 from oracles import group_elements, instance_json, triple_product
@@ -400,8 +400,6 @@ def test_fixture_writer(tmp_path, capsys):
     out_path = tmp_path / "m7.json"
     code, _ = run_cli(capsys, "fixture", "punctured-cube", str(out_path))
     assert code == 0
-    from embedlens.distributions import JointDistribution
-
     assert JointDistribution.load(str(out_path)) == fixtures.punctured_cube()
 
 
@@ -633,6 +631,52 @@ def test_reduce_star_coupling_p_nu_is_validated(tmp_path, capsys):
                         "--p-star", "1/3", "--p-nu", "1/2")
     assert code == 0
     assert json.loads(out)["result"]["p_nu"] == [1, 2]
+
+
+@pytest.mark.parametrize("op, extra", [
+    ("paired-copies", ["--functions", "f.json"]),
+    ("paired-copies", ["--p-star", "1/3"]),
+    ("paired-copies", ["--p-nu", "1/2"]),
+    ("paired-copies", ["--rate", "1/2"]),
+    ("paired-copies", ["--n", "1"]),
+    ("star-coupling", ["--p-star", "1/3", "--functions", "f.json"]),
+    ("star-coupling", ["--p-star", "1/3", "--rate", "1/2"]),
+    ("star-coupling", ["--p-star", "1/3", "--n", "1"]),
+    ("conditional-product", ["--functions", "f.json", "f.json", "--p-star", "1/3"]),
+    ("conditional-product", ["--functions", "f.json", "f.json", "--p-nu", "1/2"]),
+    ("conditional-product", ["--functions", "f.json", "f.json", "--rate", "1/2"]),
+    ("conditional-product", ["--functions", "f.json", "f.json", "--n", "1"]),
+    ("coupling-identity", ["--functions", "f.json", "--n", "1", "--p-star", "1/3",
+                           "--p-nu", "1/2"]),
+    ("coupling-identity", ["--functions", "f.json", "f.json", "--n", "1", "--p-star", "1/3"]),
+])
+def test_reduce_refuses_flags_its_op_does_not_read(op, extra, tmp_path, capsys):
+    dist = tmp_path / "mu.json"
+    fixtures.three_lin().save(str(dist))
+    table = tmp_path / "f.json"
+    table.write_text(json.dumps({"n": 1, "alphabet": ["0", "1"], "values": [[1, 0], [-1, 0]]}))
+    argv = [str(table) if a == "f.json" else a for a in extra]
+    code, out, err = run_cli_err(capsys, "reduce", str(dist), "--op", op, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"validation failure: --op {op} ") and err.count("\n") == 1
+
+
+def test_negative_analyze_and_reductions_never_decode_support(tmp_path, capsys, monkeypatch):
+    paths = {}
+    for name in ("punctured-cube", "a5", "3lin"):
+        paths[name] = str(tmp_path / f"{name}.json")
+        fixtures.NAMED[name]().save(paths[name])
+
+    def decoded(self):
+        raise RuntimeError("JointDistribution.support was read")
+
+    monkeypatch.setattr(JointDistribution, "support", property(decoded))
+    for name in ("punctured-cube", "a5"):
+        code, out = run_cli(capsys, "analyze", paths[name])
+        assert code == 0 and json.loads(out)["result"]["admits_embedding"] is False
+    for extra in (["star-coupling", "--p-star", "1/3"], ["paired-copies"]):
+        code, _ = run_cli(capsys, "reduce", paths["3lin"], "--op", *extra)
+        assert code == 0
 
 
 def test_byte_reproducibility(tmp_path, capsys):

@@ -108,7 +108,7 @@ def test_correlation_bounded_by_sup_norms():
         res = exact_correlation(mu, fs, n)
         bound = 1.0
         for f in fs:
-            bound *= f.sup_norm()
+            bound *= np.abs(f.values).max()
         assert abs(res.value) <= bound + 1e-10
 
 
@@ -184,7 +184,7 @@ def test_ascent_recovers_unimodular_product():
         p = ProductFunction(B, np.array(rows))
         res = best_product_correlation(nu, p.to_table(), seed=100 + n)
         assert res.value >= 1 - 1e-9
-        assert res.product.is_one_bounded()
+        assert np.abs(res.product.factors).max() <= 1 + 1e-12
 
 
 def test_ascent_dictator_closed_form():

@@ -20,7 +20,15 @@ from embedlens.embedding import (
     verify_witness,
 )
 from embedlens.intlattice import hermite_normal_form, row_basis, span_hermite_form
-from oracles import all_rows_embedding, group_elements, lattice_supports, triple_product
+from oracles import (
+    all_rows_embedding,
+    bucket_connected,
+    dfs_pairwise_connected,
+    distributions,
+    group_elements,
+    lattice_supports,
+    triple_product,
+)
 
 B = alphabet(["0", "1"])
 
@@ -31,7 +39,6 @@ def dense_rows(cm):
 
 def test_constraint_matrix_disconnected_pair():
     cm = constraint_matrix(uniform_on([B, B], [("0", "0"), ("1", "1")]))
-    assert cm.base_point == ("0", "0")
     assert cm.s == 2
     assert cm.rows == ((), (0, 1))
     assert dense_rows(cm) == [[0, 0], [1, 1]]
@@ -217,6 +224,15 @@ def test_pairwise_connected_failure_gives_split():
     tables[split.i].update(dict.fromkeys(split.side_i, 1))
     tables[split.j].update(dict.fromkeys(split.side_j, -1))
     assert verify_witness(fixtures.disconnected_pair().support, EmbeddingWitness(0, tuple(tables)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(distributions(k=st.integers(1, 4)),
+                 lattice_supports().map(lambda s: uniform_on(*s))))
+def test_connectivity_matches_tuple_oracles(dist):
+    # the split sides are compared too: DisconnectedPair equality reads them
+    assert pairwise_connected(dist) == dfs_pairwise_connected(dist)
+    assert connected(dist) == bucket_connected(dist)
 
 
 def test_connected_examples():

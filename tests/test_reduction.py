@@ -28,7 +28,6 @@ from embedlens.reduction import (
     build_paired_copies,
     build_star_coupling,
     check_coupling_identity,
-    decode_symbol,
     diagonal_pairing,
     pair_symbol,
     conditional_product_given_first,
@@ -83,8 +82,8 @@ def test_star_alphabet_shape():
     star = StarAlphabet.build(B)
     assert len(star.alphabet) == 5
     assert STAR in star.alphabet
-    assert decode_symbol(pair_symbol("0", "1")) == ("0", "1")
-    assert decode_symbol(STAR) is None
+    assert pair_symbol("0", "1") == "0|1"
+    assert "0|1" in star.alphabet
 
 
 def test_build_paired_copies_product_input_tensors():
@@ -205,7 +204,7 @@ def test_build_g_one_bounded():
     mu1 = univariate(B, {"0": Fraction(1, 2), "1": Fraction(1, 2)})
     rng = random.Random(2)
     g = build_g(random_table(rng, 2), mu1)
-    assert g.is_one_bounded()
+    assert np.abs(g.values).max() <= 1 + 1e-12
 
 
 def test_coupling_identity_constant_function():
@@ -299,7 +298,7 @@ def test_conditional_product_last_cauchy_schwarz_chain():
         # the norm identity: the squared norm equals the correlation against the conjugate
         chain = abs(exact_correlation(mu, fs + [t.conj()], n).value)
         assert chain == pytest.approx(norm_sq, abs=1e-10)
-        assert t.is_one_bounded()
+        assert np.abs(t.values).max() <= 1 + 1e-12
 
 
 def test_conditional_product_last_rejects_zero_mass_symbol():
