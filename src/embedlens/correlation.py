@@ -1,9 +1,10 @@
 """k-wise correlations over product powers, exact and Monte Carlo.
 
 Three evaluation routes, chosen by input type: tuples of exact-phase
-characters are folded column-by-column in integers (the result is an exact
-complex rational over D^n, D the distribution's denominator, whenever all
-phase sums stay on the quarter circle); tuples of product functions use the
+characters are folded column-by-column in integers, their integer phases
+scaled once to one common denominator (the result is an exact complex
+rational over D^n, D the distribution's denominator, whenever all phase
+sums stay on the quarter circle); tuples of product functions use the
 per-coordinate factorization; anything else goes through dense tables on
 the per-coordinate tensor path of `functions`: the product of
 f_1..f_{k-1} over the distinct support projections S' meets f_k mapped
@@ -98,12 +99,12 @@ def exact_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
 
 
 def _exact_characters(dist, functions, n) -> CorrelationResult:
-    """Fold in integers: phases over the lcm of their denominators, masses
-    over the distribution's D, and the exact value (re + i im) / D^j after j
-    columns. Columns with the same phase rows are bucketed once."""
-    phase_den = lcm(*(p.denominator for f in functions for row in f.phases for p in row))
-    phases = [[tuple(p.numerator * (phase_den // p.denominator) for p in row) for row in f.phases]
-              for f in functions]
+    """Fold in integers: phases over the lcm of the k functions' denominators,
+    masses over the distribution's D, and the exact value (re + i im) / D^j
+    after j columns. Columns with the same phase rows are bucketed once."""
+    phase_den = lcm(*(f.denominator for f in functions))
+    phases = [[tuple(v * (phase_den // f.denominator) for v in row)
+               for row in f.numerators.tolist()] for f in functions]
     d = dist.denominator
     exact, value = (1, 0), 1 + 0j
     columns: dict = {}
@@ -183,8 +184,8 @@ def mc_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
     """Empirical mean of the k-wise product over seeded i.i.d. column draws.
 
     Samples are drawn and evaluated in blocks of about MC_BLOCK columns, on
-    the stream and with the products `ProductPowerSampler.sample` and
-    `evaluate` give one sample at a time, so the mean is the same to the bit.
+    the stream and with the products of one sample at a time, so the mean is
+    the same to the bit.
     """
     _check_shapes(dist, functions, n)
     if samples <= 0:

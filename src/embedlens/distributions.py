@@ -53,13 +53,6 @@ class Alphabet:
         except KeyError:
             raise ValidationError(f"symbol {symbol!r} not in alphabet") from None
 
-    def word_index(self, word: Iterable[str]) -> int:
-        """Position of `word` in the lexicographic order of alphabet^len(word)."""
-        idx = 0
-        for sym in word:
-            idx = idx * len(self.symbols) + self.index(sym)
-        return idx
-
 
 def alphabet(symbols: Iterable[str]) -> Alphabet:
     return Alphabet(tuple(str(s) for s in symbols))

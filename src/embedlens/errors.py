@@ -30,6 +30,15 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_pairs(values, name: str) -> list[complex]:
+    """re + i im for each item of `values`, a two-element list of JSON numbers.
+    A bool, a string or any other item is a TypeError or ValueError, where
+    complex() would read "5", [1] or [true, false]."""
+    if not set(map(type, chain.from_iterable(values))) <= {int, float}:  # one pass in C
+        raise TypeError(f"{name} must be [re, im] pairs of JSON numbers")
+    return [complex(re, im) for re, im in values]
+
+
 class EmbedlensError(Exception):
     """Base class for all embedlens errors."""
 

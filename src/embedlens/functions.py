@@ -4,7 +4,9 @@ Dense tables, coordinate-factored products, and exact-phase characters,
 together with the inner product, the per-coordinate noise operator, noise
 stability, the graded degree decomposition and restrictions. Function
 values are complex doubles with compensated summation; identities are
-expected to hold to 1e-10.
+expected to hold to 1e-10. A character's phases are integers over one
+denominator D. The classes evaluate arrays of words; the evaluators of one
+word by definition live in the test oracles (`tests/oracles.py`).
 
 Dense work on powers goes through one per-coordinate tensor path:
 `column_product` reads tables through per-column symbol indices and
@@ -18,15 +20,15 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
-from math import fsum, lcm
-from typing import Callable, Mapping, Sequence
+from math import fsum, gcd, lcm
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .distributions import Alphabet, JointDistribution, alphabet as make_alphabet, uniform_on
 from .embedding import EmbeddingWitness
-from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int, read_json
+from .errors import (PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int,
+                     json_pairs, read_json)
 
 IDENTITY_TOL = 1e-10
 TENSOR_GUARD = 10 ** 7  # entries of the largest dense tensor any route may build
@@ -57,20 +59,9 @@ class TableFunction:
     def constant(cls, n: int, alpha: Alphabet, c: complex) -> "TableFunction":
         return cls(n, alpha, np.full(len(alpha) ** n, c, dtype=np.complex128))
 
-    @classmethod
-    def from_callable(cls, n: int, alpha: Alphabet, fn: Callable[[tuple[str, ...]], complex]) -> "TableFunction":
-        vals = [fn(x) for x in iter_product(alpha.symbols, repeat=n)]
-        return cls(n, alpha, vals)
-
-    def index(self, x: Sequence[str]) -> int:
-        return self.alphabet.word_index(x)
-
-    def evaluate(self, x: Sequence[str]) -> complex:
-        return complex(self.values[self.index(x)])
-
     def evaluate_many(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Real and imaginary parts of `evaluate` at each row of x, an (m, n)
-        array of symbol indices, bit for bit."""
+        """Real and imaginary parts of the value at each row of x, an (m, n)
+        array of symbol indices."""
         vals = self.values[x @ _places(len(self.alphabet), self.n)]
         return vals.real, vals.imag
 
@@ -96,7 +87,7 @@ class TableFunction:
     def from_json(cls, data: dict) -> "TableFunction":
         try:
             alpha = make_alphabet(data["alphabet"])
-            vals = [complex(re, im) for re, im in data["values"]]
+            vals = json_pairs(data["values"], "values")
             return cls(json_int(data["n"], "n"), alpha, vals)
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad table function payload: {exc}") from exc
@@ -118,15 +109,10 @@ class ProductFunction:
     def n(self) -> int:
         return self.factors.shape[0]
 
-    def evaluate(self, x: Sequence[str]) -> complex:
-        out = 1 + 0j
-        for j, sym in enumerate(x):
-            out *= self.factors[j, self.alphabet.index(sym)]
-        return out
-
     def evaluate_many(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Real and imaginary parts of `evaluate` at each row of x, an (m, n)
-        array of symbol indices, bit for bit: the same products in the same order."""
+        """Real and imaginary parts of the value at each row of x, an (m, n)
+        array of symbol indices: the factors multiplied in column order from
+        1, as Python multiplies complex numbers."""
         re, im = np.ones(len(x)), np.zeros(len(x))
         for j in range(self.n):
             factor = self.factors[j, x[:, j]]
@@ -156,8 +142,10 @@ class ProductFunction:
             alpha = make_alphabet(data["alphabet"])
             rows = []
             for table in data["factors"]:
-                rows.append([complex(*table[sym]) for sym in alpha.symbols])
-            return cls(alpha, np.array(rows, dtype=np.complex128))
+                if set(table) != set(alpha.symbols):
+                    raise ValueError(f"factor keys {sorted(table)} are not the alphabet")
+                rows.append(json_pairs([table[sym] for sym in alpha.symbols], "factors"))
+            return cls(alpha, np.array(rows, dtype=np.complex128).reshape(len(rows), len(alpha)))
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad product function payload: {exc}") from exc
 
@@ -165,39 +153,48 @@ class ProductFunction:
 class CharacterProduct:
     """Unimodular product function with exact rational phases.
 
-    Factor j at symbol s is exp(2*pi*i*phase[j][s]) with phase a Fraction
-    mod 1, so phase sums can be bucketed exactly and correlations of
-    character tuples evaluate to exact rationals whenever the phases stay
-    on the quarter-circle lattice.
+    Factor j at symbol s is exp(2*pi*i*numerators[j, s] / denominator): the
+    numerators are one read-only (n, |alphabet|) array in [0, D), D the lcm of
+    the reduced phase denominators, int64 while D < 2^62 (so that a sum of two
+    residues fits) and Python ints past it. Correlations of character tuples
+    are exact rationals whenever the phase sums stay on the quarter circle.
     """
 
-    def __init__(self, alpha: Alphabet, phases: Sequence[Sequence[Fraction]]):
-        self.alphabet = alpha
-        self.phases: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(p) % 1 for p in row) for row in phases)
-        for row in self.phases:
-            if len(row) != len(alpha):
-                raise ValidationError("phase row length must match alphabet size")
+    def __init__(self, alpha: Alphabet, phases: Sequence[Sequence]):
+        """Rows of phases, each anything `Fraction` reads, taken mod 1."""
+        rows = [[p if isinstance(p, Fraction) else Fraction(p) for p in row] for row in phases]
+        den = lcm(*{p.denominator for row in rows for p in row})
+        vars(self).update(vars(CharacterProduct._from_numerators(
+            alpha, [[p.numerator * (den // p.denominator) % den for p in row] for row in rows],
+            den)))
+
+    @classmethod
+    def _from_numerators(cls, alpha: Alphabet, rows: Sequence[Sequence[int]],
+                         den: int) -> "CharacterProduct":
+        """Phase numerators[j][s] / den, each in [0, den)."""
+        if any(len(row) != len(alpha) for row in rows):
+            raise ValidationError("phase row length must match alphabet size")
+        g = gcd(den, *{v for row in rows for v in row})  # D: the lcm of the reduced denominators
+        f = cls.__new__(cls)
+        f.alphabet = alpha
+        f.denominator = den // g
+        f.numerators = np.array([[v // g for v in row] for row in rows],
+                                dtype=np.int64 if f.denominator < 2 ** 62 else object
+                                ).reshape(len(rows), len(alpha))
+        f.numerators.setflags(write=False)
+        return f
 
     @property
     def n(self) -> int:
-        return len(self.phases)
-
-    def evaluate(self, x: Sequence[str]) -> complex:
-        total = sum((self.phases[j][self.alphabet.index(sym)] for j, sym in enumerate(x)),
-                    Fraction(0))
-        return _unit(total.numerator, total.denominator)
+        return len(self.numerators)
 
     def evaluate_many(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Real and imaginary parts of `evaluate` at each row of x, an (m, n)
-        array of symbol indices, bit for bit. Phases are integers over their
-        lcm L; `_unit` gives the same value for a phase sum as for its
-        residue mod L, and is called once per distinct residue."""
-        den = lcm(*(p.denominator for row in self.phases for p in row))
-        dtype = np.int64 if den < 2 ** 62 else object  # a sum of two residues must fit
-        total = np.zeros(len(x), dtype=dtype)
-        for j, row in enumerate(self.phases):
-            steps = np.array([p.numerator * (den // p.denominator) for p in row], dtype=dtype)
+        """Real and imaginary parts of the value at each row of x, an (m, n)
+        array of symbol indices. `_unit` gives the same value for a phase sum
+        as for its residue mod D, and is called once per distinct residue."""
+        den = self.denominator
+        total = np.zeros(len(x), dtype=self.numerators.dtype)
+        for j, steps in enumerate(self.numerators):
             total = (total + steps[x[:, j]]) % den
         residues, inverse = np.unique(total, return_inverse=True)
         units = np.array([_unit(int(r), den) for r in residues], dtype=np.complex128)
@@ -205,9 +202,10 @@ class CharacterProduct:
         return vals.real, vals.imag
 
     def to_product(self) -> ProductFunction:
-        rows = [[_unit(p.numerator, p.denominator) for p in row] for row in self.phases]
-        return ProductFunction(self.alphabet, np.array(rows, dtype=np.complex128)
-                               .reshape(self.n, len(self.alphabet)))
+        """The factors, with `_unit` called once per distinct numerator."""
+        nums, inverse = np.unique(self.numerators, return_inverse=True)
+        units = np.array([_unit(int(v), self.denominator) for v in nums], dtype=np.complex128)
+        return ProductFunction(self.alphabet, units[inverse].reshape(self.numerators.shape))
 
     def to_table(self) -> TableFunction:
         return self.to_product().to_table()
@@ -417,14 +415,10 @@ def character_function(witness: EmbeddingWitness, coordinate: int, n: int,
     table = witness.sigma[coordinate]
     if set(alpha.symbols) != set(table):
         raise ValidationError("alphabet does not match the witness table")
-    if m >= 2:
-        row = [Fraction(table[s] % m, m) for s in alpha.symbols]
-    else:
-        lo = min(min(t.values()) for t in witness.sigma)
-        hi = max(max(t.values()) for t in witness.sigma)
-        theta = Fraction(1, 1 + (hi - lo))
-        row = [(Fraction(table[s]) * theta) % 1 for s in alpha.symbols]
-    return CharacterProduct(alpha, [row] * n)
+    den = m or 1 + max(max(t.values()) for t in witness.sigma) - min(
+        min(t.values()) for t in witness.sigma)  # theta = 1 / den for a Z-valued witness
+    return CharacterProduct._from_numerators(alpha, [[table[s] % den for s in alpha.symbols]] * n,
+                                             den)
 
 
 def load_function(data) -> TableFunction | ProductFunction:

@@ -7,14 +7,16 @@ diagnostic `max_acceptance`, and small inputs to compare them on.
 
 Each oracle walks every term of its sum in Python and shares no code with
 the per-coordinate tensor path or decision-diagram DP it checks: functions
-are read only through `evaluate`, a symbol function only from its JSON
+are read only through `evaluate`, the value of one word by definition (a
+character's from its phase sum in Fractions mod 1, not through the
+package's `_unit`), a symbol function only from its JSON
 payload by `symbol_at`, a predicate only by `predicate_holds`, and the
 degree oracle builds all 2^n subset components. The Monte Carlo loops draw
 every column with `Random.randrange` through `ExactChooser.draw`, not with
 the inline rejection loop they check. The `Fraction` oracles take the raw
 atom -> mass dict a distribution was built from, never its integer
-weights, and the character fold oracle reads phases as Fractions, as the
-payload oracle `distribution_json` reads masses. The
+weights, and the character fold oracle reads each integer phase as a
+Fraction, as the payload oracle `distribution_json` reads masses. The
 lattice oracle reduces every constraint row and certifies none. The
 connectivity oracles search decoded symbol tuples, not the integer codes.
 Keep them slow and obvious.
@@ -64,6 +66,31 @@ from embedlens.intlattice import (
 from embedlens.reduction import PAIR_SEP, STAR, StarAlphabet, pair_symbol
 
 
+# exp(2 pi i q) at the quarters q of the circle, exactly
+QUARTERS = {Fraction(0): 1 + 0j, Fraction(1, 4): 1j, Fraction(1, 2): -1 + 0j, Fraction(3, 4): -1j}
+
+
+def phase(f: CharacterProduct, j: int, s: int) -> Fraction:
+    """The phase of character f at column j and symbol index s."""
+    return Fraction(int(f.numerators[j, s]), f.denominator)
+
+
+def evaluate(f, word) -> complex:
+    """f(word) by definition: a table's entry at the lexicographic index of
+    the word, the product of a product function's factors in column order
+    from 1, and exp(2 pi i q) for a character, q its phase sum mod 1."""
+    symbols = f.alphabet.symbols
+    if isinstance(f, TableFunction):
+        return complex(f.values[lex_index(symbols, word)])
+    if isinstance(f, ProductFunction):
+        out = 1 + 0j
+        for j, sym in enumerate(word):
+            out *= complex(f.factors[j, symbols.index(sym)])
+        return out
+    q = sum((phase(f, j, symbols.index(sym)) for j, sym in enumerate(word)), Fraction(0)) % 1
+    return QUARTERS[q] if q in QUARTERS else cmath.exp(2j * cmath.pi * float(q))
+
+
 def enumerate_correlation(dist, functions, n) -> complex:
     """E over the n-fold product power of prod_i f_i, one support column tuple at a time."""
     massf = {x: float(m) for x, m in dist.atoms.items()}
@@ -74,7 +101,7 @@ def enumerate_correlation(dist, functions, n) -> complex:
             w *= massf[c]
         val = complex(w)
         for i, f in enumerate(functions):
-            val *= f.evaluate(tuple(c[i] for c in cols))
+            val *= evaluate(f, tuple(c[i] for c in cols))
         res.append(val.real)
         ims.append(val.imag)
     return complex(fsum(res), fsum(ims))
@@ -96,7 +123,7 @@ def enumerate_conditional_product_given_last(dist, functions) -> TableFunction:
                 w *= m
             val = complex(w)
             for i, f in enumerate(functions):
-                val *= f.evaluate(tuple(col[0][i] for col in combo))
+                val *= evaluate(f, tuple(col[0][i] for col in combo))
             res.append(val.real)
             ims.append(val.imag)
         values.append(complex(fsum(res), fsum(ims)))
@@ -124,7 +151,7 @@ def enumerate_g(f1, mu1) -> TableFunction:
             for j, (v, _) in zip(stars, fill):
                 base_x[j] = v
                 base_xp[j] = v
-            t = w * f1.evaluate(base_x) * f1.evaluate(base_xp).conjugate()
+            t = w * evaluate(f1, base_x) * evaluate(f1, base_xp).conjugate()
             res.append(t.real)
             ims.append(t.imag)
         values.append(complex(fsum(res), fsum(ims)))
@@ -195,7 +222,7 @@ def sample_loop_correlation(dist, functions, n, samples, seed) -> complex:
     for _ in range(samples):
         val = 1 + 0j
         for f, row in zip(functions, sampler.sample()):
-            val *= f.evaluate(row)
+            val *= evaluate(f, row)
         res.append(val.real)
         ims.append(val.imag)
     return complex(fsum(res) / samples, fsum(ims) / samples)
@@ -358,14 +385,13 @@ def fraction_characters(atoms: dict, functions, n) -> tuple[complex, tuple | Non
     """The character fold in Fractions: each column buckets the atoms by their
     phase sum mod 1; the exact (re, im) exists while every bucket sits on a
     quarter of the circle, and then the value is its float."""
-    quarters = {Fraction(0): (1, 0), Fraction(1, 4): (0, 1),
-                Fraction(1, 2): (-1, 0), Fraction(3, 4): (0, -1)}
+    quarters = {q: (int(u.real), int(u.imag)) for q, u in QUARTERS.items()}
     support = {x: m for x, m in atoms.items() if m}
     re, im, value, exact = Fraction(1), Fraction(0), 1 + 0j, True
     for j in range(n):
         buckets = {}
         for x, m in support.items():
-            ph = sum((f.phases[j][f.alphabet.index(x[i])] for i, f in enumerate(functions)),
+            ph = sum((phase(f, j, f.alphabet.index(x[i])) for i, f in enumerate(functions)),
                      Fraction(0)) % 1
             buckets[ph] = buckets.get(ph, Fraction(0)) + m
         units = {ph: complex(*quarters[ph]) if ph in quarters
@@ -565,9 +591,17 @@ def measures(draw, alpha):
     return univariate(alpha, {s: Fraction(w, total) for s, w in zip(alpha.symbols, weights)})
 
 
+# Phase denominators of characters: the quarter lattice and its neighbours,
+# one below 2^62 whose lcm with 12 is past it, and two past 2^62 (Python-int
+# phases; 2^62 also reduces onto quarters).
+PHASE_DENOMINATORS = st.sampled_from([1, 2, 4, 8, 12, 2 ** 61 - 1, 2 ** 62, 3 ** 40])
+
+
 @st.composite
 def functions(draw, n, alpha, kinds=("table",)):
-    """A function in the unit disk on alpha^n: a dense table, a product or a character."""
+    """A function in the unit disk on alpha^n: a dense table, a product or a
+    character. A character's denominator is drawn for each function, and its
+    columns from a pool of at most three rows, so that columns repeat."""
     kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     a = len(alpha)
@@ -579,8 +613,10 @@ def functions(draw, n, alpha, kinds=("table",)):
         return TableFunction(n, alpha, disk(a ** n))
     if kind == "product":
         return ProductFunction(alpha, disk(n, a))
-    return CharacterProduct(alpha, [[Fraction(int(p), 8) for p in rng.integers(0, 8, a)]
-                                    for _ in range(n)])
+    den = draw(PHASE_DENOMINATORS)
+    row = st.lists(st.integers(0, den - 1).map(lambda v: Fraction(v, den)), min_size=a, max_size=a)
+    pool = st.sampled_from(draw(st.lists(row, min_size=1, max_size=3)))
+    return CharacterProduct(alpha, [draw(pool) for _ in range(n)])
 
 
 @st.composite

@@ -6,7 +6,9 @@ requests and CLI requests through `cli.main` under the tracer, in a child
 process, so the wrappers the tracer installs do not leak into other tests,
 and checks that their spans and counters are recorded. The second replays
 the requests whose answers the benchmark pins by digest, and the third pins
-the digests of the `lattice` workload's `analyze` requests.
+the digests of the `lattice` workload's `analyze` requests. The last pins
+every float and exact pair of the `exact` workload's character requests,
+which its checker compares only through the exact pair.
 """
 
 import contextlib
@@ -149,3 +151,30 @@ def test_lattice_workload_analyze_digests_are_pinned(tmp_path, monkeypatch):
             assert embedlens.cli.main(list(req.args)) == 0, req.rid
         h.update(json.loads(out.getvalue())["manifest"]["digest"].encode())
     assert h.hexdigest() == LATTICE_ANALYZE_DIGESTS
+
+
+CHARS_DIGEST = "efcda5491073efe33537af1a2cc30fc45d078e8ab3d670464054caa2eb5c6d45"
+
+
+def test_exact_workload_character_results_are_pinned(tmp_path, monkeypatch):
+    """The `characters` requests of the `exact` workload (seed 1) through the
+    benchmark's own call path; the sha256 over the `float.hex` of each value
+    and its exact pair, in request order, pins the float fold bit for bit."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import loop
+    import workloads
+
+    w = workloads.build("exact", 1, str(tmp_path))
+    chars = [req for req in w.requests if req.kind == "characters"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name in w.fixtures:
+            if any(w.path(name + ".json") in req.args for req in chars):
+                assert embedlens.cli.main(["fixture", name, w.path(name + ".json")]) == 0
+    h = hashlib.sha256()
+    for req in chars:
+        rc, res = loop.call_embedlens(embedlens, req)
+        assert rc == 0, req.rid
+        exact = "none" if res.exact is None else " ".join(
+            f"{q.numerator}/{q.denominator}" for q in res.exact)
+        h.update(f"{res.value.real.hex()} {res.value.imag.hex()} {exact}\n".encode())
+    assert h.hexdigest() == CHARS_DIGEST

@@ -96,6 +96,21 @@ def test_correlate_parity_characters_exact(tmp_path, capsys):
     assert result["mode"] == "exact"
 
 
+def test_correlate_reads_arity_zero_files(tmp_path, capsys):
+    """An arity-0 product file holds an empty factor list and reads back, as
+    an arity-0 table file does; the correlation over the empty word is 1."""
+    dist = tmp_path / "mu.json"
+    fixtures.three_lin().save(str(dist))
+    product, table = tmp_path / "p0.json", tmp_path / "t0.json"
+    write_parity_product(str(product), 0)
+    assert json.loads(product.read_text())["factors"] == []
+    table.write_text(json.dumps({"n": 0, "alphabet": ["0", "1"], "values": [[1.0, 0.0]]}))
+    for f in (product, table):
+        code, out = run_cli(capsys, "correlate", str(dist), str(f), str(f), str(f), "--n", "0")
+        assert code == 0, f
+        assert json.loads(out)["result"]["value"] == [1.0, 0.0]
+
+
 def test_correlate_arity_mismatch(tmp_path, capsys):
     dist = tmp_path / "mu.json"
     fixtures.three_lin().save(str(dist))

@@ -191,7 +191,7 @@ def test_ascent_dictator_closed_form():
     rng = random.Random(25)
     nu = univariate(B, {"0": Fraction(1, 3), "1": Fraction(2, 3)})
     g = [0.9 * cmath.exp(0.7j), 0.4 * cmath.exp(-1.2j)]
-    f = TableFunction.from_callable(2, B, lambda x: g[B.index(x[0])])
+    f = TableFunction(2, B, [g[0], g[0], g[1], g[1]])  # g of the first coordinate
     res = best_product_correlation(nu, f, seed=5)
     expected = float(Fraction(1, 3)) * abs(g[0]) + float(Fraction(2, 3)) * abs(g[1])
     assert res.value == pytest.approx(expected, abs=1e-9)
@@ -257,16 +257,14 @@ def test_exact_correlation_matches_enumeration(dist, n, data):
     assert abs(got - enumerate_correlation(dist, fs, n)) <= 1e-12
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(raw=prime_masses(), n=st.integers(1, 5), data=st.data())
 def test_character_fold_matches_fraction_oracle(raw, n, data):
+    """Denominators differ across the functions; columns repeat within one.
+    150 examples keep as many exact folds (phase sums on the quarters) as
+    100 gave when every denominator was at most 12."""
     alphabets, atoms = raw
-    den = data.draw(st.sampled_from([2, 4, 8, 12]), label="phase denominator")
-    fs = []
-    for a in alphabets:  # at most two distinct rows per function, so columns repeat
-        row = st.lists(st.fractions(0, 1, max_denominator=den), min_size=len(a), max_size=len(a))
-        pool = data.draw(st.lists(row, min_size=1, max_size=2))
-        fs.append(CharacterProduct(a, [data.draw(st.sampled_from(pool)) for _ in range(n)]))
+    fs = [data.draw(functions(n, a, kinds=("character",))) for a in alphabets]
     res = exact_correlation(JointDistribution(alphabets, atoms), fs, n)
     value, exact = fraction_characters(atoms, fs, n)
     assert res.exact == exact

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,13 +40,6 @@ def three_lin():
 def test_alphabet_rejects_duplicates():
     with pytest.raises(ValidationError):
         Alphabet(("a", "a"))
-
-
-def test_word_index_is_the_lexicographic_position():
-    alpha = alphabet(["2", "0", "1"])  # the alphabet's order, not the symbols' order
-    for n in range(5):
-        words = list(product(alpha.symbols, repeat=n))
-        assert [alpha.word_index(w) for w in words] == list(range(len(words)))
 
 
 def test_check_draws_bounds_samples_times_n():

@@ -61,6 +61,14 @@ MALFORMED = [
     # integer fields that int() would truncate or read from a bool
     (EmbeddingWitness.from_json, {"modulus": 2.5, "sigma": []}),
     (EmbeddingWitness.from_json, {"modulus": 2, "sigma": [{"0": 0, "1": True}]}),
+    # value pairs that complex() would read, and a factor key outside the alphabet
+    (ProductFunction.from_json, {"alphabet": ["0"], "factors": [{"0": "5"}]}),
+    (ProductFunction.from_json, {"alphabet": ["0"], "factors": [{"0": [1]}]}),
+    (ProductFunction.from_json, {"alphabet": ["0"], "factors": [{"0": [True, False]}]}),
+    (ProductFunction.from_json, {"alphabet": ["0"], "factors": [{"0": [1, 0], "1": [1, 0]}]}),
+    (TableFunction.from_json, {"n": 0, "alphabet": ["0"], "values": ["5"]}),
+    (TableFunction.from_json, {"n": 0, "alphabet": ["0"], "values": [[1]]}),
+    (TableFunction.from_json, {"n": 0, "alphabet": ["0"], "values": [[True, False]]}),
 ]
 
 

@@ -24,7 +24,7 @@ from embedlens.functions import (
     stability,
     uniform_measure,
 )
-from oracles import functions, measures, subset_efron_stein
+from oracles import evaluate, functions, measures, phase, subset_efron_stein
 
 B = alphabet(["0", "1"])
 UB = uniform_measure(B)
@@ -40,20 +40,43 @@ def random_table(rng: random.Random, n: int, alpha=B) -> TableFunction:
 
 
 @pytest.mark.parametrize("den", [8, 2 ** 61 - 1, 2 ** 89 - 1])
-def test_character_evaluate_many_is_evaluate_bit_for_bit(den):
-    """Phase sums in int64 and, past 2^62, in Python integers."""
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_character_evaluate_many_is_evaluate_bit_for_bit(den, data):
+    """Phase sums in int64 and, past 2^62, in Python integers, against the
+    oracle's Fraction sums: on seeded rows over den, whose integer form must
+    read back as those rows, and on a character the strategy draws."""
     rng = random.Random(den)
     alpha = alphabet("012")
-    f = CharacterProduct(alpha, [[Fraction(rng.randrange(den), den) for _ in alpha.symbols]
-                                 for _ in range(4)])
+    rows = [[Fraction(rng.randrange(den), den) for _ in alpha.symbols] for _ in range(4)]
+    f = CharacterProduct(alpha, rows)
+    assert [[phase(f, j, s) for s in range(3)] for j in range(4)] == rows
     words = np.array(list(iprod(range(3), repeat=4)))
-    for word, re, im in zip(words, *f.evaluate_many(words)):
-        value = f.evaluate([alpha.symbols[s] for s in word])
-        assert (re.hex(), im.hex()) == (value.real.hex(), value.imag.hex())
+    for g in (f, data.draw(functions(4, alpha, kinds=("character",)))):
+        for word, re, im in zip(words, *g.evaluate_many(words)):
+            value = evaluate(g, [alpha.symbols[s] for s in word])
+            assert (re.hex(), im.hex()) == (value.real.hex(), value.imag.hex())
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(1, 3), n=st.integers(0, 3), data=st.data())
+def test_character_factors_are_the_single_column_values(size, n, data):
+    """Factor j of `to_product` at symbol s is, bit for bit, the oracle's value
+    at the word (s,) of the one-column character with phase row j."""
+    alpha = alphabet([str(s) for s in range(size)])
+    f = data.draw(functions(n, alpha, kinds=("character",)))
+    factors = f.to_product().factors
+    assert factors.shape == (n, size)
+    for j in range(n):
+        column = CharacterProduct(alpha, [[phase(f, j, s) for s in range(size)]])
+        for s, sym in enumerate(alpha.symbols):
+            want = evaluate(column, (sym,))
+            assert (factors[j, s].real.hex(), factors[j, s].imag.hex()) == (
+                want.real.hex(), want.imag.hex())
 
 
 def parity(n: int) -> TableFunction:
-    return TableFunction.from_callable(n, B, lambda x: (-1) ** sum(int(s) for s in x))
+    return TableFunction(n, B, [(-1) ** sum(x) for x in iprod(range(2), repeat=n)])
 
 
 def test_inner_product_of_ones():
@@ -139,7 +162,7 @@ def test_efron_stein_sum_of_mean_zero_singles():
     for _ in range(3):
         g = random_table(rng, 1)
         gs.append(g.values - expectation(g, UB))
-    f = TableFunction.from_callable(3, B, lambda x: sum(gs[j][B.index(x[j])] for j in range(3)))
+    f = TableFunction(3, B, [sum(gs[j][x[j]] for j in range(3)) for x in iprod(range(2), repeat=3)])
     dec = efron_stein(f, UB)
     assert dec.degree_weights[1] == pytest.approx(dec.norm_sq, abs=1e-10)
 
@@ -211,10 +234,10 @@ def test_restrict_basics():
     z = {0: "1", 1: "0", 2: "1"}
     r = restrict(f, z)
     assert r.n == 0
-    assert r.values[0] == pytest.approx(f.evaluate(("1", "0", "1")))
+    assert r.values[0] == pytest.approx(evaluate(f, ("1", "0", "1")))
     part = restrict(f, {1: "0"})
     assert part.n == 2
-    assert part.evaluate(("1", "1")) == pytest.approx(f.evaluate(("1", "0", "1")))
+    assert evaluate(part, ("1", "1")) == pytest.approx(evaluate(f, ("1", "0", "1")))
 
 
 def test_restrict_commutes_with_noise_on_free_coordinates():
@@ -271,9 +294,9 @@ def test_character_integer_witness_phase():
     w = EmbeddingWitness(0, ({"0": 0, "1": 3}, {"0": 0, "1": -3}))
     f = character_function(w, 0, 1, alpha=B)
     # span 6, theta = 1/7: nonconstant factor, exact rational phases
-    assert f.phases[0][1] == Fraction(3, 7)
+    assert (f.denominator, f.numerators.tolist()) == (7, [[0, 3]])
     g = character_function(w, 1, 1, alpha=B)
-    assert g.phases[0][1] == Fraction(-3, 7) % 1
+    assert (g.denominator, g.numerators.tolist()) == (7, [[0, 4]])  # -3/7 mod 1
 
 
 # The inverse theorem asks for L with deg L <= d and ||L|| <= 1 correlating with f.
@@ -321,7 +344,7 @@ def test_character_correlation_is_one_every_n():
             rows = [(sym,) * n for sym in x]
             prod = 1 + 0j
             for i, row in enumerate(rows):
-                prod *= fs[i].evaluate(row)
+                prod *= evaluate(fs[i], row)
             assert prod == pytest.approx(1)
 
 
