@@ -2,6 +2,10 @@
 matrix with i.i.d. columns from its local distribution, and evaluate the
 predicate on the row images under the tested function.
 
+A predicate is held in one form, the sorted int64 array of its accepted
+cells (lexicographic word indices), looked up by binary search: no
+|alphabet|^k table is built.
+
 A tested function f: Sigma^n -> Sigma is held in one form, a reduced
 ordered decision diagram (Bryant 1986) compiled when f is made, with one
 layer per coordinate f reads. Exact acceptance is a column dynamic program
@@ -23,7 +27,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Sequence
 
 import numpy as np
@@ -141,34 +144,64 @@ def load_symbol_function(path: str) -> SymbolFunction:
 # ---------------------------------------------------------------------------
 # Predicates and instances
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Predicate:
+    """A predicate on alphabet^k, held as the sorted, distinct, read-only int64
+    array of its accepted cells, each a word's lexicographic index."""
+
     alphabet: Alphabet
     k: int
-    truth: tuple[int, ...]  # lexicographic over alphabet^k
+    accept: np.ndarray
 
     def __post_init__(self):
-        if not is_table_length(len(self.truth), len(self.alphabet), self.k):
-            raise ValidationError("truth table has wrong length")
-        if not {0, 1}.issuperset(self.truth):
-            raise ValidationError("truth table entries must be 0/1")
+        a, k = len(self.alphabet), self.k
+        if not 0 <= k <= 63 or a ** k >= 2 ** 63:  # k first, so a ** k is never huge
+            raise ValidationError("a predicate needs 0 <= k <= 63 and |alphabet|^k < 2^63")
+        try:
+            cells = np.array(self.accept, dtype=np.int64)
+        except OverflowError:
+            raise ValidationError("accepted cell out of range") from None
+        if (cells[1:] <= cells[:-1]).any():
+            raise ValidationError("accepted cells must be strictly increasing")
+        if cells.size and not (0 <= cells[0] and cells[-1] < a ** k):
+            raise ValidationError("accepted cell out of range")
+        cells.setflags(write=False)
+        object.__setattr__(self, "accept", cells)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Predicate) and self.to_json() == other.to_json()
 
     @classmethod
-    def from_callable(cls, alpha: Alphabet, k: int, fn) -> "Predicate":
-        cells = list(iter_product(alpha.symbols, repeat=k))
-        return cls(alpha, k, tuple(1 if fn(c) else 0 for c in cells))
+    def from_truth(cls, alpha: Alphabet, k: int, truth: Sequence[int]) -> "Predicate":
+        """The predicate of a 0/1 table in lexicographic order over alpha^k."""
+        if not is_table_length(len(truth), len(alpha), k):
+            raise ValidationError("truth table has wrong length")
+        if not {0, 1}.issuperset(truth):
+            raise ValidationError("truth table entries must be 0/1")
+        return cls(alpha, k, np.flatnonzero(truth))
+
+    def holds(self, cells: np.ndarray) -> np.ndarray:
+        """Whether each of `cells`, int64 lexicographic indices, is accepted:
+        its left and right insertion points in `accept` differ exactly when
+        it is there."""
+        return np.searchsorted(self.accept, cells, "right") > np.searchsorted(self.accept, cells)
 
     def to_json(self) -> dict:
         return {"alphabet": list(self.alphabet.symbols), "k": self.k,
-                "truth": list(self.truth)}
+                "accept": self.accept.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "Predicate":
+        """Exactly one of "accept" (the accepted cells) and "truth" (the 0/1
+        table) gives the cells."""
         try:
-            truth = tuple(data["truth"])
-            if not set(map(type, truth)) <= {int}:  # one C-level pass over the cells
-                raise TypeError("truth cells must be integers")
-            return cls(make_alphabet(data["alphabet"]), json_int(data["k"], "k"), truth)
+            alpha, k = make_alphabet(data["alphabet"]), json_int(data["k"], "k")
+            if ("accept" in data) == ("truth" in data):
+                raise ValueError("a predicate needs exactly one of 'accept' and 'truth'")
+            cells = data.get("accept", data.get("truth"))
+            if type(cells) is not list or not set(map(type, cells)) <= {int}:  # one C-level pass
+                raise TypeError("predicate cells must be a list of integers")
+            return cls(alpha, k, cells) if "accept" in data else cls.from_truth(alpha, k, cells)
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad predicate payload: {exc}") from exc
 
@@ -248,16 +281,15 @@ def instance_violations(inst: TestInstance) -> list[str]:
         violations.append(f"weights sum to {total}, expected 1")
     for idx, (_, mu) in enumerate(inst.constraints):
         holds = _holds(inst.predicate, mu)
-        if 0 in holds:
+        if not holds.all():
             violations.append(f"constraint {idx}: mass on falsifying atom "
-                              f"{mu.support[holds.index(0)]}")
+                              f"{mu.support[holds.argmin()]}")
     return violations
 
 
-def _holds(pred: Predicate, mu: JointDistribution) -> list[int]:
-    """The predicate's truth value at each support atom, in support order."""
-    cells = np.array(mu.codes, dtype=np.int64) @ _places(len(pred.alphabet), pred.k)
-    return [pred.truth[c] for c in cells.tolist()]
+def _holds(pred: Predicate, mu: JointDistribution) -> np.ndarray:
+    """Whether the predicate accepts each support atom, in support order."""
+    return pred.holds(np.array(mu.codes, dtype=np.int64) @ _places(len(pred.alphabet), pred.k))
 
 
 def validate_instance(inst: TestInstance) -> InstanceReport:
@@ -269,7 +301,7 @@ def validate_instance(inst: TestInstance) -> InstanceReport:
         verdict = detect_embedding(mu)
         pc, _ = pairwise_connected(mu)
         reports.append(ConstraintReport(
-            support_ok=0 not in _holds(inst.predicate, mu),
+            support_ok=bool(_holds(inst.predicate, mu).all()),
             admits_embedding=verdict.admits,
             witness_modulus=verdict.witness.modulus if verdict.witness else None,
             connected=connected(mu),
@@ -310,10 +342,9 @@ def _acceptance_one(mu: JointDistribution, pred: Predicate, f: SymbolFunction,
     coordinate with no layer would multiply every weight by D / D, so it
     is skipped exactly."""
     a, k = len(pred.alphabet), pred.k
-    truth = np.array(pred.truth, dtype=bool)
     place = _places(a, k)
     if f.root < a:
-        return Fraction(int(truth[f.root * place.sum()])), spent
+        return Fraction(int(pred.holds(f.root * place.sum()))), spent
     cols = np.array(mu.codes, dtype=np.int64)
     mass = np.array(mu.weights, dtype=object)
     states = np.full((1, k), f.root, dtype=np.int64)
@@ -328,7 +359,7 @@ def _acceptance_one(mu: JointDistribution, pred: Predicate, f: SymbolFunction,
         nxt = layer[states[:, None, :], cols[None, :, :]].reshape(-1, k)
         w = np.multiply.outer(weights, mass).reshape(-1)
         done = (nxt < a).all(axis=1)
-        accept = accept * mu.denominator + sum(w[done][truth[nxt[done] @ place]].tolist())
+        accept = accept * mu.denominator + sum(w[done][pred.holds(nxt[done] @ place)].tolist())
         if done.all():
             return Fraction(accept, mu.denominator ** (depth + 1)), spent
         states, weights = _merge(nxt[~done], w[~done])
@@ -397,7 +428,6 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
     # sample of 10^6 columns costs a few MB
     located_dtype = np.min_scalar_type(max(len(c.items) for c in choosers) - 1)
     codes = [np.array(mu.codes, dtype=np.min_scalar_type(a - 1)) for _, mu in inst.constraints]
-    truth = np.array(inst.predicate.truth, dtype=bool)
     accepted = 0
     block = max(1, MC_BLOCK // max(f.n, 1))
     widths = [min(MC_BLOCK, f.n - lo) for lo in range(0, f.n, MC_BLOCK)]  # one sample's slices
@@ -418,8 +448,8 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
                 continue
             located[ci].append(choosers[ci].locate(pending[ci]).astype(located_dtype))
             atoms = np.concatenate(located[ci]).reshape(count, f.n)
-            cell = np.zeros(count, dtype=np.int64)  # index of the k images in the truth table
+            cell = np.zeros(count, dtype=np.int64)  # lexicographic index of the k images
             for i in range(k):
                 cell = cell * a + f.evaluate_many(codes[ci][atoms, i])
-            accepted += int(np.count_nonzero(truth[cell]))
+            accepted += int(np.count_nonzero(inst.predicate.holds(cell)))
     return McAcceptance(accepted / samples, samples, hoeffding_half_width(samples), accepted)

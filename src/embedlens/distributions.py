@@ -66,39 +66,43 @@ class JointDistribution:
     """
 
     def __init__(self, alphabets: Sequence[Alphabet], atoms: Mapping[Atom, Fraction]):
-        masses = {}
-        for x, p in atoms.items():
-            p = p if isinstance(p, (int, Fraction)) else Fraction(p)  # a float, exactly
-            masses[x] = (p.numerator, p.denominator)
-        vars(self).update(vars(JointDistribution._from_masses(alphabets, masses)))
-
-    @classmethod
-    def _from_masses(cls, alphabets: Sequence[Alphabet],
-                     masses: Mapping[Atom, tuple[int, int]]) -> "JointDistribution":
-        """Validate atom -> reduced (numerator, positive denominator) masses;
-        the weights are taken over the lcm of the denominators."""
         alphabets = tuple(alphabets)
         lookups = [a._index for a in alphabets]
-        violations, codes, kept = [], [], []
-        for x, (num, den) in masses.items():
-            if len(x) != len(alphabets):
-                violations.append(f"atom {x} has arity {len(x)}, expected {len(alphabets)}")
-                continue
-            code = tuple([lookup.get(s) for lookup, s in zip(lookups, x)])
-            if None in code:
+        masses, invalid = {}, False
+        for x, p in atoms.items():
+            p = p if isinstance(p, (int, Fraction)) else Fraction(p)  # a float, exactly
+            code = _code(lookups, x)
+            invalid = invalid or code[:1] == (None,)
+            masses[code] = p.numerator, p.denominator
+        vars(self).update(vars(JointDistribution._from_masses(alphabets, masses, invalid)))
+
+    @classmethod
+    def _from_masses(cls, alphabets: tuple[Alphabet, ...], masses: dict[tuple, tuple[int, int]],
+                     invalid: bool) -> "JointDistribution":
+        """Validate code -> reduced (numerator, positive denominator) masses,
+        where `invalid` says that some atom has no code and is keyed by
+        (None, its symbol tuple); the weights are over the lcm of the
+        denominators."""
+        violations = []
+        if invalid or min(masses.values(), default=(0,))[0] < 0:
+            symbols = [a.symbols for a in alphabets]  # name each bad atom, in input order
+            for code, (num, _) in list(masses.items()):
+                x = code[1] if code[:1] == (None,) else tuple(map(tuple.__getitem__, symbols, code))
+                if len(x) != len(alphabets):
+                    violations.append(f"atom {x} has arity {len(x)}, expected {len(alphabets)}")
+                    del masses[code]
+                    continue
                 violations.extend(f"atom {x}: symbol {s!r} not in alphabet {i}"
                                   for i, s in enumerate(x) if s not in alphabets[i])
-            if num < 0:
-                violations.append(f"negative mass at atom {x}")
-            codes.append(code)
-            kept.append((num, den))
-        denominator = lcm(*{den for _, den in kept})
-        weights = [num * (denominator // den) for num, den in kept]
+                if num < 0:
+                    violations.append(f"negative mass at atom {x}")
+        denominator = lcm(*{den for _, den in masses.values()})
+        weights = [num * (denominator // den) for num, den in masses.values()]
         if sum(weights) != denominator:
             violations.append(f"mass sum != 1 (got {Fraction(sum(weights), denominator)})")
         if violations:
             raise ValidationError("; ".join(violations))
-        return cls._from_weights(alphabets, dict(zip(codes, weights)), denominator)
+        return cls._from_weights(alphabets, dict(zip(masses, weights)), denominator)
 
     @classmethod
     def _from_weights(cls, alphabets: Sequence[Alphabet], weights: Mapping[tuple[int, ...], int],
@@ -185,22 +189,30 @@ class JointDistribution:
 
     @classmethod
     def from_json(cls, data: dict) -> "JointDistribution":
-        """Read each "p" pair as Fraction(num, den) would, in integers; a
-        repeated atom's masses add."""
+        """Read each atom straight into its code, and each "p" pair as
+        Fraction(num, den) would, in integers (once per distinct int pair);
+        a repeated atom's masses add."""
         try:
-            alphabets = [alphabet(a) for a in data["alphabets"]]
-            masses: dict[Atom, tuple[int, int]] = {}
+            alphabets = tuple(alphabet(a) for a in data["alphabets"])
+            lookups = [a._index for a in alphabets]
+            masses: dict[tuple, tuple[int, int]] = {}
+            reduced: dict[tuple[int, int], tuple[int, int]] = {}  # keyed by int pairs only
+            invalid = False
             for entry in data["atoms"]:
-                x = tuple(map(str, entry["x"]))
+                code = _code(lookups, entry["x"], str)
+                invalid = invalid or code[:1] == (None,)
                 num, den = entry["p"]
-                num, den = _reduced(num, den)
-                if x in masses:
-                    num0, den0 = masses[x]
-                    num, den = _reduced(num0 * den + num * den0, den0 * den)
-                masses[x] = num, den
+                if type(num) is not int or type(den) is not int:  # 1.0 or True never meets 1
+                    pair = _reduced(num, den)
+                elif (pair := reduced.get((num, den))) is None:
+                    pair = reduced[num, den] = _reduced(num, den)
+                if code in masses:
+                    (num0, den0), (num, den) = masses[code], pair
+                    pair = _reduced(num0 * den + num * den0, den0 * den)
+                masses[code] = pair
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad distribution payload: {exc}") from exc
-        return cls._from_masses(alphabets, masses)
+        return cls._from_masses(alphabets, masses, invalid)
 
     @classmethod
     def load(cls, path: str) -> "JointDistribution":
@@ -208,6 +220,19 @@ class JointDistribution:
 
     def save(self, path: str) -> None:
         write_json(path, self.to_json())
+
+
+def _code(lookups: list[dict[str, int]], x, read=None) -> tuple:
+    """The symbol indices of atom x, one lookup per coordinate. When x has
+    the wrong arity or a symbol outside its alphabet, also after each
+    symbol is read by `read`, its key is (None, x) instead."""
+    try:
+        code = tuple(map(dict.get, lookups, x)) if len(x) == len(lookups) else (None,)
+    except TypeError:  # x has no length, or an unhashable symbol
+        code = (None,)
+    if None not in code:
+        return code
+    return _code(lookups, tuple(map(read, x))) if read else (None, x)
 
 
 def _reduced(num, den) -> tuple[int, int]:

@@ -85,8 +85,7 @@ def three_lin_instance():
     """Single even-parity constraint; the local distribution is the 3-LIN one."""
     from .dicttest import Predicate, TestInstance
 
-    pred = Predicate.from_callable(
-        BITS, 3, lambda x: (int(x[0]) + int(x[1]) + int(x[2])) % 2 == 0)
+    pred = Predicate(BITS, 3, [0b000, 0b011, 0b101, 0b110])  # the even-parity words
     return TestInstance(pred, ((Fraction(1), three_lin()),))
 
 
@@ -96,10 +95,8 @@ def a5_instance():
 
     mu = a5_triple_product()
     a = len(mu.alphabets[0])
-    truth = [0] * a ** 3  # the predicate accepts exactly the support
-    for x, y, z in mu.codes:
-        truth[(x * a + y) * a + z] = 1
-    return TestInstance(Predicate(mu.alphabets[0], 3, tuple(truth)), ((Fraction(1), mu),))
+    accept = [(x * a + y) * a + z for x, y, z in mu.codes]  # exactly the support, in code order
+    return TestInstance(Predicate(mu.alphabets[0], 3, accept), ((Fraction(1), mu),))
 
 
 NAMED = {

@@ -195,7 +195,23 @@ def symbol_at(spec: dict, word) -> str:
 
 
 def predicate_holds(pred, word) -> bool:
-    return bool(pred.truth[lex_index(pred.alphabet.symbols, word)])
+    """Whether `pred` accepts `word`: its lexicographic index is one of the
+    accepted cells."""
+    return lex_index(pred.alphabet.symbols, word) in set(pred.accept.tolist())
+
+
+def predicate_from_callable(alpha, k, fn) -> Predicate:
+    """The predicate that accepts the words w of alpha^k with fn(w) true."""
+    return Predicate.from_truth(alpha, k, [int(bool(fn(w)))
+                                           for w in iter_product(alpha.symbols, repeat=k)])
+
+
+def truth_json(pred) -> dict:
+    """The predicate payload in its table form: a 0/1 cell for every
+    lexicographic index of alphabet^k, 1 when the index is accepted."""
+    accepted = set(pred.accept.tolist())
+    return {"alphabet": list(pred.alphabet.symbols), "k": pred.k,
+            "truth": [int(i in accepted) for i in range(len(pred.alphabet) ** pred.k)]}
 
 
 def enumerate_acceptance(inst, f, n) -> Fraction:
@@ -290,8 +306,9 @@ def distribution_json(dist: JointDistribution) -> dict:
 
 
 def instance_json(inst: TestInstance) -> dict:
-    """The file payload of `inst` as a dict, each "mu" by `distribution_json`."""
-    return {"predicate": inst.predicate.to_json(),
+    """The file payload of `inst` as a dict, the predicate in its table form
+    by `truth_json`, each "mu" by `distribution_json`."""
+    return {"predicate": truth_json(inst.predicate),
             "constraints": [{"w": [w.numerator, w.denominator],
                              "mu": distribution_json(mu)["atoms"]} for w, mu in inst.constraints]}
 
@@ -579,7 +596,7 @@ def wide_instances(draw, alpha, k):
     for _ in range(draw(st.integers(1, 3))):
         mu = JointDistribution([alpha] * k, draw(masses_over([alpha] * k, draw(DENOMINATORS))))
         local.append((Fraction(draw(st.integers(1, 2 ** 70)), draw(DENOMINATORS)), mu))
-    return TestInstance(Predicate(alpha, k, tuple(truth)), tuple(local))
+    return TestInstance(Predicate.from_truth(alpha, k, truth), tuple(local))
 
 
 @st.composite
@@ -632,7 +649,7 @@ def dicttest_instances(draw, alpha, k, constraints=st.integers(1, 2)):
         mu = JointDistribution([alpha] * k, {x: Fraction(m, sum(masses))
                                              for x, m in zip(support, masses)})
         local.append((Fraction(draw(st.integers(1, 5))), mu))
-    return TestInstance(Predicate(alpha, k, tuple(truth)), tuple(local))
+    return TestInstance(Predicate.from_truth(alpha, k, truth), tuple(local))
 
 
 @st.composite

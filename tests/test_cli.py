@@ -17,9 +17,10 @@ from embedlens import dicttest, embedding, fixtures
 from embedlens.cli import SWEEP_GUARD, _emit, _parser, build_parser, main
 from embedlens.correlation import exact_correlation
 from embedlens.distributions import MC_DRAW_GUARD, JointDistribution
-from embedlens.errors import ValidationError, dumps
+from embedlens.dicttest import TestInstance
+from embedlens.errors import ValidationError, dumps, write_json
 from embedlens.functions import ProductFunction
-from oracles import group_elements, instance_json, triple_product
+from oracles import group_elements, instance_json, triple_product, truth_json
 
 
 def run_cli(capsys, *argv):
@@ -368,6 +369,48 @@ def test_huge_sizes_end_fast(command, payload, code, tmp_path, capsys):
     assert got == code
     if code == 0:
         assert json.loads(out)["result"]["acceptance"] == [1, 1]
+
+
+def write_instance(tmp_path, predicate):
+    """An instance file with `predicate` and the 3-LIN constraint, and a
+    dictator file for it; their paths."""
+    inst, fn = tmp_path / "inst.json", tmp_path / "f.json"
+    inst.write_text(json.dumps({**instance_json(fixtures.three_lin_instance()),
+                                "predicate": predicate}))
+    fn.write_text(json.dumps({"n": 2, "alphabet": ["0", "1"], "dictator": 1}))
+    return str(inst), str(fn)
+
+
+# An "accept" list does not bound |alphabet|^k by its length, so the cell
+# indices must fit in int64, and k must be at most 63, before anything of
+# size k or |alphabet|^k is built (a one-symbol alphabet included).
+@pytest.mark.parametrize("size, k", [(60, 11), (60, 10 ** 30), (1, 10 ** 12), (2, -1)])
+def test_predicates_past_int64_cells_exit_2_at_once(size, k, tmp_path, capsys):
+    symbols = [f"g{i:02d}" for i in range(size)]  # 60^10 < 2^63 <= 60^11
+    inst, fn = write_instance(tmp_path, {"alphabet": symbols, "k": k, "accept": [0]})
+    start = time.perf_counter()
+    code, out, err = run_cli_err(capsys, "dicttest", inst, fn)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "validation failure: a predicate needs 0 <= k <= 63 and |alphabet|^k < 2^63\n"
+
+
+@pytest.mark.parametrize("accept, message", [
+    ([0, 5, 3, 6], "accepted cells must be strictly increasing"),
+    ([0, 3, 3, 5, 6], "accepted cells must be strictly increasing"),
+    ([-1, 0, 3, 5, 6], "accepted cell out of range"),
+    ([0, 3, 5, 6, 8], "accepted cell out of range"),
+    ([0, 3, 5, 6, 2 ** 63], "accepted cell out of range"),
+    ([-2 ** 63 - 1, 0, 3, 5, 6], "accepted cell out of range"),
+])
+def test_bad_accepted_cells_exit_2(accept, message, tmp_path, capsys):
+    pred = {"alphabet": ["0", "1"], "k": 3, "accept": [0, 3, 5, 6]}
+    code, out = run_cli(capsys, "dicttest", *write_instance(tmp_path, pred))
+    assert code == 0 and json.loads(out)["result"]["acceptance"] == [1, 1]
+    code, out, err = run_cli_err(capsys, "dicttest",
+                                 *write_instance(tmp_path, {**pred, "accept": accept}))
+    assert code == 2 and out == ""
+    assert err == f"validation failure: {message}\n"
 
 
 def test_internal_check_failure_exits_5(tmp_path, capsys, monkeypatch):
@@ -741,14 +784,23 @@ def test_stability_of_large_values_is_real(tmp_path, capsys):
 # file readers and writers moved behind one JSON boundary.
 FIXTURE_FILE_DIGESTS = {
     "3lin": "65e10b16fb18292777bdf0ccfdee9e94f38b93856c666d91f6ebfc79ec3581aa",
-    "3lin-instance": "1406fa15004c48474085f7230df7d8aad4945c8704dad19e933fa5da26c4751a",
+    "3lin-instance": "8a0baa8bef1ef561dcba291537efc7b3201b6f6c5298967e72ac221ed582cb18",
     "a5": "db3f61d8ef0b87c5d5f229b7d0cc638f5818a0f1798d641cf4ca1d39f6c5e45d",
-    "a5-instance": "95a58b4fc2d02f8db0efab558e37d5ff1c8dda31b421c490bc321fca274e25ce",
+    "a5-instance": "9cea853373d4b70deff77c6e8a666104661103dcd0a8c57d801b7a701196f3ad",
     "disconnected-pair": "db7645be59fafb80bf0497467897f6c3075b0439d56ea07c1f3c1f9f1373b677",
     "full-support": "249f6bc8c03e8c3b37aa22a87784dedb25cd47992ce44e5f2559386751a7bccf",
     "punctured-cube": "9949d6b5fd04228d3083e05c7edccc18b5d96d872f432cdda855513e655780e1",
     "single-atom": "b69b1a8676f978406a95e63778e928e51f886b03d0343e09942fbd04bc3b42e2",
     "z3sum": "85d4b0b051fa67811d014a53eb25e3f7527a585bd48c9a5ec3f6ed0a9c1077b0",
+}
+
+
+# The instance fixtures as written when a predicate was written as its 0/1
+# table: rendered again in that form, each instance file must give these
+# bytes, so no accepted cell and no atom moved when "accept" replaced "truth".
+TRUTH_FORM_DIGESTS = {
+    "3lin-instance": "1406fa15004c48474085f7230df7d8aad4945c8704dad19e933fa5da26c4751a",
+    "a5-instance": "95a58b4fc2d02f8db0efab558e37d5ff1c8dda31b421c490bc321fca274e25ce",
 }
 
 
@@ -758,6 +810,11 @@ def test_fixture_file_bytes_pinned(name, tmp_path, capsys):
     code, _ = run_cli(capsys, "fixture", name, str(path))
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXTURE_FILE_DIGESTS[name]
+    if name in TRUTH_FORM_DIGESTS:
+        inst = TestInstance.load(str(path))
+        table = tmp_path / "truth-form.json"
+        write_json(str(table), {**inst.to_json(), "predicate": truth_json(inst.predicate)})
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == TRUTH_FORM_DIGESTS[name]
 
 
 def test_unknown_fixture_lists_every_name(capsys):
@@ -1019,6 +1076,11 @@ ALPHABET = st.lists(st.sampled_from(["0", "1", "2"]), max_size=3, unique=True) |
 COUNT = st.integers(-1, 4) | st.sampled_from([10 ** 30, float("inf"), float("-inf"),
                                               float("nan")]) | JSON_ANY
 NUMBER = st.integers(-2, 3) | st.floats() | st.just(10 ** 400) | JSON_ANY
+# Accepted cells: increasing lists (often valid), any int lists, negative
+# and huge ints (past int64 too), and any JSON.
+CELLS = st.integers(-3, 9) | st.sampled_from([-2 ** 63 - 1, 2 ** 63, 10 ** 30])
+ACCEPT = (st.lists(st.integers(0, 9), max_size=8, unique=True).map(sorted)
+          | st.lists(CELLS, max_size=8) | JSON_ANY)
 ATOMS = st.lists(st.fixed_dictionaries({
     "x": st.lists(SYMBOLS, max_size=3) | JSON_ANY,
     "p": st.lists(st.integers(-1, 4), min_size=2, max_size=2) | JSON_ANY}), max_size=4)
@@ -1034,9 +1096,9 @@ PAYLOADS = {
                                             st.lists(NUMBER, max_size=3), max_size=3)
                             | JSON_ANY, max_size=3) | JSON_ANY}),
     "instance": st.fixed_dictionaries({
-        "predicate": st.fixed_dictionaries({
-            "alphabet": ALPHABET, "k": COUNT,
-            "truth": st.lists(st.integers(0, 1), max_size=8) | JSON_ANY}) | JSON_ANY,
+        "predicate": st.fixed_dictionaries({"alphabet": ALPHABET, "k": COUNT}, optional={
+            "truth": st.lists(st.integers(0, 1), max_size=8) | JSON_ANY,
+            "accept": ACCEPT}) | JSON_ANY,
         "constraints": st.lists(st.fixed_dictionaries({
             "w": st.lists(st.integers(-1, 3), min_size=2, max_size=2) | JSON_ANY,
             "mu": ATOMS | JSON_ANY}), max_size=2) | JSON_ANY}),

@@ -281,6 +281,47 @@ def test_a_null_denominator_is_a_parse_error(pair):
             read(data)
 
 
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("atoms, want", [
+    # one atom written three ways (a str, an int, a string of symbols): masses add
+    ([{"x": ["0"], "p": [1, 4]}, {"x": [0], "p": [1, 4]}, {"x": "1", "p": [2, 4]}],
+     {("0",): HALF, ("1",): HALF}),
+    # a negative mass that a repeat of its atom makes positive
+    ([{"x": ["1"], "p": [-1, 2]}, {"x": ["1"], "p": [1, 1]}, {"x": ["0"], "p": [1, 2]}],
+     {("0",): HALF, ("1",): HALF}),
+    # an int pair's reduction is never reused for an equal float or bool pair
+    ([{"x": ["0"], "p": [1, 2]}, {"x": ["1"], "p": [1.0, 2]}],
+     (ParseError, "bad distribution payload: both arguments should be Rational instances")),
+    ([{"x": ["0"], "p": [1, 2]}, {"x": ["1"], "p": [True, 2]}],
+     (ParseError, "bad distribution payload: mass pair entries must be integers, not bools")),
+    ([{"x": ["0"], "p": [1, 2]}, {"x": ["1"], "p": [1, 2.0]}],
+     (ParseError, "bad distribution payload: both arguments should be Rational instances")),
+    ([{"x": ["0"], "p": [1, 2]}, {"x": ["1"], "p": ["1", 2]}],
+     (ParseError, "bad distribution payload: both arguments should be Rational instances")),
+    ([{"x": 5, "p": [1, 1]}], (ParseError, "bad distribution payload: 'int' object is not iterable")),
+    # bad symbols, a wrong arity and a negative mass, named in input order
+    ([{"x": ["2"], "p": [1, 2]}, {"x": ["0"], "p": [-1, 2]}, {"x": [["0"]], "p": [1, 2]},
+      {"x": ["0", "1"], "p": [1, 2]}, {"x": ["1"], "p": [1, 1]}],
+     (ValidationError, "atom ('2',): symbol '2' not in alphabet 0; negative mass at atom ('0',); "
+      """atom ("['0']",): symbol "['0']" not in alphabet 0; """
+      "atom ('0', '1') has arity 2, expected 1; mass sum != 1 (got 3/2)")),
+])
+def test_from_json_reads_atoms_as_the_fraction_reader(atoms, want):
+    """The coded reader and the Fraction reader on repeated atoms, pairs that
+    are not int pairs and bad symbols: the same masses, or the same error
+    type and message."""
+    data = {"alphabets": [["0", "1"]], "atoms": atoms}
+    for read in (JointDistribution.from_json, fraction_from_json):
+        if isinstance(want, dict):
+            assert_exact(read(data), want)
+            continue
+        with pytest.raises((ParseError, ValidationError)) as info:
+            read(data)
+        assert (type(info.value), str(info.value)) == want
+
+
 # "p" entries: most pairs valid (negative, zero and huge parts included),
 # the rest a zero denominator, a float, a string, a bool or the wrong arity
 PAIR_PARTS = (st.integers(-3, 12) | st.integers(10 ** 20, 10 ** 22) | st.booleans()

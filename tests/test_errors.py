@@ -69,6 +69,13 @@ MALFORMED = [
     (TableFunction.from_json, {"n": 0, "alphabet": ["0"], "values": ["5"]}),
     (TableFunction.from_json, {"n": 0, "alphabet": ["0"], "values": [[1]]}),
     (TableFunction.from_json, {"n": 0, "alphabet": ["0"], "values": [[True, False]]}),
+    # accepted cells that are not JSON integers, and a predicate with both or
+    # neither of "accept" and "truth"
+    (Predicate.from_json, {"alphabet": ["0", "1"], "k": 1, "accept": [0.0]}),
+    (Predicate.from_json, {"alphabet": ["0", "1"], "k": 1, "accept": [True]}),
+    (Predicate.from_json, {"alphabet": ["0", "1"], "k": 1, "accept": ["1"]}),
+    (Predicate.from_json, {**PRED, "accept": [0, 1]}),
+    (Predicate.from_json, {"alphabet": ["0", "1"], "k": 1}),
 ]
 
 
