@@ -192,7 +192,7 @@ def mc_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
         raise ValidationError("samples must be positive")
     check_draws(samples, n)
     sampler = ProductPowerSampler(dist, n, seed)
-    codes = np.array(dist.codes, dtype=np.intp)
+    codes = dist.code_array
     res, ims = np.empty(samples), np.empty(samples)
     block = max(1, MC_BLOCK // n)
     for start in range(0, samples, block):

@@ -289,7 +289,7 @@ def instance_violations(inst: TestInstance) -> list[str]:
 
 def _holds(pred: Predicate, mu: JointDistribution) -> np.ndarray:
     """Whether the predicate accepts each support atom, in support order."""
-    return pred.holds(np.array(mu.codes, dtype=np.int64) @ _places(len(pred.alphabet), pred.k))
+    return pred.holds(mu.code_array @ _places(len(pred.alphabet), pred.k))
 
 
 def validate_instance(inst: TestInstance) -> InstanceReport:
@@ -345,7 +345,7 @@ def _acceptance_one(mu: JointDistribution, pred: Predicate, f: SymbolFunction,
     place = _places(a, k)
     if f.root < a:
         return Fraction(int(pred.holds(f.root * place.sum()))), spent
-    cols = np.array(mu.codes, dtype=np.int64)
+    cols = mu.code_array
     mass = np.array(mu.weights, dtype=object)
     states = np.full((1, k), f.root, dtype=np.int64)
     weights = np.array([1], dtype=object)

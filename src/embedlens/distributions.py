@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -61,8 +61,9 @@ def alphabet(symbols: Iterable[str]) -> Alphabet:
 class JointDistribution:
     """A k-ary distribution, immutable: atom `codes[i]` has mass weights[i] / denominator.
 
-    `support` decodes the codes on first read; `atoms`, `mass` and
-    `min_atom_mass` read masses as Fractions.
+    `code_array` holds the codes as one array and `support` decodes them,
+    each on first read; `atoms`, `mass` and `min_atom_mass` read masses as
+    Fractions.
     """
 
     def __init__(self, alphabets: Sequence[Alphabet], atoms: Mapping[Atom, Fraction]):
@@ -123,6 +124,14 @@ class JointDistribution:
     @property
     def k(self) -> int:
         return len(self.alphabets)
+
+    @cached_property
+    def code_array(self) -> np.ndarray:
+        """The codes as one read-only int64 (atoms, k) array, rows in code order."""
+        n, k = len(self.codes), self.k
+        codes = np.fromiter(chain.from_iterable(self.codes), dtype=np.int64, count=n * k)
+        codes.flags.writeable = False
+        return codes.reshape(n, k)
 
     @cached_property
     def support(self) -> tuple[Atom, ...]:
@@ -189,27 +198,25 @@ class JointDistribution:
 
     @classmethod
     def from_json(cls, data: dict) -> "JointDistribution":
-        """Read each atom straight into its code, and each "p" pair as
-        Fraction(num, den) would, in integers (once per distinct int pair);
-        a repeated atom's masses add."""
+        """Read the atoms straight into codes, and each "p" pair as
+        Fraction(num, den) would, in integers. A payload is read a coordinate
+        at a time, or again an entry at a time, naming what is wrong in input
+        order, if it has a bad entry or a repeated atom, whose masses add."""
         try:
             alphabets = tuple(alphabet(a) for a in data["alphabets"])
             lookups = [a._index for a in alphabets]
-            masses: dict[tuple, tuple[int, int]] = {}
-            reduced: dict[tuple[int, int], tuple[int, int]] = {}  # keyed by int pairs only
-            invalid = False
-            for entry in data["atoms"]:
-                code = _code(lookups, entry["x"], str)
-                invalid = invalid or code[:1] == (None,)
-                num, den = entry["p"]
-                if type(num) is not int or type(den) is not int:  # 1.0 or True never meets 1
+            masses, invalid = _read_columns(lookups, data["atoms"]), False
+            if masses is None:
+                masses = {}
+                for entry in data["atoms"]:
+                    code = _code(lookups, entry["x"], str)
+                    invalid = invalid or code[:1] == (None,)
+                    num, den = entry["p"]
                     pair = _reduced(num, den)
-                elif (pair := reduced.get((num, den))) is None:
-                    pair = reduced[num, den] = _reduced(num, den)
-                if code in masses:
-                    (num0, den0), (num, den) = masses[code], pair
-                    pair = _reduced(num0 * den + num * den0, den0 * den)
-                masses[code] = pair
+                    if code in masses:
+                        (num0, den0), (num, den) = masses[code], pair
+                        pair = _reduced(num0 * den + num * den0, den0 * den)
+                    masses[code] = pair
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad distribution payload: {exc}") from exc
         return cls._from_masses(alphabets, masses, invalid)
@@ -233,6 +240,28 @@ def _code(lookups: list[dict[str, int]], x, read=None) -> tuple:
     if None not in code:
         return code
     return _code(lookups, tuple(map(read, x))) if read else (None, x)
+
+
+def _read_columns(lookups: list[dict[str, int]], entries) -> dict | None:
+    """code -> reduced mass pair of each atom entry, its symbols looked up a
+    coordinate at a time and each distinct "p" pair reduced once; None when
+    some entry has a fault, a "p" that is not a pair of ints, or the code of
+    an earlier entry."""
+    try:
+        xs = [entry["x"] for entry in entries]
+        ps = [entry["p"] for entry in entries]
+        if (not lookups or set(map(len, xs)) - {len(lookups)} or set(map(len, ps)) - {2}
+                or set(map(type, chain.from_iterable(ps))) - {int}):  # 1.0 or True never meets 1
+            return None
+        columns = [list(map(index.get, column)) for index, column in zip(lookups, zip(*xs))]
+        if any(None in column for column in columns):
+            return None
+        pairs = list(map(tuple, ps))
+        reduced = {pair: _reduced(*pair) for pair in set(pairs)}
+        masses = dict(zip(zip(*columns), map(reduced.__getitem__, pairs)))
+    except PAYLOAD_ERRORS:
+        return None
+    return masses if len(masses) == len(xs) else None
 
 
 def _reduced(num, den) -> tuple[int, int]:

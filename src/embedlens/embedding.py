@@ -9,19 +9,24 @@ the verdict off H: the identity means no embedding; otherwise the Smith
 normal form of H decides, rank deficiency yielding a witness into Z and a
 divisor d > 1 a witness into Z_d. H is unique for the lattice, so the
 witness depends on the lattice only. Every positive verdict is re-verified
-against the support before it is returned.
+against the support's codes before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate, chain
+from math import gcd, prod
+from operator import add
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .distributions import Alphabet, Atom, JointDistribution, uniform_on
 from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int
-from .intlattice import IntMatrix, normalize_vector, smith_normal_form, span_hermite_form
+from .intlattice import (INT64_BOUND, IntMatrix, normalize_vector, smith_normal_form,
+                         span_hermite_form)
 
 ORACLE_NODE_BUDGET = 20_000_000  # search nodes of one brute-force modulus
 
@@ -33,13 +38,14 @@ class ConstraintMatrix:
 
     Columns are indexed by (coordinate, symbol != base symbol) pairs in
     `index_map`; coordinates with singleton alphabets contribute no columns.
-    Row x is the ascending tuple of the columns where it holds a 1. `rows`
-    is None only in the fully degenerate case s == 0.
+    `columns[i, x]`, a (k, atoms) int64 array, is the column where row x
+    holds a 1 for coordinate i, or the padding s where x_i is the base
+    symbol. `columns` is None only in the fully degenerate case s == 0.
     """
 
     s: int
     index_map: tuple[tuple[int, str], ...]
-    rows: tuple[tuple[int, ...], ...] | None
+    columns: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -83,26 +89,36 @@ class DisconnectedPair:
 
 def constraint_matrix(dist: JointDistribution) -> ConstraintMatrix:
     """The constraint rows of `dist`'s support, base point its first atom."""
+    s, index_map, table = _symbol_columns(dist)
+    return ConstraintMatrix(s, index_map, _gather(dist, table).T if s else None)
+
+
+def _symbol_columns(dist: JointDistribution) -> tuple[int, tuple[tuple[int, str], ...], list[int]]:
+    """s, the (coordinate, symbol) of each column, and the column of every
+    symbol of the concatenated alphabets (s at the base point's symbols)."""
+    s = sum(map(len, dist.alphabets)) - dist.k
     base = dist.codes[0]
     index_map: list[tuple[int, str]] = []
-    col_of: dict[tuple[int, int], int] = {}  # (coordinate, symbol index) -> column
+    table = []
     for i, a in enumerate(dist.alphabets):
         for c, sym in enumerate(a.symbols):
+            table.append(s if c == base[i] else len(index_map))
             if c != base[i]:
-                col_of[i, c] = len(index_map)
                 index_map.append((i, sym))
-    s = len(index_map)
-    if s == 0:
-        return ConstraintMatrix(0, (), None)
-    rows = tuple(tuple([col_of[i, c] for i, c in enumerate(x) if c != base[i]])
-                 for x in dist.codes)
-    return ConstraintMatrix(s, tuple(index_map), rows)
+    return s, tuple(index_map), table
 
 
-def _witness_from_vector(cm: ConstraintMatrix, alphabets: Sequence[Alphabet],
+def _gather(dist: JointDistribution, table, dtype=np.int64) -> np.ndarray:
+    """table[symbol] at each atom's symbols, the tables of all coordinates
+    concatenated: an (atoms, k) array."""
+    first = [0, *accumulate(len(a) for a in dist.alphabets[:-1])]
+    return np.array(table, dtype=dtype)[dist.code_array + first]
+
+
+def _witness_from_vector(index_map: Sequence[tuple[int, str]], alphabets: Sequence[Alphabet],
                          vec: Sequence[int], modulus: int) -> EmbeddingWitness:
     tables: list[dict[str, int]] = [{sym: 0 for sym in a.symbols} for a in alphabets]
-    for c, (i, sym) in enumerate(cm.index_map):
+    for c, (i, sym) in enumerate(index_map):
         v = int(vec[c])
         tables[i][sym] = v % modulus if modulus >= 2 else v
     return EmbeddingWitness(modulus, tuple(tables))
@@ -120,11 +136,28 @@ def verify_witness(support: Iterable[Atom], witness: EmbeddingWitness) -> bool:
                 return False
     except (KeyError, IndexError):
         return False  # not alphabet-consistent
-    for table in witness.sigma:
-        values = {v % m if m else v for v in table.values()}
-        if len(values) > 1:
-            return True
-    return False
+    return _nonconstant(witness)
+
+
+def _nonconstant(witness: EmbeddingWitness) -> bool:
+    m = witness.modulus
+    return any(len({v % m if m else v for v in table.values()}) > 1 for table in witness.sigma)
+
+
+def witness_holds(dist: JointDistribution, witness: EmbeddingWitness) -> bool:
+    """`verify_witness` on the codes of `dist`, for a witness whose sigma_i
+    maps all of alphabet i: each atom's sum gathers its sigma values, in
+    int64 when the entries rule out overflow, else in Python ints."""
+    m, k = witness.modulus, dist.k
+    if m == 1 or m < 0 or len(witness.sigma) < k:
+        return False
+    try:
+        values = [t[sym] for t, a in zip(witness.sigma, dist.alphabets) for sym in a.symbols]
+    except KeyError:
+        return False
+    small = k * max(map(abs, values)) < INT64_BOUND and m < INT64_BOUND
+    total = _gather(dist, values, np.int64 if small else object).sum(axis=1)
+    return not (total % m if m else total).any() and _nonconstant(witness)
 
 
 def detect_embedding(dist: JointDistribution) -> EmbeddingVerdict:
@@ -138,35 +171,35 @@ def detect_embedding(dist: JointDistribution) -> EmbeddingVerdict:
     cm = constraint_matrix(dist)
     if cm.s == 0:
         return EmbeddingVerdict(False, None, (), 0, 0)
-    h = span_hermite_form(cm.rows, cm.s)
+    h = span_hermite_form(cm.columns, cm.s)
     if not h:
         # Lattice is {0}; any nonzero integer vector embeds into Z.
         vec = [1] + [0] * (cm.s - 1)
-        witness = _witness_from_vector(cm, dist.alphabets, vec, 0)
+        witness = _witness_from_vector(cm.index_map, dist.alphabets, vec, 0)
         _require_verified(dist, witness)
         return EmbeddingVerdict(True, witness, (), 0, cm.s)
     if len(h) == cm.s and all(r[i] == 1 for i, r in enumerate(h)):
         return EmbeddingVerdict(False, None, (1,) * cm.s, cm.s, cm.s)  # L = Z^s
-    snf = smith_normal_form(IntMatrix.from_rows(h))
+    snf = smith_normal_form(IntMatrix(len(h), cm.s, tuple(chain.from_iterable(h))))
     divisors = snf.divisors[:snf.rank]
     if snf.rank < cm.s:
         vec = [snf.V.entry(i, snf.rank) for i in range(cm.s)]
         vec = normalize_vector(vec)
-        witness = _witness_from_vector(cm, dist.alphabets, vec, 0)
+        witness = _witness_from_vector(cm.index_map, dist.alphabets, vec, 0)
         _require_verified(dist, witness)
         return EmbeddingVerdict(True, witness, divisors, snf.rank, cm.s)
     j = next((idx for idx, d in enumerate(divisors) if d > 1), None)
     if j is not None:
         m = divisors[j]
         vec = [snf.V.entry(i, j) for i in range(cm.s)]
-        witness = _witness_from_vector(cm, dist.alphabets, vec, m)
+        witness = _witness_from_vector(cm.index_map, dist.alphabets, vec, m)
         _require_verified(dist, witness)
         return EmbeddingVerdict(True, witness, divisors, snf.rank, cm.s)
     return EmbeddingVerdict(False, None, divisors, snf.rank, cm.s)
 
 
 def _require_verified(dist: JointDistribution, witness: EmbeddingWitness) -> None:
-    if not verify_witness(dist.support, witness):
+    if not witness_holds(dist, witness):
         raise AssertionError("extracted witness failed verification")
 
 
@@ -190,27 +223,31 @@ def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet]
     support = list(support)
     if not support:
         raise ValidationError("support must be non-empty")
-    cm = constraint_matrix(uniform_on(alphabets, set(support)))
-    if cm.s == 0:
+    dist = uniform_on(alphabets, set(support))
+    s, index_map, table = _symbol_columns(dist)
+    if s == 0:
         return None
-    constraints = _dedupe_constraints(cm)
-    order = _column_order(cm.s, constraints)
+    # the tuples straight from the table: a first numpy call costs more than this on small supports
+    first = [0, *accumulate(len(a) for a in alphabets[:-1])]
+    rows = [tuple(filter(s.__ne__, map(table.__getitem__, map(add, first, x)))) for x in dist.codes]
+    constraints = list(dict.fromkeys(filter(None, rows)))  # distinct, nonempty, in order
+    order = _column_order(s, constraints)
     position = {col: pos for pos, col in enumerate(order)}
     by_last: dict[int, list[tuple[int, ...]]] = {}
     for cons in constraints:
         by_last.setdefault(max(position[c] for c in cons), []).append(cons)
     for m in range(2, max_modulus + 1):
-        if space_guard is not None and m ** cm.s > space_guard:
-            raise SizeGuardError(f"brute force space m**S = {m}**{cm.s} exceeds guard")
+        if space_guard is not None and m ** s > space_guard:
+            raise SizeGuardError(f"brute force space m**S = {m}**{s} exceeds guard")
         vec = _dfs_search(order, m, by_last)
         if vec is not None:
-            witness = _witness_from_vector(cm, alphabets, vec, m)
+            witness = _witness_from_vector(index_map, alphabets, vec, m)
             if verify_witness(support, witness):
                 return witness
             raise AssertionError("DFS produced an invalid witness")
-    vec = _rational_kernel(cm.rows, cm.s)
+    vec = _rational_kernel(rows, s)
     if vec is not None:
-        witness = _witness_from_vector(cm, alphabets, vec, 0)
+        witness = _witness_from_vector(index_map, alphabets, vec, 0)
         if verify_witness(support, witness):
             return witness
     return None
@@ -240,16 +277,6 @@ def _column_order(s: int, constraints: list[tuple[int, ...]]) -> list[int]:
             if len(up) == 1:
                 score[next(iter(up))] += 1
     return order
-
-
-def _dedupe_constraints(cm: ConstraintMatrix) -> list[tuple[int, ...]]:
-    seen = set()
-    out = []
-    for cols in cm.rows:
-        if cols and cols not in seen:
-            seen.add(cols)
-            out.append(cols)
-    return out
 
 
 def _dfs_search(order: list[int], m: int, by_last) -> tuple[int, ...] | None:
@@ -372,17 +399,22 @@ def pairwise_connected(dist: JointDistribution) -> tuple[bool, DisconnectedPair 
 
     Vertices are the symbols carrying positive marginal mass, read off the
     support directly: symbol code c of coordinate i is vertex c, of
-    coordinate j vertex |Sigma_i| + c. The split is the component of the
-    lowest-index such symbol of coordinate i; its indicator maps embed the
-    support into Z.
+    coordinate j vertex |Sigma_i| + c, joined once per atom or, when the
+    atoms outnumber the symbol pairs, once per distinct pair. The split is
+    the component of the lowest-index such symbol of coordinate i; its
+    indicator maps embed the support into Z.
     """
     columns = list(zip(*dist.codes))
     present = [sorted(set(col)) for col in columns]
     for i in range(dist.k):
         a = len(dist.alphabets[i])
         for j in range(i + 1, dist.k):
-            parent = list(range(a + len(dist.alphabets[j])))
-            for u, v in set(zip(columns[i], columns[j])):
+            b = len(dist.alphabets[j])
+            parent = list(range(a + b))
+            edges = zip(columns[i], columns[j])
+            if len(dist.codes) > a * b:  # more atoms than symbol pairs: drop the repeats
+                edges = set(edges)
+            for u, v in edges:
                 parent[_find(parent, u)] = _find(parent, a + v)
             root = _find(parent, present[i][0])
             side_i = [c for c in present[i] if _find(parent, c) == root]
@@ -397,15 +429,25 @@ def pairwise_connected(dist: JointDistribution) -> tuple[bool, DisconnectedPair 
 def connected(dist: JointDistribution) -> bool:
     """Connectivity of the graph on supp(mu) with one-coordinate-change edges.
 
-    Atoms whose codes agree off coordinate c are adjacent; for each c, every
-    atom joins the first atom with its code without c.
+    Atoms whose codes agree off coordinate c are adjacent. The key of (c, x)
+    is c times the size W of the product of the alphabets plus the
+    mixed-radix index of x less its coordinate c part (Python ints when
+    k * W passes int64). One sort of the keys for every c at once brings
+    equal keys together, and each atom joins the next one with its key.
     """
-    parent = list(range(len(dist.codes)))
-    for c in range(dist.k):
-        first: dict[tuple[int, ...], int] = {}  # code without c -> first atom with it
-        for idx, x in enumerate(dist.codes):
-            other = first.setdefault(x[:c] + x[c + 1:], idx)
-            if other != idx:
-                parent[_find(parent, idx)] = _find(parent, other)
-    root = _find(parent, 0)
-    return all(_find(parent, idx) == root for idx in range(len(parent)))
+    codes = dist.code_array
+    n, k = codes.shape
+    sizes = [len(a) for a in dist.alphabets]
+    size = prod(sizes)
+    place = [[prod(sizes[i + 1:]) * (i != c) for c in range(k)] for i in range(k)]
+    keys = (codes @ np.array(place, dtype=np.int64 if k * size < INT64_BOUND else object)
+            + [c * size for c in range(k)]).ravel()  # keys[k * x + c]: the key of (c, x)
+    order = np.argsort(keys)
+    join = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+    if len(join) < n - 1:
+        return False  # n atoms need n - 1 joins to connect
+    atom = (order // k).tolist()
+    parent = list(range(n))
+    for j in join.tolist():
+        parent[_find(parent, atom[j])] = _find(parent, atom[j + 1])
+    return len({_find(parent, x) for x in range(n)}) == 1

@@ -11,13 +11,15 @@ The lattice spanned by 0/1 rows is found by `span_hermite_form`, by one
 route for any number of rows: a small selection of rows is reduced
 exactly, every row is checked for membership in the lattice of the
 selection by a vectorised check, and the rows that fail join the
-selection until none does.
+selection until none does. Each round inserts only its new rows into the
+kept Hermite basis and checks only the rows that failed the round before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, zip_longest
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -27,7 +29,7 @@ import numpy as np
 from .errors import ValidationError
 
 INT64_BOUND = 2 ** 63  # magnitudes below this fit np.int64
-CERTIFY_BLOCK = 512  # support rows per block of the membership check (bounds its memory)
+CERTIFY_BLOCK = 2 ** 16  # residue entries per block of the membership check (bounds its memory)
 
 
 @dataclass(frozen=True)
@@ -256,24 +258,34 @@ def row_basis(rows: Iterable[Mapping[int, int]], cols: int) -> list[list[int]]:
     """
     basis: dict[int, dict[int, int]] = {}
     for src in rows:
-        r = {j: x for j, x in src.items() if x}
-        if r and not (0 <= min(r) and max(r) < cols):
-            raise ValidationError(f"row column out of range for {cols} columns")
-        while r:
-            l = min(r)
-            b = basis.get(l)
-            if b is None:
-                if r[l] < 0:
-                    r = {j: -x for j, x in r.items()}
-                basis[l] = r
-                break
-            rl, bl = r[l], b[l]
-            if rl % bl == 0:
-                _add_multiple(r, -(rl // bl), b)
-            else:
-                g, s, t = _ext_gcd(bl, rl)
-                basis[l] = _add_multiple({j: s * x for j, x in b.items()} if s else {}, t, r)
-                r = _add_multiple({j: (rl // g) * x for j, x in b.items()}, -(bl // g), r)
+        _insert(basis, {j: x for j, x in src.items() if x}, cols)
+    return _dense(basis, cols)
+
+
+def _insert(basis: dict[int, dict[int, int]], r: dict[int, int], cols: int) -> None:
+    """Reduce the sparse row r (no zero entries) into the echelon basis
+    {lead column: row}, in place; the lattice of basis and r is kept."""
+    if r and not (0 <= min(r) and max(r) < cols):
+        raise ValidationError(f"row column out of range for {cols} columns")
+    while r:
+        l = min(r)
+        b = basis.get(l)
+        if b is None:
+            if r[l] < 0:
+                r = {j: -x for j, x in r.items()}
+            basis[l] = r
+            return
+        rl, bl = r[l], b[l]
+        if rl % bl == 0:
+            _add_multiple(r, -(rl // bl), b)
+        else:
+            g, s, t = _ext_gcd(bl, rl)
+            basis[l] = _add_multiple({j: s * x for j, x in b.items()} if s else {}, t, r)
+            r = _add_multiple({j: (rl // g) * x for j, x in b.items()}, -(bl // g), r)
+
+
+def _dense(basis: dict[int, dict[int, int]], cols: int) -> list[list[int]]:
+    """The rows of an echelon basis as dense lists, sorted by leading column."""
     out = []
     for _, b in sorted(basis.items()):
         row = [0] * cols
@@ -283,102 +295,108 @@ def row_basis(rows: Iterable[Mapping[int, int]], cols: int) -> list[list[int]]:
     return out
 
 
-def hermite_normal_form(basis: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Row Hermite normal form of an echelon basis.
-
-    `basis` is as `row_basis` returns it: rows sorted by leading column,
-    leads positive. Each entry above a lead is reduced into [0, lead) by
-    subtracting multiples of the rows below it, bottom row first, so the
-    result is unique for the lattice the rows span.
+def _hermite(basis: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Row Hermite normal form of a sparse echelon basis {lead column: row}
+    with positive leads: each entry above a lead is reduced into [0, lead)
+    by the row with that lead, bottom row first, so the result is unique
+    for the lattice. A row's lead columns are visited in ascending order;
+    a subtraction changes only columns past the lead it clears.
     """
-    h = [list(r) for r in basis]
-    leads = [_lead(r) for r in h]
-    for r in range(len(h) - 2, -1, -1):
-        row = h[r]
-        for i, c in enumerate(leads[r + 1:], r + 1):
-            if row[c]:
-                q = row[c] // h[i][c]
-                if q:
-                    row[c:] = [x - q * y for x, y in zip(row[c:], h[i][c:])]
-    return h
+    h: dict[int, dict[int, int]] = {}
+    for lead in sorted(basis, reverse=True):
+        row = dict(basis[lead])
+        todo = [c for c in row if c in h]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            q = row.get(c, 0) // h[c][c]
+            if q:
+                for j in h[c]:
+                    if j not in row and j in h:
+                        heappush(todo, j)
+                _add_multiple(row, -q, h[c])
+        h[lead] = row
+    return dict(sorted(h.items()))
 
 
-def span_hermite_form(rows: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
+def span_hermite_form(idx: np.ndarray, cols: int) -> list[list[int]]:
     """Row Hermite normal form H of the integer span of 0/1 rows.
 
-    Row i holds a 1 in each of the distinct columns `rows[i]` and 0
-    elsewhere. Only a selection of rows is reduced exactly (`row_basis`,
-    then `hermite_normal_form`), starting from the first row that holds
-    each column. Every row is then checked for membership in L(H) (see
-    `_outside`); the rows that fail the check join the selection and the
-    round repeats. L(H) only grows and never leaves the span, so the loop
-    ends, with L(H) equal to the span.
+    Row i holds a 1 in each of the distinct columns `idx[:, i]` below
+    `cols`, which is padding, and 0 elsewhere. Only a selection of rows is
+    reduced exactly, starting from the first row that holds each column,
+    and the rows are checked for membership in L(H) (see `_outside`); the
+    rows that fail join the selection, and the round repeats. A round
+    inserts only its new rows into the sparse H it keeps (`_insert`, then
+    `_hermite`). L(H) only grows and never leaves the span, so a row that
+    passed once passes again: a round checks only the rows that failed the
+    round before, and the loop ends with L(H) equal to the span.
     """
-    idx = _column_index(rows, cols)
+    if idx.size and (idx.min() < 0 or idx.max() > cols):
+        raise ValidationError(f"row column out of range for {cols} columns")
     seen, at = np.unique(idx.T, return_index=True)
     new = sorted(set((at[seen < cols] // len(idx)).tolist()))  # np.unique would import numpy.ma
-    h: list[list[int]] = []
+    check = np.arange(idx.shape[1])  # rows not yet seen to lie in L(h)
+    h: dict[int, dict[int, int]] = {}
     while new:
-        basis = row_basis([dict(filter(itemgetter(1), enumerate(r))) for r in h]
-                          + [dict.fromkeys(rows[i], 1) for i in new], cols)
-        h = hermite_normal_form(basis)
-        new = _outside(idx, h, cols)
-    return h
+        for row in idx[:, new].T.tolist():
+            _insert(h, {j: 1 for j in row if j != cols}, cols)
+        h = _hermite(h)
+        added, failed = _outside(idx[:, check], h, cols)
+        new, check = check[added].tolist(), check[failed]
+    return _dense(h, cols)
 
 
-def _column_index(rows: Sequence[Sequence[int]], cols: int) -> np.ndarray:
-    """idx[t, i]: the t-th column of row i, or `cols` past the end of the row."""
-    idx = np.array(list(zip_longest(*rows, fillvalue=cols)), dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() > cols
-                     or np.count_nonzero(idx == cols) != idx.size - sum(map(len, rows))):
-        raise ValidationError(f"row column out of range for {cols} columns")
-    return idx
-
-
-def _outside(idx: np.ndarray, h: list[list[int]], cols: int) -> list[int]:
-    """Rows of `idx` (see `_column_index`) to add to L(h), for h in Hermite
-    normal form, ascending: none exactly when every row is in L(h). For each
-    column, the first row whose residue is nonzero there and the first whose
-    residue first goes nonzero there.
+def _outside(idx: np.ndarray, h: dict[int, dict[int, int]],
+             cols: int) -> tuple[list[int], list[int]]:
+    """Rows of `idx` (as `span_hermite_form` reads it) to add to L(h), for h
+    a sparse Hermite normal form {lead column: row}, and the rows that are
+    not in L(h), both ascending: none exactly when every row is in L(h).
+    The rows to add are, for each column, the first row whose residue is
+    nonzero there and the first whose residue first goes nonzero there.
 
     In the Hermite form a column whose lead is 1 holds a single 1, so
     subtracting from a 0/1 row the rows of h that lead at its unit-lead
     columns leaves a residue only on the other columns. One gather-add per
     block of rows computes it. The rows of h with a lead above 1 then
     reduce the residue in lead order; a row is in L(h) exactly when its
-    residue ends at zero. The arrays are int64 when a bound on the residue,
-    worked out from the entries of h, rules out overflow, else Python ints.
+    residue ends at zero. The arrays take the narrowest integer type that a
+    bound on the residue, worked out from the entries of h, shows to be
+    safe, and Python ints past int64.
     """
-    leads = [_lead(r) for r in h]
-    units = [i for i, c in enumerate(leads) if h[i][c] == 1]
-    others = [i for i, c in enumerate(leads) if h[i][c] != 1]
-    keep = sorted(set(range(cols)).difference(leads[i] for i in units))  # residue columns
-    free = sorted(set(keep).difference(leads))
+    units = [c for c, r in h.items() if r[c] == 1]
+    others = [c for c, r in h.items() if r[c] != 1]
+    keep = sorted(set(range(cols)).difference(units))  # residue columns
+    pos = {j: p for p, j in enumerate(keep)}
     # An entry at a lead's column lies in [0, lead]; the other columns are free.
-    big = max([1, *(h[i][c] for i, c in enumerate(leads)), *(abs(r[j]) for r in h for j in free)])
+    big = max([1, *(r[c] for c, r in h.items()),
+               *(abs(x) for r in h.values() for j, x in r.items() if j not in h)])
     # |residue| <= r0 after the gather-add. Reducing by row i subtracts q_i
     # times it, where |q_i| <= |entry at its lead| // lead + 1, and that
     # entry is at most r0 + (lead - 1) * sum_{j<i} |q_j|, because the rows
     # above row i hold entries in [0, lead) at its lead.
     r0 = len(idx) * big
     q = 0
-    for i in others:
-        lead = h[i][leads[i]]
+    for c in others:
+        lead = h[c][c]
         q += (r0 + (lead - 1) * q) // lead + 1
-    dtype = np.int64 if r0 + q * big < INT64_BOUND else object
+    dtype = np.min_scalar_type(-1 - r0 - q * big)  # the narrowest that holds the bound
     # e[c]: unit vector c, minus the row of h that leads at c if that lead is
     # 1, on the residue columns; row `cols` (the padding) is zero.
     e = np.zeros((cols + 1, len(keep)), dtype=dtype)
     e[keep, range(len(keep))] = 1
-    if units:
-        e[[leads[i] for i in units]] = np.array([[-h[i][j] for j in keep] for i in units], dtype=dtype)
-    pos = {j: p for p, j in enumerate(keep)}
-    reducers = [(pos[leads[i]], h[i][leads[i]], np.array([h[i][j] for j in keep], dtype=dtype))
-                for i in others]
+    cells = [(c, pos[j], -x) for c in units for j, x in h[c].items() if j != c]
+    if cells:
+        rows, places, values = zip(*cells)
+        e[rows, places] = values
+    reducers = [(pos[c], h[c][c], np.array([h[c].get(j, 0) for j in keep], dtype=dtype))
+                for c in others]
     lead_first: dict[int, int] = {}  # residue column -> row
     any_first: dict[int, int] = {}
-    for a in range(0, idx.shape[1], CERTIFY_BLOCK):
-        block = idx[:, a:a + CERTIFY_BLOCK]
+    failed: list[int] = []
+    step = CERTIFY_BLOCK // max(len(keep), 1)  # rows per block
+    for a in range(0, idx.shape[1], step):
+        block = idx[:, a:a + step]
         res = e[block[0]]
         for t in range(1, len(block)):
             res += e[block[t]]
@@ -390,18 +408,14 @@ def _outside(idx: np.ndarray, h: list[list[int]], cols: int) -> list[int]:
             res -= (res[:, p] // lead)[:, None] * row
         nonzero = res != 0
         bad = nonzero.any(axis=1)
+        failed += (fail[bad] + a).tolist()
         found, at = np.unique(nonzero.argmax(axis=1)[bad], return_index=True)
         for j, i in zip(found.tolist(), (fail[bad][at] + a).tolist()):
             lead_first.setdefault(j, i)
         found = np.flatnonzero(nonzero.any(axis=0))
         for j, i in zip(found.tolist(), (fail[nonzero.argmax(axis=0)[found]] + a).tolist()):
             any_first.setdefault(j, i)
-    return sorted({*lead_first.values(), *any_first.values()})
-
-
-def _lead(row: Sequence[int]) -> int:
-    """Column of the first nonzero entry of a nonzero row."""
-    return row.index(next(filter(None, row)))
+    return sorted({*lead_first.values(), *any_first.values()}), failed
 
 
 def _add_multiple(x: dict[int, int], q: int, y: dict[int, int]) -> dict[int, int]:

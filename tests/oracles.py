@@ -17,8 +17,11 @@ the inline rejection loop they check. The `Fraction` oracles take the raw
 atom -> mass dict a distribution was built from, never its integer
 weights, and the character fold oracle reads each integer phase as a
 Fraction, as the payload oracle `distribution_json` reads masses. The
-lattice oracle reduces every constraint row and certifies none. The
-connectivity oracles search decoded symbol tuples, not the integer codes.
+lattice oracle reduces every constraint row, built as tuples from the
+codes by `tuple_constraint_matrix`, to the dense Hermite form
+`hermite_normal_form`, certifies none and checks its witness on the
+decoded support. The connectivity oracles search decoded symbol
+tuples, not the integer codes.
 Keep them slow and obvious.
 `max_acceptance` is no oracle: it maximizes the DP's exact acceptance over
 every dense table.
@@ -27,8 +30,9 @@ every dense table.
 import cmath
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product as iter_product
+from itertools import combinations, permutations, product as iter_product, zip_longest
 from math import fsum, lcm
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -45,24 +49,17 @@ from embedlens.distributions import (
 from embedlens.embedding import (
     DisconnectedPair,
     EmbeddingVerdict,
-    _require_verified,
     _witness_from_vector,
-    constraint_matrix,
+    verify_witness,
 )
-from embedlens.errors import PAYLOAD_ERRORS, ParseError, SizeGuardError
+from embedlens.errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError
 from embedlens.functions import (
     CharacterProduct,
     ProductFunction,
     TableFunction,
     _measure_weights,
 )
-from embedlens.intlattice import (
-    IntMatrix,
-    hermite_normal_form,
-    normalize_vector,
-    row_basis,
-    smith_normal_form,
-)
+from embedlens.intlattice import IntMatrix, normalize_vector, row_basis, smith_normal_form
 from embedlens.reduction import PAIR_SEP, STAR, StarAlphabet, pair_symbol
 
 
@@ -427,6 +424,50 @@ def fraction_characters(atoms: dict, functions, n) -> tuple[complex, tuple | Non
 # ---------------------------------------------------------------------------
 # The all-rows lattice route for the embedding verdict
 
+def tuple_constraint_matrix(dist) -> SimpleNamespace:
+    """The constraint matrix as `s`, `index_map` and `rows`, each row the
+    ascending tuple of its 1-columns, built atom by atom from the code
+    tuples; `rows` is None when s == 0."""
+    base = dist.codes[0]
+    index_map: list[tuple[int, str]] = []
+    col_of: dict[tuple[int, int], int] = {}  # (coordinate, symbol index) -> column
+    for i, a in enumerate(dist.alphabets):
+        for c, sym in enumerate(a.symbols):
+            if c != base[i]:
+                col_of[i, c] = len(index_map)
+                index_map.append((i, sym))
+    rows = tuple(tuple([col_of[i, c] for i, c in enumerate(x) if c != base[i]])
+                 for x in dist.codes) if index_map else None
+    return SimpleNamespace(s=len(index_map), index_map=tuple(index_map), rows=rows)
+
+
+def column_index(rows, cols: int) -> np.ndarray:
+    """The (t, rows) array `span_hermite_form` reads for tuple rows:
+    idx[t, i] is the t-th column of row i, or `cols` past its end."""
+    idx = np.array(list(zip_longest(*rows, fillvalue=cols)), dtype=np.intp).reshape(-1, len(rows))
+    if idx.size and (idx.min() < 0 or idx.max() > cols
+                     or np.count_nonzero(idx == cols) != idx.size - sum(map(len, rows))):
+        raise ValidationError(f"row column out of range for {cols} columns")
+    return idx
+
+
+def hermite_normal_form(basis) -> list[list[int]]:
+    """Row Hermite normal form of a dense echelon basis, rows sorted by lead,
+    leads positive: each entry above a lead reduced into [0, lead) by
+    subtracting multiples of the rows below it, bottom row first, scanning
+    every lead column of every row."""
+    h = [list(r) for r in basis]
+    leads = [r.index(next(filter(None, r))) for r in h]
+    for r in range(len(h) - 2, -1, -1):
+        row = h[r]
+        for i, c in enumerate(leads[r + 1:], r + 1):
+            if row[c]:
+                q = row[c] // h[i][c]
+                if q:
+                    row[c:] = [x - q * y for x, y in zip(row[c:], h[i][c:])]
+    return h
+
+
 def all_rows_embedding(dist, hermite: bool = True) -> EmbeddingVerdict:
     """The verdict from `row_basis` over every constraint row, then the Smith
     normal form, read as `detect_embedding` reads it.
@@ -437,29 +478,29 @@ def all_rows_embedding(dist, hermite: bool = True) -> EmbeddingVerdict:
     the basis is first put in Hermite normal form, which is unique for the
     lattice, so the witness is the one the selection route must give.
     """
-    cm = constraint_matrix(dist)
+    cm = tuple_constraint_matrix(dist)
     if cm.s == 0:
         return EmbeddingVerdict(False, None, (), 0, 0)
+
+    def verified(vec, modulus):
+        witness = _witness_from_vector(cm.index_map, dist.alphabets, vec, modulus)
+        assert verify_witness(dist.support, witness), "extracted witness failed verification"
+        return witness
+
     basis = row_basis([dict.fromkeys(cols, 1) for cols in cm.rows], cm.s)
     if not basis:
-        witness = _witness_from_vector(cm, dist.alphabets, [1] + [0] * (cm.s - 1), 0)
-        _require_verified(dist, witness)
-        return EmbeddingVerdict(True, witness, (), 0, cm.s)
+        return EmbeddingVerdict(True, verified([1] + [0] * (cm.s - 1), 0), (), 0, cm.s)
     if hermite:
         basis = hermite_normal_form(basis)
     snf = smith_normal_form(IntMatrix.from_rows(basis))
     divisors = snf.divisors[:snf.rank]
     if snf.rank < cm.s:
         vec = normalize_vector([snf.V.entry(i, snf.rank) for i in range(cm.s)])
-        witness = _witness_from_vector(cm, dist.alphabets, vec, 0)
-        _require_verified(dist, witness)
-        return EmbeddingVerdict(True, witness, divisors, snf.rank, cm.s)
+        return EmbeddingVerdict(True, verified(vec, 0), divisors, snf.rank, cm.s)
     j = next((idx for idx, d in enumerate(divisors) if d > 1), None)
     if j is not None:
         vec = [snf.V.entry(i, j) for i in range(cm.s)]
-        witness = _witness_from_vector(cm, dist.alphabets, vec, divisors[j])
-        _require_verified(dist, witness)
-        return EmbeddingVerdict(True, witness, divisors, snf.rank, cm.s)
+        return EmbeddingVerdict(True, verified(vec, divisors[j]), divisors, snf.rank, cm.s)
     return EmbeddingVerdict(False, None, divisors, snf.rank, cm.s)
 
 

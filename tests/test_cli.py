@@ -416,7 +416,7 @@ def test_bad_accepted_cells_exit_2(accept, message, tmp_path, capsys):
 def test_internal_check_failure_exits_5(tmp_path, capsys, monkeypatch):
     dist = tmp_path / "mu.json"
     fixtures.three_lin().save(str(dist))
-    monkeypatch.setattr(embedding, "verify_witness", lambda support, witness: False)
+    monkeypatch.setattr(embedding, "witness_holds", lambda dist, witness: False)
     code = main(["analyze", str(dist)])
     captured = capsys.readouterr()
     assert code == 5

@@ -10,6 +10,7 @@ from embedlens.distributions import (
     ExactChooser,
     JointDistribution,
     ProductPowerSampler,
+    _read_columns,
     alphabet,
     check_draws,
     decompose_mixture,
@@ -345,6 +346,55 @@ def test_from_json_matches_the_fraction_reader(k, atoms, complete):
     def outcome(read):
         try:
             return read(data)
+        except (ParseError, ValidationError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(JointDistribution.from_json) == outcome(fraction_from_json)
+
+
+# A fault planted in a valid payload that the column-wise read takes: the
+# per-entry read must then name it exactly as the Fraction reader does,
+# also with a second fault after it.
+FAULTS = {
+    "no x": lambda e: {"p": e["p"]},
+    "no p": lambda e: {"x": e["x"]},
+    "short x": lambda e: {**e, "x": e["x"][:-1]},
+    "long x": lambda e: {**e, "x": e["x"] + ["0"]},
+    "unknown symbol": lambda e: {**e, "x": ["9"] + e["x"][1:]},
+    "int symbol": lambda e: {**e, "x": [int(e["x"][0])] + e["x"][1:]},
+    "x not a list": lambda e: {**e, "x": 7},
+    "x a string": lambda e: {**e, "x": "".join(e["x"])},
+    "float p": lambda e: {**e, "p": [float(e["p"][0]), e["p"][1]]},
+    "bool p": lambda e: {**e, "p": [True, e["p"][1]]},
+    "string p": lambda e: {**e, "p": [str(e["p"][0]), e["p"][1]]},
+    "zero denominator": lambda e: {**e, "p": [e["p"][0], 0]},
+    "null denominator": lambda e: {**e, "p": [e["p"][0], None]},
+    "negative mass": lambda e: {**e, "p": [-e["p"][0], e["p"][1]]},
+    "three-part p": lambda e: {**e, "p": e["p"] + [1]},
+    "p not a list": lambda e: {**e, "p": 3},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 3), size=st.integers(2, 3), data=st.data())
+def test_the_column_read_falls_back_to_the_entry_read_on_any_fault(k, size, data):
+    cells = data.draw(st.lists(st.tuples(*[st.integers(0, size - 1)] * k), min_size=1,
+                               max_size=12, unique=True), label="cells")
+    atoms = [{"x": [str(c) for c in x], "p": [1, len(cells)]} for x in cells]
+    payload = {"alphabets": [[str(s) for s in range(size)]] * k, "atoms": atoms}
+    lookups = [{sym: i for i, sym in enumerate(a)} for a in payload["alphabets"]]
+    assert _read_columns(lookups, atoms) is not None  # the column-wise read takes it
+    assert JointDistribution.from_json(payload) == fraction_from_json(payload)
+    for at in data.draw(st.lists(st.integers(0, len(atoms) - 1), min_size=1, max_size=2,
+                                 unique=True), label="at"):
+        fault = data.draw(st.sampled_from(sorted(FAULTS) + ["repeat"]), label="fault")
+        entry = atoms[data.draw(st.integers(0, len(atoms) - 1))] if fault == "repeat" else None
+        atoms = atoms[:at] + [entry or FAULTS[fault](atoms[at])] + atoms[at + 1:]
+    payload = {**payload, "atoms": atoms}
+
+    def outcome(read):
+        try:
+            return read(payload)
         except (ParseError, ValidationError) as exc:
             return type(exc), str(exc)
 

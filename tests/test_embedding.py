@@ -2,6 +2,7 @@ import random
 from itertools import product
 from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from embedlens import fixtures, intlattice
@@ -18,35 +19,43 @@ from embedlens.embedding import (
     detect_embedding,
     pairwise_connected,
     verify_witness,
+    witness_holds,
 )
-from embedlens.intlattice import hermite_normal_form, row_basis, span_hermite_form
+from embedlens.intlattice import row_basis, span_hermite_form
 from oracles import (
     all_rows_embedding,
     bucket_connected,
     dfs_pairwise_connected,
     distributions,
     group_elements,
+    hermite_normal_form,
     lattice_supports,
     triple_product,
+    tuple_constraint_matrix,
 )
 
 B = alphabet(["0", "1"])
 
 
+def tuple_rows(cm):
+    """Each row of the column-index array as the ascending tuple of its 1-columns."""
+    return tuple(tuple(c for c in col if c != cm.s) for col in cm.columns.T.tolist())
+
+
 def dense_rows(cm):
-    return [[1 if j in cols else 0 for j in range(cm.s)] for cols in cm.rows]
+    return [[1 if j in cols else 0 for j in range(cm.s)] for cols in tuple_rows(cm)]
 
 
 def test_constraint_matrix_disconnected_pair():
     cm = constraint_matrix(uniform_on([B, B], [("0", "0"), ("1", "1")]))
     assert cm.s == 2
-    assert cm.rows == ((), (0, 1))
+    assert tuple_rows(cm) == ((), (0, 1))
     assert dense_rows(cm) == [[0, 0], [1, 1]]
 
 
 def test_constraint_matrix_singleton_support():
     cm = constraint_matrix(uniform_on([B, B], [("0", "1")]))
-    assert cm.rows == ((),)
+    assert tuple_rows(cm) == ((),)
     assert dense_rows(cm) == [[0, 0]]
 
 
@@ -54,7 +63,7 @@ def test_constraint_matrix_three_lin():
     mu = fixtures.three_lin()
     cm = constraint_matrix(mu)
     assert cm.s == 3
-    assert cm.rows == ((), (1, 2), (0, 2), (0, 1))
+    assert tuple_rows(cm) == ((), (1, 2), (0, 2), (0, 1))
     assert dense_rows(cm) == [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
 
@@ -235,6 +244,17 @@ def test_connectivity_matches_tuple_oracles(dist):
     assert connected(dist) == bucket_connected(dist)
 
 
+@pytest.mark.parametrize("k", [3, 40, 64])  # at k = 64 the keys pass int64
+def test_connected_keys_past_int64(k):
+    # a path of atoms, each one coordinate away from the next: connected,
+    # and split in two without its middle atom
+    path = [tuple("1" if c < t else "0" for c in range(k)) for t in range(4)]
+    dist = uniform_on([B] * k, path)
+    assert connected(dist) and bucket_connected(dist)
+    apart = uniform_on([B] * k, path[:1] + path[2:])
+    assert not connected(apart) and not bucket_connected(apart)
+
+
 def test_connected_examples():
     assert not connected(fixtures.three_lin())
     assert connected(fixtures.full_support_cube())
@@ -360,28 +380,98 @@ def test_the_loop_from_a_small_selection_reaches_the_span(case):
     cm = constraint_matrix(uniform_on(*case))
     if cm.s == 0:
         return
-    want = hermite_normal_form(row_basis([dict.fromkeys(c, 1) for c in cm.rows], cm.s))
-    assert span_hermite_form(cm.rows, cm.s) == want
+    want = hermite_normal_form(row_basis([dict.fromkeys(c, 1) for c in tuple_rows(cm)], cm.s))
+    assert span_hermite_form(cm.columns, cm.s) == want
+
+
+S4_SUPPORT = triple_product(group_elements(4, False))
 
 
 def test_rank_raising_and_index_lowering_rounds(monkeypatch):
     # S4 from the first row of each column: a round that raises the rank
     # (46 -> 69), then one that keeps it and lowers the index of the lattice
-    # (4 -> 2)
-    cm = constraint_matrix(uniform_on(*triple_product(group_elements(4, False))))
+    # (4 -> 2). Each round's echelon basis is read where it is put in
+    # Hermite form: its rank, and the product of its leads (the index).
+    cm = constraint_matrix(uniform_on(*S4_SUPPORT))
     rounds = []
+    hermite = intlattice._hermite
 
-    def recording(rows, cols):
-        basis = row_basis(rows, cols)
-        leads = [next(x for x in r if x) for r in basis]
-        rounds.append((len(basis), prod(leads)))
-        return basis
+    def recording(basis):
+        rounds.append((len(basis), prod(row[lead] for lead, row in basis.items())))
+        return hermite(basis)
 
-    monkeypatch.setattr(intlattice, "row_basis", recording)
-    h = span_hermite_form(cm.rows, cm.s)
+    monkeypatch.setattr(intlattice, "_hermite", recording)
+    h = span_hermite_form(cm.columns, cm.s)
     assert any(b[0] > a[0] for a, b in zip(rounds, rounds[1:]))
     assert any(b[0] == a[0] and b[1] < a[1] for a, b in zip(rounds, rounds[1:]))
     assert rounds[-1] == (69, 2)
     monkeypatch.undo()
-    assert h == hermite_normal_form(row_basis([dict.fromkeys(c, 1) for c in cm.rows], cm.s))
+    assert h == hermite_normal_form(row_basis([dict.fromkeys(c, 1) for c in tuple_rows(cm)], cm.s))
+
+
+def test_later_rounds_check_only_the_rows_that_failed(monkeypatch):
+    # S4: the membership check sees all 576 rows once, then in each round
+    # only the rows that failed the round before, until none fails
+    cm = constraint_matrix(uniform_on(*S4_SUPPORT))
+    seen = []
+    outside = intlattice._outside
+
+    def recording(idx, h, cols):
+        added, failed = outside(idx, h, cols)
+        seen.append((idx.shape[1], len(failed)))
+        return added, failed
+
+    monkeypatch.setattr(intlattice, "_outside", recording)
+    span_hermite_form(cm.columns, cm.s)
+    assert seen[0][0] == 576 and seen[-1][1] == 0 and len(seen) >= 3
+    assert all(b[0] == a[1] for a, b in zip(seen, seen[1:]))
+    assert all(b[0] < a[0] for a, b in zip(seen, seen[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(lattice_supports().map(lambda s: uniform_on(*s)), distributions(k=st.integers(1, 4))))
+def test_the_constraint_array_holds_the_tuple_rows(dist):
+    cm, want = constraint_matrix(dist), tuple_constraint_matrix(dist)
+    assert (cm.s, cm.index_map) == (want.s, want.index_map)
+    if cm.s:
+        assert cm.columns.shape == (dist.k, len(dist.codes))
+        assert tuple_rows(cm) == want.rows
+    else:
+        assert cm.columns is None
+
+
+def corrupted(witness, data):
+    """The witness with one sigma entry moved by a nonzero amount."""
+    sigma = [dict(t) for t in witness.sigma]
+    i = data.draw(st.integers(0, len(sigma) - 1), label="coordinate")
+    sym = data.draw(st.sampled_from(sorted(sigma[i])), label="symbol")
+    sigma[i][sym] += data.draw(st.integers(1, 5) | st.integers(2 ** 63, 2 ** 70), label="shift")
+    return EmbeddingWitness(witness.modulus, tuple(sigma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_supports(), st.data())
+def test_the_witness_check_on_codes_agrees_with_verify_witness(case, data):
+    alphabets, support = case
+    dist = uniform_on(alphabets, support)
+
+    def agree(witness):
+        assert witness_holds(dist, witness) == verify_witness(dist.support, witness)
+
+    verdict = detect_embedding(dist)
+    if verdict.admits:
+        assert witness_holds(dist, verdict.witness)
+        agree(verdict.witness)
+        agree(corrupted(verdict.witness, data))
+    modulus = data.draw(st.sampled_from([0, 1, 2, 3, 6, -2, 2 ** 64]), label="modulus")
+    constant = data.draw(st.integers(-3, 3) | st.integers(2 ** 63, 2 ** 66), label="constant")
+    agree(EmbeddingWitness(modulus, tuple({s: constant for s in a.symbols} for a in alphabets)))
+    # modulus 0 with entries past 2^63: the sums take Python ints
+    big = [{s: data.draw(st.integers(-2 ** 70, 2 ** 70), label="entry") for s in a.symbols}
+           for a in alphabets]
+    agree(EmbeddingWitness(0, tuple(big)))
+    if verdict.admits and verdict.witness.modulus == 0:
+        scaled = tuple({s: v * 2 ** 64 for s, v in t.items()} for t in verdict.witness.sigma)
+        assert witness_holds(dist, EmbeddingWitness(0, scaled))
+        agree(EmbeddingWitness(0, scaled))
 

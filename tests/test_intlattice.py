@@ -1,20 +1,21 @@
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from embedlens.errors import ValidationError
 from embedlens.intlattice import (
     IntMatrix,
-    _column_index,
     _ext_gcd,
+    _hermite,
     _outside,
-    hermite_normal_form,
     row_basis,
     smith_normal_form,
     span_hermite_form,
 )
+from oracles import column_index, hermite_normal_form
 
 
 def check_certificates(a: IntMatrix):
@@ -283,11 +284,21 @@ def test_bareiss_det_matches_numpy_sign_pattern():
 WIDE = st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 3)
 
 
+def hermite(basis, cols):
+    """`_hermite` of a dense echelon basis, back as dense rows."""
+    h = _hermite({min(r): r for r in sparse(basis)})
+    return [[r.get(j, 0) for j in range(cols)] for r in h.values()]
+
+
 @settings(max_examples=150, deadline=None)
 @given(integer_rows(WIDE), st.randoms(use_true_random=False))
+# a subtraction that makes a lead column above a lead of 2 nonzero again
+@example(([[0, 0, 0, 0, 0, 2], [0, 1, 0, 0, 0, 1], [1, 1, 0, 0, 0, 0]], 6), random.Random(0))
 def test_hermite_normal_form_is_reduced_and_unique_for_the_lattice(case, rnd):
+    # the sparse `_hermite` of the program, against the dense oracle
     rows, cols = case
-    h = hermite_normal_form(row_basis(sparse(rows), cols))
+    h = hermite(row_basis(sparse(rows), cols), cols)
+    assert h == hermite_normal_form(row_basis(sparse(rows), cols))
     leads = [next(j for j, x in enumerate(r) if x) for r in h]
     assert leads == sorted(set(leads))
     for i, c in enumerate(leads):
@@ -297,7 +308,7 @@ def test_hermite_normal_form_is_reduced_and_unique_for_the_lattice(case, rnd):
     more = rows[:]
     rnd.shuffle(more)
     more += [[x + 3 * y for x, y in zip(a, b)] for a, b in zip(rows, more)]
-    assert hermite_normal_form(row_basis(sparse(more), cols)) == h
+    assert hermite(row_basis(sparse(more), cols), cols) == h
     if h:
         a, b = smith_normal_form(IntMatrix.from_rows(rows)), smith_normal_form(IntMatrix.from_rows(h))
         assert (a.rank, a.divisors[:a.rank]) == (b.rank, b.divisors[:b.rank])
@@ -308,22 +319,46 @@ def member(h, row, cols):
     return hermite_normal_form(row_basis(sparse(h) + sparse([row]), cols)) == h
 
 
+def sparse_hermite(h):
+    """A dense Hermite form as `_outside` reads it: {lead column: {column: entry}}."""
+    return {min(r): r for r in sparse(h)}
+
+
 @settings(max_examples=200, deadline=None)
 @given(integer_rows(WIDE), st.data())
 def test_membership_check_agrees_with_exact_reduction(case, data):
-    # entries past 2^63 take the Python-int arrays, small ones int64
+    # entries past 2^63 take the Python-int arrays, small ones int64 or narrower
     gens, cols = case
     h = hermite_normal_form(row_basis(sparse(gens), cols))
     ones = st.lists(st.integers(0, cols - 1), max_size=cols, unique=True).map(sorted)
     rows = data.draw(st.lists(ones.map(tuple), min_size=1, max_size=12))
     dense = [[int(j in r) for j in range(cols)] for r in rows]
-    idx = _column_index(rows, cols)
+    idx = column_index(rows, cols)
     if not idx.size:
         return
-    added = _outside(idx, h, cols)
-    assert added == sorted(set(added))
-    assert all(not member(h, dense[i], cols) for i in added)
-    assert (not added) == all(member(h, r, cols) for r in dense)
+    added, failed = _outside(idx, sparse_hermite(h), cols)
+    assert added == sorted(set(added)) and set(added) <= set(failed)
+    assert failed == [i for i, r in enumerate(dense) if not member(h, r, cols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_rows(WIDE), st.data())
+def test_membership_check_on_the_failing_rows_selects_the_same_rows(case, data):
+    # a later round of span_hermite_form checks only the rows that failed
+    # before: any subset holding every failing row selects the same rows
+    gens, cols = case
+    h = sparse_hermite(hermite_normal_form(row_basis(sparse(gens), cols)))
+    ones = st.lists(st.integers(0, cols - 1), max_size=cols, unique=True).map(sorted)
+    rows = data.draw(st.lists(ones.map(tuple), min_size=1, max_size=40))
+    idx = column_index(rows, cols)
+    if not idx.size:
+        return
+    added, failed = _outside(idx, h, cols)
+    extra = data.draw(st.sets(st.integers(0, len(rows) - 1)))
+    subset = np.array(sorted(set(failed) | extra), dtype=np.intp)
+    sub_added, sub_failed = _outside(idx[:, subset], h, cols)
+    assert subset[sub_added].tolist() == added
+    assert subset[sub_failed].tolist() == failed
 
 
 @settings(max_examples=150, deadline=None)
@@ -332,12 +367,13 @@ def test_span_hermite_form_matches_every_row_reduced(cols, k, data):
     support = st.lists(st.integers(0, cols - 1), max_size=k, unique=True).map(tuple)
     rows = data.draw(st.lists(support, min_size=1, max_size=80))
     want = hermite_normal_form(row_basis([dict.fromkeys(r, 1) for r in rows], cols))
-    assert span_hermite_form(rows, cols) == want
+    assert span_hermite_form(column_index(rows, cols), cols) == want
 
 
 @pytest.mark.parametrize("copies", [1, 40])  # the row selected, or most rows checked
 def test_span_hermite_form_rejects_out_of_range_columns(copies):
-    for bad in ([(0, 3)], [(-1,)], [(3,)]):
+    # `cols` itself is the padding of the column-index array, so 4 is the
+    # first column past the end of 3
+    for bad in ([(0, 4)], [(-1,)], [(4,)]):
         with pytest.raises(ValidationError):
-            span_hermite_form(bad * copies, 3)
-
+            span_hermite_form(np.array(bad * copies).T, 3)
