@@ -94,7 +94,7 @@ def exact_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
         return _exact_characters(dist, functions, n)
     if all(isinstance(f, (ProductFunction, CharacterProduct)) for f in functions):
         prods = [f.to_product() if isinstance(f, CharacterProduct) else f for f in functions]
-        return _exact_products(dist, prods, n)
+        return CorrelationResult(prod(_product_columns(dist, prods, n), start=1 + 0j), "exact")
     return _exact_tables(dist, functions, n)
 
 
@@ -150,10 +150,6 @@ def _product_columns(dist: JointDistribution, prods: Sequence[ProductFunction],
             terms.append(t)
         columns.append(complex(fsum(t.real for t in terms), fsum(t.imag for t in terms)))
     return columns
-
-
-def _exact_products(dist, prods: Sequence[ProductFunction], n) -> CorrelationResult:
-    return CorrelationResult(prod(_product_columns(dist, prods, n), start=1 + 0j), "exact")
 
 
 def _head_columns(dist: JointDistribution) -> tuple[list[list[int]], list[list[int]]]:

@@ -248,17 +248,15 @@ def _read_columns(lookups: list[dict[str, int]], entries) -> dict | None:
     some entry has a fault, a "p" that is not a pair of ints, or the code of
     an earlier entry."""
     try:
-        xs = [entry["x"] for entry in entries]
-        ps = [entry["p"] for entry in entries]
-        if (not lookups or set(map(len, xs)) - {len(lookups)} or set(map(len, ps)) - {2}
+        xs, ps = [entry["x"] for entry in entries], [tuple(entry["p"]) for entry in entries]
+        if (set(map(len, xs)) - {len(lookups)} or set(map(len, ps)) - {2}
                 or set(map(type, chain.from_iterable(ps))) - {int}):  # 1.0 or True never meets 1
             return None
         columns = [list(map(index.get, column)) for index, column in zip(lookups, zip(*xs))]
         if any(None in column for column in columns):
             return None
-        pairs = list(map(tuple, ps))
-        reduced = {pair: _reduced(*pair) for pair in set(pairs)}
-        masses = dict(zip(zip(*columns), map(reduced.__getitem__, pairs)))
+        reduced = {pair: _reduced(*pair) for pair in set(ps)}
+        masses = dict(zip(zip(*columns), map(reduced.__getitem__, ps)))
     except PAYLOAD_ERRORS:
         return None
     return masses if len(masses) == len(xs) else None

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import gcd, prod
-from operator import add
+from math import gcd
+from operator import add, mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -146,16 +146,14 @@ def _nonconstant(witness: EmbeddingWitness) -> bool:
 
 def witness_holds(dist: JointDistribution, witness: EmbeddingWitness) -> bool:
     """`verify_witness` on the codes of `dist`, for a witness whose sigma_i
-    maps all of alphabet i: each atom's sum gathers its sigma values, in
-    int64 when the entries rule out overflow, else in Python ints."""
-    m, k = witness.modulus, dist.k
-    if m == 1 or m < 0 or len(witness.sigma) < k:
+    maps all of alphabet i, as `detect_embedding` builds it: each atom's sum
+    gathers its sigma values, in int64 when the entries rule out overflow,
+    else in Python ints."""
+    m = witness.modulus
+    if m == 1 or m < 0:
         return False
-    try:
-        values = [t[sym] for t, a in zip(witness.sigma, dist.alphabets) for sym in a.symbols]
-    except KeyError:
-        return False
-    small = k * max(map(abs, values)) < INT64_BOUND and m < INT64_BOUND
+    values = [t[sym] for t, a in zip(witness.sigma, dist.alphabets) for sym in a.symbols]
+    small = dist.k * max(map(abs, values)) < INT64_BOUND and m < INT64_BOUND
     total = _gather(dist, values, np.int64 if small else object).sum(axis=1)
     return not (total % m if m else total).any() and _nonconstant(witness)
 
@@ -169,38 +167,27 @@ def detect_embedding(dist: JointDistribution) -> EmbeddingVerdict:
     V-column of the smallest divisor d > 1 reduced mod d (target Z_d).
     """
     cm = constraint_matrix(dist)
-    if cm.s == 0:
+    s = cm.s
+    if s == 0:
         return EmbeddingVerdict(False, None, (), 0, 0)
-    h = span_hermite_form(cm.columns, cm.s)
-    if not h:
-        # Lattice is {0}; any nonzero integer vector embeds into Z.
-        vec = [1] + [0] * (cm.s - 1)
-        witness = _witness_from_vector(cm.index_map, dist.alphabets, vec, 0)
-        _require_verified(dist, witness)
-        return EmbeddingVerdict(True, witness, (), 0, cm.s)
-    if len(h) == cm.s and all(r[i] == 1 for i, r in enumerate(h)):
-        return EmbeddingVerdict(False, None, (1,) * cm.s, cm.s, cm.s)  # L = Z^s
-    snf = smith_normal_form(IntMatrix(len(h), cm.s, tuple(chain.from_iterable(h))))
-    divisors = snf.divisors[:snf.rank]
-    if snf.rank < cm.s:
-        vec = [snf.V.entry(i, snf.rank) for i in range(cm.s)]
-        vec = normalize_vector(vec)
-        witness = _witness_from_vector(cm.index_map, dist.alphabets, vec, 0)
-        _require_verified(dist, witness)
-        return EmbeddingVerdict(True, witness, divisors, snf.rank, cm.s)
-    j = next((idx for idx, d in enumerate(divisors) if d > 1), None)
-    if j is not None:
-        m = divisors[j]
-        vec = [snf.V.entry(i, j) for i in range(cm.s)]
-        witness = _witness_from_vector(cm.index_map, dist.alphabets, vec, m)
-        _require_verified(dist, witness)
-        return EmbeddingVerdict(True, witness, divisors, snf.rank, cm.s)
-    return EmbeddingVerdict(False, None, divisors, snf.rank, cm.s)
-
-
-def _require_verified(dist: JointDistribution, witness: EmbeddingWitness) -> None:
+    h = span_hermite_form(cm.columns, s)
+    if not h:  # the lattice is {0}: any nonzero integer vector embeds into Z
+        vec, m, divisors, rank = [1] + [0] * (s - 1), 0, (), 0
+    elif len(h) == s and all(r[i] == 1 for i, r in enumerate(h)):
+        return EmbeddingVerdict(False, None, (1,) * s, s, s)  # L = Z^s
+    else:
+        snf = smith_normal_form(IntMatrix(len(h), s, tuple(chain.from_iterable(h))))
+        rank, divisors = snf.rank, snf.divisors[:snf.rank]
+        if rank < s:
+            vec, m = normalize_vector([snf.V.entry(i, rank) for i in range(s)]), 0
+        elif (j := next((j for j, d in enumerate(divisors) if d > 1), None)) is not None:
+            vec, m = [snf.V.entry(i, j) for i in range(s)], divisors[j]
+        else:
+            return EmbeddingVerdict(False, None, divisors, rank, s)
+    witness = _witness_from_vector(cm.index_map, dist.alphabets, vec, m)
     if not witness_holds(dist, witness):
         raise AssertionError("extracted witness failed verification")
+    return EmbeddingVerdict(True, witness, divisors, rank, s)
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +424,12 @@ def connected(dist: JointDistribution) -> bool:
     """
     codes = dist.code_array
     n, k = codes.shape
-    sizes = [len(a) for a in dist.alphabets]
-    size = prod(sizes)
-    place = [[prod(sizes[i + 1:]) * (i != c) for c in range(k)] for i in range(k)]
-    keys = (codes @ np.array(place, dtype=np.int64 if k * size < INT64_BOUND else object)
+    *suffix, size = accumulate([1, *(len(a) for a in reversed(dist.alphabets))], mul)
+    place = np.array(suffix[::-1], dtype=np.int64 if k * size < INT64_BOUND else object)
+    keys = ((codes @ place)[:, None] - codes * place
             + [c * size for c in range(k)]).ravel()  # keys[k * x + c]: the key of (c, x)
     order = np.argsort(keys)
     join = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
-    if len(join) < n - 1:
-        return False  # n atoms need n - 1 joins to connect
     atom = (order // k).tolist()
     parent = list(range(n))
     for j in join.tolist():

@@ -315,10 +315,7 @@ def noise_apply(f: TableFunction, rho: float, nu: JointDistribution) -> TableFun
     if not 0 <= rho <= 1:
         raise ValidationError("rho must lie in [0, 1]")
     w = _measure_weights(nu, f.alphabet)
-    a = len(f.alphabet)
-    arr = f.values.reshape((a,) * f.n) if f.n else f.values.copy()
-    if f.n == 0:
-        return TableFunction(0, f.alphabet, arr)
+    arr = f.values.reshape((len(f.alphabet),) * f.n)
     for i in range(f.n):
         mean = np.tensordot(arr, w, axes=([i], [0]))
         arr = rho * arr + (1 - rho) * np.expand_dims(mean, axis=i)
@@ -388,12 +385,9 @@ def restrict(f: TableFunction, assignment: Mapping[int, str]) -> TableFunction:
             raise ValidationError(f"restricted coordinate {i} out of range")
         if sym not in f.alphabet:
             raise ValidationError(f"symbol {sym!r} not in alphabet")
-    arr = f.values.reshape((a,) * f.n) if f.n else f.values
-    idx = tuple(
-        f.alphabet.index(assignment[i]) if i in assignment else slice(None)
-        for i in range(f.n)
-    )
-    out = arr[idx] if f.n else arr
+    idx = tuple(f.alphabet.index(assignment[i]) if i in assignment else slice(None)
+                for i in range(f.n))
+    out = f.values.reshape((a,) * f.n)[idx]
     return TableFunction(f.n - len(assignment), f.alphabet, np.asarray(out).ravel())
 
 

@@ -249,13 +249,9 @@ def normalize_vector(v: Sequence[int]) -> tuple[int, ...]:
 
 
 def row_basis(rows: Iterable[Mapping[int, int]], cols: int) -> list[list[int]]:
-    """Echelon basis of the integer span of sparse rows {column: entry}.
-
-    Large row sets are reduced before any SNF with certificates is run. Only
-    unimodular row operations are used (exact-quotient reduction, or an
-    extended-gcd merge when leading entries do not divide), so the lattice is
-    unchanged. Returns dense exact-integer rows sorted by leading column.
-    """
+    """Echelon basis of the integer span of sparse rows {column: entry}, as
+    dense rows sorted by leading column. Only unimodular row operations are
+    used (see `_insert`), so the lattice is unchanged."""
     basis: dict[int, dict[int, int]] = {}
     for src in rows:
         _insert(basis, {j: x for j, x in src.items() if x}, cols)
@@ -264,7 +260,8 @@ def row_basis(rows: Iterable[Mapping[int, int]], cols: int) -> list[list[int]]:
 
 def _insert(basis: dict[int, dict[int, int]], r: dict[int, int], cols: int) -> None:
     """Reduce the sparse row r (no zero entries) into the echelon basis
-    {lead column: row}, in place; the lattice of basis and r is kept."""
+    {lead column: row}, in place, by exact-quotient reduction or, when the
+    leads do not divide, an extended-gcd merge; the lattice is kept."""
     if r and not (0 <= min(r) and max(r) < cols):
         raise ValidationError(f"row column out of range for {cols} columns")
     while r:
@@ -323,13 +320,11 @@ def span_hermite_form(idx: np.ndarray, cols: int) -> list[list[int]]:
     """Row Hermite normal form H of the integer span of 0/1 rows.
 
     Row i holds a 1 in each of the distinct columns `idx[:, i]` below
-    `cols`, which is padding, and 0 elsewhere. Only a selection of rows is
-    reduced exactly, starting from the first row that holds each column,
-    and the rows are checked for membership in L(H) (see `_outside`); the
-    rows that fail join the selection, and the round repeats. A round
-    inserts only its new rows into the sparse H it keeps (`_insert`, then
-    `_hermite`). L(H) only grows and never leaves the span, so a row that
-    passed once passes again: a round checks only the rows that failed the
+    `cols` (the padding) and 0 elsewhere. A selection of rows, first the
+    first row that holds each column, is reduced exactly into a sparse H
+    (`_insert`, then `_hermite`); the rows that fail the membership check
+    of L(H) (`_outside`) join it, and the round repeats. L(H) only grows and
+    never leaves the span, so a round checks only the rows that failed the
     round before, and the loop ends with L(H) equal to the span.
     """
     if idx.size and (idx.min() < 0 or idx.max() > cols):
@@ -349,11 +344,10 @@ def span_hermite_form(idx: np.ndarray, cols: int) -> list[list[int]]:
 
 def _outside(idx: np.ndarray, h: dict[int, dict[int, int]],
              cols: int) -> tuple[list[int], list[int]]:
-    """Rows of `idx` (as `span_hermite_form` reads it) to add to L(h), for h
-    a sparse Hermite normal form {lead column: row}, and the rows that are
-    not in L(h), both ascending: none exactly when every row is in L(h).
-    The rows to add are, for each column, the first row whose residue is
-    nonzero there and the first whose residue first goes nonzero there.
+    """Rows of `idx` (as `span_hermite_form` reads it) to add to L(h), h a
+    sparse Hermite form {lead column: row}, and the rows not in L(h), both
+    ascending. For each column, the first row whose residue is nonzero
+    there and the first whose residue first goes nonzero there are added.
 
     In the Hermite form a column whose lead is 1 holds a single 1, so
     subtracting from a 0/1 row the rows of h that lead at its unit-lead
@@ -361,8 +355,7 @@ def _outside(idx: np.ndarray, h: dict[int, dict[int, int]],
     block of rows computes it. The rows of h with a lead above 1 then
     reduce the residue in lead order; a row is in L(h) exactly when its
     residue ends at zero. The arrays take the narrowest integer type that a
-    bound on the residue, worked out from the entries of h, shows to be
-    safe, and Python ints past int64.
+    bound on the residue allows, Python ints past int64.
     """
     units = [c for c, r in h.items() if r[c] == 1]
     others = [c for c, r in h.items() if r[c] != 1]
@@ -394,7 +387,7 @@ def _outside(idx: np.ndarray, h: dict[int, dict[int, int]],
     lead_first: dict[int, int] = {}  # residue column -> row
     any_first: dict[int, int] = {}
     failed: list[int] = []
-    step = CERTIFY_BLOCK // max(len(keep), 1)  # rows per block
+    step = max(1, CERTIFY_BLOCK // max(len(keep), 1))  # rows per block
     for a in range(0, idx.shape[1], step):
         block = idx[:, a:a + step]
         res = e[block[0]]

@@ -244,7 +244,7 @@ def test_connectivity_matches_tuple_oracles(dist):
     assert connected(dist) == bucket_connected(dist)
 
 
-@pytest.mark.parametrize("k", [3, 40, 64])  # at k = 64 the keys pass int64
+@pytest.mark.parametrize("k", [3, 40, 64, 2000])  # at k = 64 the keys pass int64
 def test_connected_keys_past_int64(k):
     # a path of atoms, each one coordinate away from the next: connected,
     # and split in two without its middle atom

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from embedlens import intlattice
 from embedlens.errors import ValidationError
 from embedlens.intlattice import (
     IntMatrix,
@@ -338,6 +339,7 @@ def test_membership_check_agrees_with_exact_reduction(case, data):
         return
     added, failed = _outside(idx, sparse_hermite(h), cols)
     assert added == sorted(set(added)) and set(added) <= set(failed)
+    assert bool(added) == bool(failed)  # a row to add whenever some row is outside
     assert failed == [i for i, r in enumerate(dense) if not member(h, r, cols)]
 
 
@@ -368,6 +370,16 @@ def test_span_hermite_form_matches_every_row_reduced(cols, k, data):
     rows = data.draw(st.lists(support, min_size=1, max_size=80))
     want = hermite_normal_form(row_basis([dict.fromkeys(r, 1) for r in rows], cols))
     assert span_hermite_form(column_index(rows, cols), cols) == want
+
+
+def test_membership_check_in_blocks_smaller_than_a_row(monkeypatch):
+    # a block of one residue entry holds less than a row: the check still
+    # takes one row at a time
+    rnd = random.Random(1)
+    rows = [tuple(sorted(rnd.sample(range(9), rnd.randint(0, 4)))) for _ in range(80)]
+    want = hermite_normal_form(row_basis([dict.fromkeys(r, 1) for r in rows], 9))
+    monkeypatch.setattr(intlattice, "CERTIFY_BLOCK", 1)
+    assert span_hermite_form(column_index(rows, 9), 9) == want
 
 
 @pytest.mark.parametrize("copies", [1, 40])  # the row selected, or most rows checked
