@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from math import fsum, lcm, log, prod, sqrt
 from typing import Sequence
 
@@ -35,12 +34,14 @@ from .functions import (
     CharacterProduct,
     ProductFunction,
     TableFunction,
+    _complex_sum,
     _measure_weights,
     _unit,
     _weight_tensor,
     column_map,
     column_product,
     complex_times,
+    fsums,
     restrict,
 )
 
@@ -172,7 +173,7 @@ def _exact_tables(dist, functions, n) -> CorrelationResult:
     masses = np.array([[w / dist.denominator for w in row] for row in joint])
     heads = column_product(tables[:-1], index_lists, n)
     terms = np.ravel(heads * column_map(tables[-1].values, masses, n))
-    return CorrelationResult(complex(fsum(terms.real), fsum(terms.imag)), "exact")
+    return CorrelationResult(_complex_sum(terms), "exact")
 
 
 def mc_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
@@ -189,22 +190,17 @@ def mc_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
     check_draws(samples, n)
     sampler = ProductPowerSampler(dist, n, seed)
     codes = dist.code_array
-    res, ims = np.empty(samples), np.empty(samples)
+    values = np.empty((2, samples))  # real and imaginary parts, one row each
     block = max(1, MC_BLOCK // n)
     for start in range(0, samples, block):
         atoms = sampler.sample_indices(min(block, samples - start))
         re, im = np.ones(len(atoms)), np.zeros(len(atoms))
         for i, f in enumerate(functions):
             re, im = complex_times(re, im, *f.evaluate_many(codes[atoms, i]))
-        res[start:start + len(atoms)], ims[start:start + len(atoms)] = re, im
-    mean = complex(_fsum(res) / samples, _fsum(ims) / samples)
-    return CorrelationResult(mean, "monte-carlo", samples, hoeffding_half_width(samples))
-
-
-def _fsum(values: np.ndarray) -> float:
-    """math.fsum of a float array, read a block at a time."""
-    return fsum(chain.from_iterable(values[i:i + MC_BLOCK].tolist()
-                                    for i in range(0, len(values), MC_BLOCK)))
+        values[:, start:start + len(atoms)] = re, im
+    re, im = fsums(values)
+    return CorrelationResult(complex(re / samples, im / samples), "monte-carlo", samples,
+                             hoeffding_half_width(samples))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import Alphabet, Atom, JointDistribution, uniform_on
+from .distributions import Alphabet, Atom, JointDistribution, _code, uniform_on
 from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int
 from .intlattice import (INT64_BOUND, IntMatrix, normalize_vector, smith_normal_form,
                          span_hermite_form)
@@ -89,18 +89,18 @@ class DisconnectedPair:
 
 def constraint_matrix(dist: JointDistribution) -> ConstraintMatrix:
     """The constraint rows of `dist`'s support, base point its first atom."""
-    s, index_map, table = _symbol_columns(dist)
+    s, index_map, table = _symbol_columns(dist.alphabets, dist.codes[0])
     return ConstraintMatrix(s, index_map, _gather(dist, table).T if s else None)
 
 
-def _symbol_columns(dist: JointDistribution) -> tuple[int, tuple[tuple[int, str], ...], list[int]]:
+def _symbol_columns(alphabets: Sequence[Alphabet], base: tuple[int, ...]
+                    ) -> tuple[int, tuple[tuple[int, str], ...], list[int]]:
     """s, the (coordinate, symbol) of each column, and the column of every
     symbol of the concatenated alphabets (s at the base point's symbols)."""
-    s = sum(map(len, dist.alphabets)) - dist.k
-    base = dist.codes[0]
+    s = sum(map(len, alphabets)) - len(alphabets)
     index_map: list[tuple[int, str]] = []
     table = []
-    for i, a in enumerate(dist.alphabets):
+    for i, a in enumerate(alphabets):
         for c, sym in enumerate(a.symbols):
             table.append(s if c == base[i] else len(index_map))
             if c != base[i]:
@@ -210,13 +210,17 @@ def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet]
     support = list(support)
     if not support:
         raise ValidationError("support must be non-empty")
-    dist = uniform_on(alphabets, set(support))
-    s, index_map, table = _symbol_columns(dist)
+    atoms, lookups = set(support), [a._index for a in alphabets]
+    codes = {_code(lookups, x) for x in atoms}
+    if len(codes) < len(atoms) or any(code[:1] == (None,) for code in codes):
+        uniform_on(alphabets, atoms)  # raises, naming every bad atom
+    codes = sorted(codes)
+    s, index_map, table = _symbol_columns(alphabets, codes[0])
     if s == 0:
         return None
     # the tuples straight from the table: a first numpy call costs more than this on small supports
     first = [0, *accumulate(len(a) for a in alphabets[:-1])]
-    rows = [tuple(filter(s.__ne__, map(table.__getitem__, map(add, first, x)))) for x in dist.codes]
+    rows = [tuple(filter(s.__ne__, map(table.__getitem__, map(add, first, x)))) for x in codes]
     constraints = list(dict.fromkeys(filter(None, rows)))  # distinct, nonempty, in order
     order = _column_order(s, constraints)
     position = {col: pos for pos, col in enumerate(order)}

@@ -3,8 +3,9 @@
 Dense tables, coordinate-factored products, and exact-phase characters,
 together with the inner product, the per-coordinate noise operator, noise
 stability, the graded degree decomposition and restrictions. Function
-values are complex doubles with compensated summation; identities are
-expected to hold to 1e-10. A character's phases are integers over one
+values are complex doubles, and their sums are correctly rounded,
+bit-identical to math.fsum, via `fsums`; identities are expected to hold
+to 1e-10. A character's phases are integers over one
 denominator D. The classes evaluate arrays of words; the evaluators of one
 word by definition live in the test oracles (`tests/oracles.py`).
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, gcd, lcm
+from math import fsum, gcd, isfinite, lcm
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -294,32 +295,102 @@ def column_map(values, matrix: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Correctly rounded sums
+
+FSUM_CROSSOVER = 256  # rows up to this length go to math.fsum on a list (measured)
+FSUM_BLOCK = 2 ** 13  # entries bucketed at once (the temporaries count in peak RSS)
+
+
+def fsums(rows) -> list[float]:
+    """math.fsum of each row of a 2-D float array, bit for bit, in numpy passes.
+
+    Each entry x of a longer row splits into h, x with its 26 low mantissa
+    bits cleared, and x - h. Within one exponent bucket each half has at most
+    27 significant bits on a common grid, so their float sums per (row,
+    bucket) over FSUM_BLOCK entries are exact, and `fsum` of those few sums is
+    the correctly rounded row sum. Short rows, and rows with an inf or a NaN
+    or a bucket sum past the largest double, go to `fsum` on a list and keep
+    its rules; a row whose partial sums overflow only inside `fsum` may get
+    its in-range sum where `fsum` raises OverflowError.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.shape[1] <= FSUM_CROSSOVER:
+        return [fsum(row) for row in rows.tolist()]
+    per = max(1, FSUM_BLOCK // rows.shape[1])
+    return [_settle(part, row) for r in range(0, len(rows), per)
+            for part, row in zip(_bucket_sums(rows[r:r + per]), rows[r:r + per])]
+
+
+def _bucket_sums(rows: np.ndarray) -> list[list[float]]:
+    parts = [[] for _ in rows]
+    step = max(1, FSUM_BLOCK // len(rows))
+    for c in range(0, rows.shape[1], step):
+        x = np.ascontiguousarray(rows[:, c:c + step])
+        bits = x.view(np.int64)
+        high = (bits & ~(2 ** 26 - 1)).view(np.float64)
+        keys = bits >> 52
+        keys &= 0x7FF  # the biased exponent
+        low, width = int(keys.min()), int(keys.max() - keys.min()) + 1
+        keys += np.arange(-low, len(x) * width - low, width)[:, None]
+        keys = keys.ravel()
+        with np.errstate(invalid="ignore"):  # inf - inf: the row goes to fsum
+            rest = x - high
+        for part, h, r in zip(parts, *(np.bincount(keys, v.ravel(), len(x) * width).reshape(
+                -1, width).tolist() for v in (high, rest))):
+            part += h + r
+    return parts
+
+
+def _settle(part: list[float], row: np.ndarray) -> float:
+    try:
+        total = fsum(part)
+        if isfinite(total) and (total or not np.signbit(row).all()):
+            return total
+    except (OverflowError, ValueError):
+        pass
+    return fsum(row.tolist())  # an inf, a NaN, an overflow or only negative zeros
+
+
+def _complex_sum(terms: np.ndarray) -> complex:
+    """fsums of the real and imaginary parts of a contiguous complex vector, read in place."""
+    re, im = fsums(terms.view(np.float64).reshape(-1, 2).T)
+    return complex(re, im)
+
+
+# ---------------------------------------------------------------------------
 # Inner products and the noise operator
 
 def inner_product(f: TableFunction, g: TableFunction, nu: JointDistribution) -> complex:
-    """<f, g> = E_{x ~ nu^n}[f(x) * conj(g(x))], compensated summation."""
+    """<f, g> = E_{x ~ nu^n}[f(x) * conj(g(x))], correctly rounded (`fsums`)."""
     f._check_same_shape(g)
     w = _weight_tensor(_measure_weights(nu, f.alphabet), f.n)
-    terms = f.values * np.conj(g.values) * w
-    return complex(fsum(terms.real), fsum(terms.imag))
+    return _complex_sum(f.values * np.conj(g.values) * w)
 
 
 def expectation(f: TableFunction, nu: JointDistribution) -> complex:
     w = _weight_tensor(_measure_weights(nu, f.alphabet), f.n)
-    terms = f.values * w
-    return complex(fsum(terms.real), fsum(terms.imag))
+    return _complex_sum(f.values * w)
 
 
 def noise_apply(f: TableFunction, rho: float, nu: JointDistribution) -> TableFunction:
     """Per-coordinate noise: keep the coordinate w.p. rho, else resample from nu."""
+    _check_rho(rho)
+    arr = _noise(f.values.reshape((len(f.alphabet),) * f.n), _measure_weights(nu, f.alphabet), rho)
+    return TableFunction(f.n, f.alphabet, arr.ravel())
+
+
+def _check_rho(rho: float) -> None:
     if not 0 <= rho <= 1:
         raise ValidationError("rho must lie in [0, 1]")
-    w = _measure_weights(nu, f.alphabet)
-    arr = f.values.reshape((len(f.alphabet),) * f.n)
-    for i in range(f.n):
+
+
+def _noise(arr: np.ndarray, w: np.ndarray, rho: float) -> np.ndarray:
+    """T_rho along every axis of one table, one tensordot per axis: a batch
+    axis in front would change the BLAS call, and with it the bits."""
+    for i in range(arr.ndim):
         mean = np.tensordot(arr, w, axes=([i], [0]))
         arr = rho * arr + (1 - rho) * np.expand_dims(mean, axis=i)
-    return TableFunction(f.n, f.alphabet, arr.ravel())
+    return arr
 
 
 def stability(f: TableFunction, rho: float, nu: JointDistribution) -> float:
@@ -328,11 +399,26 @@ def stability(f: TableFunction, rho: float, nu: JointDistribution) -> float:
     The realness check is relative: rounding in the imaginary part scales
     with ||f||^2, so the tolerance is IDENTITY_TOL * max(1, ||f||^2).
     """
-    val = inner_product(f, noise_apply(f, rho, nu), nu)
-    err = abs(val.imag)
-    if err > IDENTITY_TOL and err > IDENTITY_TOL * inner_product(f, f, nu).real:
-        raise AssertionError(f"stability came out non-real: {val}")
-    return val.real
+    return stabilities(f.values[None], f.n, f.alphabet, rho, nu)[0]
+
+
+def stabilities(rows: np.ndarray, n: int, alpha: Alphabet, rho: float,
+                nu: JointDistribution) -> list[float]:
+    """`stability` of each row of a (batch, |alpha|^n) array of tables: the
+    terms of every row, and of its norm for the realness check, are the
+    products `inner_product` forms, summed by one `fsums` call."""
+    _check_rho(rho)
+    w = _measure_weights(nu, alpha)
+    shape = (len(alpha),) * n
+    noised = np.array([_noise(row.reshape(shape), w, rho).ravel() for row in rows])
+    weight = _weight_tensor(w, n)
+    terms = rows * np.conj(noised.reshape(rows.shape)) * weight
+    sums = fsums(np.concatenate((terms.real, terms.imag)))
+    for r, (re, im) in enumerate(zip(sums, sums[len(rows):])):
+        if abs(im) > IDENTITY_TOL and abs(im) > IDENTITY_TOL * fsums(
+                (rows[r:r + 1] * np.conj(rows[r:r + 1]) * weight).real)[0]:
+            raise AssertionError(f"stability came out non-real: {complex(re, im)}")
+    return sums[:len(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +440,12 @@ def efron_stein(f: TableFunction, nu: JointDistribution) -> EfronSteinDecomposit
 
     At each coordinate every degree part splits into its nu-average along
     that coordinate (same degree) and the remainder (degree + 1), so after
-    the last coordinate part d is f^{=d} = sum_{|S|=d} f^{=S}. The guard is
-    on the n+1 stacked parts.
+    the last coordinate part d is f^{=d} = sum_{|S|=d} f^{=S}. The squared
+    norms of the n+1 parts and of f are one `fsums` call over their terms;
+    the guard is on those n+2 rows.
     """
     a = len(f.alphabet)
-    _check_tensor_size((f.n + 1) * a ** f.n, "degree decomposition")
+    _check_tensor_size((f.n + 2) * a ** f.n, "degree decomposition")
     w = _measure_weights(nu, f.alphabet)
     parts = f.values.reshape((1,) + (a,) * f.n)
     for axis in range(1, f.n + 1):
@@ -368,13 +455,12 @@ def efron_stein(f: TableFunction, nu: JointDistribution) -> EfronSteinDecomposit
         graded[1:] += parts - avg
         parts = graded
     tables = tuple(TableFunction(f.n, f.alphabet, part) for part in parts)
-    return EfronSteinDecomposition(
-        n=f.n,
-        alphabet=f.alphabet,
-        parts=tables,
-        degree_weights=tuple(inner_product(t, t, nu).real for t in tables),
-        norm_sq=inner_product(f, f, nu).real,
-    )
+    weight, squares = _weight_tensor(w, f.n), np.empty((len(tables) + 1, len(f.values)))
+    for row, values in zip(squares, [t.values for t in tables] + [f.values]):
+        row[:] = (values * np.conj(values) * weight).real  # the terms of inner_product
+    *weights, norm_sq = fsums(squares)
+    return EfronSteinDecomposition(n=f.n, alphabet=f.alphabet, parts=tables,
+                                   degree_weights=tuple(weights), norm_sq=norm_sq)
 
 
 def restrict(f: TableFunction, assignment: Mapping[int, str]) -> TableFunction:

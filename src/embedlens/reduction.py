@@ -30,12 +30,12 @@ from .distributions import (
 from .errors import SizeGuardError, ValidationError
 from .functions import (
     ProductFunction,
+    TENSOR_GUARD,
     TableFunction,
     _measure_weights,
     column_map,
     column_product,
-    restrict,
-    stability,
+    stabilities,
 )
 
 STAR = "*"
@@ -206,19 +206,25 @@ def check_coupling_identity(dist: JointDistribution, f1: TableFunction, n: int,
     lhs = exact_correlation(coupling, [f1, f1.conj(), g.conj()], n).value
 
     rho = float(1 - params.p_star)
-    pairs = list(zip(params.nu1.support, params.nu1.weights))
+    a, pairs = len(f1.alphabet), params.nu1.code_array
     terms = []
     for mask in range(2 ** n):
         inside = [j for j in range(n) if mask >> j & 1]
-        w_i = rate ** len(inside) * (1 - rate) ** (n - len(inside))
+        t, free = len(inside), n - len(inside)
+        w_i = rate ** t * (1 - rate) ** free
         if w_i == 0:
             continue
-        for assign in iter_product(pairs, repeat=len(inside)):
-            w_z = Fraction(prod(w for _, w in assign), params.nu1.denominator ** len(inside))
-            z = {j: a for j, ((a, _), _) in zip(inside, assign)}
-            zp = {j: b for j, ((_, b), _) in zip(inside, assign)}
-            h = restrict(f1, z) * restrict(f1, zp).conj()
-            terms.append(float(w_i * w_z) * stability(h, rho, params.mu1))
+        rows = np.moveaxis(f1.values.reshape((a,) * n), inside, range(t)).reshape(a ** t, -1)
+        z = zp = np.zeros(1, dtype=np.int64)  # rows of z and z', assignments in product order
+        for _ in inside:
+            z, zp = np.add.outer(z * a, pairs[:, 0]).ravel(), np.add.outer(zp * a, pairs[:, 1]).ravel()
+        block, stabs = max(1, TENSOR_GUARD // a ** free), []
+        for s in range(0, len(z), block):
+            h = rows[z[s:s + block]] * np.conj(rows[zp[s:s + block]])
+            stabs += stabilities(h, free, f1.alphabet, rho, params.mu1)
+        scale = w_i.denominator * params.nu1.denominator ** t
+        terms += [w_i.numerator * prod(ws) / scale * stab for ws, stab in zip(
+            iter_product(params.nu1.weights, repeat=t), stabs)]
     rhs = fsum(terms)
     return CouplingIdentityReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs),
                                   restriction_rate=rate, p_star=Fraction(p_star))

@@ -31,7 +31,7 @@ import cmath
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product, zip_longest
-from math import fsum, lcm
+from math import fsum, lcm, prod
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,9 +58,12 @@ from embedlens.functions import (
     ProductFunction,
     TableFunction,
     _measure_weights,
+    _weight_tensor,
+    noise_apply,
+    restrict,
 )
 from embedlens.intlattice import IntMatrix, normalize_vector, row_basis, smith_normal_form
-from embedlens.reduction import PAIR_SEP, STAR, StarAlphabet, pair_symbol
+from embedlens.reduction import PAIR_SEP, STAR, StarAlphabet, pair_symbol, star_coupling_params
 
 
 # exp(2 pi i q) at the quarters q of the circle, exactly
@@ -153,6 +156,42 @@ def enumerate_g(f1, mu1) -> TableFunction:
             ims.append(t.imag)
         values.append(complex(fsum(res), fsum(ims)))
     return TableFunction(n, star.alphabet, values)
+
+
+def per_term_coupling_rhs(dist, f1, n, rate, p_star) -> float:
+    """The coupling identity's rhs, one `stability` call per inside set I and
+    assignment (z, z') from nu1^I, each on restrict(f1, z) * conj(restrict(f1, z'))."""
+    params = star_coupling_params(dist, p_star)
+    rho = float(1 - params.p_star)
+    pairs = list(zip(params.nu1.support, params.nu1.weights))
+    terms = []
+    for mask in range(2 ** n):
+        inside = [j for j in range(n) if mask >> j & 1]
+        w_i = rate ** len(inside) * (1 - rate) ** (n - len(inside))
+        if w_i == 0:
+            continue
+        for assign in iter_product(pairs, repeat=len(inside)):
+            w_z = Fraction(prod(w for _, w in assign), params.nu1.denominator ** len(inside))
+            z = {j: a for j, ((a, _), _) in zip(inside, assign)}
+            zp = {j: b for j, ((_, b), _) in zip(inside, assign)}
+            h = restrict(f1, z) * restrict(f1, zp).conj()
+            terms.append(float(w_i * w_z) * fsum_stability(h, rho, params.mu1))
+    return fsum(terms)
+
+
+def fsum_inner_product(f, g, nu) -> complex:
+    """<f, g> with the terms `inner_product` forms, summed by math.fsum."""
+    w = _weight_tensor(_measure_weights(nu, f.alphabet), f.n)
+    terms = f.values * np.conj(g.values) * w
+    return complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
+
+
+def fsum_stability(f, rho, nu) -> float:
+    """<f, T_rho f> with the realness check of `stability`, by `fsum_inner_product`."""
+    val = fsum_inner_product(f, noise_apply(f, rho, nu), nu)
+    if abs(val.imag) > 1e-10 and abs(val.imag) > 1e-10 * fsum_inner_product(f, f, nu).real:
+        raise AssertionError(f"stability came out non-real: {val}")
+    return val.real
 
 
 def subset_efron_stein(f, nu) -> dict[tuple[int, ...], TableFunction]:

@@ -6,9 +6,10 @@ requests and CLI requests through `cli.main` under the tracer, in a child
 process, so the wrappers the tracer installs do not leak into other tests,
 and checks that their spans and counters are recorded. The second replays
 the requests whose answers the benchmark pins by digest, and the third pins
-the digests of the `lattice` workload's `analyze` requests. The last pins
+the digests of the `lattice` workload's `analyze` requests. The fourth pins
 every float and exact pair of the `exact` workload's character requests,
-which its checker compares only through the exact pair.
+which its checker compares only through the exact pair, and the last the
+digests of every `dense` request, which its checker compares to a tolerance.
 """
 
 import contextlib
@@ -178,3 +179,44 @@ def test_exact_workload_character_results_are_pinned(tmp_path, monkeypatch):
             f"{q.numerator}/{q.denominator}" for q in res.exact)
         h.update(f"{res.value.real.hex()} {res.value.imag.hex()} {exact}\n".encode())
     assert h.hexdigest() == CHARS_DIGEST
+
+
+DENSE_DIGESTS = "9883acaff46b75045002f5af61a1930c04338b82de9671679d6af192607e94d6"
+
+DENSE_CHILD = r"""
+import contextlib
+import hashlib
+import io
+import json
+import sys
+
+import run  # sets the benchmark's one-thread BLAS pools before numpy loads
+import embedlens.cli
+import workloads
+
+w = workloads.build("dense", 1, sys.argv[1])
+h = hashlib.sha256()
+with contextlib.redirect_stdout(io.StringIO()):
+    for name in w.fixtures:
+        assert embedlens.cli.main(["fixture", name, w.path(name + ".json")]) == 0
+for req in w.requests:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert embedlens.cli.main(list(req.args)) == 0, req.rid
+    h.update(json.loads(out.getvalue())["manifest"]["digest"].encode())
+print(len(w.requests), h.hexdigest())
+"""
+
+
+def test_dense_workload_digests_are_pinned(tmp_path):
+    """The 61 requests of the `dense` workload (seed 1) through `cli.main`,
+    in a child process with the benchmark's BLAS settings, since a BLAS
+    kernel's summation order may follow its thread count; the sha256 over
+    their manifest digests, in request order, pins every float the dense
+    routes print, to the bit."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", DENSE_CHILD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["61", DENSE_DIGESTS]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from embedlens import fixtures, intlattice
 from embedlens.distributions import alphabet, uniform_on
-from embedlens.errors import dumps, read_json, write_json
+from embedlens.errors import ValidationError, dumps, read_json, write_json
 from embedlens.embedding import (
     _fraction_kernel,
     _rank_mod_p,
@@ -127,6 +127,28 @@ def test_brute_force_full_support_none():
     sup = list(product("01", repeat=2))
     w = brute_force_embedding(sup, [B, B], max_modulus=6)
     assert w is None
+
+
+@pytest.mark.parametrize("support, error, message", [
+    ([("0", "1"), ("0", "2")], ValidationError, "atom ('0', '2'): symbol '2' not in alphabet 1"),
+    ([("0",), ("1", "1")], ValidationError,
+     "atom ('0',) has arity 1, expected 2; mass sum != 1 (got 1/2)"),
+    ([["0", "1"]], TypeError, "unhashable type: 'list'"),
+    ([("0", "1"), "01", ("1", "1")], ValidationError, "mass sum != 1 (got 2/3)"),
+    ([], ValidationError, "support must be non-empty"),
+])
+def test_brute_force_names_bad_atoms_as_the_distribution_reader_does(support, error, message):
+    """The oracle codes atoms straight through the alphabets' index maps, and
+    a bad atom still gets the message a `uniform_on` distribution gives."""
+    with pytest.raises(error) as exc:
+        brute_force_embedding(support, [B, B], max_modulus=3)
+    assert str(exc.value) == message
+
+
+def test_brute_force_reads_repeated_and_string_atoms_once():
+    sup = [("1", "1"), ("0", "0"), ("1", "1"), "01"]
+    assert brute_force_embedding(sup, [B, B], max_modulus=3) == brute_force_embedding(
+        [("0", "0"), ("0", "1"), ("1", "1")], [B, B], max_modulus=3)
 
 
 def test_brute_force_antidiagonal_shifts():

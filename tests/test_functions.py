@@ -1,13 +1,15 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 from itertools import product as iprod
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from embedlens import fixtures
+from embedlens import fixtures, functions as functions_module
 from embedlens.distributions import alphabet, univariate
 from embedlens.embedding import detect_embedding
 from embedlens.errors import SizeGuardError, ValidationError
@@ -18,13 +20,16 @@ from embedlens.functions import (
     character_function,
     efron_stein,
     expectation,
+    fsums,
     inner_product,
     noise_apply,
     restrict,
+    stabilities,
     stability,
     uniform_measure,
 )
-from oracles import evaluate, functions, measures, phase, subset_efron_stein
+from oracles import (evaluate, fsum_inner_product, fsum_stability, functions, measures, phase,
+                     subset_efron_stein)
 
 B = alphabet(["0", "1"])
 UB = uniform_measure(B)
@@ -188,7 +193,7 @@ def test_efron_stein_reconstruction_and_orthogonality():
 
 
 def test_efron_stein_work_guard():
-    # n = 19 is the smallest n whose 20 stacked degree parts exceed the guard
+    # n = 19 is the smallest n whose 21 summed rows (20 degree parts and f) exceed the guard
     f = TableFunction.constant(19, B, 1)
     with pytest.raises(SizeGuardError):
         efron_stein(f, UB)
@@ -380,3 +385,153 @@ def test_efron_stein_matches_subset_components(size, n, data):
         assert np.max(np.abs(part.values - want)) <= 1e-12
         weight = sum(inner_product(c, c, nu).real for s, c in comps.items() if len(s) == d)
         assert abs(dec.degree_weights[d] - weight) <= 1e-12
+    assert_weights_are_fsum_inner_products(dec, f, nu)
+
+
+def assert_weights_are_fsum_inner_products(dec, f, nu):
+    """Each W_d and ||f||^2 is exactly the math.fsum inner product of the oracle."""
+    for part, weight in zip(dec.parts, dec.degree_weights):
+        assert weight.hex() == fsum_inner_product(part, part, nu).real.hex()
+    assert dec.norm_sq.hex() == fsum_inner_product(f, f, nu).real.hex()
+
+
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(2, 3), data=st.data())
+def test_degree_weights_past_the_fsum_crossover_are_exact(size, data):
+    """Tables of 2^9 to 2^10 or 3^6 to 3^7 entries, whose rows the bucketed
+    kernel of `fsums` sums, give the oracle's weights to the bit."""
+    alpha = alphabet([str(s) for s in range(size)])
+    n = data.draw(st.integers(9, 10) if size == 2 else st.integers(6, 7))
+    assert size ** n > functions_module.FSUM_CROSSOVER
+    nu = data.draw(measures(alpha))
+    f = data.draw(functions(n, alpha))
+    assert_weights_are_fsum_inner_products(efron_stein(f, nu), f, nu)
+
+
+@settings(max_examples=80, deadline=None)
+@given(size=st.integers(1, 3), n=st.integers(0, 4), batch=st.integers(1, 40),
+       rho=st.floats(0, 1), data=st.data())
+def test_stabilities_are_each_rows_stability_to_the_bit(size, n, batch, rho, data):
+    """A batch of tables against one noise_apply and math.fsum inner product
+    per table: a tensordot over the batch at once changes bits of many rows."""
+    alpha = alphabet([str(s) for s in range(size)])
+    nu = data.draw(measures(alpha))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (batch, size ** n)
+    rows = np.sqrt(rng.random(shape)) * np.exp(2j * np.pi * rng.random(shape))
+    got = stabilities(rows, n, alpha, rho, nu)
+    want = [fsum_stability(TableFunction(n, alpha, row), rho, nu) for row in rows]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert stability(TableFunction(n, alpha, rows[0]), rho, nu) == got[0]
+
+
+# ---------------------------------------------------------------------------
+# fsums: math.fsum of each row, bit for bit
+
+KERNEL_SETTINGS = [  # (crossover, block): the program's, and the kernel on every row in small blocks
+    (functions_module.FSUM_CROSSOVER, functions_module.FSUM_BLOCK), (0, 64)]
+
+
+def outcome(fn, row) -> str:
+    """The sum's hex form (which shows the sign of a zero) or the exception's name."""
+    try:
+        return fn(row).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def exact_outcome(row) -> str:
+    """The exact sum of a finite row, rounded once, or OverflowError past the doubles."""
+    return outcome(lambda r: float(sum(map(Fraction, r), Fraction(0))), row)
+
+
+@st.composite
+def float_rows(draw, lengths):
+    """1 to 3 rows of doubles with exponents in a drawn window of [-1074, 1023]
+    (subnormals included), some zeros of either sign, and optionally each row
+    followed by its negated entries, so that its sum cancels exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = draw(st.integers(-1074, 1023))
+    hi = draw(st.integers(lo, min(1023, lo + draw(st.sampled_from([0, 3, 60, 2100])))))
+    length = draw(st.sampled_from(lengths))
+    cancel = draw(st.booleans()) and length % 2 == 0
+    shape = (draw(st.integers(1, 3)), length // 2 if cancel else length)
+    mant = rng.integers(2 ** 52, 2 ** 53, shape).astype(np.float64) * rng.choice([-1.0, 1.0], shape)
+    rows = np.ldexp(mant, rng.integers(lo, hi + 1, shape) - 52)  # rounds into subnormals below 2^-1022
+    rows[rng.random(shape) < draw(st.sampled_from([0, 0.1, 1]))] = 0.0
+    rows[rng.random(shape) < 0.5] *= -1.0  # the zeros too
+    if cancel:
+        rows = rng.permuted(np.concatenate((rows, -rows), axis=1), axis=1)
+    return rows
+
+
+def lengths_around(crossover: int, block: int) -> list[int]:
+    return sorted({0, 1, 2, max(0, crossover - 1), crossover, crossover + 1, crossover + 2,
+                   block - 1, block, block + 2, 3 * block + 6})
+
+
+@pytest.mark.parametrize("crossover, block", KERNEL_SETTINGS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fsums_is_fsum_bit_for_bit(crossover, block, data):
+    """Equal to math.fsum wherever fsum returns. Where fsum raises
+    OverflowError, fsums raises too or, if only fsum's partial sums
+    overflowed, returns the exact sum rounded once (the documented
+    difference); past the doubles both raise."""
+    rows = data.draw(float_rows(lengths_around(crossover, block)))
+    with mock.patch.multiple(functions_module, FSUM_CROSSOVER=crossover, FSUM_BLOCK=block):
+        got = [outcome(lambda r: fsums(r[None])[0], row) for row in rows]
+        if "OverflowError" not in got:
+            assert [s.hex() for s in fsums(rows)] == got  # the batch, rows sharing blocks
+    for row, value in zip(rows, got):
+        want = outcome(math.fsum, row.tolist())
+        assert value == want or want == "OverflowError" and value == exact_outcome(row)
+
+
+@pytest.mark.parametrize("crossover, block", KERNEL_SETTINGS)
+@pytest.mark.parametrize("length", [1, 300, 2 ** 14 + 1])
+def test_fsums_of_zeros_keeps_fsums_sign(crossover, block, length):
+    rows = np.zeros((3, length))
+    rows[0] = -0.0
+    rows[1, ::2] = -0.0
+    rows[2, 0] = 2.0 ** -1074
+    rows[2, -1] -= 2.0 ** -1074  # exact cancellation when length > 1
+    with mock.patch.multiple(functions_module, FSUM_CROSSOVER=crossover, FSUM_BLOCK=block):
+        got = [s.hex() for s in fsums(rows)]
+    assert got == [math.fsum(row).hex() for row in rows.tolist()]
+
+
+def test_fsums_of_empty_rows_and_of_no_rows():
+    assert fsums(np.zeros((3, 0))) == [0.0, 0.0, 0.0]
+    assert fsums(np.zeros((0, 5))) == []
+    assert fsums(np.zeros((0, 2 ** 15))) == []
+
+
+@pytest.mark.parametrize("crossover, block", KERNEL_SETTINGS)
+@pytest.mark.parametrize("length", [3, 300, 2 ** 14 + 1])
+@pytest.mark.parametrize("specials", [[math.inf], [-math.inf], [math.nan], [math.inf, -math.inf],
+                                      [math.inf, math.inf], [math.nan, math.inf]])
+def test_fsums_keeps_fsums_inf_and_nan_rules(crossover, block, length, specials):
+    rng = np.random.default_rng(length)
+    row = rng.standard_normal(length) * 1e300
+    row[rng.choice(length, len(specials), replace=False)] = specials
+    with mock.patch.multiple(functions_module, FSUM_CROSSOVER=crossover, FSUM_BLOCK=block):
+        got = outcome(lambda r: fsums(r[None])[0], row)
+    assert got == outcome(math.fsum, row.tolist())
+
+
+def test_fsums_raises_past_the_largest_double_and_sums_through_fsums_overflow():
+    top = np.full(2 ** 14, 2.0 ** 1023)
+    for crossover, block in KERNEL_SETTINGS:
+        with mock.patch.multiple(functions_module, FSUM_CROSSOVER=crossover, FSUM_BLOCK=block):
+            with pytest.raises(OverflowError):
+                fsums(top[None])
+            with pytest.raises(OverflowError):
+                fsums(np.array([[1.5 * 2.0 ** 1023, 2.0 ** 1022]]))
+    # math.fsum overflows adding the first two entries; the exact sum is
+    # 2^1022, and the kernel's buckets never overflow.
+    row = [1.5 * 2.0 ** 1023, 2.0 ** 1022, -1.5 * 2.0 ** 1023]
+    with pytest.raises(OverflowError):
+        math.fsum(row)
+    with mock.patch.multiple(functions_module, FSUM_CROSSOVER=0):
+        assert fsums(np.array([row])) == [2.0 ** 1022]

@@ -2,7 +2,9 @@ import cmath
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import product as iprod
 from math import log
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from oracles import (
     fraction_star_params,
     functions,
     measures,
+    per_term_coupling_rhs,
     prime_masses,
 )
 
@@ -68,8 +71,6 @@ def product_of(dists):
     # independent product of univariate distributions
     alphabets = [d.alphabets[0] for d in dists]
     atoms = {}
-    from itertools import product as iprod
-
     for combo in iprod(*[d.support for d in dists]):
         key = tuple(x[0] for x in combo)
         mass = Fraction(1)
@@ -405,3 +406,27 @@ def test_paired_copies_and_star_coupling_match_fraction_oracles(raw, data):
     p_nu = data.draw(st.fractions(0, 1, max_denominator=30), label="p_nu")
     assert_exact(build_star_coupling(dataclasses.replace(params, p_nu=p_nu)),
                  fraction_star_coupling(p_nu, p_star, nu1, mu1))
+
+
+@st.composite
+def full_support(draw):
+    """A 3-ary distribution on every cell of alphabets of 2 or 3 symbols."""
+    alphabets = [alphabet([str(v) for v in range(draw(st.integers(2, 3)))]) for _ in range(3)]
+    cells = list(iprod(*[a.symbols for a in alphabets]))
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(cells), max_size=len(cells)))
+    return JointDistribution(alphabets, {x: Fraction(r, sum(raw)) for x, r in zip(cells, raw)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 3),
+       rate=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(15, 16), Fraction(1)]),
+       p_star=st.fractions(0, 1, max_denominator=12), guard=st.sampled_from([10 ** 7, 1, 5]),
+       data=st.data())
+def test_batched_coupling_rhs_matches_the_per_term_oracle(n, rate, p_star, guard, data):
+    """The rhs, batched per inside set (in blocks of at most `guard` entries),
+    equals one `stability` per assignment summed by math.fsum, to the bit."""
+    dist = data.draw(st.sampled_from([fixtures.three_lin(), fixtures.z3_sum()]) | full_support())
+    f1 = data.draw(functions(n, dist.alphabets[0]))
+    with mock.patch("embedlens.reduction.TENSOR_GUARD", guard):
+        got = check_coupling_identity(dist, f1, n, rate, p_star).rhs
+    assert got.hex() == per_term_coupling_rhs(dist, f1, n, rate, p_star).hex()
