@@ -782,6 +782,26 @@ def triple_product(elems, orders=None):
     return [alphabet(sorted(nm.values())) for nm in names], support
 
 
+def smith_supports() -> dict[str, tuple[list, list]]:
+    """(alphabets, support) of supports whose verdict the Smith normal form of
+    H decides: the A4 and S4 triple products (a Z_3 and a Z_2 witness), one
+    S4 triple product with each coordinate relabelled, the Z_4-sum with
+    k = 4, and a rank-deficient support on three ternary coordinates whose
+    witness is a kernel column of V (into Z)."""
+    a4, s4 = group_elements(4, True), group_elements(4, False)
+    rng = random.Random(1)
+    orders = [rng.sample(range(len(s4)), len(s4)) for _ in range(3)]
+    zsum = [tuple(map(str, x)) for x in iter_product(range(4), repeat=4) if sum(x) % 4 == 0]
+    deficient = [tuple(x) for x in ("222", "112", "220", "021", "202", "001", "012", "010")]
+    return {
+        "a4-triple": triple_product(a4),
+        "s4-triple": triple_product(s4),
+        "s4-relabelled": triple_product(s4, orders),
+        "z4-sum-k4": ([_alphabet(4)] * 4, zsum),
+        "rank-deficient": ([_alphabet(3)] * 3, deficient),
+    }
+
+
 @st.composite
 def lattice_supports(draw):
     """(alphabets, support) of three kinds: a random support (k 2..5,

@@ -16,11 +16,11 @@ import embedlens
 from embedlens import dicttest, embedding, fixtures
 from embedlens.cli import SWEEP_GUARD, _emit, _parser, build_parser, main
 from embedlens.correlation import exact_correlation
-from embedlens.distributions import MC_DRAW_GUARD, JointDistribution
+from embedlens.distributions import MC_DRAW_GUARD, JointDistribution, uniform_on
 from embedlens.dicttest import TestInstance
 from embedlens.errors import ValidationError, dumps, write_json
 from embedlens.functions import ProductFunction
-from oracles import group_elements, instance_json, triple_product, truth_json
+from oracles import group_elements, instance_json, smith_supports, triple_product, truth_json
 
 
 def run_cli(capsys, *argv):
@@ -483,6 +483,34 @@ def test_analyze_result_bytes_pinned(name, tmp_path, capsys):
     canonical = json.dumps(payload["result"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == ANALYZE_DIGESTS[name]
     assert payload["manifest"]["digest"] == ANALYZE_DIGESTS[name]
+
+
+# The same digest of `analyze` on the supports of `oracles.smith_supports`,
+# where H is not the identity and the Smith normal form of H gives the
+# divisors, the rank and the witness; recorded with the dense elimination.
+SMITH_DIGESTS = {
+    "a4-triple": "e7b7f9aac49b8937c85fa731fcd9bb3fdfbad18fa3c6166ad7ae0b7d6c9f98ba",
+    "s4-triple": "e6cdfd0458991c8a0f8333279828f7153c58eb69af66e18dce8866b6d1c0f8be",
+    "s4-relabelled": "bdd12728e5e1e4aeb8dd874a786f96910a9982563dbf65b8967611a41d0ffb4d",
+    "z4-sum-k4": "90474c2c30b68cc2ceaf304fb0bcebf303713d832f288e1426c042e6b05e2756",
+    "rank-deficient": "164ee10191ac0c18e4e5d4da6f0c17fb90456aae5a4cc0accce61c42721bf5d5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMITH_DIGESTS))
+def test_analyze_bytes_pinned_where_the_smith_form_decides(name, tmp_path, capsys):
+    alphabets, support = smith_supports()[name]
+    mu = uniform_on(alphabets, support)
+    verdict = embedding.detect_embedding(mu)
+    assert verdict.rank < verdict.s or verdict.snf_divisors[-1] > 1  # H is not the identity
+    dist = tmp_path / "mu.json"
+    mu.save(str(dist))
+    code, out = run_cli(capsys, "analyze", str(dist))
+    assert code == 0
+    payload = json.loads(out)
+    canonical = json.dumps(payload["result"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == SMITH_DIGESTS[name]
+    assert payload["manifest"]["digest"] == SMITH_DIGESTS[name]
 
 
 # sha256 of the full stdout (manifest, indentation and final newline
