@@ -134,8 +134,9 @@ def criterion_2_snf_certificates() -> CriterionResult:
     for _ in range(count):
         r = rng.randrange(1, 9)
         c = rng.randrange(1, 9)
-        a = IntMatrix.from_rows([[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)])
-        snf = smith_normal_form(a)
+        rows = [[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)]
+        a = IntMatrix.from_rows(rows)
+        snf = smith_normal_form([{j: x for j, x in enumerate(row) if x} for row in rows], c)
         ok = (snf.U @ a @ snf.V).entries == snf.D.entries
         ok = ok and abs(snf.U.det()) == 1 and abs(snf.V.det()) == 1
         nz = [d for d in snf.divisors if d]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import gcd
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -25,8 +25,7 @@ import numpy as np
 
 from .distributions import Alphabet, Atom, JointDistribution, _code, uniform_on
 from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int
-from .intlattice import (INT64_BOUND, IntMatrix, normalize_vector, smith_normal_form,
-                         span_hermite_form)
+from .intlattice import INT64_BOUND, normalize_vector, smith_normal_form, span_hermite_form
 
 ORACLE_NODE_BUDGET = 20_000_000  # search nodes of one brute-force modulus
 
@@ -176,12 +175,12 @@ def detect_embedding(dist: JointDistribution) -> EmbeddingVerdict:
     elif len(h) == s and all(r[i] == 1 for i, r in enumerate(h)):
         return EmbeddingVerdict(False, None, (1,) * s, s, s)  # L = Z^s
     else:
-        snf = smith_normal_form(IntMatrix(len(h), s, tuple(chain.from_iterable(h))))
+        snf = smith_normal_form(h, s)
         rank, divisors = snf.rank, snf.divisors[:snf.rank]
         if rank < s:
-            vec, m = normalize_vector([snf.V.entry(i, rank) for i in range(s)]), 0
+            vec, m = normalize_vector(snf.v_column(rank)), 0
         elif (j := next((j for j, d in enumerate(divisors) if d > 1), None)) is not None:
-            vec, m = [snf.V.entry(i, j) for i in range(s)], divisors[j]
+            vec, m = snf.v_column(j), divisors[j]
         else:
             return EmbeddingVerdict(False, None, divisors, rank, s)
     witness = _witness_from_vector(cm.index_map, dist.alphabets, vec, m)

@@ -1,11 +1,13 @@
 """Exact integer matrix normal forms over arbitrary-precision integers.
 
-The Smith normal form here is the workhorse behind the Abelian-embedding
-decision: the constraint lattice equals Z^S exactly when the decomposition
-has full rank and all invariant factors equal 1. Entry growth during
-elimination is accepted (desk-scale matrices); the pivot rule picks the
-minimal-absolute-value nonzero entry, tie-broken by smallest (row, col)
-lexicographically, so decompositions are deterministic.
+The Smith normal form of the lattice's Hermite form decides the Abelian
+embedding: the constraint lattice equals Z^S exactly when it has full rank
+and all invariant factors equal 1. The pivot rule picks the minimal
+nonzero |entry|, ties to the smallest (row, col), so decompositions are
+deterministic. The elimination runs on sparse rows and columns and skips
+only operations on zeros, so its pivots, U, V and D are those of the dense
+elimination, which the tests keep as the oracle; U, V and D become dense
+only when read. Entry growth is accepted (desk-scale matrices).
 
 The lattice spanned by 0/1 rows is found by `span_hermite_form`, by one
 route for any number of rows: a small selection of rows is reduced
@@ -17,11 +19,12 @@ kept Hermite basis and checks only the rows that failed the round before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd
-from operator import itemgetter
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -46,54 +49,34 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        r = len(rows)
-        c = len(rows[0])
+        c = len(rows[0]) if rows else 0
         if any(len(row) != c for row in rows):
             raise ValidationError("ragged rows")
-        return cls(r, c, tuple(map(int, chain.from_iterable(rows))))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        entries = [0] * (n * n)
-        entries[::n + 1] = [1] * n
-        return cls(n, n, tuple(entries))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return cls(len(rows), c, tuple(map(int, chain.from_iterable(rows))))
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValidationError("dimension mismatch in matrix product")
-        out = []
-        ocols = [[other.entry(i, j) for i in range(other.rows)] for j in range(other.cols)]
-        for i in range(self.rows):
-            r = self.row(i)
-            out.append([sum(a * b for a, b in zip(r, col)) for col in ocols])
-        return IntMatrix.from_rows(out)
+        ocols = [other.entries[j::other.cols] for j in range(other.cols)]
+        return IntMatrix.from_rows([[sum(map(mul, self.row(i), col)) for col in ocols]
+                                    for i in range(self.rows)])
 
     def det(self) -> int:
         """Exact determinant via fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise ValidationError("determinant of non-square matrix")
         n = self.rows
-        m = self.to_lists()
-        sign = 1
-        prev = 1
+        m = [list(self.row(i)) for i in range(n)]
+        sign = prev = 1
         for t in range(n - 1):
             if m[t][t] == 0:
-                for i in range(t + 1, n):
-                    if m[i][t] != 0:
-                        m[t], m[i] = m[i], m[t]
-                        sign = -sign
-                        break
-                else:
+                i = next((i for i in range(t + 1, n) if m[i][t]), None)
+                if i is None:
                     return 0
+                m[t], m[i], sign = m[i], m[t], -sign
             for i in range(t + 1, n):
                 for j in range(t + 1, n):
                     m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
@@ -107,90 +90,134 @@ class SNFDecomposition:
     """U @ A @ V = D with unimodular U, V and divisor chain d1 | d2 | ...
 
     `divisors` lists the full diagonal of D (trailing zeros included, all
-    nonnegative); `rank` counts the nonzero ones.
+    nonnegative); `rank` counts the nonzero ones. U and D are held as
+    sparse rows {column: entry} and V as sparse columns {row: entry}; each
+    is built as an `IntMatrix` when first read, and `v_column` reads one
+    column of V without building it.
     """
 
-    U: IntMatrix
-    V: IntMatrix
-    D: IntMatrix
     divisors: tuple[int, ...]
     rank: int
+    u: list[dict[int, int]] = field(repr=False)
+    v: list[dict[int, int]] = field(repr=False)
+    d: list[dict[int, int]] = field(repr=False)
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        n = len(self.u)
+        return IntMatrix(n, n, tuple(r.get(j, 0) for r in self.u for j in range(n)))
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        n = len(self.v)
+        return IntMatrix(n, n, tuple(c.get(i, 0) for i in range(n) for c in self.v))
+
+    @cached_property
+    def D(self) -> IntMatrix:
+        n = len(self.v)
+        return IntMatrix(len(self.d), n, tuple(r.get(j, 0) for r in self.d for j in range(n)))
+
+    def v_column(self, j: int) -> list[int]:
+        """Column j of V as a dense list."""
+        return [self.v[j].get(i, 0) for i in range(len(self.v))]
 
 
-def _min_pivot(m, t, nrows, ncols):
-    # Minimal |value| among nonzero entries of the trailing block; first hit
-    # in (row, col) order wins ties, so the first unit ends the scan.
-    best = None
-    pos = None
-    for i in range(t, nrows):
-        mi = m[i]
-        for j in range(t, ncols):
-            v = mi[j]
-            if v != 0:
-                a = -v if v < 0 else v
-                if a == 1:
-                    return i, j
-                if best is None or a < best:
-                    best = a
-                    pos = (i, j)
-    return pos
+def _min_pivot(m: list[dict[int, int]], t: int) -> tuple[int, int] | None:
+    # (row, col) of the minimal |value| among the nonzero entries of rows t..
+    # (the trailing block: the columns before t are cleared), ties to the
+    # smallest (row, col); None when the block is zero.
+    best = min(((abs(x), i, j) for i in range(t, len(m)) for j, x in m[i].items()), default=None)
+    return best and best[1:]
 
 
-def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
-    """Deterministic Smith normal form with unimodular certificates."""
-    nr, nc = a.rows, a.cols
-    m = a.to_lists()
-    u = IntMatrix.identity(nr).to_lists()
-    v = IntMatrix.identity(nc).to_lists()
+def smith_normal_form(rows: Sequence[Mapping[int, int]], cols: int) -> SNFDecomposition:
+    """Deterministic Smith normal form with unimodular certificates of the
+    matrix whose rows are the sparse rows {column: entry} over `cols` columns.
+
+    The elimination of Kannan & Bachem with the pivot rule of the module
+    docstring, on sparse rows of the matrix and of U, with the rows nonzero
+    in each column indexed, and on sparse columns of V: an operation touches
+    only the nonzeros it reads or changes. The pivots, the operations and so
+    U, V and D are those of the dense elimination, kept as the tests' oracle.
+    """
+    nr, nc = len(rows), cols
+    if nr <= 0 or nc <= 0:
+        raise ValidationError("matrix dimensions must be positive")
+    m = [{j: x for j, x in r.items() if x} for r in rows]
+    if not all(0 <= j < nc for j in set().union(*m)):
+        raise ValidationError(f"row column out of range for {nc} columns")
+    at: list[set[int]] = [set() for _ in range(nc)]  # column -> rows nonzero there
+    for i, r in enumerate(m):
+        for j in r:
+            at[j].add(i)
+    u = [{i: 1} for i in range(nr)]  # rows of U
+    v = [{j: 1} for j in range(nc)]  # columns of V
+
+    def put(i, j, w):  # m[i][j] = w
+        if w:
+            m[i][j] = w
+            at[j].add(i)
+        else:
+            del m[i][j]
+            at[j].discard(i)
 
     def row_sub(i, t, q):
         if q:
-            mt, ut = m[t], u[t]
-            m[i] = [x - q * y for x, y in zip(m[i], mt)]
-            u[i] = [x - q * y for x, y in zip(u[i], ut)]
+            for j, y in m[t].items():
+                put(i, j, m[i].get(j, 0) - q * y)
+            _add_multiple(u[i], -q, u[t])
 
     def col_sub(j, t, q):
         if q:
-            for r in m:
-                r[j] -= q * r[t]
-            for r in v:
-                r[j] -= q * r[t]
+            for i in at[t]:
+                put(i, j, m[i].get(j, 0) - q * m[i][t])
+            _add_multiple(v[j], -q, v[t])
 
     def swap_rows(i, t):
         if i != t:
+            for j in m[i].keys() ^ m[t].keys():
+                at[j] ^= {i, t}
             m[i], m[t] = m[t], m[i]
             u[i], u[t] = u[t], u[i]
 
     def swap_cols(j, t):
         if j != t:
-            for r in m:
-                r[j], r[t] = r[t], r[j]
-            for r in v:
-                r[j], r[t] = r[t], r[j]
+            for i in at[j] | at[t]:
+                x, y = m[i].pop(j, 0), m[i].pop(t, 0)
+                if x:
+                    m[i][t] = x
+                if y:
+                    m[i][j] = y
+            at[j], at[t] = at[t], at[j]
+            v[j], v[t] = v[t], v[j]
 
     def negate_row(t):
-        m[t] = [-x for x in m[t]]
-        u[t] = [-x for x in u[t]]
+        m[t] = {j: -x for j, x in m[t].items()}
+        u[t] = {j: -x for j, x in u[t].items()}
 
-    rank = 0
+    # From step t on, the rows and columns before t are zero off the
+    # diagonal, and the pivot m[t][t] stays nonzero within the step, so
+    # at[t] holds t and the rows below t nonzero in column t.
     for t in range(min(nr, nc)):
-        pos = _min_pivot(m, t, nr, nc)
+        # a unit at (t, t) is the first unit of the trailing block
+        pos = (t, t) if m[t].get(t) in (1, -1) else _min_pivot(m, t)
         if pos is None:
             break
         swap_rows(pos[0], t)
         swap_cols(pos[1], t)
         while True:
-            # Clear column t, re-pivoting on the smallest remainder.
+            # Clear column t, re-pivoting on the smallest remainder. An
+            # operation for row i changes only rows i and t, so the rows
+            # below t that are nonzero in column t can be listed first.
             while True:
                 if m[t][t] < 0:
                     negate_row(t)
                 dirty = False
-                for i in range(t + 1, nr):
-                    if m[i][t]:
-                        row_sub(i, t, m[i][t] // m[t][t])
-                        if m[i][t]:
-                            swap_rows(i, t)
-                            dirty = True
+                for i in sorted(at[t])[1:]:
+                    row_sub(i, t, m[i][t] // m[t][t])
+                    if t in m[i]:
+                        swap_rows(i, t)
+                        dirty = True
                 if not dirty:
                     break
             # Clear row t; nonzero remainders become the new pivot.
@@ -198,54 +225,36 @@ def smith_normal_form(a: IntMatrix) -> SNFDecomposition:
                 if m[t][t] < 0:
                     negate_row(t)
                 dirty = False
-                for j in range(t + 1, nc):
-                    if m[t][j]:
-                        q = m[t][j] // m[t][t]
-                        col_sub(j, t, q)
-                        if m[t][j]:
-                            swap_cols(j, t)
-                            dirty = True
+                for j in sorted(m[t])[1:]:
+                    col_sub(j, t, m[t][j] // m[t][t])
+                    if j in m[t]:
+                        swap_cols(j, t)
+                        dirty = True
                 if not dirty:
                     break
-            if any(map(itemgetter(t), m[t + 1:])):
+            if len(at[t]) > 1:
                 continue  # row clearing disturbed the column
-            if m[t][t] == 1:
+            p = m[t][t]
+            if p == 1:
                 break  # a unit divides the whole trailing block
-            # Enforce divisibility of the trailing block by the pivot.
-            fixed = True
-            for i in range(t + 1, nr):
-                bad = next((j for j in range(t + 1, nc) if m[i][j] % m[t][t]), None)
-                if bad is not None:
-                    row_sub(t, i, -1)  # add row i to row t, then re-clear
-                    fixed = False
-                    break
-            if fixed:
+            # Enforce divisibility of the trailing block by the pivot: add the
+            # first row with an entry that p does not divide to row t, re-clear.
+            bad = next((i for i in range(t + 1, nr) if any(x % p for x in m[i].values())), None)
+            if bad is None:
                 break
+            row_sub(t, bad, -1)
         if m[t][t] < 0:
             negate_row(t)
-        rank = t + 1
-
-    divisors = tuple(m[t][t] for t in range(min(nr, nc)))
-    return SNFDecomposition(
-        U=IntMatrix(nr, nr, tuple(chain.from_iterable(u))),
-        V=IntMatrix(nc, nc, tuple(chain.from_iterable(v))),
-        D=IntMatrix(nr, nc, tuple(chain.from_iterable(m))),
-        divisors=divisors,
-        rank=rank,
-    )
+    divisors = tuple(m[t].get(t, 0) for t in range(min(nr, nc)))
+    return SNFDecomposition(divisors, len(divisors) - divisors.count(0), u, v, m)
 
 
 def normalize_vector(v: Sequence[int]) -> tuple[int, ...]:
     """v divided by the gcd of its entries, negated if its first nonzero is negative."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g > 1:
-        v = [x // g for x in v]
-    first = next((x for x in v if x != 0), 0)
-    if first < 0:
-        v = [-x for x in v]
-    return tuple(v)
+    g = gcd(*v) or 1
+    if next(filter(None, v), 0) < 0:
+        g = -g
+    return tuple(x // g for x in v)
 
 
 def row_basis(rows: Iterable[Mapping[int, int]], cols: int) -> list[list[int]]:
@@ -255,7 +264,7 @@ def row_basis(rows: Iterable[Mapping[int, int]], cols: int) -> list[list[int]]:
     basis: dict[int, dict[int, int]] = {}
     for src in rows:
         _insert(basis, {j: x for j, x in src.items() if x}, cols)
-    return _dense(basis, cols)
+    return [[b.get(j, 0) for j in range(cols)] for _, b in sorted(basis.items())]
 
 
 def _insert(basis: dict[int, dict[int, int]], r: dict[int, int], cols: int) -> None:
@@ -279,17 +288,6 @@ def _insert(basis: dict[int, dict[int, int]], r: dict[int, int], cols: int) -> N
             g, s, t = _ext_gcd(bl, rl)
             basis[l] = _add_multiple({j: s * x for j, x in b.items()} if s else {}, t, r)
             r = _add_multiple({j: (rl // g) * x for j, x in b.items()}, -(bl // g), r)
-
-
-def _dense(basis: dict[int, dict[int, int]], cols: int) -> list[list[int]]:
-    """The rows of an echelon basis as dense lists, sorted by leading column."""
-    out = []
-    for _, b in sorted(basis.items()):
-        row = [0] * cols
-        for j, x in b.items():
-            row[j] = x
-        out.append(row)
-    return out
 
 
 def _hermite(basis: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
@@ -316,8 +314,9 @@ def _hermite(basis: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
     return dict(sorted(h.items()))
 
 
-def span_hermite_form(idx: np.ndarray, cols: int) -> list[list[int]]:
-    """Row Hermite normal form H of the integer span of 0/1 rows.
+def span_hermite_form(idx: np.ndarray, cols: int) -> list[dict[int, int]]:
+    """Row Hermite normal form H of the integer span of 0/1 rows, as sparse
+    rows {column: entry} sorted by leading column.
 
     Row i holds a 1 in each of the distinct columns `idx[:, i]` below
     `cols` (the padding) and 0 elsewhere. A selection of rows, first the
@@ -339,7 +338,7 @@ def span_hermite_form(idx: np.ndarray, cols: int) -> list[list[int]]:
         h = _hermite(h)
         added, failed = _outside(idx[:, check], h, cols)
         new, check = check[added].tolist(), check[failed]
-    return _dense(h, cols)
+    return list(h.values())
 
 
 def _outside(idx: np.ndarray, h: dict[int, dict[int, int]],

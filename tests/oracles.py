@@ -1,9 +1,10 @@
 """Term-by-term enumeration oracles for the dense routes and the dictatorship
 test, `Fraction` oracles for the integer mass arithmetic of distributions,
 reductions, the character fold and the reading of distribution payloads,
-sample-at-a-time loops for the batched Monte Carlo estimates, the all-rows
-lattice route for the embedding verdict, the exhaustive soundness
-diagnostic `max_acceptance`, and small inputs to compare them on.
+sample-at-a-time loops for the batched Monte Carlo estimates, the dense
+Smith normal form, the all-rows lattice route for the embedding verdict,
+the exhaustive soundness diagnostic `max_acceptance`, and small inputs to
+compare them on.
 
 Each oracle walks every term of its sum in Python and shares no code with
 the per-coordinate tensor path or decision-diagram DP it checks: functions
@@ -62,7 +63,7 @@ from embedlens.functions import (
     noise_apply,
     restrict,
 )
-from embedlens.intlattice import IntMatrix, normalize_vector, row_basis, smith_normal_form
+from embedlens.intlattice import IntMatrix, normalize_vector, row_basis
 from embedlens.reduction import PAIR_SEP, STAR, StarAlphabet, pair_symbol, star_coupling_params
 
 
@@ -461,6 +462,124 @@ def fraction_characters(atoms: dict, functions, n) -> tuple[complex, tuple | Non
 
 
 # ---------------------------------------------------------------------------
+# The dense Smith normal form
+
+def entry(a: IntMatrix, i: int, j: int) -> int:
+    return a.entries[i * a.cols + j]
+
+
+def column(a: IntMatrix, j: int) -> list[int]:
+    return list(a.entries[j::a.cols])
+
+
+def densify(rows, cols: int) -> list[list[int]]:
+    """Sparse rows {column: entry} as dense lists."""
+    return [[r.get(j, 0) for j in range(cols)] for r in rows]
+
+
+def dense_smith_normal_form(a: IntMatrix) -> SimpleNamespace:
+    """`smith_normal_form` on dense lists: the same pivots and operations,
+    each row operation walking every entry of its rows of the matrix and U,
+    each column operation every row of the matrix and V, and the pivot
+    search every entry of the trailing block. Returns U, V, D as IntMatrix
+    values, the divisors and the rank."""
+    nr, nc = a.rows, a.cols
+    m = [list(a.row(i)) for i in range(nr)]
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_sub(i, t, q):
+        if q:
+            mt, ut = m[t], u[t]
+            m[i] = [x - q * y for x, y in zip(m[i], mt)]
+            u[i] = [x - q * y for x, y in zip(u[i], ut)]
+
+    def col_sub(j, t, q):
+        if q:
+            for r in m:
+                r[j] -= q * r[t]
+            for r in v:
+                r[j] -= q * r[t]
+
+    def swap_rows(i, t):
+        if i != t:
+            m[i], m[t] = m[t], m[i]
+            u[i], u[t] = u[t], u[i]
+
+    def swap_cols(j, t):
+        if j != t:
+            for r in m:
+                r[j], r[t] = r[t], r[j]
+            for r in v:
+                r[j], r[t] = r[t], r[j]
+
+    def negate_row(t):
+        m[t] = [-x for x in m[t]]
+        u[t] = [-x for x in u[t]]
+
+    def min_pivot(t):
+        # minimal |value| in the trailing block, first in (row, col) order
+        best = pos = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                x = abs(m[i][j])
+                if x and (best is None or x < best):
+                    best, pos = x, (i, j)
+                    if x == 1:
+                        return pos
+        return pos
+
+    rank = 0
+    for t in range(min(nr, nc)):
+        pos = min_pivot(t)
+        if pos is None:
+            break
+        swap_rows(pos[0], t)
+        swap_cols(pos[1], t)
+        while True:
+            while True:
+                if m[t][t] < 0:
+                    negate_row(t)
+                dirty = False
+                for i in range(t + 1, nr):
+                    if m[i][t]:
+                        row_sub(i, t, m[i][t] // m[t][t])
+                        if m[i][t]:
+                            swap_rows(i, t)
+                            dirty = True
+                if not dirty:
+                    break
+            while True:
+                if m[t][t] < 0:
+                    negate_row(t)
+                dirty = False
+                for j in range(t + 1, nc):
+                    if m[t][j]:
+                        col_sub(j, t, m[t][j] // m[t][t])
+                        if m[t][j]:
+                            swap_cols(j, t)
+                            dirty = True
+                if not dirty:
+                    break
+            if any(m[i][t] for i in range(t + 1, nr)):
+                continue
+            if m[t][t] == 1:
+                break
+            bad = next((i for i in range(t + 1, nr)
+                        if any(m[i][j] % m[t][t] for j in range(t + 1, nc))), None)
+            if bad is None:
+                break
+            row_sub(t, bad, -1)
+        if m[t][t] < 0:
+            negate_row(t)
+        rank = t + 1
+
+    return SimpleNamespace(U=IntMatrix.from_rows(u), V=IntMatrix.from_rows(v),
+                           D=IntMatrix.from_rows(m),
+                           divisors=tuple(m[t][t] for t in range(min(nr, nc))), rank=rank)
+
+
+# ---------------------------------------------------------------------------
 # The all-rows lattice route for the embedding verdict
 
 def tuple_constraint_matrix(dist) -> SimpleNamespace:
@@ -508,8 +627,8 @@ def hermite_normal_form(basis) -> list[list[int]]:
 
 
 def all_rows_embedding(dist, hermite: bool = True) -> EmbeddingVerdict:
-    """The verdict from `row_basis` over every constraint row, then the Smith
-    normal form, read as `detect_embedding` reads it.
+    """The verdict from `row_basis` over every constraint row, then the dense
+    Smith normal form, read as `detect_embedding` reads it.
 
     With hermite=False this is the route `detect_embedding` took before it
     reduced only a selection of rows. Its witness depends on the echelon
@@ -531,14 +650,14 @@ def all_rows_embedding(dist, hermite: bool = True) -> EmbeddingVerdict:
         return EmbeddingVerdict(True, verified([1] + [0] * (cm.s - 1), 0), (), 0, cm.s)
     if hermite:
         basis = hermite_normal_form(basis)
-    snf = smith_normal_form(IntMatrix.from_rows(basis))
+    snf = dense_smith_normal_form(IntMatrix.from_rows(basis))
     divisors = snf.divisors[:snf.rank]
     if snf.rank < cm.s:
-        vec = normalize_vector([snf.V.entry(i, snf.rank) for i in range(cm.s)])
+        vec = normalize_vector(column(snf.V, snf.rank))
         return EmbeddingVerdict(True, verified(vec, 0), divisors, snf.rank, cm.s)
     j = next((idx for idx, d in enumerate(divisors) if d > 1), None)
     if j is not None:
-        vec = [snf.V.entry(i, j) for i in range(cm.s)]
+        vec = column(snf.V, j)
         return EmbeddingVerdict(True, verified(vec, divisors[j]), divisors, snf.rank, cm.s)
     return EmbeddingVerdict(False, None, divisors, snf.rank, cm.s)
 

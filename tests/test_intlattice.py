@@ -16,11 +16,31 @@ from embedlens.intlattice import (
     smith_normal_form,
     span_hermite_form,
 )
-from oracles import column_index, hermite_normal_form
+from embedlens.distributions import uniform_on
+from embedlens.embedding import constraint_matrix
+from oracles import (
+    column,
+    column_index,
+    dense_smith_normal_form,
+    densify,
+    entry,
+    hermite_normal_form,
+    lattice_supports,
+    smith_supports,
+)
+
+
+def sparse(rows):
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
+def snf_of(a: IntMatrix):
+    """`smith_normal_form` of an IntMatrix."""
+    return smith_normal_form(sparse(a.row(i) for i in range(a.rows)), a.cols)
 
 
 def check_certificates(a: IntMatrix):
-    snf = smith_normal_form(a)
+    snf = snf_of(a)
     assert (snf.U @ a @ snf.V).entries == snf.D.entries
     assert abs(snf.U.det()) == 1
     assert abs(snf.V.det()) == 1
@@ -35,12 +55,12 @@ def check_certificates(a: IntMatrix):
     for i in range(snf.D.rows):
         for j in range(snf.D.cols):
             if i != j:
-                assert snf.D.entry(i, j) == 0
+                assert entry(snf.D, i, j) == 0
     return snf
 
 
 def test_identity_already_snf():
-    snf = check_certificates(IntMatrix.identity(2))
+    snf = check_certificates(IntMatrix.from_rows([[1, 0], [0, 1]]))
     assert snf.divisors == (1, 1)
 
 
@@ -57,8 +77,8 @@ def test_2x2_divisors_from_det_and_gcd():
 
 def test_snf_deterministic():
     a = IntMatrix.from_rows([[6, 4, 2], [2, 8, 4], [0, 2, 6]])
-    s1 = smith_normal_form(a)
-    s2 = smith_normal_form(a)
+    s1 = snf_of(a)
+    s2 = snf_of(a)
     assert s1.U.entries == s2.U.entries
     assert s1.V.entries == s2.V.entries
     assert s1.divisors == s2.divisors
@@ -80,13 +100,80 @@ def test_random_certificates_small():
         check_certificates(a)
 
 
+def assert_same_as_dense(rows, cols):
+    got = smith_normal_form(sparse(rows), cols)
+    want = dense_smith_normal_form(IntMatrix.from_rows(rows))
+    assert got.divisors == want.divisors and got.rank == want.rank
+    assert (got.U, got.V, got.D) == (want.U, want.V, want.D)
+    assert [got.v_column(j) for j in range(cols)] == [column(want.V, j) for j in range(cols)]
+
+
+@st.composite
+def snf_matrices(draw):
+    """Integer matrices up to 7 x 7 of four kinds: small entries; entries
+    without units (non-unit pivots, most needing the divisibility fix);
+    entries past 2^63; and products of an r x k and a k x c matrix with
+    k < min(r, c) (rank deficient, the zero matrix at k = 0). Any rows and
+    columns may then be zeroed."""
+    r, c = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["small", "no-units", "wide", "low-rank"]))
+    entries = {"small": st.integers(-9, 9),
+               "no-units": st.sampled_from([0, 2, -2, 3, -3, 4, 6, -9, 10]),
+               "wide": st.integers(-2 ** 70, 2 ** 70) | st.integers(-3, 3)}.get(kind, st.integers(-4, 4))
+    if kind == "low-rank":
+        k = draw(st.integers(0, min(r, c) - 1))
+        a = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=r, max_size=r))
+        b = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=k, max_size=k))
+        rows = [[sum(x * b[t][j] for t, x in enumerate(ai)) for j in range(c)] for ai in a]
+    else:
+        rows = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    zero_rows = draw(st.sets(st.integers(0, r - 1)))
+    zero_cols = draw(st.sets(st.integers(0, c - 1)))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)], c
+
+
+@settings(max_examples=400, deadline=None)
+@given(snf_matrices())
+@example(([[2, 0], [0, 3]], 2))  # the divisibility fix
+@example(([[0, 0, 0], [0, 4, 6], [0, 6, 4]], 3))
+@example(([[2 ** 64, 3], [5, 2 ** 65 + 1]], 2))
+def test_sparse_smith_form_is_the_dense_one(case):
+    assert_same_as_dense(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_supports())
+def test_sparse_smith_form_is_the_dense_one_on_hermite_forms(case):
+    cm = constraint_matrix(uniform_on(*case))
+    if cm.s and (h := span_hermite_form(cm.columns, cm.s)):
+        assert_same_as_dense(densify(h, cm.s), cm.s)
+
+
+@pytest.mark.parametrize("name", sorted(smith_supports()))
+def test_sparse_smith_form_is_the_dense_one_on_group_supports(name):
+    cm = constraint_matrix(uniform_on(*smith_supports()[name]))
+    assert_same_as_dense(densify(span_hermite_form(cm.columns, cm.s), cm.s), cm.s)
+
+
+def test_smith_normal_form_rejects_bad_shapes():
+    for rows, cols in (([], 2), ([{0: 1}], 0), ([{2: 1}], 2), ([{-1: 1}], 2)):
+        with pytest.raises(ValidationError):
+            smith_normal_form(rows, cols)
+
+
+def test_from_rows_of_no_rows_is_a_validation_error():
+    with pytest.raises(ValidationError, match="matrix dimensions must be positive"):
+        IntMatrix.from_rows([])
+
+
 def minor_gcd(a: IntMatrix, r: int) -> int:
     from math import gcd
 
     g = 0
     for rows in combinations(range(a.rows), r):
         for cols in combinations(range(a.cols), r):
-            sub = IntMatrix.from_rows([[a.entry(i, j) for j in cols] for i in rows])
+            sub = IntMatrix.from_rows([[entry(a, i, j) for j in cols] for i in rows])
             g = gcd(g, sub.det())
     return g
 
@@ -97,7 +184,7 @@ def test_divisor_products_match_minor_gcds():
         n = rng.randrange(1, 5)
         m = rng.randrange(1, 5)
         a = IntMatrix.from_rows([[rng.randrange(-4, 5) for _ in range(m)] for _ in range(n)])
-        snf = smith_normal_form(a)
+        snf = snf_of(a)
         prod = 1
         for r, d in enumerate(snf.divisors[:snf.rank], start=1):
             prod *= d
@@ -107,17 +194,17 @@ def test_divisor_products_match_minor_gcds():
 def lattice_is_full(a: IntMatrix) -> bool:
     """The detector's verdict: the row lattice is Z^cols iff the SNF has full
     column rank and unit divisors."""
-    snf = smith_normal_form(a)
+    snf = snf_of(a)
     return snf.rank == a.cols and all(d == 1 for d in snf.divisors[:snf.rank])
 
 
 def kernel_column(a: IntMatrix) -> tuple[int, ...] | None:
     """The column of V just past the rank, which the detector's Z-witness reads:
     A (V e_c) = U^-1 D e_c = 0 for c >= rank. None at full column rank."""
-    snf = smith_normal_form(a)
+    snf = snf_of(a)
     if snf.rank == a.cols:
         return None
-    return tuple(snf.V.entry(i, snf.rank) for i in range(a.cols))
+    return tuple(column(snf.V, snf.rank))
 
 
 def test_lattice_is_full_basics():
@@ -178,10 +265,6 @@ def test_rational_kernel_vector_random():
         assert v is not None and any(v)
         for i in range(nrows):
             assert sum(x * y for x, y in zip(a.row(i), v)) == 0
-
-
-def sparse(rows):
-    return [{j: x for j, x in enumerate(r) if x} for r in rows]
 
 
 def dense_row_basis(rows, cols):
@@ -248,9 +331,9 @@ def test_row_basis_preserves_lattice():
         nrows = rng.randrange(1, 9)
         rows = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(nrows)]
         basis = row_basis(sparse(rows), cols)
-        a = smith_normal_form(IntMatrix.from_rows(rows))
+        a = snf_of(IntMatrix.from_rows(rows))
         if basis:
-            b = smith_normal_form(IntMatrix.from_rows(basis))
+            b = snf_of(IntMatrix.from_rows(basis))
             assert a.divisors[:a.rank] == b.divisors[:b.rank]
             assert a.rank == b.rank
         else:
@@ -266,7 +349,7 @@ def test_invariant_factors_match_sympy():
         r = rng.randrange(1, 7)
         c = rng.randrange(1, 7)
         rows = [[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)]
-        snf = smith_normal_form(IntMatrix.from_rows(rows))
+        snf = snf_of(IntMatrix.from_rows(rows))
         reference = [int(f) for f in invariant_factors(sympy.Matrix(rows)) if int(f) != 0]
         assert list(snf.divisors[:snf.rank]) == reference
 
@@ -311,7 +394,7 @@ def test_hermite_normal_form_is_reduced_and_unique_for_the_lattice(case, rnd):
     more += [[x + 3 * y for x, y in zip(a, b)] for a, b in zip(rows, more)]
     assert hermite(row_basis(sparse(more), cols), cols) == h
     if h:
-        a, b = smith_normal_form(IntMatrix.from_rows(rows)), smith_normal_form(IntMatrix.from_rows(h))
+        a, b = snf_of(IntMatrix.from_rows(rows)), snf_of(IntMatrix.from_rows(h))
         assert (a.rank, a.divisors[:a.rank]) == (b.rank, b.divisors[:b.rank])
 
 
@@ -369,7 +452,7 @@ def test_span_hermite_form_matches_every_row_reduced(cols, k, data):
     support = st.lists(st.integers(0, cols - 1), max_size=k, unique=True).map(tuple)
     rows = data.draw(st.lists(support, min_size=1, max_size=80))
     want = hermite_normal_form(row_basis([dict.fromkeys(r, 1) for r in rows], cols))
-    assert span_hermite_form(column_index(rows, cols), cols) == want
+    assert densify(span_hermite_form(column_index(rows, cols), cols), cols) == want
 
 
 def test_membership_check_in_blocks_smaller_than_a_row(monkeypatch):
@@ -379,7 +462,7 @@ def test_membership_check_in_blocks_smaller_than_a_row(monkeypatch):
     rows = [tuple(sorted(rnd.sample(range(9), rnd.randint(0, 4)))) for _ in range(80)]
     want = hermite_normal_form(row_basis([dict.fromkeys(r, 1) for r in rows], 9))
     monkeypatch.setattr(intlattice, "CERTIFY_BLOCK", 1)
-    assert span_hermite_form(column_index(rows, 9), 9) == want
+    assert densify(span_hermite_form(column_index(rows, 9), 9), 9) == want
 
 
 @pytest.mark.parametrize("copies", [1, 40])  # the row selected, or most rows checked
