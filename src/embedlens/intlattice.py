@@ -98,28 +98,28 @@ class SNFDecomposition:
 
     divisors: tuple[int, ...]
     rank: int
-    u: list[dict[int, int]] = field(repr=False)
-    v: list[dict[int, int]] = field(repr=False)
-    d: list[dict[int, int]] = field(repr=False)
+    u_rows: list[dict[int, int]] = field(repr=False)
+    v_columns: list[dict[int, int]] = field(repr=False)
+    d_rows: list[dict[int, int]] = field(repr=False)
 
     @cached_property
     def U(self) -> IntMatrix:
-        n = len(self.u)
-        return IntMatrix(n, n, tuple(r.get(j, 0) for r in self.u for j in range(n)))
+        n = len(self.u_rows)
+        return IntMatrix(n, n, tuple(r.get(j, 0) for r in self.u_rows for j in range(n)))
 
     @cached_property
     def V(self) -> IntMatrix:
-        n = len(self.v)
-        return IntMatrix(n, n, tuple(c.get(i, 0) for i in range(n) for c in self.v))
+        n = len(self.v_columns)
+        return IntMatrix(n, n, tuple(c.get(i, 0) for i in range(n) for c in self.v_columns))
 
     @cached_property
     def D(self) -> IntMatrix:
-        n = len(self.v)
-        return IntMatrix(len(self.d), n, tuple(r.get(j, 0) for r in self.d for j in range(n)))
+        n, rows = len(self.v_columns), self.d_rows
+        return IntMatrix(len(rows), n, tuple(r.get(j, 0) for r in rows for j in range(n)))
 
     def v_column(self, j: int) -> list[int]:
         """Column j of V as a dense list."""
-        return [self.v[j].get(i, 0) for i in range(len(self.v))]
+        return [self.v_columns[j].get(i, 0) for i in range(len(self.v_columns))]
 
 
 def _min_pivot(m: list[dict[int, int]], t: int) -> tuple[int, int] | None:

@@ -111,7 +111,7 @@ def assert_same_as_dense(rows, cols):
 @st.composite
 def snf_matrices(draw):
     """Integer matrices up to 7 x 7 of four kinds: small entries; entries
-    without units (non-unit pivots, most needing the divisibility fix);
+    without units (non-unit pivots, which may need the divisibility fix);
     entries past 2^63; and products of an r x k and a k x c matrix with
     k < min(r, c) (rank deficient, the zero matrix at k = 0). Any rows and
     columns may then be zeroed."""
