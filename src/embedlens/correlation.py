@@ -107,14 +107,16 @@ def _exact_characters(dist, functions, n) -> CorrelationResult:
     phases = [[tuple(v * (phase_den // f.denominator) for v in row)
                for row in f.numerators.tolist()] for f in functions]
     d = dist.denominator
+    codes = dist.codes.T.tolist()
     exact, value = (1, 0), 1 + 0j
     columns: dict = {}
     for j in range(n):
         rows = tuple(ph[j] for ph in phases)
         if rows not in columns:
             buckets: dict[int, int] = {}
-            for code, w in zip(dist.codes, dist.weights):
-                ph = sum([row[c] for row, c in zip(rows, code)]) % phase_den
+            for w, *phs in zip(dist.weights, *[map(row.__getitem__, col)
+                                               for row, col in zip(rows, codes)]):
+                ph = sum(phs) % phase_den
                 buckets[ph] = buckets.get(ph, 0) + w
             units = [(w, _unit(ph, phase_den)) for ph, w in buckets.items()]
             on_quarters = all(4 * ph % phase_den == 0 for ph in buckets)  # units 1, i, -1, -i
@@ -140,14 +142,15 @@ def _product_columns(dist: JointDistribution, prods: Sequence[ProductFunction],
                     n: int) -> list[complex]:
     """For each column j < n, the sum over atoms x of mass(x) times
     prod_i prods[i].factors[j, x_i], real and imaginary parts by fsum."""
-    masses = [(x, w / dist.denominator) for x, w in zip(dist.codes, dist.weights)]
+    masses = [w / dist.denominator for w in dist.weights]
+    codes = dist.codes.T.tolist()
     columns = []
     for j in range(n):
         terms = []
-        for code, m in masses:
+        for m, *factors in zip(masses, *[list(f.factors[j][col]) for f, col in zip(prods, codes)]):
             t = m + 0j
-            for i, f in enumerate(prods):
-                t *= f.factors[j, code[i]]
+            for factor in factors:  # numpy scalars, multiplied in coordinate order
+                t *= factor
             terms.append(t)
         columns.append(complex(fsum(t.real for t in terms), fsum(t.imag for t in terms)))
     return columns
@@ -159,11 +162,12 @@ def _head_columns(dist: JointDistribution) -> tuple[list[list[int]], list[list[i
     Returns, for each of those coordinates, the symbol index of every column
     in S' (in support order), and the S' x a_k matrix of joint mass weights.
     """
-    heads = list(dict.fromkeys(x[:-1] for x in dist.codes))
-    row = {h: r for r, h in enumerate(heads)}
-    joint = [[0] * len(dist.alphabets[-1]) for _ in heads]
-    for x, w in zip(dist.codes, dist.weights):
-        joint[row[x[:-1]]][x[-1]] = w
+    heads, joint = [], []
+    for row, w in zip(dist.codes.tolist(), dist.weights):  # in code order: equal heads adjoin
+        if not heads or row[:-1] != heads[-1]:
+            heads.append(row[:-1])
+            joint.append([0] * len(dist.alphabets[-1]))
+        joint[-1][row[-1]] = w
     return [list(col) for col in zip(*heads)], joint
 
 
@@ -189,7 +193,7 @@ def mc_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
         raise ValidationError("samples must be positive")
     check_draws(samples, n)
     sampler = ProductPowerSampler(dist, n, seed)
-    codes = dist.code_array
+    codes = dist.codes
     values = np.empty((2, samples))  # real and imaginary parts, one row each
     block = max(1, MC_BLOCK // n)
     for start in range(0, samples, block):

@@ -44,8 +44,8 @@ from .distributions import (
     randbelow,
 )
 from .embedding import connected, detect_embedding, pairwise_connected
-from .errors import (PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int, read_json,
-                     write_json)
+from .errors import (PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int,
+                     json_list, read_json, write_json)
 from .functions import _places, is_table_length
 
 TRANSITION_GUARD = 200_000  # DP transitions (states x atoms) of one exact acceptance run
@@ -126,7 +126,7 @@ class SymbolFunction:
 
 def symbol_function_from_json(data: dict) -> SymbolFunction:
     try:
-        alpha = make_alphabet(data["alphabet"])
+        alpha = make_alphabet(json_list(data["alphabet"], "alphabet"))
         n = json_int(data["n"], "n")
         if "dictator" in data:
             return SymbolFunction.dictator(n, alpha, json_int(data["dictator"], "dictator"))
@@ -195,7 +195,8 @@ class Predicate:
         """Exactly one of "accept" (the accepted cells) and "truth" (the 0/1
         table) gives the cells."""
         try:
-            alpha, k = make_alphabet(data["alphabet"]), json_int(data["k"], "k")
+            alpha = make_alphabet(json_list(data["alphabet"], "alphabet"))
+            k = json_int(data["k"], "k")
             if ("accept" in data) == ("truth" in data):
                 raise ValueError("a predicate needs exactly one of 'accept' and 'truth'")
             cells = data.get("accept", data.get("truth"))
@@ -226,23 +227,28 @@ class TestInstance:
                 raise ValidationError("local distribution shape mismatch")
 
     def to_json(self) -> dict:
+        """The file payload, each "mu" in the columnar form without its alphabets."""
         return {
             "predicate": self.predicate.to_json(),
-            "constraints": [{"w": [w.numerator, w.denominator], "mu": mu.to_json()["atoms"]}
+            "constraints": [{"w": [w.numerator, w.denominator],
+                             "mu": mu.columnar_json()}
                             for w, mu in self.constraints],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "TestInstance":
-        """Each "mu" is the atom list of a distribution file on alphabet^k."""
+        """Each "mu" is a distribution payload on alphabet^k without its
+        alphabets: the columnar object, or the row form's atom list."""
         try:
             pred = Predicate.from_json(data["predicate"])
             alphabets = [list(pred.alphabet.symbols)] * pred.k
             constraints = []
-            for entry in data["constraints"]:
+            for entry in json_list(data["constraints"], "constraints"):
                 num, den = entry["w"]
-                mu = JointDistribution.from_json({"alphabets": alphabets, "atoms": entry["mu"]})
-                constraints.append((Fraction(*_reduced(num, den)), mu))
+                mu = entry["mu"]
+                mu = {**mu, "alphabets": alphabets} if type(mu) is dict else {
+                    "alphabets": alphabets, "atoms": mu}
+                constraints.append((Fraction(*_reduced(num, den)), JointDistribution.from_json(mu)))
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad instance payload: {exc}") from exc
         return cls(pred, tuple(constraints))
@@ -289,7 +295,7 @@ def instance_violations(inst: TestInstance) -> list[str]:
 
 def _holds(pred: Predicate, mu: JointDistribution) -> np.ndarray:
     """Whether the predicate accepts each support atom, in support order."""
-    return pred.holds(mu.code_array @ _places(len(pred.alphabet), pred.k))
+    return pred.holds(mu.codes @ _places(len(pred.alphabet), pred.k))
 
 
 def validate_instance(inst: TestInstance) -> InstanceReport:
@@ -345,7 +351,7 @@ def _acceptance_one(mu: JointDistribution, pred: Predicate, f: SymbolFunction,
     place = _places(a, k)
     if f.root < a:
         return Fraction(int(pred.holds(f.root * place.sum()))), spent
-    cols = mu.code_array
+    cols = mu.codes
     mass = np.array(mu.weights, dtype=object)
     states = np.full((1, k), f.root, dtype=np.int64)
     weights = np.array([1], dtype=object)
@@ -422,12 +428,12 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
     rng = random.Random(seed)
     picker = ExactChooser(range(len(inst.constraints)),
                           integer_weights([w for w, _ in inst.constraints])[0])
-    choosers = [ExactChooser(mu.codes, mu.weights) for _, mu in inst.constraints]
+    choosers = [ExactChooser(range(len(mu.weights)), mu.weights) for _, mu in inst.constraints]
     a, k = len(inst.predicate.alphabet), inst.predicate.k
     # atom and symbol indices in the narrowest dtypes that hold them, so a
     # sample of 10^6 columns costs a few MB
     located_dtype = np.min_scalar_type(max(len(c.items) for c in choosers) - 1)
-    codes = [np.array(mu.codes, dtype=np.min_scalar_type(a - 1)) for _, mu in inst.constraints]
+    codes = [mu.codes.astype(np.min_scalar_type(a - 1)) for _, mu in inst.constraints]
     accepted = 0
     block = max(1, MC_BLOCK // max(f.n, 1))
     widths = [min(MC_BLOCK, f.n - lo) for lo in range(0, f.n, MC_BLOCK)]  # one sample's slices

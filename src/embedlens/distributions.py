@@ -1,9 +1,17 @@
 """Exact k-ary distributions over finite alphabets.
 
 Masses are held once, as integer weights over one denominator D (the lcm of
-the reduced masses' denominators) on atoms coded as symbol-index tuples in
-canonical, lexicographic order, from which every enumeration order derives.
-A float mass is the correctly rounded w / D. Zero-mass atoms are dropped.
+the reduced masses' denominators) on atoms coded as one read-only int64
+(atoms, k) array of symbol indices, its rows distinct and in lexicographic
+order, from which every enumeration order derives. Every distribution is
+built by one lexsort of such an array, equal rows merged. A float mass is
+the correctly rounded w / D. Zero-mass atoms are dropped.
+
+A distribution file is read in two forms through one array validator: the
+row form, one {"x": symbols, "p": [num, den]} entry per atom, which
+`to_json` (and every `reduce` result) writes, and the columnar form
+{"alphabets", "columns": codes per coordinate, "w": weights, "den": D},
+which `save` writes.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (PAYLOAD_ERRORS, Fragment, ParseError, SizeGuardError, ValidationError,
-                     atom_list_text, read_json, write_json)
+                     atom_list_text, json_int, json_list, read_json, write_json)
 
 Atom = tuple[str, ...]
 
@@ -61,63 +69,96 @@ def alphabet(symbols: Iterable[str]) -> Alphabet:
 class JointDistribution:
     """A k-ary distribution, immutable: atom `codes[i]` has mass weights[i] / denominator.
 
-    `code_array` holds the codes as one array and `support` decodes them,
-    each on first read; `atoms`, `mass` and `min_atom_mass` read masses as
-    Fractions.
+    `codes` is a read-only int64 (atoms, k) array and `weights` a tuple of
+    Python ints; `support` decodes the codes on first read, and `atoms`,
+    `mass` and `min_atom_mass` read masses as Fractions.
     """
 
     def __init__(self, alphabets: Sequence[Alphabet], atoms: Mapping[Atom, Fraction]):
         alphabets = tuple(alphabets)
         lookups = [a._index for a in alphabets]
-        masses, invalid = {}, False
+        masses = {}
         for x, p in atoms.items():
             p = p if isinstance(p, (int, Fraction)) else Fraction(p)  # a float, exactly
-            code = _code(lookups, x)
-            invalid = invalid or code[:1] == (None,)
-            masses[code] = p.numerator, p.denominator
-        vars(self).update(vars(JointDistribution._from_masses(alphabets, masses, invalid)))
+            masses[_code(lookups, x)] = p.numerator, p.denominator
+        vars(self).update(vars(JointDistribution._from_masses(alphabets, list(masses),
+                                                              list(masses.values()))))
 
     @classmethod
-    def _from_masses(cls, alphabets: tuple[Alphabet, ...], masses: dict[tuple, tuple[int, int]],
-                     invalid: bool) -> "JointDistribution":
-        """Validate code -> reduced (numerator, positive denominator) masses,
-        where `invalid` says that some atom has no code and is keyed by
-        (None, its symbol tuple); the weights are over the lcm of the
-        denominators."""
-        violations = []
-        if invalid or min(masses.values(), default=(0,))[0] < 0:
-            symbols = [a.symbols for a in alphabets]  # name each bad atom, in input order
-            for code, (num, _) in list(masses.items()):
-                x = code[1] if code[:1] == (None,) else tuple(map(tuple.__getitem__, symbols, code))
+    def _from_masses(cls, alphabets: tuple[Alphabet, ...], keys: list[tuple],
+                     masses: list[tuple[int, int]]) -> "JointDistribution":
+        """Validate reduced (numerator, positive denominator) masses at codes,
+        over the lcm of the denominators; the masses of a repeated key add.
+        The key of an atom with no code is (None, its symbol tuple), and bad
+        atoms are named in input order."""
+        denominator = lcm(*{den for _, den in masses})
+        merged: dict[tuple, int] = {}
+        for key, (num, den) in zip(keys, masses):
+            merged[key] = merged.get(key, 0) + num * (denominator // den)
+        violations, total = [], 0
+        for key, w in merged.items():
+            x = key[1] if key[:1] == (None,) else None
+            if x is not None:
                 if len(x) != len(alphabets):
                     violations.append(f"atom {x} has arity {len(x)}, expected {len(alphabets)}")
-                    del masses[code]
                     continue
                 violations.extend(f"atom {x}: symbol {s!r} not in alphabet {i}"
                                   for i, s in enumerate(x) if s not in alphabets[i])
-                if num < 0:
-                    violations.append(f"negative mass at atom {x}")
-        denominator = lcm(*{den for _, den in masses.values()})
-        weights = [num * (denominator // den) for num, den in masses.values()]
-        if sum(weights) != denominator:
-            violations.append(f"mass sum != 1 (got {Fraction(sum(weights), denominator)})")
+            if w < 0:
+                violations.append(f"negative mass at atom {x or _decode(alphabets, key)}")
+            total += w
+        if total != denominator:
+            violations.append(f"mass sum != 1 (got {Fraction(total, denominator)})")
         if violations:
             raise ValidationError("; ".join(violations))
-        return cls._from_weights(alphabets, dict(zip(masses, weights)), denominator)
+        codes = np.array(list(merged), dtype=np.int64).reshape(len(merged), len(alphabets))
+        return cls._from_weights(alphabets, codes, list(merged.values()), denominator)
 
     @classmethod
-    def _from_weights(cls, alphabets: Sequence[Alphabet], weights: Mapping[tuple[int, ...], int],
+    def _validated(cls, alphabets: tuple[Alphabet, ...], codes: np.ndarray,
+                   weights: Sequence[int], denominator: int) -> "JointDistribution":
+        """The distribution of a payload's arrays, either form: every code in
+        its alphabet, repeated atoms merged by the lexsort (their masses add),
+        no negative mass and the weights summing to `denominator`. Bad atoms
+        are named in the order of their first entry."""
+        sizes = np.array([len(a) for a in alphabets], dtype=np.uint64)
+        outside = codes.view(np.uint64) >= sizes  # a negative code views as 2^63 or more
+        if outside.any():
+            row, i = map(int, np.argwhere(outside)[0])
+            raise ValidationError(f"atom {row}: code {int(codes[row, i])} not in alphabet {i}")
+        codes, merged, first = _merged(codes, weights)
+        violations = [f"negative mass at atom {_decode(alphabets, codes[r])}"
+                      for r in sorted((r for r, w in enumerate(merged) if w < 0),
+                                      key=first.__getitem__)]
+        if sum(merged) != denominator:
+            violations.append(f"mass sum != 1 (got {Fraction(sum(merged), denominator)})")
+        if violations:
+            raise ValidationError("; ".join(violations))
+        return cls._from_distinct(alphabets, codes, merged, denominator)
+
+    @classmethod
+    def _from_weights(cls, alphabets: Sequence[Alphabet], codes: np.ndarray, weights,
                       denominator: int) -> "JointDistribution":
-        """Mass w / denominator at each code; weights are nonnegative and sum to it."""
-        codes = sorted(c for c, w in weights.items() if w)
-        kept = [weights[c] for c in codes]
-        if sum(kept) != denominator:
-            raise AssertionError(f"masses sum to {sum(kept)}/{denominator}, not one")
-        g = gcd(denominator, *kept)  # reduce D to the lcm of the reduced denominators
+        """Mass w / denominator at each row of `codes`, an int64 (atoms, k)
+        array; equal rows add, and the weights (int64 or Python ints) are
+        nonnegative and sum to `denominator`."""
+        return cls._from_distinct(alphabets, *_merged(codes, weights)[:2], denominator)
+
+    @classmethod
+    def _from_distinct(cls, alphabets: Sequence[Alphabet], codes: np.ndarray,
+                       weights: list[int], denominator: int) -> "JointDistribution":
+        """`_from_weights` of rows that are distinct and in lexicographic order."""
+        if 0 in weights:
+            keep = [w != 0 for w in weights]
+            codes, weights = codes[keep], [w for w in weights if w]
+        if sum(weights) != denominator:
+            raise AssertionError(f"masses sum to {sum(weights)}/{denominator}, not one")
+        g = gcd(denominator, *weights)  # reduce D to the lcm of the reduced denominators
+        codes.flags.writeable = False
         dist = cls.__new__(cls)
         dist.alphabets = tuple(alphabets)
-        dist.codes: tuple[tuple[int, ...], ...] = tuple(codes)
-        dist.weights: tuple[int, ...] = tuple(w // g for w in kept)
+        dist.codes: np.ndarray = codes
+        dist.weights: tuple[int, ...] = tuple([w // g for w in weights] if g > 1 else weights)
         dist.denominator: int = denominator // g
         return dist
 
@@ -126,18 +167,11 @@ class JointDistribution:
         return len(self.alphabets)
 
     @cached_property
-    def code_array(self) -> np.ndarray:
-        """The codes as one read-only int64 (atoms, k) array, rows in code order."""
-        n, k = len(self.codes), self.k
-        codes = np.fromiter(chain.from_iterable(self.codes), dtype=np.int64, count=n * k)
-        codes.flags.writeable = False
-        return codes.reshape(n, k)
-
-    @cached_property
     def support(self) -> tuple[Atom, ...]:
         """The atoms' symbol tuples, in code order."""
-        symbols = [a.symbols for a in self.alphabets]
-        return tuple(tuple([syms[i] for syms, i in zip(symbols, c)]) for c in self.codes)
+        return tuple(zip(*[list(map(a.symbols.__getitem__, column))
+                           for a, column in zip(self.alphabets, self.codes.T.tolist())])
+                     ) or ((),) * len(self.codes)  # k = 0
 
     @cached_property
     def atoms(self) -> dict[Atom, Fraction]:
@@ -158,75 +192,106 @@ class JointDistribution:
         for c in coords:
             if not 0 <= c < self.k:
                 raise ValidationError(f"coordinate {c} out of range for k={self.k}")
-        out: dict[tuple[int, ...], int] = {}
-        for x, w in zip(self.codes, self.weights):
-            y = tuple([x[c] for c in coords])
-            out[y] = out.get(y, 0) + w
-        return JointDistribution._from_weights([self.alphabets[c] for c in coords], out,
+        return JointDistribution._from_weights([self.alphabets[c] for c in coords],
+                                               self.codes[:, coords], self.weights,
                                                self.denominator)
 
     def condition(self, coord: int, value: str) -> "JointDistribution":
         """Distribution of the remaining k-1 coordinates given coordinate `coord` = `value`."""
         if not 0 <= coord < self.k:
             raise ValidationError(f"coordinate {coord} out of range for k={self.k}")
-        v = self.alphabets[coord]._index.get(value)
-        out: dict[tuple[int, ...], int] = {}
-        for x, w in zip(self.codes, self.weights):
-            if x[coord] == v:  # distinct codes stay distinct without coordinate `coord`
-                out[x[:coord] + x[coord + 1:]] = w
-        total = sum(out.values())  # the conditional mass w / D over total / D is w / total
+        rows = self.codes[:, coord] == self.alphabets[coord]._index.get(value, -1)
+        weights = [w for w, r in zip(self.weights, rows.tolist()) if r]
+        total = sum(weights)  # the conditional mass w / D over total / D is w / total
         if total == 0:
             raise ValidationError(f"conditioning on zero-mass value {value!r} at coordinate {coord}")
         rest = self.alphabets[:coord] + self.alphabets[coord + 1:]
-        return JointDistribution._from_weights(rest, out, total)
+        # the rows agree at `coord`, so without it they stay distinct and in order
+        return JointDistribution._from_distinct(rest, np.delete(self.codes[rows], coord, axis=1),
+                                                weights, total)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointDistribution):
             return NotImplemented
-        return (self.alphabets, self.codes, self.weights, self.denominator) == (
-            other.alphabets, other.codes, other.weights, other.denominator)
+        return ((self.alphabets, self.weights, self.denominator)
+                == (other.alphabets, other.weights, other.denominator)
+                and np.array_equal(self.codes, other.codes))
 
     def __repr__(self) -> str:
         return f"JointDistribution(k={self.k}, |supp|={len(self.codes)})"
 
     def to_json(self) -> dict:
-        """The file payload; its atom list is a Fragment, rendered when first written."""
+        """The row-form payload; its atom list is a Fragment, rendered when first written."""
         return {"alphabets": [list(a.symbols) for a in self.alphabets],
                 "atoms": Fragment(lambda depth: atom_list_text(
-                    [a.symbols for a in self.alphabets], self.codes, self.weights,
+                    [a.symbols for a in self.alphabets], self.codes.T.tolist(), self.weights,
                     self.denominator, depth))}
+
+    def columnar_json(self) -> dict:
+        """The columnar form without its alphabets, an instance's "mu": the
+        codes a coordinate at a time, the weights and their denominator."""
+        return {"columns": self.codes.T.tolist(), "w": list(self.weights), "den": self.denominator}
 
     @classmethod
     def from_json(cls, data: dict) -> "JointDistribution":
-        """Read the atoms straight into codes, and each "p" pair as
-        Fraction(num, den) would, in integers. A payload is read a coordinate
-        at a time, or again an entry at a time, naming what is wrong in input
-        order, if it has a bad entry or a repeated atom, whose masses add."""
+        """Read a payload of either form, which has exactly one of "atoms" and
+        "columns". A row-form payload is read a coordinate at a time, each
+        "p" pair as Fraction(num, den) would, in integers; or again an entry
+        at a time, naming what is wrong in input order, if it has a bad
+        entry."""
         try:
-            alphabets = tuple(alphabet(a) for a in data["alphabets"])
-            lookups = [a._index for a in alphabets]
-            masses, invalid = _read_columns(lookups, data["atoms"]), False
-            if masses is None:
-                masses = {}
-                for entry in data["atoms"]:
-                    code = _code(lookups, entry["x"], str)
-                    invalid = invalid or code[:1] == (None,)
+            alphabets = tuple(alphabet(json_list(a, "alphabet"))
+                              for a in json_list(data["alphabets"], "alphabets"))
+            if ("atoms" in data) == ("columns" in data):
+                raise ValueError("a distribution needs exactly one of 'atoms' and 'columns'")
+            keys, masses = [], []
+            if "columns" in data:
+                arrays = _read_columnar(len(alphabets), data)
+            else:
+                lookups = [a._index for a in alphabets]
+                entries = json_list(data["atoms"], "atoms")
+                arrays = _read_rows(lookups, entries)
+                for entry in entries if arrays is None else ():
+                    keys.append(_code(lookups, json_list(entry["x"], "atom x"), str))
                     num, den = entry["p"]
-                    pair = _reduced(num, den)
-                    if code in masses:
-                        (num0, den0), (num, den) = masses[code], pair
-                        pair = _reduced(num0 * den + num * den0, den0 * den)
-                    masses[code] = pair
+                    masses.append(_reduced(num, den))
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad distribution payload: {exc}") from exc
-        return cls._from_masses(alphabets, masses, invalid)
+        if arrays is not None:
+            return cls._validated(alphabets, *arrays)
+        return cls._from_masses(alphabets, keys, masses)
 
     @classmethod
     def load(cls, path: str) -> "JointDistribution":
         return cls.from_json(read_json(path))
 
     def save(self, path: str) -> None:
-        write_json(path, self.to_json())
+        write_json(path, {"alphabets": [list(a.symbols) for a in self.alphabets],
+                          **self.columnar_json()})
+
+
+def _merged(codes: np.ndarray, weights) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The distinct rows of `codes` in lexicographic order, the summed weights
+    of each one's copies as Python ints, and the index of its first copy: one
+    stable lexsort."""
+    order = np.lexsort(codes.T[::-1]) if codes.shape[1] else np.arange(len(codes))
+    codes = codes[order]
+    if isinstance(weights, np.ndarray):
+        weights = weights[order]
+    else:
+        weights = list(map(weights.__getitem__, order.tolist()))
+    repeat = np.logical_and.reduce(codes[1:] == codes[:-1], axis=1)  # k = 0: all repeat
+    if not np.count_nonzero(repeat):
+        return codes, weights if type(weights) is list else weights.tolist(), order
+    new = np.ones(len(codes), dtype=bool)
+    new[1:] = ~repeat
+    starts = np.flatnonzero(new)
+    weights = np.add.reduceat(np.asarray(weights, dtype=object), starts).tolist()
+    return codes[starts], weights, order[starts]
+
+
+def _decode(alphabets: Sequence[Alphabet], code: Sequence[int]) -> Atom:
+    return tuple(a.symbols[c] for a, c in zip(alphabets, code))
 
 
 def _code(lookups: list[dict[str, int]], x, read=None) -> tuple:
@@ -242,24 +307,42 @@ def _code(lookups: list[dict[str, int]], x, read=None) -> tuple:
     return _code(lookups, tuple(map(read, x))) if read else (None, x)
 
 
-def _read_columns(lookups: list[dict[str, int]], entries) -> dict | None:
-    """code -> reduced mass pair of each atom entry, its symbols looked up a
-    coordinate at a time and each distinct "p" pair reduced once; None when
-    some entry has a fault, a "p" that is not a pair of ints, or the code of
-    an earlier entry."""
+def _read_rows(lookups: list[dict[str, int]], entries: list):
+    """The codes, weights and denominator of row-form atom entries, their
+    symbols looked up a coordinate at a time and each distinct "p" pair
+    reduced once; None when some entry has a fault or a "p" that is not a
+    pair of ints."""
     try:
         xs, ps = [entry["x"] for entry in entries], [tuple(entry["p"]) for entry in entries]
-        if (set(map(len, xs)) - {len(lookups)} or set(map(len, ps)) - {2}
+        if (set(map(type, xs)) - {list} or set(map(len, xs)) - {len(lookups)}
+                or set(map(len, ps)) - {2}
                 or set(map(type, chain.from_iterable(ps))) - {int}):  # 1.0 or True never meets 1
             return None
         columns = [list(map(index.get, column)) for index, column in zip(lookups, zip(*xs))]
         if any(None in column for column in columns):
             return None
         reduced = {pair: _reduced(*pair) for pair in set(ps)}
-        masses = dict(zip(zip(*columns), map(reduced.__getitem__, ps)))
     except PAYLOAD_ERRORS:
         return None
-    return masses if len(masses) == len(xs) else None
+    denominator = lcm(*{den for _, den in reduced.values()})
+    scaled = {pair: num * (denominator // den) for pair, (num, den) in reduced.items()}
+    codes = np.array(columns, dtype=np.int64).reshape(len(lookups), len(xs)).T
+    return codes, list(map(scaled.__getitem__, ps)), denominator
+
+
+def _read_columnar(k: int, data: dict) -> tuple[np.ndarray, list[int], int]:
+    """The codes, weights and denominator of a columnar payload: k lists of
+    integer codes, one code per weight, positive integer weights and a
+    positive integer denominator."""
+    columns, weights = json_list(data["columns"], "columns"), json_list(data["w"], "w")
+    denominator = json_int(data["den"], "den")
+    if len(columns) != k or any(type(c) is not list or len(c) != len(weights) for c in columns):
+        raise ValueError(f"columns must be {k} lists of one code per weight")
+    if set(map(type, chain(weights, *columns))) - {int}:
+        raise TypeError("codes and weights must be integers")
+    if min(weights, default=1) < 1 or denominator < 1:
+        raise ValueError("weights and their denominator must be positive")
+    return np.array(columns, dtype=np.int64).reshape(k, len(weights)).T, weights, denominator
 
 
 def _reduced(num, den) -> tuple[int, int]:
@@ -313,16 +396,16 @@ def decompose_mixture(total: JointDistribution, base: JointDistribution,
     # (1 - c) nu = total - c base over dt * db * c_den; nu is over dt * db * (c_den - c_num)
     dt, db = total.denominator, base.denominator
     scale, cb = db * c.denominator, dt * c.numerator
-    out = {x: w * scale for x, w in zip(total.codes, total.weights)}
-    for i, (x, w) in enumerate(zip(base.codes, base.weights)):
-        r = out.get(x, 0) - cb * w
-        if r < 0:
-            atom = base.support[i]
-            raise ValidationError(f"negative residual at atom {atom}: "
-                                  f"total={total.mass(atom)}, c*base={c * Fraction(w, db)}")
-        out[x] = r
-    return JointDistribution._from_weights(total.alphabets, out,
-                                           dt * db * (c.denominator - c.numerator))
+    codes, residual, _ = _merged(np.concatenate([total.codes, base.codes]),
+                                 [w * scale for w in total.weights]
+                                 + [-cb * w for w in base.weights])
+    negative = [r for r, w in enumerate(residual) if w < 0]  # only at atoms of base
+    if negative:
+        atom = _decode(total.alphabets, codes[negative[0]])
+        raise ValidationError(f"negative residual at atom {atom}: "
+                              f"total={total.mass(atom)}, c*base={c * base.mass(atom)}")
+    return JointDistribution._from_distinct(total.alphabets, codes, residual,
+                                            dt * db * (c.denominator - c.numerator))
 
 
 def check_draws(samples: int, n: int) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import gcd
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -88,11 +88,11 @@ class DisconnectedPair:
 
 def constraint_matrix(dist: JointDistribution) -> ConstraintMatrix:
     """The constraint rows of `dist`'s support, base point its first atom."""
-    s, index_map, table = _symbol_columns(dist.alphabets, dist.codes[0])
+    s, index_map, table = _symbol_columns(dist.alphabets, dist.codes[0].tolist())
     return ConstraintMatrix(s, index_map, _gather(dist, table).T if s else None)
 
 
-def _symbol_columns(alphabets: Sequence[Alphabet], base: tuple[int, ...]
+def _symbol_columns(alphabets: Sequence[Alphabet], base: Sequence[int]
                     ) -> tuple[int, tuple[tuple[int, str], ...], list[int]]:
     """s, the (coordinate, symbol) of each column, and the column of every
     symbol of the concatenated alphabets (s at the base point's symbols)."""
@@ -111,7 +111,7 @@ def _gather(dist: JointDistribution, table, dtype=np.int64) -> np.ndarray:
     """table[symbol] at each atom's symbols, the tables of all coordinates
     concatenated: an (atoms, k) array."""
     first = [0, *accumulate(len(a) for a in dist.alphabets[:-1])]
-    return np.array(table, dtype=dtype)[dist.code_array + first]
+    return np.array(table, dtype=dtype)[dist.codes + first]
 
 
 def _witness_from_vector(index_map: Sequence[tuple[int, str]], alphabets: Sequence[Alphabet],
@@ -374,46 +374,58 @@ def _fraction_kernel(rows: Sequence[tuple[int, ...]], s: int) -> tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# Connectivity: one disjoint-set forest over the codes, unions made in place
+# Connectivity over the codes, by least labels
 
-def _find(parent: list[int], x: int) -> int:
-    """The root of x's tree, halving the path on the way (Tarjan & van Leeuwen)."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _least_labels(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The least vertex of each vertex's component in the graph on
+    range(size) with edges (u[e], v[e]): min-label propagation in place,
+    each round shortcut through the labels. Labels only fall, so a round
+    that leaves their sum is the fixed point."""
+    label, total = np.arange(size), None
+    while True:
+        np.minimum.at(label, u, label[v])
+        np.minimum.at(label, v, label[u])
+        label = label[label]
+        if total == (total := int(label.sum())):
+            return label
 
 
 def pairwise_connected(dist: JointDistribution) -> tuple[bool, DisconnectedPair | None]:
     """Connectivity of every pairwise-marginal bipartite support graph.
 
     Vertices are the symbols carrying positive marginal mass, read off the
-    support directly: symbol code c of coordinate i is vertex c, of
-    coordinate j vertex |Sigma_i| + c, joined once per atom or, when the
-    atoms outnumber the symbol pairs, once per distinct pair. The split is
-    the component of the lowest-index such symbol of coordinate i; its
-    indicator maps embed the support into Z.
+    support directly: the graphs of all coordinate pairs (i, j), i < j, in
+    order, side by side, with symbol code c of coordinate i vertex c past
+    its pair's first vertex and of coordinate j vertex |Sigma_i| + c,
+    joined once per distinct code pair. Each vertex takes the least vertex
+    of its component by min-label propagation, every graph at once. The
+    split of the first pair that splits is the component of the
+    lowest-index such symbol of coordinate i; its indicator maps embed the
+    support into Z.
     """
-    columns = list(zip(*dist.codes))
-    present = [sorted(set(col)) for col in columns]
-    for i in range(dist.k):
-        a = len(dist.alphabets[i])
-        for j in range(i + 1, dist.k):
-            b = len(dist.alphabets[j])
-            parent = list(range(a + b))
-            edges = zip(columns[i], columns[j])
-            if len(dist.codes) > a * b:  # more atoms than symbol pairs: drop the repeats
-                edges = set(edges)
-            for u, v in edges:
-                parent[_find(parent, u)] = _find(parent, a + v)
-            root = _find(parent, present[i][0])
-            side_i = [c for c in present[i] if _find(parent, c) == root]
-            side_j = [c for c in present[j] if _find(parent, a + c) == root]
-            if len(side_i) + len(side_j) < len(present[i]) + len(present[j]):
-                syms_i, syms_j = dist.alphabets[i].symbols, dist.alphabets[j].symbols
-                return False, DisconnectedPair(i, j, frozenset(syms_i[c] for c in side_i),
-                                               frozenset(syms_j[c] for c in side_j))
-    return True, None
+    sizes = np.array([len(a) for a in dist.alphabets], dtype=np.int64)
+    first, second = np.array(list(combinations(range(dist.k), 2)), dtype=np.intp).reshape(-1, 2).T
+    width = sizes[first] + sizes[second]
+    start = np.cumsum(width) - width  # each pair's first vertex
+    total = int(width.sum())
+    u = dist.codes[:, first] + start
+    v = dist.codes[:, second] + (start + sizes[first])
+    keys = np.sort((u * total + v).ravel())  # np.unique would import numpy.ma
+    u, v = np.divmod(keys[np.diff(keys, prepend=-1) != 0], total)  # distinct, by pair
+    label = _least_labels(total, u, v)
+    pair = np.repeat(np.arange(len(width)), width)
+    present = np.zeros(total, dtype=bool)
+    present[u] = present[v] = True
+    root = label[u[np.searchsorted(u, start)]]  # the label of each pair's lowest symbol of i
+    split = np.flatnonzero(present & (label != root[pair]))
+    if not split.size:
+        return True, None
+    p = pair[split[0]]
+    i, j, a = int(first[p]), int(second[p]), int(sizes[first[p]])
+    side = (np.flatnonzero(present & (label == root[p]) & (pair == p)) - start[p]).tolist()
+    syms_i, syms_j = dist.alphabets[i].symbols, dist.alphabets[j].symbols
+    return False, DisconnectedPair(i, j, frozenset(syms_i[c] for c in side if c < a),
+                                   frozenset(syms_j[c - a] for c in side if c >= a))
 
 
 def connected(dist: JointDistribution) -> bool:
@@ -425,7 +437,7 @@ def connected(dist: JointDistribution) -> bool:
     k * W passes int64). One sort of the keys for every c at once brings
     equal keys together, and each atom joins the next one with its key.
     """
-    codes = dist.code_array
+    codes = dist.codes
     n, k = codes.shape
     *suffix, size = accumulate([1, *(len(a) for a in reversed(dist.alphabets))], mul)
     place = np.array(suffix[::-1], dtype=np.int64 if k * size < INT64_BOUND else object)
@@ -433,8 +445,5 @@ def connected(dist: JointDistribution) -> bool:
             + [c * size for c in range(k)]).ravel()  # keys[k * x + c]: the key of (c, x)
     order = np.argsort(keys)
     join = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
-    atom = (order // k).tolist()
-    parent = list(range(n))
-    for j in join.tolist():
-        parent[_find(parent, atom[j])] = _find(parent, atom[j + 1])
-    return len({_find(parent, x) for x in range(n)}) == 1
+    atom = order // k
+    return not _least_labels(n, atom[join], atom[join + 1]).any()

@@ -30,6 +30,14 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_list(value, name: str) -> list:
+    """`value` if it is a JSON list. A string or an object is a TypeError
+    naming the field, where iterating would read its characters or keys."""
+    if type(value) is not list:
+        raise TypeError(f"{name} must be a list, not {type(value).__name__}")
+    return value
+
+
 def json_pairs(values, name: str) -> list[complex]:
     """re + i im for each item of `values`, a two-element list of JSON numbers.
     A bool, a string or any other item is a TypeError or ValueError, where
@@ -117,14 +125,15 @@ def canonical(data) -> str:
             return "".join(chain.from_iterable(zip(parts, found))) + parts[-1]
 
 
-def atom_list_text(symbols, codes, weights, denominator: int, depth: int | None) -> str:
-    """A distribution's atom list, {"p": [w/g, D/g], "x": [symbols]} per code
+def atom_list_text(symbols, columns, weights, denominator: int, depth: int | None) -> str:
+    """A distribution's atom list, {"p": [w/g, D/g], "x": [symbols]} per atom
     with g = gcd(w, D), as `dumps` writes it at `depth` or, for None, as
     `canonical` writes it.
 
-    `symbols[j]` holds the symbols of column j. Each symbol is quoted once,
-    each distinct weight's "p" pair is written once, and the atoms are one
-    join over per-column lookups of the codes."""
+    `symbols[j]` holds the symbols of coordinate j and `columns[j]` the
+    atoms' codes there. Each symbol is quoted once, each distinct weight's
+    "p" pair is written once, and the atoms are one join over per-column
+    lookups of the codes."""
     if depth is None:
         brk, colon = [""] * 4, ":"
     else:
@@ -143,7 +152,7 @@ def atom_list_text(symbols, codes, weights, denominator: int, depth: int | None)
         cells[0] = quoted[0]
     tail = (f"{field}]" if quoted else "") + f"{atom}}},{atom}"
     pieces = zip(map(heads.__getitem__, weights),
-                 *[map(c.__getitem__, col) for c, col in zip(cells, zip(*codes))], repeat(tail))
+                 *[map(c.__getitem__, col) for c, col in zip(cells, columns)], repeat(tail))
     return f"[{atom}" + "".join(chain.from_iterable(pieces))[:-len(atom) - 1] + f"{brk[0]}]"
 
 

@@ -95,7 +95,7 @@ def a5_instance():
 
     mu = a5_triple_product()
     a = len(mu.alphabets[0])
-    accept = [(x * a + y) * a + z for x, y, z in mu.codes]  # exactly the support, in code order
+    accept = mu.codes @ [a * a, a, 1]  # exactly the support, in code order
     return TestInstance(Predicate(mu.alphabets[0], 3, accept), ((Fraction(1), mu),))
 
 

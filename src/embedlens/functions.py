@@ -29,7 +29,7 @@ import numpy as np
 from .distributions import Alphabet, JointDistribution, alphabet as make_alphabet, uniform_on
 from .embedding import EmbeddingWitness
 from .errors import (PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int,
-                     json_pairs, read_json)
+                     json_list, json_pairs, read_json)
 
 IDENTITY_TOL = 1e-10
 TENSOR_GUARD = 10 ** 7  # entries of the largest dense tensor any route may build
@@ -87,7 +87,7 @@ class TableFunction:
     @classmethod
     def from_json(cls, data: dict) -> "TableFunction":
         try:
-            alpha = make_alphabet(data["alphabet"])
+            alpha = make_alphabet(json_list(data["alphabet"], "alphabet"))
             vals = json_pairs(data["values"], "values")
             return cls(json_int(data["n"], "n"), alpha, vals)
         except PAYLOAD_ERRORS as exc:
@@ -140,7 +140,7 @@ class ProductFunction:
     @classmethod
     def from_json(cls, data: dict) -> "ProductFunction":
         try:
-            alpha = make_alphabet(data["alphabet"])
+            alpha = make_alphabet(json_list(data["alphabet"], "alphabet"))
             rows = []
             for table in data["factors"]:
                 if set(table) != set(alpha.symbols):
@@ -244,8 +244,9 @@ def _measure_weights(nu: JointDistribution, alpha: Alphabet) -> np.ndarray:
         raise ValidationError("measure must be univariate")
     if nu.alphabets[0] != alpha:
         raise ValidationError("measure alphabet does not match function alphabet")
-    weight = dict(zip(nu.codes, nu.weights))
-    return np.array([weight.get((s,), 0) / nu.denominator for s in range(len(alpha))])
+    out = np.zeros(len(alpha))
+    out[nu.codes[:, 0]] = [w / nu.denominator for w in nu.weights]
+    return out
 
 
 def uniform_measure(alpha: Alphabet) -> JointDistribution:

@@ -37,6 +37,7 @@ from .functions import (
     column_product,
     stabilities,
 )
+from .intlattice import INT64_BOUND
 
 STAR = "*"
 PAIR_SEP = "|"
@@ -85,9 +86,8 @@ class StarCouplingParams:
 
 def diagonal_pairing(dist: JointDistribution) -> JointDistribution:
     """The measure on doubled coordinates carried by atoms (y, y)."""
-    return JointDistribution._from_weights(
-        dist.alphabets * 2, {x + x: w for x, w in zip(dist.codes, dist.weights)},
-        dist.denominator)
+    return JointDistribution._from_distinct(dist.alphabets * 2, np.hstack([dist.codes, dist.codes]),
+                                            list(dist.weights), dist.denominator)
 
 
 def build_paired_copies(dist: JointDistribution) -> JointDistribution:
@@ -97,21 +97,29 @@ def build_paired_copies(dist: JointDistribution) -> JointDistribution:
     conditioned on it. The diagonal carries at least the squared marginal
     mass, which is what makes the alpha^2 mixture split below possible. In
     weights, (y, y') given a last symbol of weight W has mass w_y w_y' / (D W).
+    The pairs of every cell are built at once, in int64 while the output
+    denominator fits, so every partial sum does.
     """
     if dist.k < 2:
         raise ValidationError("need at least two coordinates")
     last = dist.k - 1
-    cells: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for x, w in zip(dist.codes, dist.weights):
-        cells.setdefault(x[last], []).append((x[:last], w))
-    common = lcm(*(sum(w for _, w in cell) for cell in cells.values()))
-    out: dict[tuple[int, ...], int] = {}
-    for cell in cells.values():
-        scale = common // sum(w for _, w in cell)
-        for y, w in cell:
-            for y2, w2 in cell:
-                out[y + y2] = out.get(y + y2, 0) + w * w2 * scale
-    return JointDistribution._from_weights(dist.alphabets[:last] * 2, out,
+    order = np.argsort(dist.codes[:, last], kind="stable")
+    heads, cell = dist.codes[order, :last], dist.codes[order, last]
+    starts = np.flatnonzero(np.concatenate([[True], cell[1:] != cell[:-1]]))
+    sizes = np.diff(starts, append=len(cell))
+    weights = np.array(dist.weights, dtype=object)[order]
+    totals = np.add.reduceat(weights, starts).tolist()
+    common = lcm(*totals)
+    scales = np.array([common // t for t in totals], dtype=object)
+    if dist.denominator * common < INT64_BOUND:
+        weights, scales = weights.astype(np.int64), scales.astype(np.int64)
+    # pair t of cell c is (y, y') = (starts[c] + t // sizes[c], starts[c] + t % sizes[c])
+    c = np.repeat(np.arange(len(sizes)), sizes * sizes)
+    t = np.arange(len(c)) - np.repeat(np.cumsum(sizes * sizes) - sizes * sizes, sizes * sizes)
+    left, right = starts[c] + t // sizes[c], starts[c] + t % sizes[c]
+    return JointDistribution._from_weights(dist.alphabets[:last] * 2,
+                                           np.hstack([heads[left], heads[right]]),
+                                           weights[left] * weights[right] * scales[c],
                                            dist.denominator * common)
 
 
@@ -146,14 +154,15 @@ def build_star_coupling(params: StarCouplingParams) -> JointDistribution:
     pn, pd = params.p_nu.numerator, params.p_nu.denominator
     sn, sd = params.p_star.numerator, params.p_star.denominator
     dn, dm = params.nu1.denominator, params.mu1.denominator
-    out: dict[tuple[int, ...], int] = {}
-    for (x, y), w in zip(params.nu1.codes, params.nu1.weights):
-        out[(x, y, x * a + y)] = pn * sd * dm * w
-    for (x,), w in zip(params.mu1.codes, params.mu1.weights):
-        diag = (x, x, x * a + x)
-        out[diag] = out.get(diag, 0) + (pd - pn) * (sd - sn) * dn * w
-        out[(x, x, a * a)] = (pd - pn) * sn * dn * w
-    return JointDistribution._from_weights([sigma, sigma, star.alphabet], out, pd * sd * dn * dm)
+    x, y = params.nu1.codes.T
+    z = params.mu1.codes[:, 0]
+    codes = np.stack([np.concatenate([x, z, z]), np.concatenate([y, z, z]),
+                      np.concatenate([x * a + y, z * (a + 1), np.full_like(z, a * a)])], axis=1)
+    weights = ([pn * sd * dm * w for w in params.nu1.weights]
+               + [(pd - pn) * (sd - sn) * dn * w for w in params.mu1.weights]
+               + [(pd - pn) * sn * dn * w for w in params.mu1.weights])
+    return JointDistribution._from_weights([sigma, sigma, star.alphabet], codes, weights,
+                                           pd * sd * dn * dm)
 
 
 def build_g(f1: TableFunction, mu1: JointDistribution) -> TableFunction:
@@ -206,7 +215,7 @@ def check_coupling_identity(dist: JointDistribution, f1: TableFunction, n: int,
     lhs = exact_correlation(coupling, [f1, f1.conj(), g.conj()], n).value
 
     rho = float(1 - params.p_star)
-    a, pairs = len(f1.alphabet), params.nu1.code_array
+    a, pairs = len(f1.alphabet), params.nu1.codes
     terms = []
     for mask in range(2 ** n):
         inside = [j for j in range(n) if mask >> j & 1]
@@ -272,6 +281,6 @@ def conditional_product_given_first(dist: JointDistribution,
             raise ValidationError(f"product {i} shape mismatch")
     sigma1 = dist.alphabets[0]
     rows = np.zeros((n, len(sigma1)), dtype=np.complex128)
-    for s in {x[0] for x in dist.codes}:  # the symbols with positive mass
+    for s in set(dist.codes[:, 0].tolist()):  # the symbols with positive mass
         rows[:, s] = _product_columns(dist.condition(0, sigma1.symbols[s]), products, n)
     return ProductFunction(sigma1, rows)

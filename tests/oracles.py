@@ -22,7 +22,9 @@ lattice oracle reduces every constraint row, built as tuples from the
 codes by `tuple_constraint_matrix`, to the dense Hermite form
 `hermite_normal_form`, certifies none and checks its witness on the
 decoded support. The connectivity oracles search decoded symbol
-tuples, not the integer codes.
+tuples, not the integer codes. The tuple-of-codes oracles are the integer
+constructions as they ran on sorted code tuples and dicts, before a
+distribution's codes were one array.
 Keep them slow and obvious.
 `max_acceptance` is no oracle: it maximizes the DP's exact acceptance over
 every dense table.
@@ -32,7 +34,7 @@ import cmath
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product, zip_longest
-from math import fsum, lcm, prod
+from math import fsum, gcd, lcm, prod
 from types import SimpleNamespace
 
 import numpy as np
@@ -328,9 +330,10 @@ def assert_exact(dist, want: dict) -> None:
     assert dist.atoms == want
     assert dist.denominator == lcm(*(p.denominator for p in want.values()))
     assert sum(dist.weights) == dist.denominator
-    assert list(dist.codes) == sorted(dist.codes)
+    codes = tuple_form_of(dist)[1]
+    assert list(codes) == sorted(set(codes))
     assert dist.support == tuple(tuple(a.symbols[i] for a, i in zip(dist.alphabets, c))
-                                 for c in dist.codes)
+                                 for c in codes)
 
 
 def distribution_json(dist: JointDistribution) -> dict:
@@ -340,6 +343,16 @@ def distribution_json(dist: JointDistribution) -> dict:
     return {"alphabets": [list(a.symbols) for a in dist.alphabets],
             "atoms": [{"x": list(x), "p": [p.numerator, p.denominator]}
                       for x, p in dist.atoms.items()]}
+
+
+def distribution_columns(dist: JointDistribution) -> dict:
+    """The columnar form of `dist` without its alphabets, its weights read
+    from the Fraction masses of `atoms` over the lcm of their denominators:
+    the reference for `JointDistribution.columnar_json`."""
+    den = lcm(*(p.denominator for p in dist.atoms.values()))
+    symbols = [a.symbols for a in dist.alphabets]
+    return {"columns": [[symbols[i].index(x[i]) for x in dist.atoms] for i in range(dist.k)],
+            "w": [p.numerator * (den // p.denominator) for p in dist.atoms.values()], "den": den}
 
 
 def instance_json(inst: TestInstance) -> dict:
@@ -353,11 +366,17 @@ def instance_json(inst: TestInstance) -> dict:
 def fraction_from_json(data: dict) -> JointDistribution:
     """A distribution payload read with one Fraction per "p" pair, repeated
     atoms summed as Fractions."""
+    def listed(value, name):
+        if not isinstance(value, list):
+            raise TypeError(f"{name} must be a list, not {type(value).__name__}")
+        return value
+
     try:
-        alphabets = [alphabet(a) for a in data["alphabets"]]
+        alphabets = [alphabet(listed(a, "alphabet"))
+                     for a in listed(data["alphabets"], "alphabets")]
         atoms: dict = {}
-        for entry in data["atoms"]:
-            x = tuple(str(s) for s in entry["x"])
+        for entry in listed(data["atoms"], "atoms"):
+            x = tuple(str(s) for s in listed(entry["x"], "atom x"))
             num, den = entry["p"]
             if den is None:
                 raise TypeError("mass pair has a null denominator")
@@ -459,6 +478,109 @@ def fraction_characters(atoms: dict, functions, n) -> tuple[complex, tuple | Non
         else:
             exact = False
     return (complex(float(re), float(im)), (re, im)) if exact else (value, None)
+
+
+# ---------------------------------------------------------------------------
+# Tuple-of-codes oracles: the integer constructions as they ran when a
+# distribution's codes were a sorted tuple of k-tuples, for comparison with
+# the array ones. Each returns `tuple_form`, or None where the array
+# version raises.
+
+def tuple_form(alphabets, weights: dict, denominator: int) -> tuple:
+    """(alphabets, codes, weights, D): the codes with positive weight as
+    sorted tuples, and the weights and D divided by their gcd."""
+    codes = sorted(c for c, w in weights.items() if w)
+    kept = [weights[c] for c in codes]
+    assert sum(kept) == denominator
+    g = gcd(denominator, *kept)
+    return tuple(alphabets), tuple(codes), tuple(w // g for w in kept), denominator // g
+
+
+def tuple_form_of(dist: JointDistribution) -> tuple:
+    return dist.alphabets, tuple(map(tuple, dist.codes.tolist())), dist.weights, dist.denominator
+
+
+def tuple_from_json(data: dict) -> tuple:
+    """A valid row-form payload read an entry at a time into code tuples,
+    symbols read by str, and the "p" pairs of a repeated atom added as
+    Fractions over the lcm of all the pairs' denominators."""
+    alphabets = [alphabet(a) for a in data["alphabets"]]
+    masses: dict = {}
+    for entry in data["atoms"]:
+        code = tuple(a.symbols.index(str(s)) for a, s in zip(alphabets, entry["x"]))
+        masses[code] = masses.get(code, Fraction(0)) + Fraction(*entry["p"])
+    den = lcm(*(p.denominator for p in masses.values()))
+    return tuple_form(alphabets, {c: p.numerator * (den // p.denominator)
+                                  for c, p in masses.items()}, den)
+
+
+def tuple_marginal(dist, coords) -> tuple:
+    coords = sorted(set(coords))
+    out: dict = {}
+    for x, w in zip(tuple_form_of(dist)[1], dist.weights):
+        y = tuple([x[c] for c in coords])
+        out[y] = out.get(y, 0) + w
+    return tuple_form([dist.alphabets[c] for c in coords], out, dist.denominator)
+
+
+def tuple_condition(dist, coord: int, value: str) -> tuple | None:
+    v = dist.alphabets[coord].symbols.index(value)
+    out = {x[:coord] + x[coord + 1:]: w for x, w in zip(tuple_form_of(dist)[1], dist.weights)
+           if x[coord] == v}
+    total = sum(out.values())
+    rest = dist.alphabets[:coord] + dist.alphabets[coord + 1:]
+    return tuple_form(rest, out, total) if total else None
+
+
+def tuple_mixture(total, base, c: Fraction) -> tuple | None:
+    dt, db = total.denominator, base.denominator
+    scale, cb = db * c.denominator, dt * c.numerator
+    out = {x: w * scale for x, w in zip(tuple_form_of(total)[1], total.weights)}
+    for x, w in zip(tuple_form_of(base)[1], base.weights):
+        out[x] = out.get(x, 0) - cb * w
+        if out[x] < 0:
+            return None
+    return tuple_form(total.alphabets, out, dt * db * (c.denominator - c.numerator))
+
+
+def tuple_paired_copies(dist) -> tuple:
+    last = dist.k - 1
+    cells: dict = {}
+    for x, w in zip(tuple_form_of(dist)[1], dist.weights):
+        cells.setdefault(x[last], []).append((x[:last], w))
+    common = lcm(*(sum(w for _, w in cell) for cell in cells.values()))
+    out: dict = {}
+    for cell in cells.values():
+        scale = common // sum(w for _, w in cell)
+        for y, w in cell:
+            for y2, w2 in cell:
+                out[y + y2] = out.get(y + y2, 0) + w * w2 * scale
+    return tuple_form(dist.alphabets[:last] * 2, out, dist.denominator * common)
+
+
+def union_find_pairwise_connected(dist) -> tuple[bool, DisconnectedPair | None]:
+    """`pairwise_connected` by unions one atom's code pair at a time."""
+    def find(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    columns = list(zip(*tuple_form_of(dist)[1]))
+    present = [sorted(set(col)) for col in columns]
+    for i in range(dist.k):
+        a = len(dist.alphabets[i])
+        for j in range(i + 1, dist.k):
+            parent = list(range(a + len(dist.alphabets[j])))
+            for u, v in zip(columns[i], columns[j]):
+                parent[find(parent, u)] = find(parent, a + v)
+            root = find(parent, present[i][0])
+            side_i = [c for c in present[i] if find(parent, c) == root]
+            side_j = [c for c in present[j] if find(parent, a + c) == root]
+            if len(side_i) + len(side_j) < len(present[i]) + len(present[j]):
+                syms_i, syms_j = dist.alphabets[i].symbols, dist.alphabets[j].symbols
+                return False, DisconnectedPair(i, j, frozenset(syms_i[c] for c in side_i),
+                                               frozenset(syms_j[c] for c in side_j))
+    return True, None
 
 
 # ---------------------------------------------------------------------------

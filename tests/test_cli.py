@@ -808,9 +808,26 @@ def test_stability_of_large_values_is_real(tmp_path, capsys):
     assert result["stability"] == pytest.approx(predicted, rel=1e-10)
 
 
-# sha256 of every file `embedlens fixture NAME` writes, recorded before the
-# file readers and writers moved behind one JSON boundary.
+# sha256 of every file `embedlens fixture NAME` writes, recorded when the
+# distribution files and each instance's "mu" moved to the columnar form.
 FIXTURE_FILE_DIGESTS = {
+    "3lin": "b439ccb22e153a4a72b493f9008e2b29d5bc46ebb4b695ce4cf519d17dc5371c",
+    "3lin-instance": "94729d4bc667c0fdcb4a9356c92e2123d18f5297dcda4ee730df44336d6de3d8",
+    "a5": "99389262edc0a4d6f103199e6876fafa55c7569c03bad5910c3123bf98a73b07",
+    "a5-instance": "602b1c6f97791d4e4eeeb60ad0a5eeae7ec364611bc6b352f8919f024603ceae",
+    "disconnected-pair": "57927aee55b87e65f51da4dd33e7678291d4965f8d130b49f3f08f6e544b2a63",
+    "full-support": "aa8f41288c0ea5a0282e9cb4addcaf6d34d51bb561aff5c3823c2781a81d80fa",
+    "punctured-cube": "10fa131f94e6cc0cad601a153df0d0d96c27dce7f6072371fa78450e458967d2",
+    "single-atom": "e9ec1a64f6a22d0012ace734a895e44911884b0ae5456d21e2da5e33da2d68c3",
+    "z3sum": "1d5e3f26907e5282415bba0b83a5f161fffdb34e65574e778efe0c37d84c1dc9",
+}
+
+
+# The fixture files as written in the row form, recorded before the file
+# readers and writers moved behind one JSON boundary: loaded and written
+# again in that form, each fixture must give these bytes, so no atom, mass
+# or accepted cell moved when the columnar form replaced it.
+ROW_FORM_DIGESTS = {
     "3lin": "65e10b16fb18292777bdf0ccfdee9e94f38b93856c666d91f6ebfc79ec3581aa",
     "3lin-instance": "8a0baa8bef1ef561dcba291537efc7b3201b6f6c5298967e72ac221ed582cb18",
     "a5": "db3f61d8ef0b87c5d5f229b7d0cc638f5818a0f1798d641cf4ca1d39f6c5e45d",
@@ -832,17 +849,32 @@ TRUTH_FORM_DIGESTS = {
 }
 
 
+def row_form(inst: TestInstance, predicate: dict) -> dict:
+    """The payload of `inst` with `predicate`, each "mu" the row-form atom
+    list of its distribution's `to_json`."""
+    return {"predicate": predicate,
+            "constraints": [{"w": [w.numerator, w.denominator], "mu": mu.to_json()["atoms"]}
+                            for w, mu in inst.constraints]}
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURE_FILE_DIGESTS))
 def test_fixture_file_bytes_pinned(name, tmp_path, capsys):
     path = tmp_path / f"{name}.json"
     code, _ = run_cli(capsys, "fixture", name, str(path))
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXTURE_FILE_DIGESTS[name]
+    again = tmp_path / "again.json"
+
+    def written(data) -> str:
+        write_json(str(again), data)
+        return hashlib.sha256(again.read_bytes()).hexdigest()
+
     if name in TRUTH_FORM_DIGESTS:
         inst = TestInstance.load(str(path))
-        table = tmp_path / "truth-form.json"
-        write_json(str(table), {**inst.to_json(), "predicate": truth_json(inst.predicate)})
-        assert hashlib.sha256(table.read_bytes()).hexdigest() == TRUTH_FORM_DIGESTS[name]
+        assert written(row_form(inst, inst.predicate.to_json())) == ROW_FORM_DIGESTS[name]
+        assert written(row_form(inst, truth_json(inst.predicate))) == TRUTH_FORM_DIGESTS[name]
+    else:
+        assert written(JointDistribution.load(str(path)).to_json()) == ROW_FORM_DIGESTS[name]
 
 
 def test_unknown_fixture_lists_every_name(capsys):

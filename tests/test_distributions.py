@@ -10,7 +10,7 @@ from embedlens.distributions import (
     ExactChooser,
     JointDistribution,
     ProductPowerSampler,
-    _read_columns,
+    _read_rows,
     alphabet,
     check_draws,
     decompose_mixture,
@@ -286,9 +286,12 @@ HALF = Fraction(1, 2)
 
 
 @pytest.mark.parametrize("atoms, want", [
-    # one atom written three ways (a str, an int, a string of symbols): masses add
-    ([{"x": ["0"], "p": [1, 4]}, {"x": [0], "p": [1, 4]}, {"x": "1", "p": [2, 4]}],
+    # one atom written two ways (a str, an int): masses add
+    ([{"x": ["0"], "p": [1, 4]}, {"x": [0], "p": [1, 4]}, {"x": ["1"], "p": [2, 4]}],
      {("0",): HALF, ("1",): HALF}),
+    # a string of symbols is no atom
+    ([{"x": ["0"], "p": [1, 2]}, {"x": "1", "p": [1, 2]}],
+     (ParseError, "bad distribution payload: atom x must be a list, not str")),
     # a negative mass that a repeat of its atom makes positive
     ([{"x": ["1"], "p": [-1, 2]}, {"x": ["1"], "p": [1, 1]}, {"x": ["0"], "p": [1, 2]}],
      {("0",): HALF, ("1",): HALF}),
@@ -301,7 +304,8 @@ HALF = Fraction(1, 2)
      (ParseError, "bad distribution payload: both arguments should be Rational instances")),
     ([{"x": ["0"], "p": [1, 2]}, {"x": ["1"], "p": ["1", 2]}],
      (ParseError, "bad distribution payload: both arguments should be Rational instances")),
-    ([{"x": 5, "p": [1, 1]}], (ParseError, "bad distribution payload: 'int' object is not iterable")),
+    ([{"x": 5, "p": [1, 1]}],
+     (ParseError, "bad distribution payload: atom x must be a list, not int")),
     # bad symbols, a wrong arity and a negative mass, named in input order
     ([{"x": ["2"], "p": [1, 2]}, {"x": ["0"], "p": [-1, 2]}, {"x": [["0"]], "p": [1, 2]},
       {"x": ["0", "1"], "p": [1, 2]}, {"x": ["1"], "p": [1, 1]}],
@@ -383,7 +387,7 @@ def test_the_column_read_falls_back_to_the_entry_read_on_any_fault(k, size, data
     atoms = [{"x": [str(c) for c in x], "p": [1, len(cells)]} for x in cells]
     payload = {"alphabets": [[str(s) for s in range(size)]] * k, "atoms": atoms}
     lookups = [{sym: i for i, sym in enumerate(a)} for a in payload["alphabets"]]
-    assert _read_columns(lookups, atoms) is not None  # the column-wise read takes it
+    assert _read_rows(lookups, atoms) is not None  # the column-wise read takes it
     assert JointDistribution.from_json(payload) == fraction_from_json(payload)
     for at in data.draw(st.lists(st.integers(0, len(atoms) - 1), min_size=1, max_size=2,
                                  unique=True), label="at"):

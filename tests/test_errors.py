@@ -24,7 +24,7 @@ from embedlens.embedding import EmbeddingWitness
 from embedlens.errors import (ParseError, SizeGuardError, ValidationError, WriteError, canonical,
                              dumps, read_json, write_json)
 from embedlens.functions import ProductFunction, TableFunction, load_function, load_function_file
-from oracles import distribution_json
+from oracles import distribution_columns, distribution_json
 
 INF = float("inf")
 PRED = {"alphabet": ["0", "1"], "k": 1, "truth": [1, 1]}
@@ -76,6 +76,31 @@ MALFORMED = [
     (Predicate.from_json, {"alphabet": ["0", "1"], "k": 1, "accept": ["1"]}),
     (Predicate.from_json, {**PRED, "accept": [0, 1]}),
     (Predicate.from_json, {"alphabet": ["0", "1"], "k": 1}),
+    # a string or an object where a JSON list is required, read element by element
+    (JointDistribution.from_json, {"alphabets": [["a"], ["b"]],
+                                   "atoms": [{"x": "ab", "p": [1, 1]}]}),
+    (JointDistribution.from_json, {"alphabets": [["a"], ["b"]],
+                                   "atoms": [{"x": {"a": 0, "b": 0}, "p": [1, 1]}]}),
+    (JointDistribution.from_json, {"alphabets": ["ab"], "atoms": [{"x": ["a"], "p": [1, 1]}]}),
+    (JointDistribution.from_json, {"alphabets": [{"a": 0}], "atoms": [{"x": ["a"], "p": [1, 1]}]}),
+    (JointDistribution.from_json, {"alphabets": "a", "atoms": [{"x": ["a"], "p": [1, 1]}]}),
+    (TableFunction.from_json, {"n": 1, "alphabet": "01", "values": [[1, 0], [0, 0]]}),
+    (ProductFunction.from_json, {"alphabet": "01", "factors": [{"0": [1, 0], "1": [1, 0]}]}),
+    (Predicate.from_json, {"alphabet": "01", "k": 1, "accept": [1]}),
+    (symbol_function_from_json, {"n": 1, "alphabet": "01", "dictator": 0}),
+    (symbol_function_from_json, {"n": 1, "alphabet": {"0": 0, "1": 1}, "dictator": 0}),
+    # columnar payloads whose fields do not fit together
+    (JointDistribution.from_json, {"alphabets": [["0"]], "columns": [[0]], "w": [0], "den": 1}),
+    (JointDistribution.from_json, {"alphabets": [["0"]], "columns": [[0, 0]], "w": [1], "den": 1}),
+    (JointDistribution.from_json, {"alphabets": [["0"]], "columns": [], "w": [1], "den": 1}),
+    (JointDistribution.from_json, {"alphabets": [["0"]], "columns": "0", "w": [1], "den": 1}),
+    (JointDistribution.from_json, {"alphabets": [["0"]], "columns": [[0.0]], "w": [1], "den": 1}),
+    (JointDistribution.from_json, {"alphabets": [["0"]], "columns": [[2 ** 63]], "w": [1],
+                                   "den": 1}),
+    (JointDistribution.from_json, {"alphabets": [["0"]], "columns": [[0]], "w": [1], "den": True}),
+    (JointDistribution.from_json, {"alphabets": [["0"]], "columns": [[0]], "w": [1]}),
+    (JointDistribution.from_json, {"alphabets": [["0"]], "columns": [[0]], "w": [1], "den": 1,
+                                   "atoms": []}),
 ]
 
 
@@ -123,8 +148,11 @@ def test_instance_round_trip_keeps_the_distribution_atom_format(tmp_path):
     inst.save(str(path))
     data = json.loads(path.read_text())
     mu = inst.constraints[0][1]
-    assert data["constraints"][0]["mu"] == distribution_json(mu)["atoms"]
+    assert data["constraints"][0]["mu"] == distribution_columns(mu)
     assert TestInstance.load(str(path)) == inst
+    mu.save(str(path))
+    assert json.loads(path.read_text()) == {"alphabets": [["0", "1"]] * 3,
+                                            **distribution_columns(mu)}
 
 
 def test_witness_round_trip(tmp_path):
