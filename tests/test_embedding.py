@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 import random
 from itertools import product
 from math import prod
@@ -6,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from embedlens import fixtures, intlattice
-from embedlens.distributions import alphabet, uniform_on
-from embedlens.errors import ValidationError, dumps, read_json, write_json
+from embedlens.distributions import JointDistribution, alphabet, uniform_on
+from embedlens.errors import SizeGuardError, ValidationError, dumps, read_json, write_json
 from embedlens.embedding import (
     _fraction_kernel,
     _rank_mod_p,
@@ -159,6 +162,89 @@ def test_brute_force_antidiagonal_shifts():
     assert w.sigma[0] == {"0": 0, "1": 1}
     assert w.sigma[1] == {"1": 0, "0": 1}
     assert verify_witness(sup, w)
+
+
+# ---------------------------------------------------------------------------
+# Pinned oracle answers: sha256 of the witness JSON (sort_keys, compact), of
+# "null", or of "<exception type>: <message>", recorded before the search
+# skipped composite moduli and forced the value at closing columns.
+
+def oracle_answer(support, alphabets, max_modulus, space_guard) -> str:
+    try:
+        w = brute_force_embedding(support, alphabets, max_modulus=max_modulus,
+                                  space_guard=space_guard)
+    except (SizeGuardError, ValidationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return json.dumps(w and w.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+def oracle_pin_inputs():
+    """(support, alphabets, max_modulus, space_guard) by name: the named
+    distribution fixtures under the default guard, the A4 and S4 triple
+    products and the Z_m-sums (m = 2..6, k = 3, 4) unguarded."""
+    cases = {}
+    for name in ("3lin", "z3sum", "full-support", "single-atom", "disconnected-pair",
+                 "punctured-cube", "a5"):
+        mu = fixtures.NAMED[name]()
+        cases[name] = (mu.support, mu.alphabets, 12, 10 ** 10)
+    for name, alternating in (("a4-triple", True), ("s4-triple", False)):
+        alphabets, support = triple_product(group_elements(4, alternating))
+        cases[name] = (support, alphabets, 12, None)
+    for m, k in product(range(2, 7), (3, 4)):
+        support = [tuple(map(str, x)) for x in product(range(m), repeat=k) if sum(x) % m == 0]
+        cases[f"z{m}-sum-k{k}"] = (support, [alphabet([str(v) for v in range(m)])] * k, 12, None)
+    return cases
+
+
+ORACLE_DIGESTS = {
+    "3lin": "b3ecf647d48de18bb3e00194cb9f3e7d74bb80e3fdb8d2df978276a8ec9caae9",
+    "a4-triple": "a87e92f568d4104ca6bd471d25eead3420f62f16d96ad6e8f31493bc396da239",
+    "a5": "08e19a6b9db35198af9d737be827d8f39901d90c6c8a1fa1bd05eaf8cf3f2cc3",
+    "disconnected-pair": "a5a0639346c5cce627d33ce793960e5e77323fbea8d4d2b192dee5537a1d76fa",
+    "full-support": "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
+    "punctured-cube": "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
+    "s4-triple": "9ae6aaa4062863d44c3e22afc29c35d5e4e8c3ce0bbd59f906927802940b5f59",
+    "single-atom": "9395057e6a63c75bf72b5711e30a833d099a5b3002f464b280fa0e21e7b4ae08",
+    "z2-sum-k3": "b3ecf647d48de18bb3e00194cb9f3e7d74bb80e3fdb8d2df978276a8ec9caae9",
+    "z2-sum-k4": "3135c40dd88646cb1a4ad5984119f96a83d3ce1832fc369aa1a0d92513720c16",
+    "z3-sum-k3": "044ea82d6c81ef2ae6b678c75319cfee01d05c6c49b1e496e4db1fcb9da88cd6",
+    "z3-sum-k4": "2188ef7042ae5e189eda23d8923c55983863eaa6fa40b7d922c1f9162f2298df",
+    "z3sum": "044ea82d6c81ef2ae6b678c75319cfee01d05c6c49b1e496e4db1fcb9da88cd6",
+    "z4-sum-k3": "590f2e4a7aa19d3aa7dd2f3c6809d2d49db549d5e0c6af360542e5df0f43f78c",
+    "z4-sum-k4": "ccb615f4c16eb9c3be50bafa9f5d2dcf837bd7e17cf3ed1f97078250a7de0db6",
+    "z5-sum-k3": "bbe4b0108814402e7d549174b4d4a42e9bcc4888ea2f6b8cb53af45557a96a28",
+    "z5-sum-k4": "481d29217dad4d0a58f6eb873958d6f2d134c99c77f2ffb7749844e575670a7e",
+    "z6-sum-k3": "46daeac2da18b69d523443af96d3bada86d8717c055b82bb2e7182a8bdbc1d8d",
+    "z6-sum-k4": "be16b5f83433add6ec90b667636e5b61cca81b686393fd93a0bbe1a3bd840813",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DIGESTS))
+def test_oracle_answers_pinned(name):
+    answer = oracle_answer(*oracle_pin_inputs()[name])
+    assert hashlib.sha256(answer.encode()).hexdigest() == ORACLE_DIGESTS[name]
+
+
+LATTICE_ORACLE_DIGEST = "7a310c10ef040539b1ee3b2c753a831bd4519c9c78c6e6974db50065794415cf"
+
+
+def test_lattice_workload_random_oracle_answers_pinned(tmp_path, monkeypatch):
+    """The 40 `oracle/rand*` requests of the `lattice` workload (seed 1), as
+    the benchmark sends them: the sha256 over their answers, one a line, in
+    request order."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import workloads
+
+    w = workloads.build("lattice", 1, str(tmp_path))
+    reqs = [req for req in w.requests if req.rid.startswith("oracle/rand")]
+    assert len(reqs) == 40
+    h = hashlib.sha256()
+    for req in reqs:
+        path, max_modulus, space_guard = req.args
+        mu = JointDistribution.load(path)
+        h.update((oracle_answer(mu.support, mu.alphabets, max_modulus, space_guard) + "\n").encode())
+    assert h.hexdigest() == LATTICE_ORACLE_DIGEST
 
 
 def random_support(rng: random.Random):
