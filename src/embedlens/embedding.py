@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
-from math import gcd
+from itertools import accumulate, combinations, takewhile
+from math import lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -27,7 +27,7 @@ from .distributions import Alphabet, Atom, JointDistribution, _code, uniform_on
 from .errors import PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int
 from .intlattice import INT64_BOUND, normalize_vector, smith_normal_form, span_hermite_form
 
-ORACLE_NODE_BUDGET = 20_000_000  # search nodes of one brute-force modulus
+ORACLE_NODE_BUDGET = 20_000_000  # values the brute-force search tries at one prime modulus
 
 
 @dataclass(frozen=True)
@@ -198,9 +198,12 @@ def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet]
                           space_guard: int | None = 10 ** 10) -> EmbeddingWitness | None:
     """First verified witness under exhaustive enumeration, or None.
 
-    Enumerates normalized maps (base point fixed to 0) into Z_m for
-    m = 2..max_modulus via depth-first search with per-atom pruning, then
-    falls back to the rational rank test for embeddings into Z. Columns are
+    Enumerates normalized maps (base point fixed to 0) into Z_p for the
+    primes p <= max_modulus via depth-first search with per-atom pruning,
+    then falls back to the rational rank test for embeddings into Z. The
+    first modulus with a witness is prime: one into Z_m reduces mod a prime
+    p | m, or if that zeroes it is divided by p. The space guard still
+    reads every m. Columns are
     visited in a deterministic constraint-driven order (each step takes the
     column completing the most constraints) so that dense structured
     supports prune immediately; the witness returned is the first one in
@@ -226,37 +229,39 @@ def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet]
     by_last: dict[int, list[tuple[int, ...]]] = {}
     for cons in constraints:
         by_last.setdefault(max(position[c] for c in cons), []).append(cons)
+    closing = {pos: ([c for c in first if c != order[pos]], rest)
+               for pos, (first, *rest) in by_last.items()}
+    primes: list[int] = []
     for m in range(2, max_modulus + 1):
         if space_guard is not None and m ** s > space_guard:
             raise SizeGuardError(f"brute force space m**S = {m}**{s} exceeds guard")
-        vec = _dfs_search(order, m, by_last)
-        if vec is not None:
-            witness = _witness_from_vector(index_map, alphabets, vec, m)
-            if verify_witness(support, witness):
-                return witness
-            raise AssertionError("DFS produced an invalid witness")
-    vec = _rational_kernel(rows, s)
-    if vec is not None:
-        witness = _witness_from_vector(index_map, alphabets, vec, 0)
-        if verify_witness(support, witness):
-            return witness
-    return None
+        if any(m % p == 0 for p in takewhile(lambda p: p * p <= m, primes)):
+            continue
+        primes.append(m)
+        if (vec := _dfs_search(order, m, closing)) is not None:
+            break
+    else:
+        m, vec = 0, _rational_kernel(rows, s)
+        if vec is None:
+            return None
+    witness = _witness_from_vector(index_map, alphabets, vec, m)
+    if not verify_witness(support, witness):
+        raise AssertionError(f"{'DFS' if m else 'rational kernel'} produced an invalid witness")
+    return witness
 
 
 def _column_order(s: int, constraints: list[tuple[int, ...]]) -> list[int]:
     # Greedy: next column is the one closing the most currently-open
     # constraints, ties to the lowest index. Deterministic in the input.
     cols_in: dict[int, list[int]] = {c: [] for c in range(s)}
-    unplaced = []
+    unplaced = [set(cons) for cons in constraints]
     score = [0] * s
     for ci, cons in enumerate(constraints):
-        unplaced.append(set(cons))
         for c in cons:
             cols_in[c].append(ci)
         if len(cons) == 1:
             score[cons[0]] += 1
-    order = []
-    remaining = set(range(s))
+    order, remaining = [], set(range(s))
     while remaining:
         best = min(remaining, key=lambda c: (-score[c], c))
         order.append(best)
@@ -269,7 +274,10 @@ def _column_order(s: int, constraints: list[tuple[int, ...]]) -> list[int]:
     return order
 
 
-def _dfs_search(order: list[int], m: int, by_last) -> tuple[int, ...] | None:
+def _dfs_search(order: list[int], m: int, closing) -> tuple[int, ...] | None:
+    """The first nonzero solution over Z_m in enumeration order. closing[pos]
+    holds the other columns of the first constraint closing at pos, which
+    fixes the value there, and the rest of them, which are checked."""
     s = len(order)
     vals = [0] * s  # indexed by column, assigned in `order`
     nodes = 0
@@ -279,13 +287,13 @@ def _dfs_search(order: list[int], m: int, by_last) -> tuple[int, ...] | None:
         if pos == s:
             return tuple(vals) if any(vals) else None
         col = order[pos]
-        checks = by_last.get(pos, ())
-        for v in range(m):
+        others, checks = closing.get(pos, (None, ()))
+        for v in range(m) if others is None else (-sum(map(vals.__getitem__, others)) % m,):
             nodes += 1
             if nodes > ORACLE_NODE_BUDGET:
                 raise SizeGuardError("brute force node budget exceeded")
             vals[col] = v
-            if all(sum(vals[j] for j in cons) % m == 0 for cons in checks):
+            if all(sum(map(vals.__getitem__, cons)) % m == 0 for cons in checks):
                 hit = rec(pos + 1)
                 if hit is not None:
                     return hit
@@ -343,21 +351,15 @@ def _fraction_kernel(rows: Sequence[tuple[int, ...]], s: int) -> tuple[int, ...]
         row = [Fraction(0)] * s
         for c in cols:
             row[c] = Fraction(1)
-        c = 0
-        while c < s:
+        for c in range(s):
             if row[c] == 0:
-                c += 1
                 continue
-            if c in pivots:
-                f = row[c]
-                piv = pivots[c]
-                for j in range(c, s):
-                    row[j] -= f * piv[j]
-                c += 1
-                continue
-            inv = row[c]
-            pivots[c] = [x / inv for x in row]
-            break
+            if c not in pivots:
+                pivots[c] = [x / row[c] for x in row]
+                break
+            f, piv = row[c], pivots[c]
+            for j in range(c, s):
+                row[j] -= f * piv[j]
         if len(pivots) == s:
             return None
     free = next(c for c in range(s) if c not in pivots)
@@ -367,9 +369,7 @@ def _fraction_kernel(rows: Sequence[tuple[int, ...]], s: int) -> tuple[int, ...]
         piv = pivots[c]
         sol[c] = -sum((piv[j] * sol[j] for j in range(c + 1, s) if sol[j] != 0),
                       Fraction(0))
-    den = 1
-    for x in sol:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in sol))
     return normalize_vector([int(x * den) for x in sol])
 
 

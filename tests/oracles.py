@@ -3,6 +3,7 @@ test, `Fraction` oracles for the integer mass arithmetic of distributions,
 reductions, the character fold and the reading of distribution payloads,
 sample-at-a-time loops for the batched Monte Carlo estimates, the dense
 Smith normal form, the all-rows lattice route for the embedding verdict,
+the every-modulus, every-value search for the brute-force embedding oracle,
 the exhaustive soundness diagnostic `max_acceptance`, and small inputs to
 compare them on.
 
@@ -21,7 +22,10 @@ Fraction, as the payload oracle `distribution_json` reads masses. The
 lattice oracle reduces every constraint row, built as tuples from the
 codes by `tuple_constraint_matrix`, to the dense Hermite form
 `hermite_normal_form`, certifies none and checks its witness on the
-decoded support. The connectivity oracles search decoded symbol
+decoded support. The every-modulus search `every_modulus_embedding` walks
+all m = 2..max_modulus and every value at every column by an explicit
+stack, where the program searches prime moduli only and forces the value
+at a column where a constraint closes. The connectivity oracles search decoded symbol
 tuples, not the integer codes. The tuple-of-codes oracles are the integer
 constructions as they ran on sorted code tuples and dicts, before a
 distribution's codes were one array.
@@ -45,13 +49,20 @@ from embedlens.distributions import (
     ExactChooser,
     JointDistribution,
     ProductPowerSampler,
+    _code,
     alphabet,
     integer_weights,
+    uniform_on,
     univariate,
 )
+import embedlens.embedding
 from embedlens.embedding import (
     DisconnectedPair,
     EmbeddingVerdict,
+    EmbeddingWitness,
+    _column_order,
+    _rational_kernel,
+    _symbol_columns,
     _witness_from_vector,
     verify_witness,
 )
@@ -782,6 +793,67 @@ def all_rows_embedding(dist, hermite: bool = True) -> EmbeddingVerdict:
         vec = column(snf.V, j)
         return EmbeddingVerdict(True, verified(vec, divisors[j]), divisors, snf.rank, cm.s)
     return EmbeddingVerdict(False, None, divisors, snf.rank, cm.s)
+
+
+def every_modulus_embedding(support, alphabets, max_modulus: int,
+                            space_guard: int | None = 10 ** 10) -> EmbeddingWitness | None:
+    """`brute_force_embedding` as it searched before it skipped composite
+    moduli and forced values: every m = 2..max_modulus, every value at every
+    column, each closing constraint checked, in the same column order and
+    with the same input checks, guards and rational fallback."""
+    support = list(support)
+    if not support:
+        raise ValidationError("support must be non-empty")
+    atoms, lookups = set(support), [a._index for a in alphabets]
+    codes = {_code(lookups, x) for x in atoms}
+    if len(codes) < len(atoms) or any(code[:1] == (None,) for code in codes):
+        uniform_on(alphabets, atoms)  # raises, naming every bad atom
+    codes = sorted(codes)
+    s, index_map, table = _symbol_columns(alphabets, codes[0])
+    if s == 0:
+        return None
+    first = [0]
+    for a in alphabets[:-1]:
+        first.append(first[-1] + len(a))
+    rows = [tuple(table[first[i] + c] for i, c in enumerate(x) if table[first[i] + c] != s)
+            for x in codes]
+    constraints = list(dict.fromkeys(r for r in rows if r))
+    order = _column_order(s, constraints)
+    position = {col: pos for pos, col in enumerate(order)}
+    checks = [[] for _ in range(s)]
+    for cons in constraints:
+        checks[max(position[c] for c in cons)].append(cons)
+    for m in range(2, max_modulus + 1):
+        if space_guard is not None and m ** s > space_guard:
+            raise SizeGuardError(f"brute force space m**S = {m}**{s} exceeds guard")
+        vals, nodes, stack = [0] * s, 0, [0]  # stack[pos]: the next value to try at pos
+        while stack:
+            pos = len(stack) - 1
+            if pos == s:
+                if any(vals):
+                    witness = _witness_from_vector(index_map, alphabets, vals, m)
+                    assert verify_witness(support, witness)
+                    return witness
+                stack.pop()
+                continue
+            v = stack[pos]
+            if v == m:
+                vals[order[pos]] = 0
+                stack.pop()
+                continue
+            stack[pos] += 1
+            nodes += 1
+            if nodes > embedlens.embedding.ORACLE_NODE_BUDGET:
+                raise SizeGuardError("brute force node budget exceeded")
+            vals[order[pos]] = v
+            if all(sum(vals[j] for j in cons) % m == 0 for cons in checks[pos]):
+                stack.append(0)
+    vec = _rational_kernel(rows, s)
+    if vec is None:
+        return None
+    witness = _witness_from_vector(index_map, alphabets, vec, 0)
+    assert verify_witness(support, witness)
+    return witness
 
 
 # ---------------------------------------------------------------------------

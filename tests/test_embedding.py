@@ -2,12 +2,14 @@ import hashlib
 import json
 import os
 import random
+import time
 from itertools import product
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import embedlens.embedding
 from embedlens import fixtures, intlattice
 from embedlens.distributions import JointDistribution, alphabet, uniform_on
 from embedlens.errors import SizeGuardError, ValidationError, dumps, read_json, write_json
@@ -31,9 +33,11 @@ from oracles import (
     densify,
     dfs_pairwise_connected,
     distributions,
+    every_modulus_embedding,
     group_elements,
     hermite_normal_form,
     lattice_supports,
+    smith_supports,
     triple_product,
     tuple_constraint_matrix,
 )
@@ -247,6 +251,89 @@ def test_lattice_workload_random_oracle_answers_pinned(tmp_path, monkeypatch):
     assert h.hexdigest() == LATTICE_ORACLE_DIGEST
 
 
+# ---------------------------------------------------------------------------
+# The prime-modulus, forced-value search against the every-modulus search
+
+def same_answer(support, alphabets, max_modulus, space_guard):
+    """The oracle's witness, or its exception's type and message, equal to
+    those of `every_modulus_embedding`; its modulus, when positive, prime."""
+    answers = []
+    for search in (brute_force_embedding, every_modulus_embedding):
+        try:
+            answers.append(search(support, alphabets, max_modulus, space_guard))
+        except (SizeGuardError, ValidationError) as exc:
+            answers.append((type(exc), str(exc)))
+    got, want = answers
+    assert got == want
+    if isinstance(got, EmbeddingWitness) and got.modulus:
+        assert all(got.modulus % p for p in range(2, got.modulus))
+    return got
+
+
+@st.composite
+def oracle_inputs(draw):
+    """A random support (k 1..4, alphabets of 1..3 symbols, any density) or
+    a Z_m-sum (k 2..3), each coordinate relabelled, with m composite or a
+    prime past 2, where the first witness is past Z_2; max_modulus 2..12
+    and the default guard, a small one or none."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        m, k = draw(st.sampled_from([4, 6, 8, 9, 12, 3, 5, 7, 11])), draw(st.integers(2, 3))
+        names = [rng.sample(range(m), m) for _ in range(k)]
+        support = [tuple(str(names[i][v]) for i, v in enumerate(x))
+                   for x in product(range(m), repeat=k) if sum(x) % m == 0]
+        alphabets = [alphabet([str(v) for v in range(m)])] * k
+    else:
+        sizes = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(1, 4)))]
+        alphabets = [alphabet([str(v) for v in range(a)]) for a in sizes]
+        cells = list(product(*[a.symbols for a in alphabets]))
+        density = draw(st.sampled_from([0.2, 0.5, 0.8, 1.0]))
+        support = [x for x in cells if rng.random() < density] or [rng.choice(cells)]
+    return (support, alphabets, draw(st.integers(2, 12)),
+            draw(st.sampled_from([10 ** 10, 10 ** 4, None])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_inputs())
+def test_prime_forced_search_matches_the_every_modulus_search(case):
+    same_answer(*case)
+
+
+def test_prime_forced_search_matches_on_the_lattice_shapes():
+    for alphabets, support in smith_supports().values():
+        same_answer(support, alphabets, 12, None)
+
+
+def test_the_space_guard_still_reads_composite_moduli():
+    # 3^2 <= 10 < 4^2: Z_2 and Z_3 are searched in vain, and m = 4, never
+    # searched, still trips the guard
+    sup = list(product("01", repeat=2))
+    with pytest.raises(SizeGuardError, match=r"m\*\*S = 4\*\*2 exceeds guard"):
+        brute_force_embedding(sup, [B, B], max_modulus=4, space_guard=10)
+    assert brute_force_embedding(sup, [B, B], max_modulus=3, space_guard=10) is None
+
+
+def test_the_node_budget_still_bounds_the_search(monkeypatch):
+    monkeypatch.setattr(embedlens.embedding, "ORACLE_NODE_BUDGET", 5)
+    alphabets, support = smith_supports()["a4-triple"]
+    with pytest.raises(SizeGuardError, match="node budget exceeded"):
+        brute_force_embedding(support, alphabets, max_modulus=12, space_guard=None)
+
+
+def test_a_large_max_modulus_without_a_guard_stays_fast():
+    sup = list(product("01", repeat=2))  # no embedding: every prime is searched
+    start = time.perf_counter()
+    assert brute_force_embedding(sup, [B, B], max_modulus=10 ** 4, space_guard=None) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def test_an_invalid_rational_witness_raises(monkeypatch):
+    # max_modulus 1 searches no modulus; the single atom leaves the rank at 0
+    monkeypatch.setattr(embedlens.embedding, "_fraction_kernel", lambda rows, s: (0,) * s)
+    with pytest.raises(AssertionError, match="rational kernel produced an invalid witness"):
+        brute_force_embedding([("0", "0")], [B, B], max_modulus=1)
+
+
 def random_support(rng: random.Random):
     sizes = [rng.randrange(1, 4) for _ in range(3)]
     alphabets = [alphabet([str(x) for x in range(sz)]) for sz in sizes]
@@ -399,8 +486,9 @@ def test_witness_json_roundtrip(tmp_path):
 
 def test_a5_triple_product_admits_nothing():
     # perfect-group input: the detector reports a full unit lattice, and the
-    # exhaustive oracle over all moduli up to 12 (plus the rational rank
-    # test) finds no witness either
+    # exhaustive oracle over the prime moduli up to 12 (a witness into any
+    # Z_m would give one into Z_p for a prime p | m) plus the rational rank
+    # test finds no witness either
     mu = fixtures.a5_triple_product()
     verdict = detect_embedding(mu)
     assert not verdict.admits
