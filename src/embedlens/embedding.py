@@ -202,12 +202,11 @@ def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet]
     primes p <= max_modulus via depth-first search with per-atom pruning,
     then falls back to the rational rank test for embeddings into Z. The
     first modulus with a witness is prime: one into Z_m reduces mod a prime
-    p | m, or if that zeroes it is divided by p. The space guard still
-    reads every m. Columns are
-    visited in a deterministic constraint-driven order (each step takes the
-    column completing the most constraints) so that dense structured
-    supports prune immediately; the witness returned is the first one in
-    that enumeration order.
+    p | m, or if that zeroes it is divided by p. The space guard still reads
+    every m. Columns are visited in a deterministic constraint-driven order
+    (each step takes the column completing the most constraints) so that
+    dense structured supports prune immediately; the witness returned is
+    the first one in that enumeration order.
     """
     support = list(support)
     if not support:
@@ -254,14 +253,16 @@ def _column_order(s: int, constraints: list[tuple[int, ...]]) -> list[int]:
     # Greedy: next column is the one closing the most currently-open
     # constraints, ties to the lowest index. Deterministic in the input.
     cols_in: dict[int, list[int]] = {c: [] for c in range(s)}
-    unplaced = [set(cons) for cons in constraints]
+    unplaced = []
     score = [0] * s
     for ci, cons in enumerate(constraints):
+        unplaced.append(set(cons))
         for c in cons:
             cols_in[c].append(ci)
         if len(cons) == 1:
             score[cons[0]] += 1
-    order, remaining = [], set(range(s))
+    order = []
+    remaining = set(range(s))
     while remaining:
         best = min(remaining, key=lambda c: (-score[c], c))
         order.append(best)
@@ -275,9 +276,8 @@ def _column_order(s: int, constraints: list[tuple[int, ...]]) -> list[int]:
 
 
 def _dfs_search(order: list[int], m: int, closing) -> tuple[int, ...] | None:
-    """The first nonzero solution over Z_m in enumeration order. closing[pos]
-    holds the other columns of the first constraint closing at pos, which
-    fixes the value there, and the rest of them, which are checked."""
+    """The first nonzero solution over Z_m in enumeration order. closing[pos]: the
+    other columns of the first constraint closing at pos (it fixes the value), the rest."""
     s = len(order)
     vals = [0] * s  # indexed by column, assigned in `order`
     nodes = 0
