@@ -9,24 +9,27 @@ cells (lexicographic word indices), looked up by binary search: no
 A tested function f: Sigma^n -> Sigma is held in one form, a reduced
 ordered decision diagram (Bryant 1986) compiled when f is made, with one
 layer per coordinate f reads. Exact acceptance is a column dynamic program
-over it: a state is the k-tuple of the rows' nodes, each layer one
+over it: a state is the k-tuple of the rows' nodes, sorted inside each
+block of rows that swaps fixing mu and the predicate join, each layer one
 vectorised step over all states and atoms, with integer weights over a
 power of the local distribution's denominator and one Fraction at the end.
-A dictator is one layer at any coordinate and a junta costs its support,
-so exact completeness checks run even when a local distribution has
-thousands of atoms. The DP stops when no state is left, and
-TRANSITION_GUARD bounds its total transitions (states times atoms, summed
-over layers and constraints). Monte Carlo acceptance draws samples x n
-columns, at most `distributions.MC_DRAW_GUARD`, on the stream of a
-sample-at-a-time loop, and walks the same diagram over blocks of them. The
-test needs only `instance_violations`; `validate_instance` adds the
-embedding analysis of each local distribution."""
+A dictator is one layer at any coordinate and a junta costs its support, so
+exact completeness checks run even when a local distribution has thousands
+of atoms. The DP stops when no state is left, and TRANSITION_GUARD bounds
+its total transitions (merged states times atoms, summed over layers and
+constraints). Monte Carlo acceptance draws samples x n columns, at most
+`distributions.MC_DRAW_GUARD`, on the stream of a sample-at-a-time loop,
+and walks the same diagram over blocks of them. The test needs only
+`instance_violations`; `validate_instance` adds the embedding analysis of
+each local distribution."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -322,8 +325,8 @@ def validate_instance(inst: TestInstance) -> InstanceReport:
 def run_test_exact(inst: TestInstance, f: SymbolFunction, n: int) -> Fraction:
     """Exact rational acceptance probability of the boxed test.
 
-    TRANSITION_GUARD bounds the DP's total transitions (states times atoms,
-    summed over read layers and constraints)."""
+    TRANSITION_GUARD bounds the DP's total transitions (merged states times
+    atoms, summed over read layers and constraints)."""
     if f.n != n:
         raise ValidationError(f"function arity {f.n} != n = {n}")
     if f.alphabet != inst.predicate.alphabet:
@@ -341,12 +344,12 @@ def _acceptance_one(mu: JointDistribution, pred: Predicate, f: SymbolFunction,
                     spent: int) -> tuple[Fraction, int]:
     """Acceptance under one local distribution, and the transition count so far.
 
-    A state is a k-tuple of diagram node ids, one per row. Masses are the
-    distribution's integer weights over its denominator D, so after j
-    layers every weight is an integer over D^j and `accept` is one over
-    D^(j+1) after layer j; the only division is the final Fraction. A
-    coordinate with no layer would multiply every weight by D / D, so it
-    is skipped exactly."""
+    A state is a k-tuple of diagram node ids, one per row, sorted inside each
+    block of `_row_blocks`. Masses are the distribution's integer weights
+    over its denominator D, so after j layers every weight is an integer
+    over D^j and `accept` is one over D^(j+1) after layer j; the only
+    division is the final Fraction. A coordinate with no layer would
+    multiply every weight by D / D, so it is skipped exactly."""
     a, k = len(pred.alphabet), pred.k
     place = _places(a, k)
     if f.root < a:
@@ -368,8 +371,36 @@ def _acceptance_one(mu: JointDistribution, pred: Predicate, f: SymbolFunction,
         accept = accept * mu.denominator + sum(w[done][pred.holds(nxt[done] @ place)].tolist())
         if done.all():
             return Fraction(accept, mu.denominator ** (depth + 1)), spent
-        states, weights = _merge(nxt[~done], w[~done])
+        live = nxt[~done]
+        if depth == 0:  # the first layer to leave live states: rows regrouped by block
+            order, blocks = _row_blocks(mu, pred)
+            if order != sorted(order):
+                cols, place, live = cols[:, order], place[order], live[:, order]
+        for block in blocks:  # one state per orbit: sorted inside each block
+            live[:, block].sort(axis=1)
+        states, weights = _merge(live, w[~done])
     raise AssertionError("acceptance DP left unabsorbed states")
+
+
+def _row_blocks(mu: JointDistribution, pred: Predicate) -> tuple[list[int], list[slice]]:
+    """The rows ordered so that each block of rows joined by swaps (i j)
+    fixing mu's masses and the predicate's cells is adjacent, and the slice
+    of each block of two or more. A swap maps a DP state to one of equal
+    acceptance, as one f reads every row. Only swaps are tried (k^2 checks):
+    the A5 triple product's cyclic shift of rows is not found."""
+    a, k = len(pred.alphabet), pred.k
+    masses = dict(zip(map(tuple, mu.codes.tolist()), mu.weights))
+    cells = set(pred.accept.tolist())
+    label = list(range(k))  # rows with one label are in one block
+    for i, j in combinations(range(k), 2):
+        swap = itemgetter(*range(i), j, *range(i + 1, j), i, *range(j + 1, k))
+        pi, pj = a ** (k - 1 - i), a ** (k - 1 - j)
+        if label[i] != label[j] and all(masses.get(swap(x), 0) == m for x, m in masses.items()) \
+                and all(c + (c // pj % a - c // pi % a) * (pi - pj) in cells for c in cells):
+            label = [label[i] if b == label[j] else b for b in label]
+    order = sorted(range(k), key=label.__getitem__)
+    ends = [i for i in range(1, k + 1) if i == k or label[order[i - 1]] != label[order[i]]]
+    return order, [slice(lo, hi) for lo, hi in zip([0] + ends, ends) if hi - lo > 1]
 
 
 _KEY_LIMIT = 2 ** 62
@@ -394,7 +425,8 @@ def _merge(states: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Distinct rows of `states` with the summed weights of their copies."""
     key = _row_keys(states)
     order = np.argsort(key)
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     return states[order[starts]], np.add.reduceat(weights[order], starts)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations, takewhile
 from math import lcm
 from operator import add, mul
@@ -252,26 +253,30 @@ def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet]
 def _column_order(s: int, constraints: list[tuple[int, ...]]) -> list[int]:
     # Greedy: next column is the one closing the most currently-open
     # constraints, ties to the lowest index. Deterministic in the input.
-    cols_in: dict[int, list[int]] = {c: [] for c in range(s)}
-    unplaced = []
-    score = [0] * s
+    # key[c] = c - s * (the open constraints c alone is left in) is least at
+    # that column, and a lazy heap holds the keys: scores only rise.
+    cols_in: list[list[int]] = [[] for _ in range(s)]
+    left = [len(cons) for cons in constraints]  # unplaced columns; a row's are distinct
+    rest = [sum(cons) for cons in constraints]  # their sum: the last one, once one is left
+    key = list(range(s))
     for ci, cons in enumerate(constraints):
-        unplaced.append(set(cons))
         for c in cons:
             cols_in[c].append(ci)
         if len(cons) == 1:
-            score[cons[0]] += 1
+            key[cons[0]] -= s
+    heap = key[:]
+    heapify(heap)
     order = []
-    remaining = set(range(s))
-    while remaining:
-        best = min(remaining, key=lambda c: (-score[c], c))
-        order.append(best)
-        remaining.discard(best)
-        for ci in cols_in[best]:
-            up = unplaced[ci]
-            up.discard(best)
-            if len(up) == 1:
-                score[next(iter(up))] += 1
+    while heap:
+        k = heappop(heap)
+        if key[best := k % s] == k:  # else stale; a placed column's key no longer falls
+            order.append(best)
+            for ci in cols_in[best]:
+                left[ci] -= 1
+                rest[ci] -= best
+                if left[ci] == 1:
+                    key[c := rest[ci]] -= s
+                    heappush(heap, key[c])
     return order
 
 

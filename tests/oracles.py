@@ -4,8 +4,8 @@ reductions, the character fold and the reading of distribution payloads,
 sample-at-a-time loops for the batched Monte Carlo estimates, the dense
 Smith normal form, the all-rows lattice route for the embedding verdict,
 the every-modulus, every-value search for the brute-force embedding oracle,
-the exhaustive soundness diagnostic `max_acceptance`, and small inputs to
-compare them on.
+the exact dictatorship-test DP without merged states, the exhaustive
+soundness diagnostic `max_acceptance`, and small inputs to compare them on.
 
 Each oracle walks every term of its sum in Python and shares no code with
 the per-coordinate tensor path or decision-diagram DP it checks: functions
@@ -25,7 +25,11 @@ codes by `tuple_constraint_matrix`, to the dense Hermite form
 decoded support. The every-modulus search `every_modulus_embedding` walks
 all m = 2..max_modulus and every value at every column by an explicit
 stack, where the program searches prime moduli only and forces the value
-at a column where a constraint closes. The connectivity oracles search decoded symbol
+at a column where a constraint closes, in the column order of
+`min_scan_column_order`. The unmerged DP `unmerged_acceptance` is the
+column DP as it ran before its states were merged over row swaps: it walks
+the program's diagram, so it checks the merging only, where
+`enumerate_acceptance` checks both. The connectivity oracles search decoded symbol
 tuples, not the integer codes. The tuple-of-codes oracles are the integer
 constructions as they ran on sorted code tuples and dicts, before a
 distribution's codes were one array.
@@ -44,7 +48,7 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import strategies as st
 
-from embedlens.dicttest import Predicate, SymbolFunction, TestInstance, run_test_exact
+from embedlens.dicttest import Predicate, SymbolFunction, TestInstance, _row_keys, run_test_exact
 from embedlens.distributions import (
     ExactChooser,
     JointDistribution,
@@ -60,7 +64,6 @@ from embedlens.embedding import (
     DisconnectedPair,
     EmbeddingVerdict,
     EmbeddingWitness,
-    _column_order,
     _rational_kernel,
     _symbol_columns,
     _witness_from_vector,
@@ -72,6 +75,7 @@ from embedlens.functions import (
     ProductFunction,
     TableFunction,
     _measure_weights,
+    _places,
     _weight_tensor,
     noise_apply,
     restrict,
@@ -278,6 +282,50 @@ def enumerate_acceptance(inst, f, n) -> Fraction:
             if predicate_holds(inst.predicate, [symbol_at(f, r) for r in rows]):
                 acc += mass
     return acc
+
+
+def unmerged_acceptance(inst, f: SymbolFunction) -> tuple[Fraction, int]:
+    """The exact acceptance by the column DP as it ran before states were
+    merged under row swaps, and the transitions it spent: a state is the
+    k-tuple of the rows' nodes, whatever the symmetries of mu and the
+    predicate. It walks the program's diagram and keys states by its
+    `_row_keys`, so it checks the merging, not the diagram; it has no guard."""
+    total = sum((w for w, _ in inst.constraints), Fraction(0))
+    acc = Fraction(0)
+    spent = 0
+    for w, mu in inst.constraints:
+        p, spent = _unmerged_acceptance_one(mu, inst.predicate, f, spent)
+        acc += (w / total) * p
+    return acc, spent
+
+
+def _unmerged_acceptance_one(mu, pred, f, spent):
+    a, k = len(pred.alphabet), pred.k
+    place = _places(a, k)
+    if f.root < a:
+        return Fraction(int(pred.holds(f.root * place.sum()))), spent
+    cols = mu.codes
+    mass = np.array(mu.weights, dtype=object)
+    states = np.full((1, k), f.root, dtype=np.int64)
+    weights = np.array([1], dtype=object)
+    accept = 0
+    for depth, layer in enumerate(f.layers):
+        spent += len(states) * len(cols)
+        nxt = layer[states[:, None, :], cols[None, :, :]].reshape(-1, k)
+        w = np.multiply.outer(weights, mass).reshape(-1)
+        done = (nxt < a).all(axis=1)
+        accept = accept * mu.denominator + sum(w[done][pred.holds(nxt[done] @ place)].tolist())
+        if done.all():
+            return Fraction(accept, mu.denominator ** (depth + 1)), spent
+        states, weights = _unmerged_merge(nxt[~done], w[~done])
+    raise AssertionError("acceptance DP left unabsorbed states")
+
+
+def _unmerged_merge(states, weights):
+    key = _row_keys(states)
+    order = np.argsort(key)
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    return states[order[starts]], np.add.reduceat(weights[order], starts)
 
 
 def sample_loop_correlation(dist, functions, n, samples, seed) -> complex:
@@ -795,12 +843,29 @@ def all_rows_embedding(dist, hermite: bool = True) -> EmbeddingVerdict:
     return EmbeddingVerdict(False, None, divisors, snf.rank, cm.s)
 
 
+def min_scan_column_order(s: int, constraints: list[tuple[int, ...]]) -> list[int]:
+    """The brute-force search's column order by a scan of every unplaced
+    column at each step: the one closing the most open constraints, ties to
+    the lowest index, where the program keeps the scores in a lazy heap."""
+    open_cols = [set(cons) for cons in constraints]
+    order: list[int] = []
+    while len(order) < s:
+        unplaced = [c for c in range(s) if c not in order]
+        closing = [sum(1 for cons in open_cols if cons == {c}) for c in unplaced]
+        best = unplaced[closing.index(max(closing))]
+        order.append(best)
+        for cons in open_cols:
+            cons.discard(best)
+    return order
+
+
 def every_modulus_embedding(support, alphabets, max_modulus: int,
                             space_guard: int | None = 10 ** 10) -> EmbeddingWitness | None:
     """`brute_force_embedding` as it searched before it skipped composite
     moduli and forced values: every m = 2..max_modulus, every value at every
-    column, each closing constraint checked, in the same column order and
-    with the same input checks, guards and rational fallback."""
+    column, each closing constraint checked, in the same column order (by
+    `min_scan_column_order`) and with the same input checks, guards and
+    rational fallback."""
     support = list(support)
     if not support:
         raise ValidationError("support must be non-empty")
@@ -818,7 +883,7 @@ def every_modulus_embedding(support, alphabets, max_modulus: int,
     rows = [tuple(table[first[i] + c] for i, c in enumerate(x) if table[first[i] + c] != s)
             for x in codes]
     constraints = list(dict.fromkeys(r for r in rows if r))
-    order = _column_order(s, constraints)
+    order = min_scan_column_order(s, constraints)
     position = {col: pos for pos, col in enumerate(order)}
     checks = [[] for _ in range(s)]
     for cons in constraints:
@@ -1043,6 +1108,72 @@ def dicttest_instances(draw, alpha, k, constraints=st.integers(1, 2)):
                                              for x, m in zip(support, masses)})
         local.append((Fraction(draw(st.integers(1, 5))), mu))
     return TestInstance(Predicate.from_truth(alpha, k, truth), tuple(local))
+
+
+def set_partitions(items: list) -> list[list[list]]:
+    """Every partition of `items` into blocks, each block in input order."""
+    if not items:
+        return [[]]
+    first, rest = items[0], items[1:]
+    return [[[first, *block], *(p[:i] + p[i + 1:])]
+            for p in set_partitions(rest) for i, block in enumerate(p)] + \
+        [[[first], *p] for p in set_partitions(rest)]
+
+
+def block_orbit(word, blocks) -> set[tuple]:
+    """Every word that permuting the positions inside each block makes of `word`."""
+    orbit = {tuple(word)}
+    for block in blocks:
+        orbit = {tuple(p[block.index(i)] if i in block else x[i] for i in range(len(x)))
+                 for x in orbit for p in permutations([x[i] for i in block])}
+    return orbit
+
+
+@st.composite
+def row_symmetric_instances(draw, alpha, k, constraints=st.integers(1, 3)):
+    """A predicate on alpha^k that accepts or rejects whole orbits of the
+    permutations inside a random partition of its rows (all singletons leave
+    it arbitrary), and one to three constraints, each with the predicate's
+    partition or its own, at random met with the predicate's: a union of
+    one to three of its orbits, each orbit's atoms of one mass, and at
+    random one atom's mass raised, so that the support stays symmetric and
+    the masses do not."""
+    cells = list(iter_product(alpha.symbols, repeat=k))
+    partitions = st.sampled_from(set_partitions(list(range(k))))
+    pred_blocks = draw(partitions)
+    orbits = list({min(block_orbit(x, pred_blocks)): block_orbit(x, pred_blocks)
+                   for x in cells}.values())
+    bits = draw(st.lists(st.booleans(), min_size=len(orbits), max_size=len(orbits)))
+    accepted = set().union(*(orbit for orbit, bit in zip(orbits, bits) if bit))
+    local = []
+    for _ in range(draw(constraints)):
+        blocks = draw(st.one_of(st.just(pred_blocks), partitions))
+        if draw(st.booleans()):  # the meet with the predicate's partition
+            blocks = [m for b in blocks for p in pred_blocks if (m := sorted(set(b) & set(p)))]
+        masses = {}
+        for word in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3)):
+            m = draw(st.integers(1, 5))
+            masses.update({x: m for x in block_orbit(word, blocks) if x not in masses})
+        if draw(st.booleans()):
+            masses[draw(st.sampled_from(sorted(masses)))] += 1
+        total = sum(masses.values())
+        mu = JointDistribution([alpha] * k, {x: Fraction(m, total) for x, m in masses.items()})
+        local.append((Fraction(draw(st.integers(1, 5))), mu))
+    return TestInstance(predicate_from_callable(alpha, k, accepted.__contains__), tuple(local))
+
+
+@st.composite
+def subset_sum_specs(draw, n, alpha):
+    """The JSON payload of f(x) = h(the sum of x's symbol indices over a
+    random subset of at least two coordinates, when n > 1), h random: xors,
+    counts and thresholds, with at most n (|alpha| - 1) + 1 diagram nodes a
+    layer however large n."""
+    a = len(alpha)
+    subset = draw(st.sets(st.integers(0, n - 1), min_size=min(n, 2))) if n else set()
+    h = draw(st.lists(st.sampled_from(alpha.symbols), min_size=n * (a - 1) + 1,
+                      max_size=n * (a - 1) + 1))
+    return {"n": n, "alphabet": list(alpha.symbols),
+            "symbols": [h[sum(x[j] for j in subset)] for x in iter_product(range(a), repeat=n)]}
 
 
 @st.composite

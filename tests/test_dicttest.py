@@ -26,9 +26,12 @@ from oracles import (
     max_acceptance,
     predicate_from_callable,
     predicate_holds,
+    row_symmetric_instances,
     sample_loop_acceptance,
+    subset_sum_specs,
     symbol_at,
     symbol_specs,
+    unmerged_acceptance,
     wide_instances,
 )
 
@@ -44,6 +47,15 @@ def table_spec(n, symbols, alpha=B):
 
 def xor_instance():
     return fixtures.three_lin_instance()
+
+
+def skewed_three_lin():
+    """The 3-LIN support under masses 1/8, 1/8, 1/4, 1/2, which no swap of
+    two rows fixes."""
+    return JointDistribution([B] * 3, {("0", "0", "0"): Fraction(1, 8),
+                                       ("0", "1", "1"): Fraction(1, 8),
+                                       ("1", "0", "1"): Fraction(1, 4),
+                                       ("1", "1", "0"): Fraction(1, 2)})
 
 
 def test_predicate_roundtrip_and_eval():
@@ -370,17 +382,116 @@ def test_exact_two_constraints_with_different_denominators():
 
 def test_state_guard_bounds_total_transitions(monkeypatch):
     # 4 atoms: a dictator at coordinate 3 reads one layer, so it costs 1 * 4
-    # transitions, as a table or not; the xor of coordinates 1 and 3 reads
-    # two layers, from 1 state and then from one per atom: 4 + 4 * 4
-    inst = xor_instance()
+    # transitions, as a table or not. The xor of coordinates 1 and 3 reads
+    # two layers. Its first costs 1 * 4, and leaves one state per atom: with
+    # u, v the nodes after a 0 and a 1, (u,u,u), (u,v,v), (v,u,v), (v,v,u).
+    # 3-LIN is fixed by every permutation of its rows, so these are 2
+    # orbits, and the second layer costs 2 * 4: 4 + 2 * 4 = 12. Under masses
+    # that no swap of two rows fixes, the 4 states stay: 4 + 4 * 4 = 20.
+    three_lin = xor_instance()
+    skewed = TestInstance(three_lin.predicate, ((Fraction(1), skewed_three_lin()),))
     as_table = table(4, B, [x[3] for x in iprod("01", repeat=4)])
     xor13 = table(4, B, [str((int(x[1]) + int(x[3])) % 2) for x in iprod("01", repeat=4)])
-    for f, cost in ((dictator(4, B, 3), 4), (as_table, 4), (xor13, 20)):
+    for inst, f, cost in ((three_lin, dictator(4, B, 3), 4), (three_lin, as_table, 4),
+                          (three_lin, xor13, 12), (skewed, xor13, 20)):
         monkeypatch.setattr(dicttest, "TRANSITION_GUARD", cost)
         assert run_test_exact(inst, f, 4) == 1
         monkeypatch.setattr(dicttest, "TRANSITION_GUARD", cost - 1)
         with pytest.raises(SizeGuardError):
             run_test_exact(inst, f, 4)
+
+
+# ---------------------------------------------------------------------------
+# DP states merged over the orbits of row swaps
+
+def blocks_of(inst):
+    """The blocks of rows `_row_blocks` finds for each constraint."""
+    found = []
+    for _, mu in inst.constraints:
+        order, blocks = dicttest._row_blocks(mu, inst.predicate)
+        found.append([order[block] for block in blocks])
+    return found
+
+
+def test_row_blocks_are_joined_by_swaps_fixing_mu_and_the_predicate():
+    three_lin = xor_instance()
+    assert blocks_of(three_lin) == [[[0, 1, 2]]]
+    assert blocks_of(fixtures.a5_instance()) == [[]]  # its rows' cyclic shift is no swap
+    skewed = skewed_three_lin()  # the same support, other masses
+    assert blocks_of(TestInstance(three_lin.predicate, ((Fraction(1), skewed),))) == [[]]
+    (_, even), = three_lin.constraints  # fixed by every swap, but not this predicate
+    lopsided_pred = predicate_from_callable(B, 3, lambda x: "".join(x) in ("000", "001", "011"))
+    assert blocks_of(TestInstance(lopsided_pred, ((Fraction(1), even),))) == [[]]
+    anything = Predicate(B, 3, np.arange(8))
+    lopsided = JointDistribution([B] * 3, {("0", "0", "1"): Fraction(1, 2),
+                                           ("0", "1", "1"): Fraction(1, 2)})
+    assert blocks_of(TestInstance(anything, ((Fraction(1), lopsided),))) == [[]]
+    # mass 1 on 0000 and masses 1, 1, 2, 3 on the words with their one 1 at
+    # rows i, j and the two others: only the swap of rows i and j fixes them
+    # (for rows 1 and 3 the DP regroups the rows, so that they are adjacent)
+    for i, j in ((0, 1), (1, 3)):
+        rows = [i, j, *sorted({0, 1, 2, 3} - {i, j})]
+        masses = {("0",) * 4: Fraction(1, 8)} | {
+            tuple("1" if r == row else "0" for r in range(4)): Fraction(m, 8)
+            for row, m in zip(rows, (1, 1, 2, 3))}
+        inst = TestInstance(Predicate(B, 4, np.arange(16)),
+                            ((Fraction(1), JointDistribution([B] * 4, masses)),))
+        assert blocks_of(inst) == [[[i, j]]]
+
+
+def test_two_blocks_are_sorted_apart():
+    # masses 1 + (the 1s in block P) + 3 (the 1s in block Q), accepted when P
+    # holds at least as many 1s as Q: fixed by the swaps inside P and inside
+    # Q, not by one across them, so (u,v | u,v) and (u,u | v,v) stay apart
+    for p, q in (([0, 1], [2, 3]), ([0, 2], [1, 3])):
+        weights = {x: 1 + sum(x[i] for i in p) + 3 * sum(x[i] for i in q)
+                   for x in iprod((0, 1), repeat=4)}
+        mu = JointDistribution([B] * 4, {tuple(map(str, x)): Fraction(m, sum(weights.values()))
+                                         for x, m in weights.items()})
+        pred = predicate_from_callable(B, 4, lambda x: sum(int(x[i]) for i in p)
+                                       >= sum(int(x[i]) for i in q))
+        inst = TestInstance(pred, ((Fraction(1), mu),))
+        assert blocks_of(inst) == [[p, q]]
+        for symbols in ("0110", "0001"):  # the xor and the and of two coordinates
+            spec = table_spec(2, symbols)
+            assert run_test_exact(inst, symbol_function_from_json(spec), 2) == \
+                enumerate_acceptance(inst, spec, 2)
+
+
+# (|alphabet|, k, largest n): dense tables only up to n = 4, so that the unmerged
+# DP stays at a few thousand transitions
+DP_SHAPES = st.sampled_from([(2, 1, 10), (2, 2, 10), (2, 3, 10), (2, 4, 6), (3, 2, 5),
+                             (3, 3, 4), (3, 4, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=DP_SHAPES)
+def test_merged_dp_is_the_unmerged_dp(data, shape):
+    """Predicates and constraints fixed by all, some or no permutations of
+    rows, symmetric supports with asymmetric masses, and constraints whose
+    blocks differ: the merged DP gives the unmerged one's Fraction, in no
+    more transitions (the guard is set to the unmerged DP's count)."""
+    a, k, most = shape
+    alpha = alphabet([str(s) for s in range(a)])
+    inst = data.draw(row_symmetric_instances(alpha, k))
+    n = data.draw(st.integers(2, most))  # two layers at least, mostly
+    specs = subset_sum_specs(n, alpha)
+    spec = data.draw(specs if n > 4 else st.one_of(specs, symbol_specs(n, alpha)))
+    f = symbol_function_from_json(spec)
+    want, spent = unmerged_acceptance(inst, f)
+    with mock.patch.object(dicttest, "TRANSITION_GUARD", spent):
+        assert run_test_exact(inst, f, n) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), a=st.integers(2, 3), k=st.integers(1, 4))
+def test_merged_dp_matches_enumeration_on_row_symmetric_instances(data, a, k):
+    alpha = alphabet([str(s) for s in range(a)])
+    inst = data.draw(row_symmetric_instances(alpha, k))
+    n = data.draw(st.integers(0, 3 if k < 4 else 2))
+    spec = data.draw(st.one_of(symbol_specs(n, alpha), subset_sum_specs(n, alpha)))
+    assert run_test_exact(inst, symbol_function_from_json(spec), n) == \
+        enumerate_acceptance(inst, spec, n)
 
 
 def test_a5_instance_accepts_exactly_the_support():

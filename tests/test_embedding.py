@@ -14,6 +14,7 @@ from embedlens import fixtures, intlattice
 from embedlens.distributions import JointDistribution, alphabet, uniform_on
 from embedlens.errors import SizeGuardError, ValidationError, dumps, read_json, write_json
 from embedlens.embedding import (
+    _column_order,
     _fraction_kernel,
     _rank_mod_p,
     _rational_kernel,
@@ -37,6 +38,7 @@ from oracles import (
     group_elements,
     hermite_normal_form,
     lattice_supports,
+    min_scan_column_order,
     smith_supports,
     triple_product,
     tuple_constraint_matrix,
@@ -297,6 +299,17 @@ def oracle_inputs(draw):
 @given(oracle_inputs())
 def test_prime_forced_search_matches_the_every_modulus_search(case):
     same_answer(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), s=st.integers(0, 40))
+def test_column_order_is_the_min_scan_order(data, s):
+    """The lazy heap of scores picks the column a scan of every unplaced one
+    picks: constraints of one to five columns, repeats included, so that
+    scores tie and rise by more than one."""
+    cons = st.lists(st.integers(0, s - 1), min_size=1, max_size=min(s, 5), unique=True)
+    constraints = data.draw(st.lists(cons.map(tuple), max_size=3 * s)) if s else []
+    assert _column_order(s, constraints) == min_scan_column_order(s, constraints)
 
 
 def test_prime_forced_search_matches_on_the_lattice_shapes():
