@@ -18,15 +18,17 @@ exact completeness checks run even when a local distribution has thousands
 of atoms. The DP stops when no state is left, and TRANSITION_GUARD bounds
 its total transitions (merged states times atoms, summed over layers and
 constraints). Monte Carlo acceptance draws samples x n columns, at most
-`distributions.MC_DRAW_GUARD`, on the stream of a sample-at-a-time loop,
-and walks the same diagram over blocks of them. The test needs only
+`distributions.MC_DRAW_GUARD` (a sample of n = 0 counting as one), on the
+stream of a sample-at-a-time loop replayed from the generator's 32-bit
+words in bulk, and walks the same diagram over blocks of the columns f
+reads. The test needs only
 `instance_violations`; `validate_instance` adds the embedding analysis of
 each local distribution."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
@@ -44,7 +46,9 @@ from .distributions import (
     alphabet as make_alphabet,
     check_draws,
     integer_weights,
+    random_words,
     randbelow,
+    randbelow_calls,
 )
 from .embedding import connected, detect_embedding, pairwise_connected
 from .errors import (PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int,
@@ -447,11 +451,15 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
     """Seeded empirical acceptance of the boxed test.
 
     Each sample draws a constraint, then n columns from its local
-    distribution, all on one `random.Random(seed)` stream, at most MC_BLOCK
-    at a time. A block of about MC_BLOCK column draws (one sample, when n
-    is larger) is mapped to atoms per constraint, and f and the predicate
-    are evaluated on it by numpy indexing: the count is the one a
-    sample-at-a-time loop gives."""
+    distribution, all on one `random.Random(seed)` stream, so the count is
+    the one a sample-at-a-time loop gives. Samples come in blocks of about
+    MC_BLOCK column draws, mapped to atoms per constraint, and f and the
+    predicate are evaluated on a block by numpy indexing. The blocks are
+    replayed from the generator's words in bulk (`_replayed_blocks`), or,
+    when n reaches MC_BLOCK, a weight total reaches 2^32 or the local
+    distributions' totals differ, drawn one sample at a time
+    (`_looped_blocks`). Every column is drawn, but only the columns f reads
+    are mapped to atoms."""
     if samples <= 0:
         raise ValidationError("samples must be positive")
     if f.alphabet != inst.predicate.alphabet:
@@ -462,32 +470,111 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
                           integer_weights([w for w, _ in inst.constraints])[0])
     choosers = [ExactChooser(range(len(mu.weights)), mu.weights) for _, mu in inst.constraints]
     a, k = len(inst.predicate.alphabet), inst.predicate.k
-    # atom and symbol indices in the narrowest dtypes that hold them, so a
-    # sample of 10^6 columns costs a few MB
-    located_dtype = np.min_scalar_type(max(len(c.items) for c in choosers) - 1)
     codes = [mu.codes.astype(np.min_scalar_type(a - 1)) for _, mu in inst.constraints]
+    reads = np.array(sorted(set(f.reads)), dtype=np.int64)  # np.unique would import numpy.ma
+    on_reads = replace(f, n=len(reads), reads=tuple(np.searchsorted(reads, f.reads).tolist()))
+    totals = {c.total for c in choosers}
+    bulk = f.n < MC_BLOCK and len(totals) == 1 and max(picker.total, *totals) < 2 ** 32
     accepted = 0
-    block = max(1, MC_BLOCK // max(f.n, 1))
-    widths = [min(MC_BLOCK, f.n - lo) for lo in range(0, f.n, MC_BLOCK)]  # one sample's slices
+    for ci, atoms in (_replayed_blocks if bulk else _looped_blocks)(
+            rng, picker, choosers, f.n, samples, reads):
+        cell = np.zeros(len(atoms), dtype=np.int64)  # lexicographic index of the k images
+        for i in range(k):
+            cell = cell * a + on_reads.evaluate_many(codes[ci][atoms, i])
+        accepted += int(np.count_nonzero(inst.predicate.holds(cell)))
+    return McAcceptance(accepted / samples, samples, hoeffding_half_width(samples), accepted)
+
+
+def _looped_blocks(rng: random.Random, picker: ExactChooser, choosers: list[ExactChooser],
+                   n: int, samples: int, reads: np.ndarray):
+    """Each block's constraint indices, each with the atom indices of its
+    samples at the columns `reads`, a (count, len(reads)) array, drawn one
+    sample at a time. A sample of MC_BLOCK columns or more is a block of its
+    own, drawn and mapped to atoms in slices of MC_BLOCK columns, kept in
+    the narrowest dtype that holds them, so a sample of 10^6 columns costs
+    a few MB."""
+    dtype = np.min_scalar_type(max(len(c.items) for c in choosers) - 1)
+    block = max(1, MC_BLOCK // max(n, 1))
     for start in range(0, samples, block):
         picks = [0] * len(choosers)
-        pending = [[] for _ in choosers]  # draws not yet located, fewer than MC_BLOCK
+        pending = [[] for _ in choosers]  # draws not yet located
         located = [[] for _ in choosers]
         for _ in range(min(block, samples - start)):
             ci = picker.draw(rng)
             picks[ci] += 1
-            for width in widths:
-                pending[ci].extend(randbelow(rng, choosers[ci].total, width))
-                if len(pending[ci]) >= MC_BLOCK:
-                    located[ci].append(choosers[ci].locate(pending[ci]).astype(located_dtype))
-                    pending[ci] = []
+            chooser = choosers[ci]
+            if n < MC_BLOCK:
+                pending[ci].extend(randbelow_calls(rng, chooser.total, n))
+            else:
+                for lo in range(0, n, MC_BLOCK):
+                    draws = randbelow(rng, chooser.total, min(MC_BLOCK, n - lo))
+                    located[ci].append(chooser.locate(draws).astype(dtype))
         for ci, count in enumerate(picks):
-            if not count:
-                continue
-            located[ci].append(choosers[ci].locate(pending[ci]).astype(located_dtype))
-            atoms = np.concatenate(located[ci]).reshape(count, f.n)
-            cell = np.zeros(count, dtype=np.int64)  # lexicographic index of the k images
-            for i in range(k):
-                cell = cell * a + f.evaluate_many(codes[ci][atoms, i])
-            accepted += int(np.count_nonzero(inst.predicate.holds(cell)))
-    return McAcceptance(accepted / samples, samples, hoeffding_half_width(samples), accepted)
+            if count:
+                located[ci].append(choosers[ci].locate(pending[ci]).astype(dtype))
+                yield ci, np.concatenate(located[ci]).reshape(count, n)[:, reads]
+
+
+def _word_budget(count: int, rate: float) -> int:
+    """Words to hold before walking a block of `count` samples that take
+    `rate` words each on average: a sixteenth more, and 64, so that a block
+    seldom runs dry."""
+    return int(count * rate * 17 / 16) + 64
+
+
+def _replayed_blocks(rng: random.Random, picker: ExactChooser, choosers: list[ExactChooser],
+                     n: int, samples: int, reads: np.ndarray):
+    """The blocks of `_looped_blocks` when n < MC_BLOCK and every local
+    distribution has one weight total T, which, like the pick's total, is
+    below 2^32: replayed from the generator's 32-bit words in bulk.
+
+    A draw below T keeps a word w when w < T << (32 - k), k = T.bit_length(),
+    and its value is w >> (32 - k) (`randbelow`). A pick kept at word q
+    takes its n columns from the next n words a column draw keeps, and the
+    next sample's pick search starts after the last of them. So each kept
+    pick has a successor, one walk from the buffer's first word visits the
+    block's samples, and one gather gives their draws at the columns
+    `reads`. Words past the block's last sample carry over to the next
+    block; a block that runs past the buffer draws more words and is walked
+    again. The generator is the run's own, so words drawn past the run's
+    last sample are never read."""
+    block = MC_BLOCK // max(n, 1)
+    total = choosers[0].total
+    # the mean words a sample takes: a draw below t takes 2^t.bit_length() / t
+    rate = 2 ** picker.total.bit_length() / picker.total + n * 2 ** total.bit_length() / total
+    pick_shift, shift = 32 - picker.total.bit_length(), 32 - total.bit_length()
+    words = np.empty(0, dtype=np.uint32)
+    for start in range(0, samples, block):
+        count = min(block, samples - start)
+        want = _word_budget(count, rate)
+        while True:
+            if len(words) < want:
+                words = np.concatenate([words, random_words(rng, want - len(words))])
+            picked = words < picker.total << pick_shift  # the words a pick keeps
+            pick_at = np.flatnonzero(picked)
+            keeps = words < total << shift
+            at = np.flatnonzero(keeps)
+            first = np.cumsum(keeps, dtype=np.int32)[pick_at]  # rank of each pick's first column
+            # the word after each pick's sample, past the buffer if the sample is cut off
+            end = np.append(at, len(words))[np.minimum(first + n - 1, len(at))] + 1 \
+                if n else pick_at + 1
+            # the pick after each pick's sample; len(pick_at) past the buffer, and it stays there
+            picks_before = np.concatenate(([0], np.cumsum(picked, dtype=np.int32)))
+            succ = memoryview(np.append(picks_before[np.minimum(end, len(words))], len(pick_at)))
+            walk = [0] * count
+            j = 0
+            for s in range(count):
+                walk[s] = j
+                j = succ[j]
+            j = walk[-1]
+            if j < len(pick_at) and end[j] <= len(words):
+                break
+            want = 2 * len(words)
+        walk = np.array(walk)
+        cons = picker.locate(words[pick_at[walk]] >> pick_shift)
+        columns = words[at[first[walk, None] + reads]] >> shift
+        for ci, chooser in enumerate(choosers):
+            mine = cons == ci
+            if mine.any():
+                yield ci, chooser.locate(columns[mine])
+        words = words[end[j]:]

@@ -33,7 +33,9 @@ from .errors import (PAYLOAD_ERRORS, Fragment, ParseError, SizeGuardError, Valid
 Atom = tuple[str, ...]
 
 MC_DRAW_GUARD = 10 ** 6  # column draws (samples x n) of one Monte Carlo run
-MC_BLOCK = 2 ** 16  # column draws a Monte Carlo run maps and evaluates at once
+# column draws a Monte Carlo run maps and evaluates at once: a replayed block's
+# word buffer and its masks then stay in a few hundred KB
+MC_BLOCK = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -409,20 +411,46 @@ def decompose_mixture(total: JointDistribution, base: JointDistribution,
 
 
 def check_draws(samples: int, n: int) -> None:
-    """Refuse a Monte Carlo run of more than MC_DRAW_GUARD column draws."""
-    if samples * n > MC_DRAW_GUARD:
+    """Refuse a Monte Carlo run of more than MC_DRAW_GUARD column draws,
+    counting at least one draw per sample: a sample of n = 0 columns still
+    costs its constraint pick and its evaluation."""
+    if samples * max(n, 1) > MC_DRAW_GUARD:
         raise SizeGuardError(
             f"Monte Carlo run needs {samples} x {n} column draws; guard is {MC_DRAW_GUARD}")
 
 
-def randbelow(rng: random.Random, total: int, count: int) -> list[int]:
+def random_words(rng: random.Random, count: int) -> np.ndarray:
+    """The next `count` 32-bit outputs of `rng`'s Mersenne Twister, in the
+    order it makes them: getrandbits(32 * count) packs them least
+    significant word first."""
+    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
+
+
+def randbelow(rng: random.Random, total: int, count: int) -> np.ndarray:
     """`count` successive values of `rng.randrange(total)`, leaving `rng` where
-    those calls would.
+    those calls would: uint32 below 2^32, Python ints past it.
 
     CPython's randrange draws getrandbits(k), k the bit length of `total`,
-    until the value is below `total`; this is the same loop, inline, so it
-    replays the stream for a `total` of any size at a third of the cost.
+    until the value is below `total`. Below 2^32 each getrandbits(k) is the
+    top k bits of one output word, so each round draws one word per value
+    still missing and keeps, in order, those below `total`: the generator
+    stops where the calls would. A value past 2^32 takes several words, and
+    `randbelow_calls` draws those.
     """
+    k = total.bit_length()
+    if k > 32:
+        return np.array(randbelow_calls(rng, total, count), dtype=object)
+    kept = [np.empty(0, dtype=np.uint32)]
+    while count:
+        r = random_words(rng, count) >> (32 - k)
+        kept.append(r[r < total])
+        count -= len(kept[-1])
+    return np.concatenate(kept)
+
+
+def randbelow_calls(rng: random.Random, total: int, count: int) -> list[int]:
+    """`count` successive values of `rng.randrange(total)` as a list, from
+    randrange's own loop run inline, one getrandbits call per try."""
     getrandbits = rng.getrandbits
     k = total.bit_length()
     out = []
@@ -450,13 +478,18 @@ class ExactChooser:
         self.total = self.cumulative[-1]
         # int64 bounds for a vectorised search, while the weights fit
         self._bounds = np.array(self.cumulative, dtype=np.int64) if self.total < 2 ** 63 else None
+        # up to a total of 2^12, the item of every integer (at most 32 KB): one gather a draw
+        self._table = np.repeat(np.arange(len(weights)), weights) if self.total <= 2 ** 12 else None
 
     def draw(self, rng: random.Random):
         r = rng.randrange(self.total)
         return self.items[bisect_right(self.cumulative, r)]
 
     def locate(self, draws: Sequence[int]) -> np.ndarray:
-        """The index of the item `draw` picks for each integer below `total`."""
+        """The index of the item `draw` picks for each integer below `total`,
+        in the shape of `draws`."""
+        if self._table is not None:
+            return self._table[np.asarray(draws, dtype=np.intp)]
         if self._bounds is None:
             return np.array([bisect_right(self.cumulative, r) for r in draws], dtype=np.intp)
         return np.searchsorted(self._bounds, np.array(draws, dtype=np.int64), side="right")

@@ -15,7 +15,9 @@ package's `_unit`), a symbol function only from its JSON
 payload by `symbol_at`, a predicate only by `predicate_holds`, and the
 degree oracle builds all 2^n subset components. The Monte Carlo loops draw
 every column with `Random.randrange` through `ExactChooser.draw`, not with
-the inline rejection loop they check. The `Fraction` oracles take the raw
+the inline rejection loop they check, and `WordStream` is a generator
+whose 32-bit outputs a test chooses, so that the words a draw keeps or
+rejects can sit on the rejection boundary. The `Fraction` oracles take the raw
 atom -> mass dict a distribution was built from, never its integer
 weights, and the character fold oracle reads each integer phase as a
 Fraction, as the payload oracle `distribution_json` reads masses. The
@@ -357,6 +359,26 @@ def sample_loop_acceptance(inst, f, samples, seed) -> int:
         images = [symbol_at(f, [col[i] for col in cols]) for i in range(inst.predicate.k)]
         accepted += predicate_holds(inst.predicate, images)
     return accepted
+
+
+class WordStream(random.Random):
+    """A generator whose outputs are `words` (32-bit), cycled, served by
+    `getrandbits` as CPython serves its Mersenne Twister's: getrandbits(k)
+    takes one output per 32 bits, least significant first, and keeps the
+    top k mod 32 bits of the last one. `randrange` runs its own rejection
+    loop on it. `served` counts the outputs taken."""
+
+    def __init__(self, words):
+        self.words, self.served = list(words), 0
+        super().__init__(0)
+
+    def getrandbits(self, k: int) -> int:
+        value = 0
+        for i in range(0, k, 32):
+            word = self.words[self.served % len(self.words)]
+            self.served += 1
+            value |= (word >> max(0, i + 32 - k)) << i
+        return value
 
 
 def max_acceptance(inst: TestInstance, n: int,
@@ -1031,11 +1053,12 @@ DENOMINATORS = st.one_of(
 
 
 @st.composite
-def masses_over(draw, alphabets, den):
-    """atom -> mass on at most 8 atoms, every mass over `den`; with two atoms
-    or more one weight is 1, so `den` is the lcm of the reduced denominators."""
+def masses_over(draw, alphabets, den, min_atoms=1):
+    """atom -> mass on at most 8 atoms and at least `min_atoms` (or `den`),
+    every mass over `den`; with two atoms or more one weight is 1, so `den`
+    is the lcm of the reduced denominators."""
     cells = list(iter_product(*[a.symbols for a in alphabets]))
-    size = draw(st.integers(1, min(8, len(cells), den)))
+    size = draw(st.integers(min(min_atoms, den), min(8, len(cells), den)))
     support = draw(st.lists(st.sampled_from(cells), min_size=size, max_size=size, unique=True))
     cuts = draw(st.sets(st.integers(2, den - 1), min_size=size - 2, max_size=size - 2)) \
         if size > 2 else set()
@@ -1044,16 +1067,19 @@ def masses_over(draw, alphabets, den):
 
 
 @st.composite
-def wide_instances(draw, alpha, k):
-    """A random predicate with one to three constraints whose weights and
-    local masses range over DENOMINATORS (a local mass may be rejected by the
-    predicate: Monte Carlo counts acceptance regardless)."""
+def wide_instances(draw, alpha, k, weights=st.integers(1, 2 ** 70), dens=DENOMINATORS,
+                   weight_dens=DENOMINATORS, min_atoms=1):
+    """A random predicate with one to three constraints whose weights (a
+    numerator from `weights` over a denominator from `weight_dens`) and local
+    masses (over a denominator from `dens`, on at least `min_atoms` atoms
+    where it allows) range over DENOMINATORS by default (a local mass may be
+    rejected by the predicate: Monte Carlo counts acceptance regardless)."""
     cells = list(iter_product(alpha.symbols, repeat=k))
     truth = draw(st.lists(st.integers(0, 1), min_size=len(cells), max_size=len(cells)))
     local = []
     for _ in range(draw(st.integers(1, 3))):
-        mu = JointDistribution([alpha] * k, draw(masses_over([alpha] * k, draw(DENOMINATORS))))
-        local.append((Fraction(draw(st.integers(1, 2 ** 70)), draw(DENOMINATORS)), mu))
+        mu = JointDistribution([alpha] * k, draw(masses_over([alpha] * k, draw(dens), min_atoms)))
+        local.append((Fraction(draw(weights), draw(weight_dens)), mu))
     return TestInstance(Predicate.from_truth(alpha, k, truth), tuple(local))
 
 

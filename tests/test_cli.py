@@ -931,14 +931,18 @@ def test_dicttest_rejects_unnormalized_weights(tmp_path, capsys):
     assert err == "validation failure: weights sum to 1/2, expected 1\n"
 
 
-@pytest.mark.parametrize("command", ["dicttest", "correlate"])
+@pytest.mark.parametrize("command", ["dicttest", "dicttest-n0", "correlate"])
 def test_monte_carlo_draws_are_bounded(command, tmp_path, capsys):
-    if command == "dicttest":  # 10 samples of a dictator on 10**11 coordinates
+    if command.startswith("dicttest"):
         inst = tmp_path / "inst.json"
         fixtures.three_lin_instance().save(str(inst))
         fn = tmp_path / "f.json"
-        fn.write_text(json.dumps({"n": 10 ** 11, "alphabet": ["0", "1"], "dictator": 0}))
-        argv = ["dicttest", str(inst), str(fn), "--samples", "10"]
+        if command == "dicttest":  # 10 samples of a dictator on 10**11 coordinates
+            f, samples = {"n": 10 ** 11, "alphabet": ["0", "1"], "dictator": 0}, 10
+        else:  # 10**12 samples of a constant on no coordinates: each still costs a draw
+            f, samples = {"n": 0, "alphabet": ["0", "1"], "constant": "0"}, 10 ** 12
+        fn.write_text(json.dumps(f))
+        argv = ["dicttest", str(inst), str(fn), "--samples", str(samples)]
     else:  # 10**12 samples at n = 1
         dist = tmp_path / "mu.json"
         fixtures.three_lin().save(str(dist))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from embedlens import dicttest, fixtures
-from embedlens.distributions import JointDistribution, alphabet, uniform_on
+from embedlens.distributions import JointDistribution, alphabet, integer_weights, uniform_on
 from embedlens.dicttest import (
     Predicate,
     SymbolFunction,
@@ -20,6 +20,7 @@ from embedlens.dicttest import (
 )
 from embedlens.errors import SizeGuardError, ValidationError
 from oracles import (
+    WordStream,
     dicttest_instances,
     enumerate_acceptance,
     instance_json,
@@ -236,6 +237,41 @@ def test_batched_mc_acceptance_matches_the_sample_loop(data, a, k, n, samples, s
         got = run_test_mc(inst, symbol_function_from_json(spec), samples, seed)
     assert got.accepted == sample_loop_acceptance(inst, spec, samples, seed)
     assert got.acceptance == got.accepted / samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3), n=st.integers(0, 12), samples=st.integers(500, 700),
+       seed=st.integers(0, 2 ** 64), spare=st.integers(1, 40), budget=st.integers(1, 300),
+       edges=st.booleans())
+def test_replayed_mc_acceptance_refills_and_carries(data, k, n, samples, seed, spare, budget,
+                                                    edges):
+    """The replay from words in bulk, with blocks of a few samples (so that
+    samples cross them and unused words carry over) and word budgets so
+    small that blocks run dry and are walked again, on one to three
+    constraints: picks below small totals, columns below one total of 1, 2,
+    3, 2^31, 2^31 + 1 or 2^32 - 1 shared by every local distribution. f is
+    a random table that reads every column. With `edges`, both runs draw
+    from a WordStream in which half the words are the least word a pick or
+    a column draw rejects, or a neighbour of it."""
+    den = data.draw(st.sampled_from([1, 2, 3, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 1]))
+    inst = data.draw(wide_instances(B, k, weights=st.integers(1, 9), min_atoms=2,
+                                    weight_dens=st.sampled_from([1, 2, 3, 8]), dens=st.just(den)))
+    spec = {"n": n, "alphabet": ["0", "1"], "symbols": random.Random(seed).choices("01", k=2 ** n)}
+    stream = random.Random
+    if edges:
+        pick_total = sum(integer_weights([w for w, _ in inst.constraints])[0])
+        least = [t << (32 - t.bit_length()) for t in (pick_total, den)]
+        pool = random.Random(seed)
+        words = [pool.getrandbits(32) if pool.random() < 0.5
+                 else (pool.choice(least) + pool.choice((-1, 0, 1))) % 2 ** 32 for _ in range(97)]
+        stream = lambda _: WordStream(words)  # noqa: E731
+    with mock.patch.object(dicttest, "MC_BLOCK", n + spare), \
+            mock.patch.object(dicttest, "_word_budget", lambda count, rate: budget), \
+            mock.patch.object(dicttest, "_looped_blocks", side_effect=AssertionError), \
+            mock.patch.object(random, "Random", stream):
+        got = run_test_mc(inst, symbol_function_from_json(spec), samples, seed)
+        expected = sample_loop_acceptance(inst, spec, samples, seed)
+    assert got.accepted == expected
 
 
 def test_max_acceptance_diagnostic():

@@ -21,6 +21,7 @@ from embedlens.distributions import (
 from embedlens.errors import ParseError, SizeGuardError, ValidationError
 from oracles import (
     DENOMINATORS,
+    WordStream,
     assert_exact,
     distribution_json,
     fraction_condition,
@@ -211,8 +212,25 @@ def test_sampler_columns_come_from_support():
        seed=st.integers(0, 2 ** 64))
 def test_randbelow_replays_randrange(total, count, seed):
     rng, ref = random.Random(seed), random.Random(seed)
-    assert randbelow(rng, total, count) == [ref.randrange(total) for _ in range(count)]
+    assert randbelow(rng, total, count).tolist() == [ref.randrange(total) for _ in range(count)]
     assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("total", [1, 2, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1])
+@pytest.mark.parametrize("count", [0, 1, 5000])
+def test_randbelow_replays_randrange_at_word_boundaries(total, count):
+    """Bit lengths 1 and 32 (no shift), both sides of 2^31, and past one word
+    (the call-at-a-time loop); 5,000 values take several rounds of words.
+    Then on a stream of the least word the loop rejects below 2^32 and its
+    neighbours."""
+    rng, ref = random.Random(total + count), random.Random(total + count)
+    assert randbelow(rng, total, count).tolist() == [ref.randrange(total) for _ in range(count)]
+    assert rng.getstate() == ref.getstate()
+    edge = total << max(0, 32 - total.bit_length())
+    words = [w % 2 ** 32 for w in (edge - 1, edge, edge + 1, 0, 2 ** 32 - 1, edge // 3)]
+    rng, ref = WordStream(words), WordStream(words)
+    assert randbelow(rng, total, count).tolist() == [ref.randrange(total) for _ in range(count)]
+    assert rng.served == ref.served
 
 
 @settings(max_examples=100, deadline=None)
