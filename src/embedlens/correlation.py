@@ -21,6 +21,7 @@ experiment built on it.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import fsum, lcm, log, prod, sqrt
@@ -101,41 +102,42 @@ def exact_correlation(dist: JointDistribution, functions: Sequence[AnyFunction],
 
 def _exact_characters(dist, functions, n) -> CorrelationResult:
     """Fold in integers: phases over the lcm of the k functions' denominators,
-    masses over the distribution's D, and the exact value (re + i im) / D^j
-    after j columns. Columns with the same phase rows are bucketed once."""
+    masses over the distribution's D, and the exact value (re + i im) / D^n.
+    Each distinct column (its k phase rows) is bucketed once. While every
+    column's phase sums sit on the quarters, the exact value is the product
+    of the columns' Gaussian-integer steps raised to their counts, by
+    squarings shared across the columns; otherwise the float value
+    multiplies the columns in column order."""
     phase_den = lcm(*(f.denominator for f in functions))
-    phases = [[tuple(v * (phase_den // f.denominator) for v in row)
-               for row in f.numerators.tolist()] for f in functions]
+    wide = phase_den >= 2 ** 62  # past it a scaled residue may not fit in int64
+    keys = list(zip(*[map(tuple, ((f.numerators.astype(object) if wide else f.numerators)
+                                  * (phase_den // f.denominator)).tolist()) for f in functions]))
     d = dist.denominator
     codes = dist.codes.T.tolist()
-    exact, value = (1, 0), 1 + 0j
-    columns: dict = {}
-    for j in range(n):
-        rows = tuple(ph[j] for ph in phases)
-        if rows not in columns:
-            buckets: dict[int, int] = {}
-            for w, *phs in zip(dist.weights, *[map(row.__getitem__, col)
-                                               for row, col in zip(rows, codes)]):
-                ph = sum(phs) % phase_den
-                buckets[ph] = buckets.get(ph, 0) + w
-            units = [(w, _unit(ph, phase_den)) for ph, w in buckets.items()]
-            on_quarters = all(4 * ph % phase_den == 0 for ph in buckets)  # units 1, i, -1, -i
-            columns[rows] = (
-                complex(fsum(w / d * u.real for w, u in units),
-                        fsum(w / d * u.imag for w, u in units)),
-                (sum(w * int(u.real) for w, u in units),
-                 sum(w * int(u.imag) for w, u in units)) if on_quarters else None)
-        col, step = columns[rows]
-        value *= col
-        if exact and step:
-            (re, im), (cre, cim) = exact, step
-            exact = (re * cre - im * cim, re * cim + im * cre)
-        else:
-            exact = None
-    if exact:
-        exact = (Fraction(exact[0], d ** n), Fraction(exact[1], d ** n))
-        return CorrelationResult(complex(float(exact[0]), float(exact[1])), "exact", exact=exact)
-    return CorrelationResult(value, "exact")
+    columns = {}
+    for rows, count in Counter(keys).items():
+        buckets: dict[int, int] = {}
+        for w, *phs in zip(dist.weights, *[map(row.__getitem__, col)
+                                           for row, col in zip(rows, codes)]):
+            ph = sum(phs) % phase_den
+            buckets[ph] = buckets.get(ph, 0) + w
+        units = [(w, _unit(ph, phase_den)) for ph, w in buckets.items()]
+        on_quarters = all(4 * ph % phase_den == 0 for ph in buckets)  # units 1, i, -1, -i
+        columns[rows] = (
+            complex(fsum(w / d * u.real for w, u in units),
+                    fsum(w / d * u.imag for w, u in units)),
+            (sum(w * int(u.real) for w, u in units),
+             sum(w * int(u.imag) for w, u in units)) if on_quarters else None, count)
+    if not all(step for _, step, _ in columns.values()):
+        return CorrelationResult(prod((columns[rows][0] for rows in keys), start=1 + 0j), "exact")
+    re, im = 1, 0
+    for bit in reversed(range(n.bit_length())):  # square, then multiply in the counts' bits
+        re, im = re * re - im * im, 2 * re * im
+        for _, (cre, cim), count in columns.values():
+            if count >> bit & 1:
+                re, im = re * cre - im * cim, re * cim + im * cre
+    exact = (Fraction(re, d ** n), Fraction(im, d ** n))
+    return CorrelationResult(complex(float(exact[0]), float(exact[1])), "exact", exact=exact)
 
 
 def _product_columns(dist: JointDistribution, prods: Sequence[ProductFunction],

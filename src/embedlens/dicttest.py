@@ -49,6 +49,7 @@ from .distributions import (
     random_words,
     randbelow,
     randbelow_calls,
+    seeded_rng,
 )
 from .embedding import connected, detect_embedding, pairwise_connected
 from .errors import (PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int,
@@ -465,7 +466,7 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
     if f.alphabet != inst.predicate.alphabet:
         raise ValidationError("function alphabet mismatch")
     check_draws(samples, f.n)
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     picker = ExactChooser(range(len(inst.constraints)),
                           integer_weights([w for w, _ in inst.constraints])[0])
     choosers = [ExactChooser(range(len(mu.weights)), mu.weights) for _, mu in inst.constraints]

@@ -419,6 +419,14 @@ def check_draws(samples: int, n: int) -> None:
             f"Monte Carlo run needs {samples} x {n} column draws; guard is {MC_DRAW_GUARD}")
 
 
+def seeded_rng(seed: int) -> random.Random:
+    """random.Random(seed) for a seed >= 0: Random seeds from |seed|, so a
+    negative seed would replay the stream of its absolute value."""
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    return random.Random(seed)
+
+
 def random_words(rng: random.Random, count: int) -> np.ndarray:
     """The next `count` 32-bit outputs of `rng`'s Mersenne Twister, in the
     order it makes them: getrandbits(32 * count) packs them least
@@ -509,7 +517,7 @@ class ProductPowerSampler:
         self.base = base
         self.n = n
         self.seed = seed
-        self._rng = random.Random(seed)
+        self._rng = seeded_rng(seed)
         self._chooser = ExactChooser(base.support, base.weights)
 
     def sample(self) -> tuple[tuple[str, ...], ...]:

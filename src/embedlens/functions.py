@@ -21,7 +21,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import fsum, gcd, isfinite, lcm
+from operator import attrgetter, mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -159,29 +161,36 @@ class CharacterProduct:
     the reduced phase denominators, int64 while D < 2^62 (so that a sum of two
     residues fits) and Python ints past it. Correlations of character tuples
     are exact rationals whenever the phase sums stay on the quarter circle.
+    Both constructors flatten the rows once and build the array in one pass
+    of C-level maps (`_from_numerators`).
     """
 
     def __init__(self, alpha: Alphabet, phases: Sequence[Sequence]):
         """Rows of phases, each anything `Fraction` reads, taken mod 1."""
-        rows = [[p if isinstance(p, Fraction) else Fraction(p) for p in row] for row in phases]
-        den = lcm(*{p.denominator for row in rows for p in row})
+        rows = list(phases)
+        flat = list(chain.from_iterable(rows))
+        if not set(map(type, flat)) <= {Fraction}:
+            flat = list(map(Fraction, flat))
+        dens = list(map(attrgetter("denominator"), flat))
+        den = lcm(*set(dens))
+        scaled = map(mul, map(attrgetter("numerator"), flat), map(den.__floordiv__, dens))
         vars(self).update(vars(CharacterProduct._from_numerators(
-            alpha, [[p.numerator * (den // p.denominator) % den for p in row] for row in rows],
-            den)))
+            alpha, list(map(den.__rmod__, scaled)), list(map(len, rows)), den)))
 
     @classmethod
-    def _from_numerators(cls, alpha: Alphabet, rows: Sequence[Sequence[int]],
+    def _from_numerators(cls, alpha: Alphabet, flat: list[int], lengths: Sequence[int],
                          den: int) -> "CharacterProduct":
-        """Phase numerators[j][s] / den, each in [0, den)."""
-        if any(len(row) != len(alpha) for row in rows):
+        """Phase numerators / den, each in [0, den), rows of the given lengths
+        laid end to end in `flat`."""
+        if not set(lengths) <= {len(alpha)}:
             raise ValidationError("phase row length must match alphabet size")
-        g = gcd(den, *{v for row in rows for v in row})  # D: the lcm of the reduced denominators
+        g = gcd(den, *set(flat))  # D: the lcm of the reduced denominators
         f = cls.__new__(cls)
         f.alphabet = alpha
         f.denominator = den // g
-        f.numerators = np.array([[v // g for v in row] for row in rows],
+        f.numerators = np.array(flat if g == 1 else [v // g for v in flat],
                                 dtype=np.int64 if f.denominator < 2 ** 62 else object
-                                ).reshape(len(rows), len(alpha))
+                                ).reshape(len(lengths), len(alpha))
         f.numerators.setflags(write=False)
         return f
 
@@ -498,8 +507,8 @@ def character_function(witness: EmbeddingWitness, coordinate: int, n: int,
         raise ValidationError("alphabet does not match the witness table")
     den = m or 1 + max(max(t.values()) for t in witness.sigma) - min(
         min(t.values()) for t in witness.sigma)  # theta = 1 / den for a Z-valued witness
-    return CharacterProduct._from_numerators(alpha, [[table[s] % den for s in alpha.symbols]] * n,
-                                             den)
+    return CharacterProduct._from_numerators(alpha, [table[s] % den for s in alpha.symbols] * n,
+                                             [len(alpha)] * n, den)
 
 
 def load_function(data) -> TableFunction | ProductFunction:

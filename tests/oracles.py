@@ -95,6 +95,17 @@ def phase(f: CharacterProduct, j: int, s: int) -> Fraction:
     return Fraction(int(f.numerators[j, s]), f.denominator)
 
 
+def character_numerators(rows) -> tuple[list[list[int]], int]:
+    """CharacterProduct's numerators and denominator by definition, one phase
+    at a time: each phase is Fraction(p) % 1, D the lcm of their
+    denominators, and the numerators over D divided by their gcd with D."""
+    phases = [[Fraction(p) % 1 for p in row] for row in rows]
+    den = lcm(*(p.denominator for row in phases for p in row))
+    nums = [[p.numerator * (den // p.denominator) for p in row] for row in phases]
+    g = gcd(den, *(v for row in nums for v in row))
+    return [[v // g for v in row] for row in nums], den // g
+
+
 def evaluate(f, word) -> complex:
     """f(word) by definition: a table's entry at the lexicographic index of
     the word, the product of a product function's factors in column order

@@ -141,6 +141,28 @@ def test_correlate_mc_requires_seed(tmp_path, capsys):
     assert json.loads(out)["result"]["mode"] == "monte-carlo"
 
 
+@pytest.mark.parametrize("subcommand", ["correlate", "dicttest"])
+def test_negative_seed_is_refused(tmp_path, capsys, subcommand):
+    """random.Random seeds from |seed|, so --seed -3 would replay seed 3's
+    stream under another name in the manifest: it exits 2. Seed 0 runs."""
+    mu, inst, p, sym = (str(tmp_path / name) for name in ("mu.json", "inst.json", "p.json",
+                                                          "sym.json"))
+    fixtures.three_lin().save(mu)
+    fixtures.three_lin_instance().save(inst)
+    write_parity_product(p, 1)
+    with open(sym, "w") as fh:
+        json.dump({"n": 2, "alphabet": ["0", "1"], "dictator": 1}, fh)
+    argv = {"correlate": ["correlate", mu, p, p, p, "--n", "1", "--mode", "mc", "--samples", "50"],
+            "dicttest": ["dicttest", inst, sym, "--mode", "mc", "--samples", "50"]}[subcommand]
+    code, out, err = run_cli_err(capsys, *argv, "--seed", "-3")
+    assert (code, out) == (2, "")
+    assert "seed must be nonnegative" in err and err.count("\n") == 1
+    for seed in ("0", "3"):
+        code, out = run_cli(capsys, *argv, "--seed", seed)
+        assert code == 0
+        assert json.loads(out)["manifest"]["seed"] == int(seed)
+
+
 def test_consecutive_calls_share_the_parser_and_nothing_else(tmp_path, capsys):
     """main reuses one parser; no option or default of one call reaches the
     next: each output equals that of the same argv on a fresh parser."""

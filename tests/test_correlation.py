@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from itertools import product as iprod
 from unittest import mock
 
 import numpy as np
@@ -269,3 +270,67 @@ def test_character_fold_matches_fraction_oracle(raw, n, data):
     value, exact = fraction_characters(atoms, fs, n)
     assert res.exact == exact
     assert res.value == value
+
+
+@st.composite
+def column_pool_characters(draw, alphabets, n):
+    """One character per alphabet whose columns are drawn from a pool of 1-3
+    columns, so that a column's count reaches n and covers every bit of the
+    squaring loop. A pool column is one phase row per character, over 4
+    (on the quarters) or over 3, 8 or 12 (mostly off them), so pools mix
+    exact and float-only columns."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        den = draw(st.sampled_from([4, 4, 3, 8, 12]))
+        pool.append([[Fraction(draw(st.integers(0, den - 1)), den) for _ in a.symbols]
+                     for a in alphabets])
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return [CharacterProduct(a, [pool[p][i] for p in picks]) for i, a in enumerate(alphabets)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=prime_masses(), n=st.integers(0, 64), data=st.data())
+def test_long_character_folds_match_the_fraction_oracle(raw, n, data):
+    """Few distinct columns with counts up to 64: the exact value raised to
+    the counts and the float value multiplied in column order, bit for bit."""
+    alphabets, atoms = raw
+    fs = data.draw(column_pool_characters(alphabets, n))
+    res = exact_correlation(JointDistribution(alphabets, atoms), fs, n)
+    value, exact = fraction_characters(atoms, fs, n)
+    assert res.exact == exact
+    assert res.value == value
+
+
+# Pairwise coprime denominators near 2^40: each character's numerators are
+# int64, while the lcm of two of them is past 2^62 (Python-int scaling).
+NEAR_2_40 = (2 ** 40 - 1, 2 ** 40 + 1, 2 ** 40 + 3)
+# On the equality support of {0,1}^3, the first two phases cancel up to 1/4 at
+# (1, 1, 0); the third character's phase at "1" is never read.
+EQUAL_PAIR = {("0", "0", "0"): Fraction(2, 5), ("1", "1", "0"): Fraction(3, 5)}
+
+
+@pytest.mark.parametrize("dens", [NEAR_2_40[:2], NEAR_2_40, (2 ** 64 + 13,) * 3,
+                                  (2 ** 64 + 13, 12, 2 ** 40 + 1)])
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_wide_phase_denominators_match_the_fraction_oracle(dens, n):
+    """Phases off the quarters (float only), and the cancelling pair on the
+    equality support (exact), against the Fraction oracle; a denominator past
+    2^62 keeps its numerators as Python ints."""
+    rng = random.Random(repr((dens, n)))
+    atoms = {x: Fraction(1, 2 ** len(dens)) for x in iprod("01", repeat=len(dens))}
+    offs = [CharacterProduct(B, [[Fraction(rng.randrange(den), den) for _ in "01"]
+                                 for _ in range(n)]) for den in dens]
+    p, q = dens[0], dens[-1]
+    a = rng.randrange(1, p)
+    cancel = [CharacterProduct(B, [[0, Fraction(a, p)]] * n),
+              CharacterProduct(B, [[0, Fraction(p - a, p) + Fraction(1, 4)]] * n),
+              CharacterProduct(B, [[0, Fraction(1, q)]] * n)]
+    for fs, atoms in ((offs, atoms), (cancel, EQUAL_PAIR)):
+        for f in fs:
+            assert f.numerators.dtype == (np.int64 if f.denominator < 2 ** 62 else object)
+        alphabets = [B] * len(fs)
+        res = exact_correlation(JointDistribution(alphabets, atoms), fs, n)
+        value, exact = fraction_characters(atoms, fs, n)
+        assert res.exact == exact
+        assert res.value == value
+    assert exact is not None  # the cancelling pair folds exactly: (2/5 + 3i/5)^n

@@ -28,8 +28,8 @@ from embedlens.functions import (
     stability,
     uniform_measure,
 )
-from oracles import (evaluate, fsum_inner_product, fsum_stability, functions, measures, phase,
-                     subset_efron_stein)
+from oracles import (character_numerators, evaluate, fsum_inner_product, fsum_stability,
+                     functions, measures, phase, subset_efron_stein)
 
 B = alphabet(["0", "1"])
 UB = uniform_measure(B)
@@ -61,6 +61,53 @@ def test_character_evaluate_many_is_evaluate_bit_for_bit(den, data):
         for word, re, im in zip(words, *g.evaluate_many(words)):
             value = evaluate(g, [alpha.symbols[s] for s in word])
             assert (re.hex(), im.hex()) == (value.real.hex(), value.imag.hex())
+
+
+class Phase(Fraction):
+    """A Fraction subclass, which the constructor reads as any other number."""
+
+
+# Phase kinds the constructor takes: each maps a Fraction in [-3, 3] with a
+# denominator up to 2^70 (so past 2^62 too) onto one input type.
+PHASE_KINDS = {
+    "fraction": lambda q: q,
+    "subclass": Phase,
+    "str": str,
+    "int": lambda q: q.numerator // q.denominator,
+    "float": float,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 3), n=st.integers(0, 6), data=st.data())
+def test_character_constructor_matches_the_per_element_reference(size, n, data):
+    """Rows of one kind or mixed kinds, negative phases and phases of 1 or
+    more, against `oracles.character_numerators`: the same denominator, the
+    same numerators, int64 exactly while D < 2^62."""
+    alpha = alphabet([str(s) for s in range(size)])
+    kinds = data.draw(st.lists(st.sampled_from(sorted(PHASE_KINDS)), min_size=1, unique=True))
+    phase_in = st.tuples(st.sampled_from(kinds), st.fractions(-3, 3, max_denominator=2 ** 70))
+    rows = [[PHASE_KINDS[kind](q) for kind, q in data.draw(
+        st.lists(phase_in, min_size=size, max_size=size))] for _ in range(n)]
+    f = CharacterProduct(alpha, rows)
+    numerators, den = character_numerators(rows)
+    assert f.denominator == den
+    assert f.numerators.shape == (n, size) and not f.numerators.flags.writeable
+    assert f.numerators.dtype == (np.int64 if den < 2 ** 62 else object)
+    assert f.numerators.tolist() == numerators
+
+
+@pytest.mark.parametrize("rows", [[[0, Fraction(1, 2)], [0]], [[0], [Fraction(1, 3), 0, 1]],
+                                  [[0, 1, 2]]])
+def test_character_rows_must_match_the_alphabet(rows):
+    """A ragged row is refused, also when the lengths add up to n |alphabet|."""
+    with pytest.raises(ValidationError, match="phase row length must match alphabet size"):
+        CharacterProduct(B, rows)
+
+
+def test_character_with_no_columns():
+    f = CharacterProduct(B, [])
+    assert (f.n, f.denominator, f.numerators.shape, f.numerators.dtype) == (0, 1, (0, 2), np.int64)
 
 
 @settings(max_examples=100, deadline=None)
