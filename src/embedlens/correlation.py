@@ -20,7 +20,6 @@ experiment built on it.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import MC_BLOCK, ExactChooser, JointDistribution, ProductPowerSampler, check_draws
+from .distributions import (MC_BLOCK, ExactChooser, JointDistribution, ProductPowerSampler,
+                            check_draws, seeded_rng)
 from .errors import SizeGuardError, ValidationError
 from .functions import (
     CharacterProduct,
@@ -234,8 +234,9 @@ def best_product_correlation(nu: JointDistribution, f: TableFunction,
     decreases; local optima are possible and accepted, so the best of
     `restarts` seeded unimodular initializations is returned (the first
     start is all-ones). Each start stops after ASCENT_MAX_SWEEPS sweeps or
-    once a sweep gains less than ASCENT_TOL.
+    once a sweep gains less than ASCENT_TOL. The seed must be nonnegative.
     """
+    rng = seeded_rng(seed)
     a = len(f.alphabet)
     n = f.n
     if n > len(_LETTERS):
@@ -246,7 +247,6 @@ def best_product_correlation(nu: JointDistribution, f: TableFunction,
         return AscentResult(v, empty, [v])
     weight = _weight_tensor(_measure_weights(nu, f.alphabet), n)
     g = (f.values * weight).reshape((a,) * n)
-    rng = random.Random(seed)
     best: AscentResult | None = None
     for r in range(max(1, restarts)):
         if r == 0:
@@ -302,7 +302,7 @@ def restricted_product_correlation(f: TableFunction, nu: JointDistribution,
     if trials <= 0:
         raise ValidationError("trials must be positive")
     keep_prob = 1 - float(delta)
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     chooser = ExactChooser(nu.support, nu.weights)
     hits = 0
     for _ in range(trials):

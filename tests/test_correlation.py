@@ -214,6 +214,29 @@ def test_ascent_trace_monotone():
             assert b >= a - 1e-12
 
 
+def test_ascent_refuses_a_negative_seed():
+    # random.Random seeds from |seed|: -1 would replay the stream of seed 1
+    nu = uniform_measure(B)
+    f = random_table(random.Random(31), 3)
+    with pytest.raises(ValidationError):
+        best_product_correlation(nu, f, restarts=4, seed=-1)
+    with pytest.raises(ValidationError):
+        restricted_product_correlation(f, nu, 0.5, 20, -1, 0.8)
+
+
+def test_ascent_keeps_the_stream_of_a_seed():
+    # values recorded while the routines still seeded random.Random directly
+    nu = uniform_measure(B)
+    f = random_table(random.Random(31), 3)
+    res = best_product_correlation(nu, f, restarts=4, seed=5)
+    want = ["0x1.c35d7fde2e260p-2", "0x1.e413a69435611p-2", "0x1.e4b69f0ffb43bp-2",
+            "0x1.e4b888e6a41d8p-2", "0x1.e4b88ed3b78e4p-2", "0x1.e4b88ee62e9dcp-2",
+            "0x1.e4b88ee668325p-2"]
+    assert res.trace == pytest.approx([float.fromhex(x) for x in want], rel=1e-12, abs=0)
+    assert restricted_product_correlation(f, nu, 0.5, 20, 7, 0.8) == 0.1
+    assert restricted_product_correlation(f, nu, 0.5, 20, 1, 0.8) == 0.05
+
+
 def test_restricted_correlation_unimodular_product_is_one():
     rng = random.Random(27)
     nu = uniform_measure(B)

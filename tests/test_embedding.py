@@ -6,6 +6,7 @@ import time
 from itertools import product
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -597,9 +598,21 @@ def test_the_loop_from_a_small_selection_reaches_the_span(case):
 S4_SUPPORT = triple_product(group_elements(4, False))
 
 
+def first_rows(idx, cols):
+    """The first row that holds each column, ascending: the selection of
+    `span_hermite_form` without its spread rows."""
+    first = {}
+    for i, row in enumerate(idx.T.tolist()):
+        for j in row:
+            if j != cols:
+                first.setdefault(j, i)
+    return sorted(set(first.values()))
+
+
 def test_rank_raising_and_index_lowering_rounds(monkeypatch):
-    # S4 from the first row of each column: a round that raises the rank
-    # (46 -> 69), then one that keeps it and lowers the index of the lattice
+    # S4 from the first row of each column alone: these rows mostly pass
+    # through the base point and span rank 46 of 69, so a round raises the
+    # rank (46 -> 69), then one keeps it and lowers the index of the lattice
     # (4 -> 2). Each round's echelon basis is read where it is put in
     # Hermite form: its rank, and the product of its leads (the index).
     cm = constraint_matrix(uniform_on(*S4_SUPPORT))
@@ -610,19 +623,22 @@ def test_rank_raising_and_index_lowering_rounds(monkeypatch):
         rounds.append((len(basis), prod(row[lead] for lead, row in basis.items())))
         return hermite(basis)
 
+    monkeypatch.setattr(intlattice, "_selection", first_rows)
     monkeypatch.setattr(intlattice, "_hermite", recording)
     h = span_hermite_form(cm.columns, cm.s)
+    assert rounds[0][0] == 46
     assert any(b[0] > a[0] for a, b in zip(rounds, rounds[1:]))
     assert any(b[0] == a[0] and b[1] < a[1] for a, b in zip(rounds, rounds[1:]))
-    assert rounds[-1] == (69, 2)
+    assert (69, 4) in rounds and rounds[-1] == (69, 2)
     monkeypatch.undo()
     want = hermite_normal_form(row_basis([dict.fromkeys(c, 1) for c in tuple_rows(cm)], cm.s))
     assert densify(h, cm.s) == want
 
 
 def test_later_rounds_check_only_the_rows_that_failed(monkeypatch):
-    # S4: the membership check sees all 576 rows once, then in each round
-    # only the rows that failed the round before, until none fails
+    # S4 from the first row of each column alone: the membership check sees
+    # the 576 rows but the selected ones once, then in each round only the
+    # rows that failed the round before, until none fails
     cm = constraint_matrix(uniform_on(*S4_SUPPORT))
     seen = []
     outside = intlattice._outside
@@ -632,11 +648,42 @@ def test_later_rounds_check_only_the_rows_that_failed(monkeypatch):
         seen.append((idx.shape[1], len(failed)))
         return added, failed
 
+    monkeypatch.setattr(intlattice, "_selection", first_rows)
     monkeypatch.setattr(intlattice, "_outside", recording)
     span_hermite_form(cm.columns, cm.s)
-    assert seen[0][0] == 576 and seen[-1][1] == 0 and len(seen) >= 3
+    assert seen[0][0] == 576 - len(first_rows(cm.columns, cm.s))
+    assert seen[-1][1] == 0 and len(seen) >= 3
     assert all(b[0] == a[1] for a, b in zip(seen, seen[1:]))
     assert all(b[0] < a[0] for a, b in zip(seen, seen[1:]))
+
+
+@pytest.mark.parametrize("n, alternating, checks", [(4, True, 1), (4, False, 1), (5, True, 0)])
+def test_triple_products_close_in_one_round(monkeypatch, n, alternating, checks):
+    # A4, S4 and A5 from the first row of each column plus the rows spread
+    # over the support: one round reaches the span. The membership check
+    # sees exactly the rows outside the selection and none fails; A5 has no
+    # Abelian embedding, so its selection already spans Z^s and no row is
+    # checked at all.
+    cm = constraint_matrix(uniform_on(*triple_product(group_elements(n, alternating))))
+    selection = intlattice._selection(cm.columns, cm.s)
+    assert set(first_rows(cm.columns, cm.s)) < set(selection)
+    rest = sorted(set(range(cm.columns.shape[1])).difference(selection))
+    seen = []
+    outside = intlattice._outside
+
+    def recording(idx, h, cols):
+        added, failed = outside(idx, h, cols)
+        seen.append((idx.copy(), failed))
+        return added, failed
+
+    monkeypatch.setattr(intlattice, "_outside", recording)
+    h = span_hermite_form(cm.columns, cm.s)
+    assert len(seen) == checks
+    for idx, failed in seen:
+        assert np.array_equal(idx, cm.columns[:, rest]) and failed == []
+    monkeypatch.undo()
+    want = hermite_normal_form(row_basis([dict.fromkeys(c, 1) for c in tuple_rows(cm)], cm.s))
+    assert densify(h, cm.s) == want
 
 
 @settings(max_examples=300, deadline=None)

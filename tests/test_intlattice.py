@@ -446,11 +446,22 @@ def test_membership_check_on_the_failing_rows_selects_the_same_rows(case, data):
     assert subset[sub_failed].tolist() == failed
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 4), st.data())
-def test_span_hermite_form_matches_every_row_reduced(cols, k, data):
+@st.composite
+def zero_one_rows(draw):
+    """(rows, cols): 1 to 80 rows over 1 to 9 columns, each row the tuple of
+    the at most k <= 4 columns that hold its 1s."""
+    cols, k = draw(st.integers(1, 9)), draw(st.integers(1, 4))
     support = st.lists(st.integers(0, cols - 1), max_size=k, unique=True).map(tuple)
-    rows = data.draw(st.lists(support, min_size=1, max_size=80))
+    return draw(st.lists(support, min_size=1, max_size=80)), cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_one_rows())
+@example(([(), ()], 1))  # every row zero: nothing to select or check
+@example(([(2, 5)], 9))  # a single row
+@example(([(0,), (0,), (0, 1)], 2))  # only the spread rows make the selection hold every row
+def test_span_hermite_form_matches_every_row_reduced(case):
+    rows, cols = case
     want = hermite_normal_form(row_basis([dict.fromkeys(r, 1) for r in rows], cols))
     assert densify(span_hermite_form(column_index(rows, cols), cols), cols) == want
 
