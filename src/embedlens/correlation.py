@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import (MC_BLOCK, ExactChooser, JointDistribution, ProductPowerSampler,
                             check_draws, seeded_rng)
-from .errors import SizeGuardError, ValidationError
+from .errors import ValidationError
 from .functions import (
     CharacterProduct,
     ProductFunction,
@@ -39,11 +39,13 @@ from .functions import (
     _measure_weights,
     _unit,
     _weight_tensor,
+    axis_map,
     column_map,
     column_product,
     complex_times,
     fsums,
     restrict,
+    table_axes,
 )
 
 CONFIDENCE = 0.01  # fixed 99% confidence for every Monte Carlo half-width
@@ -219,7 +221,6 @@ class AscentResult:
     trace: list[float] = field(default_factory=list)  # objective after each sweep
 
 
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 ASCENT_MAX_SWEEPS = 200
 ASCENT_TOL = 1e-9  # a sweep gaining less than this ends the ascent
 
@@ -239,14 +240,12 @@ def best_product_correlation(nu: JointDistribution, f: TableFunction,
     rng = seeded_rng(seed)
     a = len(f.alphabet)
     n = f.n
-    if n > len(_LETTERS):
-        raise SizeGuardError("ascent supports at most 52 coordinates")
     if n == 0:
         empty = ProductFunction(f.alphabet, np.zeros((0, a), dtype=np.complex128))
         v = abs(complex(f.values[0]))
         return AscentResult(v, empty, [v])
     weight = _weight_tensor(_measure_weights(nu, f.alphabet), n)
-    g = (f.values * weight).reshape((a,) * n)
+    g = table_axes(f.values * weight, a, n)
     best: AscentResult | None = None
     for r in range(max(1, restarts)):
         if r == 0:
@@ -257,14 +256,10 @@ def best_product_correlation(nu: JointDistribution, f: TableFunction,
         trace: list[float] = []
         prev = -1.0
         for _ in range(ASCENT_MAX_SWEEPS):
-            obj = 0.0
-            for t in range(n):
+            for t in range(n):  # n >= 1, so obj is set
                 c = _coefficient(g, factors, t)
                 mags = np.abs(c)
-                newf = np.ones(a, dtype=np.complex128)
-                nz = mags > 0
-                newf[nz] = np.conj(c[nz]) / mags[nz]
-                factors[t] = newf
+                factors[t] = np.divide(np.conj(c), mags, out=np.ones(a, complex), where=mags > 0)
                 obj = float(np.sum(mags))
             if obj < prev - 1e-12:
                 raise AssertionError("ascent objective decreased")
@@ -279,15 +274,9 @@ def best_product_correlation(nu: JointDistribution, f: TableFunction,
 
 
 def _coefficient(g: np.ndarray, factors: np.ndarray, t: int) -> np.ndarray:
-    n = g.ndim
-    subs = _LETTERS[:n]
-    operands = [g]
-    script = [subs]
-    for i in range(n):
-        if i != t:
-            operands.append(factors[i])
-            script.append(subs[i])
-    return np.einsum(",".join(script) + "->" + subs[t], *operands)
+    for i in [*range(t), *range(t + 1, g.ndim)]:
+        g = axis_map(g, factors[i][None], i)
+    return g.ravel()
 
 
 def restricted_product_correlation(f: TableFunction, nu: JointDistribution,

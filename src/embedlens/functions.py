@@ -11,9 +11,9 @@ word by definition live in the test oracles (`tests/oracles.py`).
 
 Dense work on powers goes through one per-coordinate tensor path:
 `column_product` reads tables through per-column symbol indices and
-`column_map` applies one matrix along every axis. Both, the degree
-decomposition and `ProductFunction.to_table` check `TENSOR_GUARD` on the
-largest tensor they would build, before building it.
+`column_map` maps every axis by `axis_map`, the one contraction kernel, whose
+sums run in index order so that no bit follows the CPU's BLAS kernel. Routes
+check `TENSOR_GUARD` on their largest tensor first.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import fsum, gcd, isfinite, lcm
+from math import fsum, gcd, isfinite, lcm, prod
 from operator import attrgetter, mul
 from typing import Mapping, Sequence
 
@@ -35,6 +35,7 @@ from .errors import (PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError
 
 IDENTITY_TOL = 1e-10
 TENSOR_GUARD = 10 ** 7  # entries of the largest dense tensor any route may build
+MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32  # numpy's ndarray limit
 
 
 def is_table_length(length: int, a: int, n: int) -> bool:
@@ -263,10 +264,8 @@ def uniform_measure(alpha: Alphabet) -> JointDistribution:
 
 
 def _weight_tensor(w: np.ndarray, n: int) -> np.ndarray:
-    out = np.ones(1)
-    for _ in range(n):
-        out = np.multiply.outer(out, w).ravel()
-    return out
+    """The product measure's weights w(x_1) ... w(x_n), multiplied in coordinate order."""
+    return column_map(np.ones(1), w[:, None], n).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +288,39 @@ def column_product(tables: Sequence[TableFunction], index_lists: Sequence[Sequen
     out = np.ones(())
     for f, idx in zip(tables, index_lists):
         _check_tensor_size(len(idx) ** n, "column product")
-        arr = f.values.reshape((len(f.alphabet),) * n)
-        out = out * arr[np.ix_(*[idx] * n)]
+        flat = np.zeros(1, dtype=np.int64)  # the index of each word in f's table
+        for _ in range(n):
+            flat = np.add.outer(flat * len(f.alphabet), idx).ravel()
+        out = out * f.values[table_axes(flat, len(idx), n)]
     return out
 
 
 def column_map(values, matrix: np.ndarray, n: int) -> np.ndarray:
     """Apply one (out x in) matrix along each of the n axes of an in^n tensor."""
     out_size, in_size = matrix.shape
-    arr = np.reshape(values, (in_size,) * n)
+    arr = table_axes(values, in_size, n)
     for axis in range(n):
         _check_tensor_size(arr.size // in_size * out_size, "column map")
-        arr = np.moveaxis(np.tensordot(matrix, arr, axes=([1], [axis])), 0, axis)
+        arr = axis_map(arr, matrix, axis)
     return arr
+
+
+def axis_map(arr: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
+    """`axis` of a C-contiguous arr through an (out x in) matrix: entry i adds matrix[i, j] *
+    arr[..., j, ...] over j = 0, 1, ... in order by elementwise operations, alike on any CPU."""
+    split = np.iscomplexobj(arr) and not np.iscomplexobj(matrix)  # parts apart, as floats
+    x = (arr.view(np.float64) if split else arr).reshape(prod(arr.shape[:axis]), arr.shape[axis], -1)
+    out = matrix[:, :1] * x[:, :1]  # on a (before, in, after) view: no axis is added
+    for j in range(1, matrix.shape[1]):
+        out += matrix[:, j:j + 1] * x[:, j:j + 1]
+    return out.view(np.result_type(arr, matrix)).reshape(arr.shape[:axis] + (-1,) + arr.shape[axis + 1:])
+
+
+def table_axes(values, a: int, n: int, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """values shaped lead + (a,) * n; SizeGuardError past numpy's MAX_AXES axes."""
+    if len(lead) + n > MAX_AXES:
+        raise SizeGuardError(f"{n} coordinates need {len(lead) + n} axes; numpy allows {MAX_AXES}")
+    return np.reshape(values, lead + (a,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +403,21 @@ def expectation(f: TableFunction, nu: JointDistribution) -> complex:
 
 def noise_apply(f: TableFunction, rho: float, nu: JointDistribution) -> TableFunction:
     """Per-coordinate noise: keep the coordinate w.p. rho, else resample from nu."""
-    _check_rho(rho)
-    arr = _noise(f.values.reshape((len(f.alphabet),) * f.n), _measure_weights(nu, f.alphabet), rho)
-    return TableFunction(f.n, f.alphabet, arr.ravel())
+    w = _measure_weights(nu, f.alphabet)
+    return TableFunction(f.n, f.alphabet, _noise(f.values[None], w, rho, f.n)[0])
 
 
-def _check_rho(rho: float) -> None:
+def _noise(rows: np.ndarray, w: np.ndarray, rho: float, n: int) -> np.ndarray:
+    """T_rho of each row of a (batch, a^n) array, coordinate i on a (batch a^i, a, rest) view."""
     if not 0 <= rho <= 1:
         raise ValidationError("rho must lie in [0, 1]")
-
-
-def _noise(arr: np.ndarray, w: np.ndarray, rho: float) -> np.ndarray:
-    """T_rho along every axis of one table, one tensordot per axis: a batch
-    axis in front would change the BLAS call, and with it the bits."""
-    for i in range(arr.ndim):
-        mean = np.tensordot(arr, w, axes=([i], [0]))
-        arr = rho * arr + (1 - rho) * np.expand_dims(mean, axis=i)
-    return arr
+    a, out = len(w), np.array(rows, dtype=np.complex128)
+    for i in range(n):
+        view = out.reshape(len(rows) * a ** i, a, a ** (n - 1 - i))
+        mean = axis_map(view, w[None], 1)
+        view *= rho
+        view += (1 - rho) * mean
+    return out
 
 
 def stability(f: TableFunction, rho: float, nu: JointDistribution) -> float:
@@ -417,12 +434,9 @@ def stabilities(rows: np.ndarray, n: int, alpha: Alphabet, rho: float,
     """`stability` of each row of a (batch, |alpha|^n) array of tables: the
     terms of every row, and of its norm for the realness check, are the
     products `inner_product` forms, summed by one `fsums` call."""
-    _check_rho(rho)
     w = _measure_weights(nu, alpha)
-    shape = (len(alpha),) * n
-    noised = np.array([_noise(row.reshape(shape), w, rho).ravel() for row in rows])
     weight = _weight_tensor(w, n)
-    terms = rows * np.conj(noised.reshape(rows.shape)) * weight
+    terms = rows * np.conj(_noise(rows, w, rho, n)) * weight
     sums = fsums(np.concatenate((terms.real, terms.imag)))
     for r, (re, im) in enumerate(zip(sums, sums[len(rows):])):
         if abs(im) > IDENTITY_TOL and abs(im) > IDENTITY_TOL * fsums(
@@ -457,9 +471,9 @@ def efron_stein(f: TableFunction, nu: JointDistribution) -> EfronSteinDecomposit
     a = len(f.alphabet)
     _check_tensor_size((f.n + 2) * a ** f.n, "degree decomposition")
     w = _measure_weights(nu, f.alphabet)
-    parts = f.values.reshape((1,) + (a,) * f.n)
+    parts = table_axes(f.values, a, f.n, (1,))
     for axis in range(1, f.n + 1):
-        avg = np.expand_dims(np.tensordot(parts, w, axes=([axis], [0])), axis)
+        avg = axis_map(parts, w[None], axis)
         graded = np.zeros((len(parts) + 1,) + parts.shape[1:], dtype=np.complex128)
         graded[:-1] += avg
         graded[1:] += parts - avg
@@ -483,8 +497,7 @@ def restrict(f: TableFunction, assignment: Mapping[int, str]) -> TableFunction:
             raise ValidationError(f"symbol {sym!r} not in alphabet")
     idx = tuple(f.alphabet.index(assignment[i]) if i in assignment else slice(None)
                 for i in range(f.n))
-    out = f.values.reshape((a,) * f.n)[idx]
-    return TableFunction(f.n - len(assignment), f.alphabet, np.asarray(out).ravel())
+    return TableFunction(f.n - len(assignment), f.alphabet, table_axes(f.values, a, f.n)[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -176,8 +176,7 @@ def build_g(f1: TableFunction, mu1: JointDistribution) -> TableFunction:
     sigma = f1.alphabet
     star = StarAlphabet.build(sigma)
     a = len(sigma)
-    firsts = [p // a for p in range(a * a)]  # pair symbol p is (p // a, p % a)
-    seconds = [p % a for p in range(a * a)]
+    firsts, seconds = divmod(np.arange(a * a), a)  # pair symbol p is (p // a, p % a)
     h = column_product([f1, f1.conj()], [firsts, seconds], f1.n)
     fill = np.vstack([np.eye(a * a), np.diag(_measure_weights(mu1, sigma)).ravel()])
     return TableFunction(f1.n, star.alphabet, np.ravel(column_map(h, fill, f1.n)))
@@ -261,8 +260,7 @@ def conditional_product_given_last(dist: JointDistribution,
         if total == 0:
             raise ValidationError(f"zero-probability conditioning cell: symbol {v!r}")
     cond = np.array([[w / total for w, total in zip(row, cells)] for row in joint])
-    values = column_map(column_product(functions, index_lists, n), cond.T, n)
-    return TableFunction(n, sigma_k, np.ravel(values))
+    return TableFunction(n, sigma_k, column_map(column_product(functions, index_lists, n), cond.T, n))
 
 
 def conditional_product_given_first(dist: JointDistribution,

@@ -2,9 +2,10 @@
 test, `Fraction` oracles for the integer mass arithmetic of distributions,
 reductions, the character fold and the reading of distribution payloads,
 sample-at-a-time loops for the batched Monte Carlo estimates, the dense
-Smith normal form, the all-rows lattice route for the embedding verdict,
-the every-modulus, every-value search for the brute-force embedding oracle,
-the exact dictatorship-test DP without merged states, the exhaustive
+Smith normal form, a Python-float loop for the fixed-order axis kernel,
+the all-rows lattice route for the embedding verdict, the every-modulus,
+every-value search for the brute-force embedding oracle, the exact
+dictatorship-test DP without merged states, the exhaustive
 soundness diagnostic `max_acceptance`, and small inputs to compare them on.
 
 Each oracle walks every term of its sum in Python and shares no code with
@@ -223,6 +224,21 @@ def fsum_stability(f, rho, nu) -> float:
     if abs(val.imag) > 1e-10 and abs(val.imag) > 1e-10 * fsum_inner_product(f, f, nu).real:
         raise AssertionError(f"stability came out non-real: {val}")
     return val.real
+
+
+def ordered_axis_map(arr, matrix, axis) -> np.ndarray:
+    """`axis_map` one output entry at a time in Python floats: the terms
+    m[i][j] * x[j] added over j in order from the first, real and imaginary
+    parts apart."""
+    x = np.moveaxis(np.asarray(arr, dtype=np.complex128), axis, -1)
+    out = np.empty(x.shape[:-1] + (len(matrix),), dtype=np.complex128)
+    for pos in np.ndindex(x.shape[:-1]):
+        vec = x[pos].tolist()
+        for i, row in enumerate(matrix.tolist()):
+            re = [m * v.real for m, v in zip(row, vec)]
+            im = [m * v.imag for m, v in zip(row, vec)]
+            out[pos + (i,)] = complex(sum(re[1:], re[0]), sum(im[1:], im[0]))
+    return np.moveaxis(out, -1, axis)
 
 
 def subset_efron_stein(f, nu) -> dict[tuple[int, ...], TableFunction]:

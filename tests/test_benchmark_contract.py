@@ -9,7 +9,8 @@ the requests whose answers the benchmark pins by digest, and the third pins
 the digests of the `lattice` workload's `analyze` requests. The fourth pins
 every float and exact pair of the `exact` workload's character requests,
 which its checker compares only through the exact pair, and the last the
-digests of every `dense` request, which its checker compares to a tolerance.
+digests of every `dense` request, which its checker compares to a tolerance,
+under the host's BLAS kernel and under the oldest one.
 """
 
 import contextlib
@@ -181,7 +182,7 @@ def test_exact_workload_character_results_are_pinned(tmp_path, monkeypatch):
     assert h.hexdigest() == CHARS_DIGEST
 
 
-DENSE_DIGESTS = "9883acaff46b75045002f5af61a1930c04338b82de9671679d6af192607e94d6"
+DENSE_DIGESTS = "93ce404410f3e3065038e45c094338b72b74cd513320e28903e22845b4f13ec6"
 
 DENSE_CHILD = r"""
 import contextlib
@@ -210,13 +211,15 @@ print(len(w.requests), h.hexdigest())
 
 def test_dense_workload_digests_are_pinned(tmp_path):
     """The 61 requests of the `dense` workload (seed 1) through `cli.main`,
-    in a child process with the benchmark's BLAS settings, since a BLAS
-    kernel's summation order may follow its thread count; the sha256 over
+    in a child process with the benchmark's BLAS settings; the sha256 over
     their manifest digests, in request order, pins every float the dense
-    routes print, to the bit."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", DENSE_CHILD, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["61", DENSE_DIGESTS]
+    routes print, to the bit. The dense contractions sum in index order by
+    elementwise operations, so the digest is the same under the BLAS kernel
+    the host picks and under the oldest one, chosen in the child only."""
+    for blas in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]), **blas)
+        proc = subprocess.run([sys.executable, "-c", DENSE_CHILD, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["61", DENSE_DIGESTS], blas

@@ -19,7 +19,7 @@ from embedlens.correlation import exact_correlation
 from embedlens.distributions import MC_DRAW_GUARD, JointDistribution, uniform_on
 from embedlens.dicttest import TestInstance
 from embedlens.errors import ValidationError, dumps, write_json
-from embedlens.functions import ProductFunction
+from embedlens.functions import MAX_AXES, ProductFunction
 from oracles import group_elements, instance_json, smith_supports, triple_product, truth_json
 
 
@@ -223,6 +223,35 @@ def test_stability_parity(tmp_path, capsys):
     result = json.loads(out)["result"]
     assert result["stability"] == pytest.approx(0.125)
     assert result["degree_weights"][3] == pytest.approx(1)
+
+
+@pytest.mark.parametrize("n", [MAX_AXES - 1, MAX_AXES, MAX_AXES + 1])
+@pytest.mark.parametrize("command", ["stability", "decompose", "correlate", "conditional-product"])
+def test_one_symbol_tables_past_numpy_axes(tmp_path, capsys, command, n):
+    """A one-symbol table holds one value at any n, but the dense routes give
+    it one array axis per coordinate (the degree parts one more): past numpy's
+    MAX_AXES axes they exit 3 and name the limit, and up to it they answer,
+    the batched noise included."""
+    dist, f = tmp_path / "mu.json", tmp_path / "f.json"
+    dist.write_text(json.dumps({"alphabets": [["0"]] * 3, "atoms": [{"x": ["0"] * 3, "p": [1, 1]}]}))
+    f.write_text(json.dumps({"n": n, "alphabet": ["0"], "values": [[1.0, 0.0]]}))
+    argv, key, want = {
+        "stability": (["stability", f, "--rho", "0.5"], "stability", 1.0),
+        "decompose": (["stability", f, "--rho", "0.5", "--decompose"], "degree_weights",
+                      [1.0] + [0.0] * n),
+        "correlate": (["correlate", dist, f, f, f, "--n", n], "value", [1.0, 0.0]),
+        "conditional-product": (["reduce", dist, "--op", "conditional-product", "--functions", f, f],
+                                "function", {"alphabet": ["0"], "n": n, "values": [[1.0, 0.0]]}),
+    }[command]
+    code = main([str(arg) for arg in argv])
+    captured = capsys.readouterr()
+    if n + (command == "decompose") > MAX_AXES:
+        assert code == 3
+        assert captured.err.startswith(f"size guard: {n} coordinates need ")
+        assert captured.err.endswith(f" axes; numpy allows {MAX_AXES}\n")
+    else:
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["result"][key] == want
 
 
 def test_reduce_paired_copies(tmp_path, capsys):

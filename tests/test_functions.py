@@ -17,6 +17,7 @@ from embedlens.functions import (
     CharacterProduct,
     ProductFunction,
     TableFunction,
+    axis_map,
     character_function,
     efron_stein,
     expectation,
@@ -29,7 +30,7 @@ from embedlens.functions import (
     uniform_measure,
 )
 from oracles import (character_numerators, evaluate, fsum_inner_product, fsum_stability,
-                     functions, measures, phase, subset_efron_stein)
+                     functions, measures, ordered_axis_map, phase, subset_efron_stein)
 
 B = alphabet(["0", "1"])
 UB = uniform_measure(B)
@@ -148,6 +149,44 @@ def test_inner_product_orthogonal_pair():
     f = TableFunction(1, B, [1, -1])
     g = TableFunction(1, B, [1, 1])
     assert inner_product(f, g, UB) == pytest.approx(0)
+
+
+FLOATS = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0, 1e-300])
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=3), data=st.data())
+def test_axis_map_adds_in_index_order(shape, data):
+    """Against a Python-float loop, bit for bit, on any axis of any shape,
+    through a real matrix or a measure's w[None]; and against np.tensordot,
+    within 1e-12 of the sum of the terms' magnitudes, also through a complex
+    matrix."""
+    axis = data.draw(st.integers(0, len(shape) - 1))
+    size = math.prod(shape)
+    parts = data.draw(st.lists(FLOATS, min_size=2 * size, max_size=2 * size))
+    arr = np.array([complex(*p) for p in zip(parts[:size], parts[size:])]).reshape(shape)
+    a = shape[axis]
+    if data.draw(st.booleans()):  # a measure: w[None]
+        w = np.array(data.draw(st.lists(st.integers(0, 5), min_size=a, max_size=a).filter(any)))
+        matrix = (w / w.sum())[None]
+    else:
+        out = data.draw(st.integers(1, 4))
+        matrix = np.array(data.draw(st.lists(FLOATS, min_size=out * a, max_size=out * a)))
+        matrix = matrix.reshape(out, a)
+    got = axis_map(arr, matrix, axis)
+    want = ordered_axis_map(arr, matrix, axis)
+    assert got.shape == want.shape
+    assert [(v.real.hex(), v.imag.hex()) for v in got.ravel().tolist()] == [
+        (v.real.hex(), v.imag.hex()) for v in want.ravel().tolist()]
+    if data.draw(st.booleans()):
+        matrix = matrix * np.exp(1j * np.array(data.draw(st.lists(
+            st.floats(0, 7), min_size=matrix.size, max_size=matrix.size)))).reshape(matrix.shape)
+        got = axis_map(arr, matrix, axis)
+
+    def contract(m, x):
+        return np.moveaxis(np.tensordot(m, x, axes=([1], [axis])), 0, axis)
+
+    assert np.all(np.abs(got - contract(matrix, arr)) <= 1e-12 * contract(np.abs(matrix), np.abs(arr)))
 
 
 def test_noise_identity_and_total():
@@ -460,7 +499,8 @@ def test_degree_weights_past_the_fsum_crossover_are_exact(size, data):
        rho=st.floats(0, 1), data=st.data())
 def test_stabilities_are_each_rows_stability_to_the_bit(size, n, batch, rho, data):
     """A batch of tables against one noise_apply and math.fsum inner product
-    per table: a tensordot over the batch at once changes bits of many rows."""
+    per table: the batch is noised at once, by elementwise sums that give each
+    row the bits it gets alone."""
     alpha = alphabet([str(s) for s in range(size)])
     nu = data.draw(measures(alpha))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
