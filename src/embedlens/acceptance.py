@@ -123,7 +123,7 @@ def criterion_1_embedding_oracle() -> CriterionResult:
     if elapsed > budget_s:
         failures.append(f"runtime {elapsed:.1f}s exceeds {budget_s}s")
     return _result(1, "embedding-oracle", failures,
-                   f"{len(cases)} supports, 100% agreement, {elapsed:.2f}s")
+                   f"{len(cases)} supports, 100% agreement")
 
 
 def criterion_2_snf_certificates() -> CriterionResult:
@@ -146,9 +146,10 @@ def criterion_2_snf_certificates() -> CriterionResult:
         if not ok:
             failures += 1
     elapsed = time.time() - start
-    passed = failures == 0 and elapsed <= budget_s
-    return CriterionResult(2, "snf-certificates", passed,
-                           f"{count} matrices, {failures} failures, {elapsed:.2f}s")
+    details = f"{count} matrices, {failures} failures"
+    if elapsed > budget_s:
+        details += f", runtime {elapsed:.1f}s exceeds {budget_s}s"
+    return CriterionResult(2, "snf-certificates", failures == 0 and elapsed <= budget_s, details)
 
 
 def criterion_3_necessity() -> CriterionResult:

@@ -1,10 +1,12 @@
 """Command-line front end: JSON reports, stable output, reproducible runs.
 
 Every command emits {"manifest": ..., "result": ...} with a sha256 digest
-of the canonically serialized result, so identical manifests produce
-identical bytes. Exit codes: 0 success, 1 failed verify suite, 2
-validation failure, 3 size guard, 4 parse error (usage errors included) or
-a file that cannot be read or written, 5 internal error (a failed self-check).
+of the result's compact text, so identical manifests produce identical
+bytes; one `errors.render` walk writes the result's compact and indented
+texts. Only `verify` loads the acceptance suites. Exit codes: 0 success,
+1 failed verify suite, 2 validation failure, 3 size guard, 4 parse error
+(usage errors included) or a file that cannot be read or written,
+5 internal error (a failed self-check).
 Randomized modes require an explicit --seed; there are no wall-clock
 defaults.
 """
@@ -21,13 +23,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, acceptance, fixtures
+from . import __version__, fixtures
 from .correlation import exact_correlation, mc_correlation
 from .dicttest import TestInstance, instance_violations, load_symbol_function, run_test_exact, run_test_mc
 from .distributions import JointDistribution
 from .embedding import connected, detect_embedding, pairwise_connected
-from .errors import (ParseError, SizeGuardError, ValidationError, WriteError, canonical, dumps,
-                     unwritable, write_json)
+from .errors import ParseError, SizeGuardError, ValidationError, WriteError, render, unwritable, write_json
 from .functions import (
     ProductFunction,
     TableFunction,
@@ -70,22 +71,15 @@ def _print(text: str) -> None:
 def _emit(command: str, inputs: list[str], params: dict, result: dict,
           seed: int | None = None) -> None:
     try:
-        payload = {
-            "manifest": {
-                "tool": "embedlens",
-                "version": __version__,
-                "subcommand": command,
-                "inputs": inputs,
-                "params": params,
-                "seed": seed,
-                "digest": hashlib.sha256(canonical(result).encode()).hexdigest(),
-            },
-            "result": result,
-        }
-        text = dumps(payload)
+        indented, compact = render(result, 1)
+        digest = hashlib.sha256(compact.encode()).hexdigest()
+        del compact  # freed before the payload text is built
+        manifest = render({"tool": "embedlens", "version": __version__, "subcommand": command,
+                           "inputs": inputs, "params": params, "seed": seed,
+                           "digest": digest}, 1)[0]
     except ValueError as exc:
         raise unwritable(exc) from exc
-    _print(text)
+    _print(f'{{\n  "manifest": {manifest},\n  "result": {indented}\n}}')
 
 
 def _fraction(text: str) -> Fraction:
@@ -291,6 +285,8 @@ def _cmd_dicttest(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import acceptance  # only this command runs the suites
+
     results = acceptance.run_suite(args.suite)
     _print("\n".join(r.line() for r in results))
     summary = {

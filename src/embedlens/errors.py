@@ -6,15 +6,15 @@ errors and files that cannot be read or written exit 4. A failed internal
 self-check raises AssertionError, which the CLI reports as an internal
 error with exit 5. Every file the package reads or writes goes through
 `read_json` and `write_json`, every payload parser turns PAYLOAD_ERRORS
-into a ParseError, and every JSON text the package writes, to a file or to
-stdout, is built by `dumps`, and every digest text by `canonical`. A
-distribution goes into them as a `Fragment`, whose text is rendered once,
-straight from its codes and integer weights.
+into a ParseError, and every JSON text the package writes comes from one
+walk, `render`: the indented text for a file or stdout and the compact text
+a manifest digest hashes. A distribution goes into it as a `Fragment`, whose
+two texts are rendered once, straight from its codes and integer weights.
 """
 
 import json
 import sys
-from itertools import chain, count, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
@@ -77,7 +77,7 @@ def read_json(path: str):
 
 
 def unwritable(exc: ValueError) -> EmbedlensError:
-    """The error for data that `dumps` refused with `exc`: an integer longer
+    """The error for data that `render` refused with `exc`: an integer longer
     than CPython's int-to-str digit limit is a size guard, and anything else
     (NaN or an infinity) a non-finite number."""
     if "integer string conversion" in str(exc):
@@ -89,9 +89,9 @@ def unwritable(exc: ValueError) -> EmbedlensError:
 
 class Fragment:
     """A JSON value given as text: `render(depth)` returns its indented text
-    at `depth`, where `dumps` places it, and `render(None)` its compact text,
-    the form `canonical` writes. It is rendered when written, so its errors
-    are raised inside the `try` of the writer."""
+    at `depth`, where `render` places it, and its compact text. It is
+    rendered when written, so its errors are raised inside the `try` of the
+    writer."""
 
     __slots__ = ("render",)
 
@@ -99,71 +99,51 @@ class Fragment:
         self.render = render
 
 
-def canonical(data) -> str:
-    """`json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)`,
-    the text a manifest digest hashes, with each Fragment's compact text
-    where it stands.
-
-    json writes each fragment as a marker string, which is then replaced. If
-    json wrote the marker more often than it met fragments, some string of
-    `data` equals it, and the next marker is tried."""
-    for attempt in count():
-        marker, found = f"\x00fragment {attempt}\x00", []
-
-        def default(o):
-            if type(o) is Fragment:
-                found.append(o.render(None))
-                return marker
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-        text = json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False,
-                          default=default)
-        if not found:
-            return text
-        parts = text.split(_quote(marker))
-        if len(parts) == len(found) + 1:
-            return "".join(chain.from_iterable(zip(parts, found))) + parts[-1]
-
-
-def atom_list_text(symbols, columns, weights, denominator: int, depth: int | None) -> str:
+def atom_list_text(symbols, columns, weights, denominator: int, depth: int) -> tuple[str, str]:
     """A distribution's atom list, {"p": [w/g, D/g], "x": [symbols]} per atom
-    with g = gcd(w, D), as `dumps` writes it at `depth` or, for None, as
-    `canonical` writes it.
+    with g = gcd(w, D): its indented text at `depth` and its compact text,
+    as `render` writes them.
 
     `symbols[j]` holds the symbols of coordinate j and `columns[j]` the
     atoms' codes there. Each symbol is quoted once, each distinct weight's
-    "p" pair is written once, and the atoms are one join over per-column
+    "p" pair is converted once, and each text is one join over per-column
     lookups of the codes."""
-    if depth is None:
-        brk, colon = [""] * 4, ":"
-    else:
-        brk, colon = ["\n" + "  " * (depth + d) for d in range(4)], ": "
-    atom, field, cell = brk[1], brk[2], brk[3]
     quoted = [list(map(_quote, column)) for column in symbols]
-    heads = {}  # weight -> the atom's text up to its first symbol
+    pairs = {}  # weight -> the texts of w/g and D/g
     for w in set(weights):
         g = gcd(w, denominator)
-        heads[w] = (f'{{{field}"p"{colon}[{cell}{_int_text(w // g)},{cell}'
-                    f'{_int_text(denominator // g)}{field}],{field}"x"{colon}'
-                    + (f"[{cell}" if quoted else "[]"))
+        pairs[w] = _int_text(w // g), _int_text(denominator // g)
+    indented = _atom_list(quoted, columns, weights, pairs, _breaks(depth, 4), ": ")
+    return indented, _atom_list(quoted, columns, weights, pairs, [""] * 4, ":")
+
+
+def _atom_list(quoted, columns, weights, pairs, brk, colon) -> str:
+    """`atom_list_text`'s text with the line breaks `brk` and `colon` after a key."""
+    atom, field, cell = brk[1], brk[2], brk[3]
+    # weight -> the atom's text up to its first symbol
+    heads = {w: f'{{{field}"p"{colon}[{cell}{num},{cell}{den}{field}],{field}"x"{colon}'
+                + (f"[{cell}" if quoted else "[]")
+             for w, (num, den) in pairs.items()}
     # per column, symbol index -> the symbol's text with the separator before it
     cells = [[f",{cell}{q}" for q in column] for column in quoted]
     if cells:
         cells[0] = quoted[0]
-    tail = (f"{field}]" if quoted else "") + f"{atom}}},{atom}"
-    pieces = zip(map(heads.__getitem__, weights),
-                 *[map(c.__getitem__, col) for c, col in zip(cells, columns)], repeat(tail))
-    return f"[{atom}" + "".join(chain.from_iterable(pieces))[:-len(atom) - 1] + f"{brk[0]}]"
+    close = (f"{field}]" if quoted else "") + f"{atom}}}"
+    atoms = zip(repeat(f",{atom}"), map(heads.__getitem__, weights),
+                *[map(c.__getitem__, col) for c, col in zip(cells, columns)], repeat(close))
+    # one join, the list's opening in place of the first atom's separator
+    body = islice(chain.from_iterable(atoms), 1, None)
+    return "".join(chain([f"[{atom}"], body, [f"{brk[0]}]"]))
 
 
 def write_json(path: str, data) -> None:
-    """Write `dumps(data)` and a final newline to `path`.
+    """Write `render(data)`'s indented text and a final newline to `path`.
 
     The text is built before the file is opened, so data that cannot be
     written (a non-finite number, an integer over the digit limit) raises
     `unwritable`'s error and leaves the file untouched."""
     try:
-        text = dumps(data) + "\n"
+        text = render(data)[0] + "\n"
     except ValueError as exc:
         raise unwritable(exc) from exc
     try:
@@ -184,117 +164,64 @@ def _float_text(x) -> str:
     return _float_repr(x)
 
 
-def _key_text(key) -> str:
-    """A dict key as json converts it, in json's order of tests."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return _int_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+_SCALARS = {str: _quote, int: _int_text, float: _float_text}
 
 
-_SCALAR_LISTS = {str: _quote, int: _int_text, float: _float_text}
+def _breaks(depth: int, count: int = 2) -> list[str]:
+    """A newline and the indent of each depth from `depth` on: `count` of them."""
+    return ["\n" + "  " * (depth + d) for d in range(count)]
 
 
-def dumps(data) -> str:
-    """`json.dumps(data, indent=2, sort_keys=True, allow_nan=False)`: the
-    same text, or the same exception, built from C-level pieces.
+def render(data, depth: int = 0) -> tuple[str, str]:
+    """The JSON texts of `data` placed at `depth`: indented, as
+    `json.dumps(data, indent=2, sort_keys=True, allow_nan=False)` writes it,
+    and compact, as `json.dumps(data, sort_keys=True, separators=(",", ":"),
+    allow_nan=False)` writes it (the text a manifest digest hashes).
 
-    With `indent` set, json runs its pure-Python encoder, one generator
-    step per token. Here scalars go by exact type to json's C string
-    quoting and the `int`/`float` reprs, a list of one scalar type is one
-    `str.join`, and each `"key": ` prefix is quoted once per call.
-    A Fragment is written as its text at the depth where it stands.
-    Subclasses (such as `np.float64`) and tuples take json's isinstance
-    tests; keys, their order, and the errors for unsupported types,
-    non-finite floats and circular containers are json's. A level of
-    nesting costs three recursion levels where json's costs one, so
-    RecursionError comes at about a third of json's depth (over 300 levels
-    at the default limit)."""
-    breaks = ["\n"]  # breaks[d]: a newline and the indent of depth d
-    prefixes: dict[str, str] = {}  # str key -> '"key": '
-    path: set[int] = set()  # ids of the containers being written
-
-    def value(o, depth: int) -> str:
-        t = type(o)
-        if t is str:
-            return _quote(o)
-        if t is int:
-            return _int_text(o)
-        if t is float:
-            return _float_text(o)
-        if t is list or t is tuple:
-            return array(o, depth)
-        if t is dict:
-            return obj(o, depth)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if t is Fragment:
-            return o.render(depth)
-        # a subclass: json's isinstance tests, in its order
-        if isinstance(o, str):
-            return _quote(o)
-        if isinstance(o, int):
-            return _int_text(o)
-        if isinstance(o, float):
-            return _float_text(o)
-        if isinstance(o, (list, tuple)):
-            return array(o, depth)
-        if isinstance(o, dict):
-            return obj(o, depth)
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-    def enter(container, depth: int) -> str:
-        """The break before each item of `container`, which is now on the path."""
-        if id(container) in path:
-            raise ValueError("Circular reference detected")
-        path.add(id(container))
-        while len(breaks) <= depth + 1:
-            breaks.append(breaks[-1] + "  ")
-        return breaks[depth + 1]
-
-    def array(lst, depth: int) -> str:
-        if not lst:
-            return "[]"
-        kinds = set(map(type, lst))
-        scalar = _SCALAR_LISTS.get(kinds.pop()) if len(kinds) == 1 else None
-        inner = enter(lst, depth)
+    One walk writes both: each scalar and key is converted once, by exact
+    type, to json's C string quoting or the `int`/`float` repr, and joined
+    into each text; a list of one scalar type is converted in one `map`. A
+    Fragment gives its two texts. `data` holds dicts with str keys, lists,
+    str, int, float, bool, None and Fragments, by exact type: any other type
+    is a TypeError naming it. A non-finite float or an integer over the
+    int-to-str digit limit raises json's ValueError (see `unwritable`)."""
+    t = type(data)
+    scalar = _SCALARS.get(t)
+    if scalar is not None:
+        text = scalar(data)
+        return text, text
+    if t is list:
+        if not data:
+            return "[]", "[]"
+        outer, inner = _breaks(depth)
+        kinds = set(map(type, data))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
         if scalar is None:
-            body = f",{inner}".join(map(value, lst, repeat(depth + 1)))
+            indented, compact = zip(*map(render, data, repeat(depth + 1)))
         else:
-            body = f",{inner}".join(map(scalar, lst))
-        path.discard(id(lst))
-        return "[" + inner + body + breaks[depth] + "]"
-
-    def obj(dct, depth: int) -> str:
-        if not dct:
-            return "{}"
-        inner = enter(dct, depth)
-        sep = "," + inner
-        pieces = []  # one join, so a long value (a Fragment) is copied once
-        for key, val in sorted(dct.items()):
-            if type(key) is str:
-                prefix = prefixes.get(key)
-                if prefix is None:
-                    prefix = prefixes[key] = _quote(key) + ": "
-            else:
-                prefix = _quote(_key_text(key)) + ": "
-            pieces += (sep, prefix, value(val, depth + 1))
-        path.discard(id(dct))
-        pieces[0] = "{" + inner
-        pieces.append(breaks[depth] + "}")
-        return "".join(pieces)
-
-    return value(data, 0)
+            indented = compact = list(map(scalar, data))
+        return f"[{inner}{f',{inner}'.join(indented)}{outer}]", f"[{','.join(compact)}]"
+    if t is dict:
+        if not data:
+            return "{}", "{}"
+        outer, inner = _breaks(depth)
+        indented, compact = [], []  # one join each, so a long value (a Fragment) is copied once
+        for key, value in sorted(data.items()):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            quoted = _quote(key)
+            ind, comp = render(value, depth + 1)
+            indented += (",", inner, quoted, ": ", ind)
+            compact += (",", quoted, ":", comp)
+        indented[0] = compact[0] = "{"
+        indented.append(outer + "}")
+        compact.append("}")
+        return "".join(indented), "".join(compact)
+    if data is None:
+        return "null", "null"
+    if t is bool:
+        text = "true" if data else "false"
+        return text, text
+    if t is Fragment:
+        return data.render(depth)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

@@ -18,7 +18,7 @@ from embedlens.cli import SWEEP_GUARD, _emit, _parser, build_parser, main
 from embedlens.correlation import exact_correlation
 from embedlens.distributions import MC_DRAW_GUARD, JointDistribution, uniform_on
 from embedlens.dicttest import TestInstance
-from embedlens.errors import ValidationError, dumps, write_json
+from embedlens.errors import ValidationError, render, write_json
 from embedlens.functions import MAX_AXES, ProductFunction
 from oracles import group_elements, instance_json, smith_supports, triple_product, truth_json
 
@@ -481,6 +481,22 @@ def test_verify_snf_suite(capsys):
     assert "[PASS] criterion 2" in out
 
 
+@pytest.mark.parametrize("suite", ["snf", "embedding-oracle"])
+def test_verify_prints_the_same_bytes_on_every_run(capsys, suite):
+    """A passing suite reports no wall-clock time, so its digest is stable."""
+    first, second = run_cli(capsys, "verify", suite), run_cli(capsys, "verify", suite)
+    assert first[0] == 0
+    assert first == second
+
+
+def test_importing_the_cli_leaves_the_suites_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(embedlens.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, embedlens.cli; print('embedlens.acceptance' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == "False\n", proc.stderr
+
+
 def test_verify_unknown_suite(capsys):
     code = main(["verify", "no-such-suite"])
     assert code == 2
@@ -657,7 +673,7 @@ def test_reduce_out_file_holds_the_result_as_stdout_writes_it(pinned_inputs, tmp
                         "star-coupling", "--p-star", "1/4", "--out", str(target))
     assert code == 0
     result = json.loads(out)["result"]
-    assert target.read_bytes() == (dumps(result) + "\n").encode()
+    assert target.read_bytes() == (render(result)[0] + "\n").encode()
     assert target.read_bytes() == (json.dumps(result, indent=2, sort_keys=True) + "\n").encode()
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import embedlens.embedding
 from embedlens import fixtures, intlattice
 from embedlens.distributions import JointDistribution, alphabet, uniform_on
-from embedlens.errors import SizeGuardError, ValidationError, dumps, read_json, write_json
+from embedlens.errors import SizeGuardError, ValidationError, read_json, render, write_json
 from embedlens.embedding import (
     _column_order,
     _fraction_kernel,
@@ -531,7 +531,7 @@ def test_unit_alphabet_coordinates_are_skipped():
 # The selection route against the all-rows route (tests/oracles.py)
 
 def verdict_bytes(v):
-    return v.admits, v.rank, v.snf_divisors, v.witness and dumps(v.witness.to_json())
+    return v.admits, v.rank, v.snf_divisors, v.witness and render(v.witness.to_json())[0]
 
 
 def assert_same_as_all_rows(dist):

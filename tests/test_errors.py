@@ -1,4 +1,4 @@
-"""The JSON file boundary: `read_json`, `write_json`, `dumps`, `canonical`, the
+"""The JSON file boundary: `read_json`, `write_json`, `render`, the
 distribution Fragment and every payload parser."""
 
 import ast
@@ -21,8 +21,8 @@ from embedlens.dicttest import (
 )
 from embedlens.distributions import JointDistribution, alphabet
 from embedlens.embedding import EmbeddingWitness
-from embedlens.errors import (ParseError, SizeGuardError, ValidationError, WriteError, canonical,
-                             dumps, read_json, write_json)
+from embedlens.errors import (ParseError, SizeGuardError, ValidationError, WriteError, read_json,
+                             render, write_json)
 from embedlens.functions import ProductFunction, TableFunction, load_function, load_function_file
 from oracles import distribution_columns, distribution_json
 
@@ -182,7 +182,8 @@ def test_write_json_refuses_an_integer_over_the_digit_limit_as_a_size_guard(tmp_
 
 
 # ---------------------------------------------------------------------------
-# `dumps` against json.dumps(indent=2, sort_keys=True, allow_nan=False)
+# `render` against json.dumps: indented (indent=2) and compact (separators), both
+# with sort_keys=True and allow_nan=False
 
 def json_outcome(encode, data):
     """The text, or the type and message of the error."""
@@ -196,24 +197,55 @@ def reference(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
 
 
+def compact_reference(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def indented(data) -> str:
+    return render(data)[0]
+
+
 SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(2 ** 64, 2 ** 80)
-           | st.integers(-2 ** 80, -2 ** 64) | st.floats() | st.floats().map(np.float64)
-           | st.just(-0.0) | st.text() | st.sampled_from(["é", "\x00\x1f", " ", "😀", '"\\/']))
-KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+           | st.integers(-2 ** 80, -2 ** 64) | st.floats() | st.just(-0.0) | st.text()
+           | st.sampled_from(["é", "\x00\x1f", " ", "😀", '"\\/', "\x00fragment 0\x00"]))
 SAME_TYPE_LISTS = (st.lists(st.text(), min_size=1) | st.lists(st.integers(), min_size=1)
                    | st.lists(st.floats(), min_size=1))
-TREES = st.recursive(
-    SCALARS | SAME_TYPE_LISTS,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
-                   | st.dictionaries(KEYS, inner, max_size=3)),
+# Trees as (data, want) pairs: `want` is `data` with each atom Fragment written
+# out as the json values it stands for.
+HUGE = 10 ** 50
+FRAGMENTS = st.sampled_from([
+    JointDistribution([], {(): Fraction(1)}), fixtures.three_lin(),
+    JointDistribution([alphabet(['"', "é\n"]), alphabet(["\x00"])],
+                      {('"', "\x00"): Fraction(1, HUGE + 1), ("é\n", "\x00"): Fraction(HUGE, HUGE + 1)}),
+]).map(lambda mu: (mu.to_json()["atoms"], distribution_json(mu)["atoms"]))
+
+
+def _paired_list(items):
+    return [data for data, _ in items], [want for _, want in items]
+
+
+def _paired_dict(items):
+    return {k: data for k, (data, _) in items.items()}, {k: want for k, (_, want) in items.items()}
+
+
+PAIRED_TREES = st.recursive(
+    (SCALARS | SAME_TYPE_LISTS).map(lambda x: (x, x)) | FRAGMENTS,
+    lambda inner: (st.lists(inner, max_size=4).map(_paired_list)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4).map(_paired_dict)),
     max_leaves=30)
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=TREES)
-def test_dumps_matches_json(data):
-    assert json_outcome(dumps, data) == json_outcome(reference, data)
+@given(pair=PAIRED_TREES, depth=st.integers(0, 3))
+def test_dumps_matches_json(pair, depth):
+    """Both texts of `render`, Fragments included at any depth, against json."""
+    data, want = pair
+    try:
+        texts = render(data, depth)
+    except ValueError as exc:  # a non-finite float
+        assert (ValueError, str(exc)) == json_outcome(reference, want)
+        return
+    assert texts == (reference(want).replace("\n", "\n" + "  " * depth), compact_reference(want))
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +283,14 @@ def test_a_distribution_payload_writes_json_text_of_its_dict(mu, atoms_only):
     want = distribution_json(mu)["atoms"] if atoms_only else distribution_json(mu)
     payload = mu.to_json()["atoms"] if atoms_only else mu.to_json()
     for depth in range(5):
-        assert dumps(_placed(payload, depth)) == reference(_placed(want, depth))
-        assert canonical(_placed(payload, depth)) == json.dumps(
-            _placed(want, depth), sort_keys=True, separators=(",", ":"))
+        assert render(_placed(payload, depth)) == (reference(_placed(want, depth)),
+                                                   compact_reference(_placed(want, depth)))
 
 
 def test_a_fragment_without_coordinates_writes_empty_lists():
     mu = JointDistribution([], {(): Fraction(1)})
-    assert dumps([mu.to_json()]) == reference([distribution_json(mu)])
-    assert canonical(mu.to_json()) == '{"alphabets":[],"atoms":[{"p":[1,1],"x":[]}]}'
-
-
-def test_canonical_splices_past_a_string_that_equals_its_marker():
-    payload = fixtures.three_lin().to_json()
-    for marker in ("\x00fragment 0\x00", "\x00fragment 1\x00"):
-        data = {"a": payload, "b": marker, marker: [payload]}
-        want = {"a": distribution_json(fixtures.three_lin()), "b": marker,
-                marker: [distribution_json(fixtures.three_lin())]}
-        assert canonical(data) == json.dumps(want, sort_keys=True, separators=(",", ":"))
+    assert indented([mu.to_json()]) == reference([distribution_json(mu)])
+    assert render(mu.to_json())[1] == '{"alphabets":[],"atoms":[{"p":[1,1],"x":[]}]}'
 
 
 def _circular_list():
@@ -290,13 +312,30 @@ def _nested(depth):
     return data
 
 
-@pytest.mark.parametrize("data", [
-    _circular_list(), _circular_dict(), [1.0, float("nan")], {"a": -INF}, [np.float64("nan")],
-    {float("nan"): 1}, {1: "a", "b": 2}, {(1, 2): 3}, [1, object()], [np.int64(1)], {"a": {1, 2}},
-    10 ** 5000, _nested(300), {"z": [[[]], {}, ()], "a": {"": [True, False, None]}},
-], ids=lambda d: type(d).__name__)
-def test_dumps_matches_json_on_errors_and_deep_nesting(data):
-    assert json_outcome(dumps, data) == json_outcome(reference, data)
+# (data, the type `render` refuses in it, or None where its outcome is json's).
+# The program writes only exact dicts with str keys, lists, str, int, float,
+# bool, None and Fragments: a tuple, a numpy scalar, a set, any other object or
+# a non-str key is a TypeError naming its type, and a cycle of lists runs into
+# the recursion limit.
+CASES = [
+    (_circular_list(), RecursionError), (_circular_dict(), "tuple"), ([1.0, float("nan")], None),
+    ({"a": -INF}, None), ([np.float64("nan")], "float64"), ({float("nan"): 1}, "float"),
+    ({1: "a", "b": 2}, "int"), ({(1, 2): 3}, "tuple"), ([1, object()], "object"),
+    ([np.int64(1)], "int64"), ({"a": {1, 2}}, "set"), (10 ** 5000, None), (_nested(300), None),
+    ({"z": [[[]], {}, ()], "a": {"": [True, False, None]}}, "tuple"),
+]
+
+
+@pytest.mark.parametrize("data, refused", CASES, ids=[type(data).__name__ for data, _ in CASES])
+def test_dumps_matches_json_on_errors_and_deep_nesting(data, refused):
+    if refused is None:
+        assert json_outcome(indented, data) == json_outcome(reference, data)
+    elif refused is RecursionError:
+        with pytest.raises(RecursionError):
+            render(data)
+    else:
+        with pytest.raises(TypeError, match=rf"\b{refused}\b"):
+            render(data)
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +354,21 @@ def _calls(name):
 
 @pytest.mark.parametrize("name", sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py")))
 def test_only_errors_quotes_json_strings_and_writes_digest_text(name):
-    """The indented text (`dumps`) and the digest text (`canonical`) keep one owner."""
-    if name == "errors.py":
-        return
+    """Every JSON text, the indented one and the digest text, comes from
+    `errors.render`: no module, `errors` included, runs json's encoder, and
+    only `errors` quotes JSON strings itself."""
     with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = {a.name for a in node.names} | {getattr(node, "module", None) or ""}
-            assert not any("encode_basestring" in n or n == "json.encoder" for n in names), \
-                ast.unparse(node)
+            assert not names & {"dumps", "JSONEncoder"}, ast.unparse(node)
+            assert name == "errors.py" or not any(
+                "encode_basestring" in n or n == "json.encoder" for n in names), ast.unparse(node)
         if isinstance(node, ast.Attribute):
-            assert not node.attr.startswith("encode_basestring"), ast.unparse(node)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps":
-            assert "separators" not in {kw.arg for kw in node.keywords}, ast.unparse(node)
+            assert ast.unparse(node) not in ("json.dumps", "json.JSONEncoder"), ast.unparse(node)
+            assert name == "errors.py" or not node.attr.startswith("encode_basestring"), \
+                ast.unparse(node)
 
 
 @pytest.mark.parametrize("name", sorted(n for n in os.listdir(PACKAGE) if n.endswith(".py")))
