@@ -373,19 +373,6 @@ def criterion_10_cauchy_schwarz() -> CriterionResult:
                    "eps^2 <= conditional-product norm^2 and exact transfer")
 
 
-ALL_CRITERIA = (
-    criterion_1_embedding_oracle,
-    criterion_2_snf_certificates,
-    criterion_3_necessity,
-    criterion_4_stability_diagonalization,
-    criterion_5_coupling_identity,
-    criterion_6_decay,
-    criterion_7_dicttest_completeness,
-    criterion_8_reduction_constructions,
-    criterion_9_product_ascent,
-    criterion_10_cauchy_schwarz,
-)
-
 SUITES = {
     "embedding-oracle": (criterion_1_embedding_oracle,),
     "snf": (criterion_2_snf_certificates,),
@@ -397,8 +384,8 @@ SUITES = {
     "reduction": (criterion_8_reduction_constructions,),
     "ascent": (criterion_9_product_ascent,),
     "cauchy-schwarz": (criterion_10_cauchy_schwarz,),
-    "all": ALL_CRITERIA,
 }
+SUITES["all"] = tuple(fn for suite in SUITES.values() for fn in suite)
 
 
 def run_suite(name: str) -> list[CriterionResult]:

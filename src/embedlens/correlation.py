@@ -292,11 +292,11 @@ def restricted_product_correlation(f: TableFunction, nu: JointDistribution,
         raise ValidationError("trials must be positive")
     keep_prob = 1 - float(delta)
     rng = seeded_rng(seed)
-    chooser = ExactChooser(nu.support, nu.weights)
+    chooser = ExactChooser(nu.weights)
     hits = 0
     for _ in range(trials):
         assignment = {
-            i: chooser.draw(rng)[0]
+            i: nu.support[chooser.draw(rng)][0]
             for i in range(f.n)
             if rng.random() < keep_prob
         }

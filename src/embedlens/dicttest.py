@@ -467,9 +467,8 @@ def run_test_mc(inst: TestInstance, f: SymbolFunction, samples: int,
         raise ValidationError("function alphabet mismatch")
     check_draws(samples, f.n)
     rng = seeded_rng(seed)
-    picker = ExactChooser(range(len(inst.constraints)),
-                          integer_weights([w for w, _ in inst.constraints])[0])
-    choosers = [ExactChooser(range(len(mu.weights)), mu.weights) for _, mu in inst.constraints]
+    picker = ExactChooser(integer_weights([w for w, _ in inst.constraints])[0])
+    choosers = [ExactChooser(mu.weights) for _, mu in inst.constraints]
     a, k = len(inst.predicate.alphabet), inst.predicate.k
     codes = [mu.codes.astype(np.min_scalar_type(a - 1)) for _, mu in inst.constraints]
     reads = np.array(sorted(set(f.reads)), dtype=np.int64)  # np.unique would import numpy.ma
@@ -494,7 +493,7 @@ def _looped_blocks(rng: random.Random, picker: ExactChooser, choosers: list[Exac
     own, drawn and mapped to atoms in slices of MC_BLOCK columns, kept in
     the narrowest dtype that holds them, so a sample of 10^6 columns costs
     a few MB."""
-    dtype = np.min_scalar_type(max(len(c.items) for c in choosers) - 1)
+    dtype = np.min_scalar_type(max(len(c.cumulative) for c in choosers) - 1)
     block = max(1, MC_BLOCK // max(n, 1))
     for start in range(0, samples, block):
         picks = [0] * len(choosers)

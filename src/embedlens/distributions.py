@@ -472,35 +472,31 @@ def randbelow_calls(rng: random.Random, total: int, count: int) -> list[int]:
 
 
 class ExactChooser:
-    """Samples items with exact integer weights, such as a distribution's `weights`.
+    """Samples indices with exact integer weights, such as a distribution's `weights`.
 
     Draws an integer uniform in [0, sum of weights), then a binary search over
     cumulative weights: no float thresholds, so a seed replays draws bit-exactly.
     """
 
-    def __init__(self, items: Sequence, weights: Sequence[int]):
-        if len(items) != len(weights) or not items:
-            raise ValidationError("chooser needs matching non-empty items/weights")
-        self.items = list(items)
+    def __init__(self, weights: Sequence[int]):
+        if not weights:
+            raise ValidationError("chooser needs non-empty weights")
         self.cumulative = list(accumulate(weights))
         self.total = self.cumulative[-1]
-        # int64 bounds for a vectorised search, while the weights fit
-        self._bounds = np.array(self.cumulative, dtype=np.int64) if self.total < 2 ** 63 else None
-        # up to a total of 2^12, the item of every integer (at most 32 KB): one gather a draw
+        # the bounds of a vectorised search: int64 while the weights fit, Python ints past it
+        self._bounds = np.array(self.cumulative, dtype=np.int64 if self.total < 2 ** 63 else object)
+        # up to a total of 2^12, the index of every integer (at most 32 KB): one gather a draw
         self._table = np.repeat(np.arange(len(weights)), weights) if self.total <= 2 ** 12 else None
 
-    def draw(self, rng: random.Random):
-        r = rng.randrange(self.total)
-        return self.items[bisect_right(self.cumulative, r)]
+    def draw(self, rng: random.Random) -> int:
+        return bisect_right(self.cumulative, rng.randrange(self.total))
 
     def locate(self, draws: Sequence[int]) -> np.ndarray:
-        """The index of the item `draw` picks for each integer below `total`,
-        in the shape of `draws`."""
+        """The index `draw` picks for each integer below `total`, in the shape of `draws`."""
         if self._table is not None:
             return self._table[np.asarray(draws, dtype=np.intp)]
-        if self._bounds is None:
-            return np.array([bisect_right(self.cumulative, r) for r in draws], dtype=np.intp)
-        return np.searchsorted(self._bounds, np.array(draws, dtype=np.int64), side="right")
+        return np.searchsorted(self._bounds, np.asarray(draws, dtype=self._bounds.dtype),
+                               side="right")
 
 
 class ProductPowerSampler:
@@ -516,12 +512,11 @@ class ProductPowerSampler:
             raise ValidationError("n must be positive")
         self.base = base
         self.n = n
-        self.seed = seed
         self._rng = seeded_rng(seed)
-        self._chooser = ExactChooser(base.support, base.weights)
+        self._chooser = ExactChooser(base.weights)
 
     def sample(self) -> tuple[tuple[str, ...], ...]:
-        cols = [self._chooser.draw(self._rng) for _ in range(self.n)]
+        cols = [self.base.support[self._chooser.draw(self._rng)] for _ in range(self.n)]
         return tuple(tuple(col[i] for col in cols) for i in range(self.base.k))
 
     def sample_indices(self, count: int) -> np.ndarray:

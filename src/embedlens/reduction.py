@@ -1,11 +1,15 @@
 """Reduction constructions on k-ary distributions, verified at small n.
 
 The pipeline: pair the first k-1 coordinates through the last one
-(build_paired_copies), split off the diagonal as an exact mixture, and
-assemble the three-branch star coupling over (sigma, sigma, pairs + star)
-whose three-wise correlation identity ties a product of restrictions of
-f1 to a noise-stability average; check_coupling_identity verifies that
-identity by exhaustive enumeration. The conditional-expectation
+(build_paired_copies), split off the alpha^2 diagonal as an exact mixture,
+and assemble the three-branch star coupling over (sigma, sigma, pairs +
+star) whose three-wise correlation identity ties a product of restrictions
+of f1 to a noise-stability average; check_coupling_identity verifies that
+identity by exhaustive enumeration. The coupling reads only the (first,
+first') marginal nu1 of the off-diagonal component, and taking a marginal
+commutes with pairing and with the linear split, so nu1 is built from the
+paired copies of the (first, last) marginal and the diagonal of mu1: two
+coordinates, never the whole paired space. The conditional-expectation
 companions (given the last row, given the first row) implement the
 Cauchy-Schwarz and correlation-transfer steps.
 """
@@ -44,19 +48,11 @@ PAIR_SEP = "|"
 IDENTITY_N_GUARD = 3  # largest n the coupling identity check enumerates (2^n subsets)
 
 
-@dataclass(frozen=True)
-class StarAlphabet:
+def star_alphabet(base: Alphabet) -> Alphabet:
     """(Sigma x Sigma) extended by the distinguished resampling symbol."""
-
-    base: Alphabet
-    alphabet: Alphabet
-
-    @classmethod
-    def build(cls, base: Alphabet) -> "StarAlphabet":
-        if any(PAIR_SEP in s or s == STAR for s in base.symbols):
-            raise ValidationError(f"base symbols may not contain {PAIR_SEP!r} or equal {STAR!r}")
-        pairs = [pair_symbol(a, b) for a in base.symbols for b in base.symbols]
-        return cls(base, make_alphabet(pairs + [STAR]))
+    if any(PAIR_SEP in s or s == STAR for s in base.symbols):
+        raise ValidationError(f"base symbols may not contain {PAIR_SEP!r} or equal {STAR!r}")
+    return make_alphabet([pair_symbol(a, b) for a in base.symbols for b in base.symbols] + [STAR])
 
 
 def pair_symbol(a: str, b: str) -> str:
@@ -127,19 +123,20 @@ def star_coupling_params(dist: JointDistribution, p_star: Fraction) -> StarCoupl
     """Derive the branch weights and constituents from a k-ary distribution.
 
     p_nu is 1 - alpha^2 for alpha the minimum atom mass; nu1 is the
-    (first, first') marginal of the off-diagonal mixture component. The
-    degenerate alpha = 1 case (single atom) has an empty pair branch.
+    (first, first') marginal of the off-diagonal mixture component, split
+    from the paired copies of the (first, last) marginal: the marginal of
+    a nonnegative residual, so the split never fails. The degenerate
+    alpha = 1 case (single atom) has an empty pair branch.
     """
     alpha = dist.min_atom_mass()
     a2 = alpha * alpha
-    paired = build_paired_copies(dist)
-    first_pair = [0, dist.k - 1]
+    # k = 0 has no first coordinate: build_paired_copies refuses it as it does k = 1
+    paired = build_paired_copies(dist.marginal([0, dist.k - 1]) if dist.k else dist)
     mu1 = dist.marginal([0])
     if a2 == 1:
-        return StarCouplingParams(Fraction(0), Fraction(p_star), paired.marginal(first_pair), mu1)
-    diag = diagonal_pairing(dist.marginal(list(range(dist.k - 1))))
-    nu = decompose_mixture(paired, diag, a2)
-    return StarCouplingParams(1 - a2, Fraction(p_star), nu.marginal(first_pair), mu1)
+        return StarCouplingParams(Fraction(0), Fraction(p_star), paired, mu1)
+    nu1 = decompose_mixture(paired, diagonal_pairing(mu1), a2)
+    return StarCouplingParams(1 - a2, Fraction(p_star), nu1, mu1)
 
 
 def build_star_coupling(params: StarCouplingParams) -> JointDistribution:
@@ -149,7 +146,7 @@ def build_star_coupling(params: StarCouplingParams) -> JointDistribution:
     last; weights are over both branch denominators, D(nu1) and D(mu1).
     """
     sigma = params.mu1.alphabets[0]
-    star = StarAlphabet.build(sigma)
+    star = star_alphabet(sigma)
     a = len(sigma)
     pn, pd = params.p_nu.numerator, params.p_nu.denominator
     sn, sd = params.p_star.numerator, params.p_star.denominator
@@ -161,7 +158,7 @@ def build_star_coupling(params: StarCouplingParams) -> JointDistribution:
     weights = ([pn * sd * dm * w for w in params.nu1.weights]
                + [(pd - pn) * (sd - sn) * dn * w for w in params.mu1.weights]
                + [(pd - pn) * sn * dn * w for w in params.mu1.weights])
-    return JointDistribution._from_weights([sigma, sigma, star.alphabet], codes, weights,
+    return JointDistribution._from_weights([sigma, sigma, star], codes, weights,
                                            pd * sd * dn * dm)
 
 
@@ -174,12 +171,12 @@ def build_g(f1: TableFunction, mu1: JointDistribution) -> TableFunction:
     row carrying mu1 on the diagonal pairs.
     """
     sigma = f1.alphabet
-    star = StarAlphabet.build(sigma)
+    star = star_alphabet(sigma)
     a = len(sigma)
     firsts, seconds = divmod(np.arange(a * a), a)  # pair symbol p is (p // a, p % a)
     h = column_product([f1, f1.conj()], [firsts, seconds], f1.n)
     fill = np.vstack([np.eye(a * a), np.diag(_measure_weights(mu1, sigma)).ravel()])
-    return TableFunction(f1.n, star.alphabet, np.ravel(column_map(h, fill, f1.n)))
+    return TableFunction(f1.n, star, np.ravel(column_map(h, fill, f1.n)))
 
 
 @dataclass

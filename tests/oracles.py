@@ -84,7 +84,7 @@ from embedlens.functions import (
     restrict,
 )
 from embedlens.intlattice import IntMatrix, normalize_vector, row_basis
-from embedlens.reduction import PAIR_SEP, STAR, StarAlphabet, pair_symbol, star_coupling_params
+from embedlens.reduction import PAIR_SEP, STAR, pair_symbol, star_alphabet, star_coupling_params
 
 
 # exp(2 pi i q) at the quarters q of the circle, exactly
@@ -164,11 +164,11 @@ def enumerate_conditional_product_given_last(dist, functions) -> TableFunction:
 
 def enumerate_g(f1, mu1) -> TableFunction:
     """g(x+) = E over shared star fills of f1(x) conj(f1(x')), one word at a time."""
-    star = StarAlphabet.build(f1.alphabet)
+    star = star_alphabet(f1.alphabet)
     n = f1.n
     fills = [(x, float(m)) for (x,), m in mu1.atoms.items()]
     values = []
-    for xplus in iter_product(star.alphabet.symbols, repeat=n):
+    for xplus in iter_product(star.symbols, repeat=n):
         stars = [j for j, sym in enumerate(xplus) if sym == STAR]
         base_x = [None] * n
         base_xp = [None] * n
@@ -187,7 +187,7 @@ def enumerate_g(f1, mu1) -> TableFunction:
             res.append(t.real)
             ims.append(t.imag)
         values.append(complex(fsum(res), fsum(ims)))
-    return TableFunction(n, star.alphabet, values)
+    return TableFunction(n, star, values)
 
 
 def per_term_coupling_rhs(dist, f1, n, rate, p_star) -> float:
@@ -376,13 +376,13 @@ def sample_loop_acceptance(inst, f, samples, seed) -> int:
     then its n columns, each drawn by `ExactChooser.draw`, read by
     `symbol_at` on the payload f."""
     rng = random.Random(seed)
-    picker = ExactChooser(range(len(inst.constraints)),
-                          integer_weights([w for w, _ in inst.constraints])[0])
-    choosers = [ExactChooser(mu.support, mu.weights) for _, mu in inst.constraints]
+    picker = ExactChooser(integer_weights([w for w, _ in inst.constraints])[0])
+    choosers = [ExactChooser(mu.weights) for _, mu in inst.constraints]
     accepted = 0
     for _ in range(samples):
-        chooser = choosers[picker.draw(rng)]
-        cols = [chooser.draw(rng) for _ in range(f["n"])]
+        ci = picker.draw(rng)
+        support = inst.constraints[ci][1].support
+        cols = [support[choosers[ci].draw(rng)] for _ in range(f["n"])]
         images = [symbol_at(f, [col[i] for col in cols]) for i in range(inst.predicate.k)]
         accepted += predicate_holds(inst.predicate, images)
     return accepted

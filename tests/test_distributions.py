@@ -238,7 +238,7 @@ def test_randbelow_replays_randrange_at_word_boundaries(total, count):
        .filter(any), count=st.integers(0, 40), seed=st.integers(0, 2 ** 32))
 def test_locate_picks_what_draw_picks(weights, count, seed):
     """With and without int64 bounds, zero weights included."""
-    chooser = ExactChooser(range(len(weights)), weights)
+    chooser = ExactChooser(weights)
     rng, ref = random.Random(seed), random.Random(seed)
     got = chooser.locate(randbelow(rng, chooser.total, count))
     assert got.tolist() == [chooser.draw(ref) for _ in range(count)]

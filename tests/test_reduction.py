@@ -8,10 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from embedlens import fixtures
-from embedlens.distributions import JointDistribution, alphabet, decompose_mixture, univariate
+from embedlens.distributions import (JointDistribution, alphabet, decompose_mixture, uniform_on,
+                                     univariate)
 from embedlens.embedding import pairwise_connected
 from embedlens.errors import SizeGuardError, ValidationError
 from embedlens.correlation import exact_correlation
@@ -24,7 +25,6 @@ from embedlens.functions import (
 )
 from embedlens.reduction import (
     STAR,
-    StarAlphabet,
     StarCouplingParams,
     build_g,
     build_paired_copies,
@@ -34,6 +34,7 @@ from embedlens.reduction import (
     pair_symbol,
     conditional_product_given_first,
     conditional_product_given_last,
+    star_alphabet,
     star_coupling_params,
 )
 from oracles import (
@@ -46,9 +47,11 @@ from oracles import (
     fraction_star_coupling,
     fraction_star_params,
     functions,
+    group_elements,
     measures,
     per_term_coupling_rhs,
     prime_masses,
+    triple_product,
 )
 
 B = alphabet(["0", "1"])
@@ -81,11 +84,11 @@ def product_of(dists):
 
 
 def test_star_alphabet_shape():
-    star = StarAlphabet.build(B)
-    assert len(star.alphabet) == 5
-    assert STAR in star.alphabet
+    star = star_alphabet(B)
+    assert len(star) == 5
+    assert STAR in star
     assert pair_symbol("0", "1") == "0|1"
-    assert "0|1" in star.alphabet
+    assert "0|1" in star
 
 
 def test_build_paired_copies_product_input_tensors():
@@ -389,23 +392,46 @@ def test_build_g_matches_enumeration(size, n, data):
     assert np.max(np.abs(got.values - want.values)) <= 1e-12
 
 
+def uniform_triple_product(alternating):
+    """(alphabets, atom -> mass) of the uniform distribution on {xyz = e} of A4 or S4."""
+    alphabets, support = triple_product(group_elements(4, alternating))
+    return alphabets, {x: Fraction(1, len(support)) for x in support}
+
+
 @settings(max_examples=150, deadline=None)
-@given(raw=prime_masses(k=st.integers(2, 3)), data=st.data())
-def test_paired_copies_and_star_coupling_match_fraction_oracles(raw, data):
+@given(raw=prime_masses(k=st.integers(2, 4)), p_star=st.fractions(0, 1, max_denominator=30),
+       p_nu=st.fractions(0, 1, max_denominator=30))
+@example(raw=uniform_triple_product(True), p_star=Fraction(1, 5), p_nu=Fraction(2, 3))
+# S4: the whole paired space the oracle builds is 24^3 = 13,824 atoms
+@example(raw=uniform_triple_product(False), p_star=Fraction(1, 5), p_nu=Fraction(2, 3))
+def test_paired_copies_and_star_coupling_match_fraction_oracles(raw, p_star, p_nu):
     alphabets, atoms = raw
     mu = JointDistribution(alphabets, atoms)
     assert_exact(build_paired_copies(mu), fraction_paired_copies(atoms, mu.k))
     assert_exact(diagonal_pairing(mu), {x + x: p for x, p in atoms.items()})
-    p_star = data.draw(st.fractions(0, 1, max_denominator=30), label="p_star")
     params = star_coupling_params(mu, p_star)
-    p_nu, nu1, mu1 = fraction_star_params(atoms, mu.k)
-    assert params.p_nu == p_nu
+    want_p_nu, nu1, mu1 = fraction_star_params(atoms, mu.k)
+    assert params.p_nu == want_p_nu
     assert_exact(params.nu1, nu1)
     assert_exact(params.mu1, mu1)
-    assert_exact(build_star_coupling(params), fraction_star_coupling(p_nu, p_star, nu1, mu1))
-    p_nu = data.draw(st.fractions(0, 1, max_denominator=30), label="p_nu")
+    assert_exact(build_star_coupling(params),
+                 fraction_star_coupling(want_p_nu, p_star, nu1, mu1))
     assert_exact(build_star_coupling(dataclasses.replace(params, p_nu=p_nu)),
                  fraction_star_coupling(p_nu, p_star, nu1, mu1))
+
+
+def test_star_coupling_pairs_at_most_two_coordinates():
+    """nu1 is a (first, first') marginal, so the star coupling pairs the
+    (first, last) marginal and never the whole support."""
+    cases = [fix() for fix in (fixtures.three_lin, fixtures.z3_sum, fixtures.punctured_cube,
+                               fixtures.full_support_cube, fixtures.single_atom)]
+    cases += [JointDistribution(*uniform_triple_product(True)),
+              uniform_on([B] * 4, [x for x in iprod("01", repeat=4) if x.count("1") % 2 == 0])]
+    for mu in cases:
+        with mock.patch("embedlens.reduction.build_paired_copies",
+                        wraps=build_paired_copies) as paired:
+            star_coupling_params(mu, Fraction(1, 3))
+        assert paired.call_count and max(call.args[0].k for call in paired.call_args_list) <= 2
 
 
 @st.composite
