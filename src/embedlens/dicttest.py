@@ -136,11 +136,15 @@ def symbol_function_from_json(data: dict) -> SymbolFunction:
     try:
         alpha = make_alphabet(json_list(data["alphabet"], "alphabet"))
         n = json_int(data["n"], "n")
+        if sum(key in data for key in ("dictator", "constant", "symbols")) != 1:
+            raise ValueError("a symbol function needs exactly one of 'dictator', "
+                             "'constant' and 'symbols'")
         if "dictator" in data:
             return SymbolFunction.dictator(n, alpha, json_int(data["dictator"], "dictator"))
         if "constant" in data:
             return SymbolFunction.constant(n, alpha, str(data["constant"]))
-        return SymbolFunction.table(n, alpha, [str(s) for s in data["symbols"]])
+        symbols = json_list(data["symbols"], "symbols")
+        return SymbolFunction.table(n, alpha, [str(s) for s in symbols])
     except PAYLOAD_ERRORS as exc:
         raise ParseError(f"bad symbol function payload: {exc}") from exc
 

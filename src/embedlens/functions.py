@@ -145,7 +145,7 @@ class ProductFunction:
         try:
             alpha = make_alphabet(json_list(data["alphabet"], "alphabet"))
             rows = []
-            for table in data["factors"]:
+            for table in json_list(data["factors"], "factors"):
                 if set(table) != set(alpha.symbols):
                     raise ValueError(f"factor keys {sorted(table)} are not the alphabet")
                 rows.append(json_pairs([table[sym] for sym in alpha.symbols], "factors"))
@@ -527,11 +527,9 @@ def character_function(witness: EmbeddingWitness, coordinate: int, n: int,
 def load_function(data) -> TableFunction | ProductFunction:
     if not isinstance(data, dict):
         raise ParseError("function payload must be a JSON object")
-    if "values" in data:
-        return TableFunction.from_json(data)
-    if "factors" in data:
-        return ProductFunction.from_json(data)
-    raise ParseError("function payload needs either 'values' or 'factors'")
+    if ("values" in data) == ("factors" in data):
+        raise ParseError("function payload needs exactly one of 'values' and 'factors'")
+    return TableFunction.from_json(data) if "values" in data else ProductFunction.from_json(data)
 
 
 def load_function_file(path: str) -> TableFunction | ProductFunction:

@@ -10,14 +10,10 @@ elimination, which the tests keep as the oracle; U, V and D become dense
 only when read. Entry growth is accepted (desk-scale matrices).
 
 The lattice spanned by 0/1 rows is found by `span_hermite_form`, by one
-route for any number of rows: a small selection of rows is reduced
-exactly, the other rows are checked for membership in the lattice of the
-selection by a vectorised check, and the rows that fail join the
-selection until none does. The selection is the first row that holds
-each column plus rows spread evenly over the row order, because the
-first rows alone span too little (see `span_hermite_form`). Each later round
-inserts only its new rows into the kept Hermite basis and checks only the
-rows that failed the round before.
+route for any number of rows: a selection of rows is reduced exactly, one
+vectorised check of the other rows picks the first row of each coset of
+that lattice they meet outside it, and those rows join the selection for
+one more reduction, which ends at the span.
 """
 
 from __future__ import annotations
@@ -39,10 +35,9 @@ CERTIFY_BLOCK = 2 ** 16  # residue entries per block of the membership check (bo
 # `span_hermite_form` reduces first the first row of each column plus
 # ceil(3 cols / 5) rows spaced evenly over the row order (`_selection`).
 # Measured in-process on a 2-core host over the 237 perfbench lattice
-# inputs at seeds 1-3: the 75 S4 copies took 164 membership checks with
-# 2/5, 79 with 1/2 and 78 with 3/5 (203 with the first rows alone), but 1/2
-# left 14 of the 24 Z_m-sum supports 3-20% slower than the first rows
-# alone, and 3/5 left 2.
+# inputs at seeds 1-3 (sum of per-input medians of 7): 72 ms with 3/5, 92
+# with 2/5, 82 with 4/5 and 697 with the first rows alone. With 3/5, 42
+# inputs add rows in the one check (at most 5 each); with 2/5, 148.
 SPREAD_PER_FIVE_COLUMNS = 3
 
 
@@ -331,12 +326,12 @@ def span_hermite_form(idx: np.ndarray, cols: int) -> list[dict[int, int]]:
 
     Row i holds a 1 in each of the distinct columns `idx[:, i]` below
     `cols` (the padding) and 0 elsewhere. A selection of rows (`_selection`)
-    is reduced exactly into a sparse H (`_insert`, then `_hermite`); the
-    rows outside it that fail the membership check of L(H) (`_outside`)
-    join it, and the round repeats. L(H) only grows and never leaves the
-    span, so a round checks only the rows that failed the round before, and
-    the loop ends with L(H) equal to the span. No row is checked when the
-    selection holds every row or L(H) is already Z^cols.
+    is reduced exactly into a sparse H (`_insert`, then `_hermite`). One
+    check of the other rows (`_outside`) returns the first row of each
+    nonzero residue modulo L(H); they join H, which is reduced once more and
+    is then the span's: each row is its residue plus an element of L(H), so
+    rows with equal residues differ by an element of L(H). No row is checked
+    when the selection holds every row or L(H) is already Z^cols.
 
     The selection is the first row that holds each column plus rows spread
     evenly over the row order. The first rows alone span too little on
@@ -344,24 +339,26 @@ def span_hermite_form(idx: np.ndarray, cols: int) -> list[dict[int, int]]:
     is the base point, so a column's first row is the least one that holds
     it, which keeps the base point's symbols on the coordinates before it
     wherever the support allows. On the S4 triple product those rows span
-    rank 46 of 69 and take three rounds; with the spread rows, one. The
-    selection sets only the number of rounds, never H.
+    rank 46 of 69 and leave 504 distinct residues among the other rows; with
+    the spread rows, none. The selection sets only the rows checked and
+    added, never H.
     """
     if idx.size and (idx.min() < 0 or idx.max() > cols):
         raise ValidationError(f"row column out of range for {cols} columns")
-    new = _selection(idx, cols)
-    check = np.ones(idx.shape[1], dtype=bool)
-    check[new] = False
-    check = np.flatnonzero(check)  # rows not yet seen to lie in L(h)
-    h: dict[int, dict[int, int]] = {}
-    while new:
-        for row in idx[:, new].T.tolist():
+
+    def joined(h, rows):  # the Hermite form of L(h) and the rows
+        for row in idx[:, rows].T.tolist():
             _insert(h, {j: 1 for j in row if j != cols}, cols)
-        h = _hermite(h)
-        if not len(check) or len(h) == cols and all(r[c] == 1 for c, r in h.items()):
-            break  # no row left to check, or L(h) = Z^cols holds them all
-        added, failed = _outside(idx[:, check], h, cols)
-        new, check = check[added].tolist(), check[failed]
+        return _hermite(h)
+
+    chosen = _selection(idx, cols)
+    if not chosen:
+        return []  # every row is zero
+    h, rest = joined({}, chosen), np.delete(np.arange(idx.shape[1]), chosen)
+    if len(rest) and not (len(h) == cols and all(r[c] == 1 for c, r in h.items())):
+        added = _outside(idx[:, rest], h, cols)
+        if added:
+            h = joined(h, rest[added])
     return list(h.values())
 
 
@@ -378,18 +375,20 @@ def _selection(idx: np.ndarray, cols: int) -> list[int]:
 
 
 def _outside(idx: np.ndarray, h: dict[int, dict[int, int]],
-             cols: int) -> tuple[list[int], list[int]]:
-    """Rows of `idx` (as `span_hermite_form` reads it) to add to L(h), h a
-    sparse Hermite form {lead column: row}, and the rows not in L(h), both
-    ascending. For each column, the first row whose residue is nonzero
-    there and the first whose residue first goes nonzero there are added.
+             cols: int) -> list[int]:
+    """The first row of `idx` (as `span_hermite_form` reads it) with each
+    distinct nonzero residue modulo L(h), h a sparse Hermite form {lead
+    column: row}, ascending.
 
     In the Hermite form a column whose lead is 1 holds a single 1, so
     subtracting from a 0/1 row the rows of h that lead at its unit-lead
     columns leaves a residue only on the other columns. One gather-add per
     block of rows computes it. The rows of h with a lead above 1 then
-    reduce the residue in lead order; a row is in L(h) exactly when its
-    residue ends at zero. The arrays take the narrowest integer type that a
+    reduce it in lead order, each lead's column into [0, lead). The residue
+    is then the same for every vector of a coset of L(h) (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4), and zero exactly on L(h).
+    A residue is keyed by its values: past int64 the array holds Python
+    ints, and its bytes are pointers to them. The arrays take the narrowest integer type that a
     bound on the residue allows, Python ints past int64.
     """
     units = [c for c, r in h.items() if r[c] == 1]
@@ -419,9 +418,7 @@ def _outside(idx: np.ndarray, h: dict[int, dict[int, int]],
         e[rows, places] = values
     reducers = [(pos[c], h[c][c], np.array([h[c].get(j, 0) for j in keep], dtype=dtype))
                 for c in others]
-    lead_first: dict[int, int] = {}  # residue column -> row
-    any_first: dict[int, int] = {}
-    failed: list[int] = []
+    first: dict[tuple[int, ...], int] = {}  # nonzero residue -> its first row
     step = max(1, CERTIFY_BLOCK // max(len(keep), 1))  # rows per block
     for a in range(0, idx.shape[1], step):
         block = idx[:, a:a + step]
@@ -434,16 +431,10 @@ def _outside(idx: np.ndarray, h: dict[int, dict[int, int]],
         res = res[fail]
         for p, lead, row in reducers:
             res -= (res[:, p] // lead)[:, None] * row
-        nonzero = res != 0
-        bad = nonzero.any(axis=1)
-        failed += (fail[bad] + a).tolist()
-        found, at = np.unique(nonzero.argmax(axis=1)[bad], return_index=True)
-        for j, i in zip(found.tolist(), (fail[bad][at] + a).tolist()):
-            lead_first.setdefault(j, i)
-        found = np.flatnonzero(nonzero.any(axis=0))
-        for j, i in zip(found.tolist(), (fail[nonzero.argmax(axis=0)[found]] + a).tolist()):
-            any_first.setdefault(j, i)
-    return sorted({*lead_first.values(), *any_first.values()}), failed
+        bad = res.any(axis=1)
+        for i, key in zip((fail[bad] + a).tolist(), map(tuple, res[bad].tolist())):
+            first.setdefault(key, i)
+    return list(first.values())  # met in row order, so ascending
 
 
 def _add_multiple(x: dict[int, int], q: int, y: dict[int, int]) -> dict[int, int]:

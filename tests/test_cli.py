@@ -1276,3 +1276,81 @@ def test_fuzz_json_loaders_end_in_documented_exit_codes(kind, data):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(list(argv))
             assert code in (0, 2, 3, 4), (argv, payload)
+
+
+# Every list-typed field of every payload the CLI reads: (payload, path of
+# keys to the field). A string or an object there is a parse error, never
+# read one character or key at a time.
+LIST_PAYLOADS = {
+    "rows": {"alphabets": [["0", "1"], ["0", "1"]],
+             "atoms": [{"x": ["0", "0"], "p": [1, 2]}, {"x": ["1", "1"], "p": [1, 2]}]},
+    "columnar": {"alphabets": [["0", "1"], ["0", "1"]], "columns": [[0, 1], [0, 1]],
+                 "w": [1, 1], "den": 2},
+    "table": {"n": 1, "alphabet": ["0", "1"], "values": [[1, 0], [0, 1]]},
+    "product": {"alphabet": ["0", "1"], "factors": [{"0": [1, 0], "1": [-1, 0]}]},
+    "symbols": {"n": 1, "alphabet": ["0", "1"], "symbols": ["0", "1"]},
+    "accept": instance_json(fixtures.three_lin_instance()) | {
+        "predicate": fixtures.three_lin_instance().predicate.to_json()},
+    "truth": instance_json(fixtures.three_lin_instance()),
+}
+LIST_FIELDS = [
+    ("rows", ("alphabets",)), ("rows", ("alphabets", 1)), ("rows", ("atoms",)),
+    ("rows", ("atoms", 0, "x")), ("rows", ("atoms", 0, "p")),
+    ("columnar", ("columns",)), ("columnar", ("w",)), ("columnar", ("alphabets", 0)),
+    ("table", ("alphabet",)), ("table", ("values",)),
+    ("product", ("alphabet",)), ("product", ("factors",)),
+    ("symbols", ("alphabet",)), ("symbols", ("symbols",)),
+    ("accept", ("predicate", "alphabet")), ("accept", ("predicate", "accept")),
+    ("truth", ("predicate", "truth")), ("truth", ("constraints",)),
+    ("truth", ("constraints", 0, "w")),
+]
+
+
+def _list_field_argv(kind, path, d):
+    """A CLI invocation that reads the payload of `kind` at `path`."""
+    mu, inst, sym = (os.path.join(d, name) for name in ("mu.json", "inst.json", "sym.json"))
+    fixtures.three_lin().save(mu)
+    fixtures.three_lin_instance().save(inst)
+    write_json(sym, {"n": 1, "alphabet": ["0", "1"], "dictator": 0})
+    return {"rows": ["analyze", path], "columnar": ["analyze", path],
+            "table": ["stability", path, "--rho", "0.5"],
+            "product": ["correlate", mu, path, path, path, "--n", "1"],
+            "symbols": ["dicttest", inst, path],
+            "accept": ["dicttest", path, sym], "truth": ["dicttest", path, sym]}[kind]
+
+
+@pytest.mark.parametrize("kind, field", LIST_FIELDS,
+                         ids=[f"{k}-{'.'.join(map(str, f))}" for k, f in LIST_FIELDS])
+def test_a_string_or_an_object_in_a_list_field_is_a_parse_error(tmp_path, capsys, kind, field):
+    path = str(tmp_path / "payload.json")
+    argv = _list_field_argv(kind, path, tmp_path)
+    write_json(path, LIST_PAYLOADS[kind])
+    assert main(list(argv)) == 0  # the payload as given is valid
+    capsys.readouterr()
+    for value in ("0110", {"0": 1, "1": 2}):
+        payload = json.loads(json.dumps(LIST_PAYLOADS[kind]))
+        target = payload
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        write_json(path, payload)
+        code, err = main(list(argv)), capsys.readouterr().err
+        assert code == 4 and err.startswith("parse error") and err.count("\n") == 1, (value, err)
+
+
+@pytest.mark.parametrize("kind, payload, names", [
+    ("symbols", {"n": 1, "alphabet": ["0", "1"], "dictator": 0, "symbols": ["0", "1"]},
+     "'dictator', 'constant' and 'symbols'"),
+    ("symbols", {"n": 1, "alphabet": ["0", "1"], "dictator": 0, "constant": "1"},
+     "'dictator', 'constant' and 'symbols'"),
+    ("symbols", {"n": 1, "alphabet": ["0", "1"]}, "'dictator', 'constant' and 'symbols'"),
+    ("table", LIST_PAYLOADS["table"] | LIST_PAYLOADS["product"], "'values' and 'factors'"),
+    ("table", {"n": 1, "alphabet": ["0", "1"]}, "'values' and 'factors'"),
+])
+def test_a_function_payload_needs_exactly_one_form(tmp_path, capsys, kind, payload, names):
+    # a payload with two forms was read by the first key looked up
+    path = str(tmp_path / "payload.json")
+    write_json(path, payload)
+    code = main(_list_field_argv(kind, path, tmp_path))
+    err = capsys.readouterr().err
+    assert code == 4 and f"exactly one of {names}" in err and err.count("\n") == 1, err

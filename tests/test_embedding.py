@@ -611,76 +611,74 @@ def first_rows(idx, cols):
 
 def test_rank_raising_and_index_lowering_rounds(monkeypatch):
     # S4 from the first row of each column alone: these rows mostly pass
-    # through the base point and span rank 46 of 69, so a round raises the
-    # rank (46 -> 69), then one keeps it and lowers the index of the lattice
-    # (4 -> 2). Each round's echelon basis is read where it is put in
-    # Hermite form: its rank, and the product of its leads (the index).
+    # through the base point and span rank 46 of 69, and the one row added
+    # per coset they miss raises the rank to 69 and lowers the index of the
+    # lattice to 2 in one more reduction. Each echelon basis is read where
+    # it is put in Hermite form: its rank, and the product of its leads
+    # (the index).
     cm = constraint_matrix(uniform_on(*S4_SUPPORT))
-    rounds = []
+    reductions = []
     hermite = intlattice._hermite
 
     def recording(basis):
-        rounds.append((len(basis), prod(row[lead] for lead, row in basis.items())))
+        reductions.append((len(basis), prod(row[lead] for lead, row in basis.items())))
         return hermite(basis)
 
     monkeypatch.setattr(intlattice, "_selection", first_rows)
     monkeypatch.setattr(intlattice, "_hermite", recording)
     h = span_hermite_form(cm.columns, cm.s)
-    assert rounds[0][0] == 46
-    assert any(b[0] > a[0] for a, b in zip(rounds, rounds[1:]))
-    assert any(b[0] == a[0] and b[1] < a[1] for a, b in zip(rounds, rounds[1:]))
-    assert (69, 4) in rounds and rounds[-1] == (69, 2)
+    assert len(reductions) == 2 and reductions[0][0] == 46 and reductions[1] == (69, 2)
     monkeypatch.undo()
     want = hermite_normal_form(row_basis([dict.fromkeys(c, 1) for c in tuple_rows(cm)], cm.s))
     assert densify(h, cm.s) == want
 
 
-def test_later_rounds_check_only_the_rows_that_failed(monkeypatch):
-    # S4 from the first row of each column alone: the membership check sees
-    # the 576 rows but the selected ones once, then in each round only the
-    # rows that failed the round before, until none fails
-    cm = constraint_matrix(uniform_on(*S4_SUPPORT))
+def record_checks(monkeypatch):
+    """The (rows, result) of each `_outside` call, as they are made."""
     seen = []
     outside = intlattice._outside
 
     def recording(idx, h, cols):
-        added, failed = outside(idx, h, cols)
-        seen.append((idx.shape[1], len(failed)))
-        return added, failed
+        seen.append((idx.copy(), outside(idx, h, cols)))
+        return seen[-1][1]
 
-    monkeypatch.setattr(intlattice, "_selection", first_rows)
     monkeypatch.setattr(intlattice, "_outside", recording)
-    span_hermite_form(cm.columns, cm.s)
-    assert seen[0][0] == 576 - len(first_rows(cm.columns, cm.s))
-    assert seen[-1][1] == 0 and len(seen) >= 3
-    assert all(b[0] == a[1] for a, b in zip(seen, seen[1:]))
-    assert all(b[0] < a[0] for a, b in zip(seen, seen[1:]))
+    return seen
 
 
 @pytest.mark.parametrize("n, alternating, checks", [(4, True, 1), (4, False, 1), (5, True, 0)])
 def test_triple_products_close_in_one_round(monkeypatch, n, alternating, checks):
     # A4, S4 and A5 from the first row of each column plus the rows spread
-    # over the support: one round reaches the span. The membership check
-    # sees exactly the rows outside the selection and none fails; A5 has no
+    # over the support: the selection spans the whole lattice. The check
+    # sees exactly the rows outside the selection and adds none; A5 has no
     # Abelian embedding, so its selection already spans Z^s and no row is
     # checked at all.
     cm = constraint_matrix(uniform_on(*triple_product(group_elements(n, alternating))))
     selection = intlattice._selection(cm.columns, cm.s)
     assert set(first_rows(cm.columns, cm.s)) < set(selection)
     rest = sorted(set(range(cm.columns.shape[1])).difference(selection))
-    seen = []
-    outside = intlattice._outside
-
-    def recording(idx, h, cols):
-        added, failed = outside(idx, h, cols)
-        seen.append((idx.copy(), failed))
-        return added, failed
-
-    monkeypatch.setattr(intlattice, "_outside", recording)
+    seen = record_checks(monkeypatch)
     h = span_hermite_form(cm.columns, cm.s)
     assert len(seen) == checks
-    for idx, failed in seen:
-        assert np.array_equal(idx, cm.columns[:, rest]) and failed == []
+    for idx, added in seen:
+        assert np.array_equal(idx, cm.columns[:, rest]) and added == []
+    monkeypatch.undo()
+    want = hermite_normal_form(row_basis([dict.fromkeys(c, 1) for c in tuple_rows(cm)], cm.s))
+    assert densify(h, cm.s) == want
+
+
+@pytest.mark.parametrize("n, alternating", [(4, True), (4, False), (5, True)])
+def test_first_rows_close_in_one_check(monkeypatch, n, alternating):
+    # from the first row of each column alone, one check of the other rows
+    # adds one row per coset they meet outside the selection's lattice, and
+    # that closes the span: no second check
+    cm = constraint_matrix(uniform_on(*triple_product(group_elements(n, alternating))))
+    monkeypatch.setattr(intlattice, "_selection", first_rows)
+    seen = record_checks(monkeypatch)
+    h = span_hermite_form(cm.columns, cm.s)
+    rest = sorted(set(range(cm.columns.shape[1])).difference(first_rows(cm.columns, cm.s)))
+    assert len(seen) == 1 and np.array_equal(seen[0][0], cm.columns[:, rest])
+    assert seen[0][1] and seen[0][1] == sorted(set(seen[0][1]))
     monkeypatch.undo()
     want = hermite_normal_form(row_basis([dict.fromkeys(c, 1) for c in tuple_rows(cm)], cm.s))
     assert densify(h, cm.s) == want
