@@ -53,7 +53,7 @@ from .distributions import (
 )
 from .embedding import connected, detect_embedding, pairwise_connected
 from .errors import (PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int,
-                     json_list, read_json, write_json)
+                     json_list, json_symbols, read_json, write_json)
 from .functions import _places, is_table_length
 
 TRANSITION_GUARD = 200_000  # DP transitions (states x atoms) of one exact acceptance run
@@ -134,7 +134,7 @@ class SymbolFunction:
 
 def symbol_function_from_json(data: dict) -> SymbolFunction:
     try:
-        alpha = make_alphabet(json_list(data["alphabet"], "alphabet"))
+        alpha = make_alphabet(json_symbols(data["alphabet"], "alphabet"))
         n = json_int(data["n"], "n")
         if sum(key in data for key in ("dictator", "constant", "symbols")) != 1:
             raise ValueError("a symbol function needs exactly one of 'dictator', "
@@ -142,9 +142,10 @@ def symbol_function_from_json(data: dict) -> SymbolFunction:
         if "dictator" in data:
             return SymbolFunction.dictator(n, alpha, json_int(data["dictator"], "dictator"))
         if "constant" in data:
-            return SymbolFunction.constant(n, alpha, str(data["constant"]))
-        symbols = json_list(data["symbols"], "symbols")
-        return SymbolFunction.table(n, alpha, [str(s) for s in symbols])
+            if type(data["constant"]) is not str:
+                raise TypeError(f"constant must be a JSON string, not {data['constant']!r}")
+            return SymbolFunction.constant(n, alpha, data["constant"])
+        return SymbolFunction.table(n, alpha, json_symbols(data["symbols"], "symbols"))
     except PAYLOAD_ERRORS as exc:
         raise ParseError(f"bad symbol function payload: {exc}") from exc
 
@@ -207,7 +208,7 @@ class Predicate:
         """Exactly one of "accept" (the accepted cells) and "truth" (the 0/1
         table) gives the cells."""
         try:
-            alpha = make_alphabet(json_list(data["alphabet"], "alphabet"))
+            alpha = make_alphabet(json_symbols(data["alphabet"], "alphabet"))
             k = json_int(data["k"], "k")
             if ("accept" in data) == ("truth" in data):
                 raise ValueError("a predicate needs exactly one of 'accept' and 'truth'")

@@ -28,7 +28,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (PAYLOAD_ERRORS, Fragment, ParseError, SizeGuardError, ValidationError,
-                     atom_list_text, json_int, json_list, read_json, write_json)
+                     atom_list_text, json_int, json_list, json_symbols, read_json,
+                     write_json)
 
 Atom = tuple[str, ...]
 
@@ -242,7 +243,7 @@ class JointDistribution:
         at a time, naming what is wrong in input order, if it has a bad
         entry."""
         try:
-            alphabets = tuple(alphabet(json_list(a, "alphabet"))
+            alphabets = tuple(alphabet(json_symbols(a, "alphabet"))
                               for a in json_list(data["alphabets"], "alphabets"))
             if ("atoms" in data) == ("columns" in data):
                 raise ValueError("a distribution needs exactly one of 'atoms' and 'columns'")
@@ -254,7 +255,7 @@ class JointDistribution:
                 entries = json_list(data["atoms"], "atoms")
                 arrays = _read_rows(lookups, entries)
                 for entry in entries if arrays is None else ():
-                    keys.append(_code(lookups, json_list(entry["x"], "atom x"), str))
+                    keys.append(_code(lookups, tuple(json_symbols(entry["x"], "atom x"))))
                     num, den = entry["p"]
                     masses.append(_reduced(num, den))
         except PAYLOAD_ERRORS as exc:
@@ -296,17 +297,15 @@ def _decode(alphabets: Sequence[Alphabet], code: Sequence[int]) -> Atom:
     return tuple(a.symbols[c] for a, c in zip(alphabets, code))
 
 
-def _code(lookups: list[dict[str, int]], x, read=None) -> tuple:
+def _code(lookups: list[dict[str, int]], x) -> tuple:
     """The symbol indices of atom x, one lookup per coordinate. When x has
-    the wrong arity or a symbol outside its alphabet, also after each
-    symbol is read by `read`, its key is (None, x) instead."""
+    the wrong arity or a symbol outside its alphabet, its key is (None, x)
+    instead."""
     try:
         code = tuple(map(dict.get, lookups, x)) if len(x) == len(lookups) else (None,)
     except TypeError:  # x has no length, or an unhashable symbol
         code = (None,)
-    if None not in code:
-        return code
-    return _code(lookups, tuple(map(read, x))) if read else (None, x)
+    return (None, x) if None in code else code
 
 
 def _read_rows(lookups: list[dict[str, int]], entries: list):

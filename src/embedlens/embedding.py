@@ -15,10 +15,8 @@ against the support's codes before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations, takewhile
-from math import lcm
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -62,7 +60,7 @@ class EmbeddingWitness:
     def from_json(cls, data: dict) -> "EmbeddingWitness":
         try:
             return cls(json_int(data["modulus"], "modulus"),
-                       tuple({str(s): json_int(v, "sigma value") for s, v in t.items()}
+                       tuple({s: json_int(v, "sigma value") for s, v in t.items()}
                              for t in data["sigma"]))
         except PAYLOAD_ERRORS as exc:
             raise ParseError(f"bad witness payload: {exc}") from exc
@@ -191,8 +189,8 @@ def detect_embedding(dist: JointDistribution) -> EmbeddingVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle: exhaustive search over small moduli plus a rational
-# rank test (rank mod p, then Fraction elimination; no code shared with SNF).
+# Independent oracle: exhaustive search over the prime moduli (no code
+# shared with the Hermite and Smith forms); p = 2 also decides Z.
 
 def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet],
                           max_modulus: int,
@@ -200,15 +198,19 @@ def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet]
     """First verified witness under exhaustive enumeration, or None.
 
     Enumerates normalized maps (base point fixed to 0) into Z_p for the
-    primes p <= max_modulus via depth-first search with per-atom pruning,
-    then falls back to the rational rank test for embeddings into Z. The
-    first modulus with a witness is prime: one into Z_m reduces mod a prime
-    p | m, or if that zeroes it is divided by p. The space guard still reads
-    every m. Columns are visited in a deterministic constraint-driven order
-    (each step takes the column completing the most constraints) so that
-    dense structured supports prune immediately; the witness returned is
-    the first one in that enumeration order.
+    primes p <= max_modulus via depth-first search with per-atom pruning.
+    The first modulus with a witness is prime: one into Z_m reduces mod a
+    prime p | m, or if that zeroes it is divided by p. Nor does Z need a
+    search of its own: a witness into Z, divided by the gcd of its values,
+    has an odd value beside its base symbol's 0, so mod 2 it is one into
+    Z_2. A max_modulus below 2 searches nothing and is refused. The space
+    guard still reads every m. Columns are visited in a deterministic
+    constraint-driven order (each step takes the column completing the most
+    constraints) so that dense structured supports prune immediately; the
+    witness returned is the first one in that enumeration order.
     """
+    if max_modulus < 2:
+        raise ValidationError(f"max_modulus must be at least 2, got {max_modulus}")
     support = list(support)
     if not support:
         raise ValidationError("support must be non-empty")
@@ -241,12 +243,10 @@ def brute_force_embedding(support: Iterable[Atom], alphabets: Sequence[Alphabet]
         if (vec := _dfs_search(order, m, closing)) is not None:
             break
     else:
-        m, vec = 0, _rational_kernel(rows, s)
-        if vec is None:
-            return None
+        return None
     witness = _witness_from_vector(index_map, alphabets, vec, m)
     if not verify_witness(support, witness):
-        raise AssertionError(f"{'DFS' if m else 'rational kernel'} produced an invalid witness")
+        raise AssertionError("DFS produced an invalid witness")
     return witness
 
 
@@ -306,76 +306,6 @@ def _dfs_search(order: list[int], m: int, closing) -> tuple[int, ...] | None:
         return None
 
     return rec(0)
-
-
-_PRIME = 2 ** 61 - 1
-
-
-def _rational_kernel(rows: Sequence[tuple[int, ...]], s: int) -> tuple[int, ...] | None:
-    """Kernel vector over Q of the 0/1 rows, or None at full column rank.
-
-    Rank mod p never exceeds rank over Q, so full rank mod p proves None.
-    """
-    if _rank_mod_p(rows, s) == s:
-        return None
-    return _fraction_kernel(rows, s)
-
-
-def _rank_mod_p(rows: Sequence[tuple[int, ...]], s: int) -> int:
-    """Rank over GF(_PRIME) by sparse echelon insertion, stopping at s."""
-    pivots: dict[int, dict[int, int]] = {}  # lead column -> sparse row with lead 1
-    for cols in rows:
-        row = dict.fromkeys(cols, 1)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = pow(row[c], -1, _PRIME)
-                pivots[c] = {j: v * inv % _PRIME for j, v in row.items()}
-                if len(pivots) == s:
-                    return s
-                break
-            f = row[c]
-            for j, v in piv.items():
-                w = (row.get(j, 0) - f * v) % _PRIME
-                if w:
-                    row[j] = w
-                else:
-                    del row[j]
-    return len(pivots)
-
-
-def _fraction_kernel(rows: Sequence[tuple[int, ...]], s: int) -> tuple[int, ...] | None:
-    """Kernel vector of the 0/1 rows over Q, denominators cleared.
-
-    Incremental echelon insertion with an early exit at full column rank,
-    so saturated systems never touch the remaining rows.
-    """
-    pivots: dict[int, list[Fraction]] = {}  # lead column -> row with lead 1
-    for cols in rows:
-        row = [Fraction(0)] * s
-        for c in cols:
-            row[c] = Fraction(1)
-        for c in range(s):
-            if row[c] == 0:
-                continue
-            if c not in pivots:
-                pivots[c] = [x / row[c] for x in row]
-                break
-            f, piv = row[c], pivots[c]
-            for j in range(c, s):
-                row[j] -= f * piv[j]
-        if len(pivots) == s:
-            return None
-    free = next(c for c in range(s) if c not in pivots)
-    sol = [Fraction(0)] * s
-    sol[free] = Fraction(1)
-    for c in sorted(pivots, reverse=True):
-        piv = pivots[c]
-        sol[c] = -sum((piv[j] * sol[j] for j in range(c + 1, s) if sol[j] != 0),
-                      Fraction(0))
-    den = lcm(*(x.denominator for x in sol))
-    return normalize_vector([int(x * den) for x in sol])
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,14 @@ def json_list(value, name: str) -> list:
     return value
 
 
+def json_symbols(value, name: str) -> list:
+    """`value` if it is a JSON list of strings. Any other item is a
+    TypeError naming the field, where str() would read null as "None"."""
+    if set(map(type, json_list(value, name))) - {str}:  # one pass in C
+        raise TypeError(f"{name} must be a list of JSON strings")
+    return value
+
+
 def json_pairs(values, name: str) -> list[complex]:
     """re + i im for each item of `values`, a two-element list of JSON numbers.
     A bool, a string or any other item is a TypeError or ValueError, where

@@ -31,7 +31,7 @@ import numpy as np
 from .distributions import Alphabet, JointDistribution, alphabet as make_alphabet, uniform_on
 from .embedding import EmbeddingWitness
 from .errors import (PAYLOAD_ERRORS, ParseError, SizeGuardError, ValidationError, json_int,
-                     json_list, json_pairs, read_json)
+                     json_list, json_pairs, json_symbols, read_json)
 
 IDENTITY_TOL = 1e-10
 TENSOR_GUARD = 10 ** 7  # entries of the largest dense tensor any route may build
@@ -90,7 +90,7 @@ class TableFunction:
     @classmethod
     def from_json(cls, data: dict) -> "TableFunction":
         try:
-            alpha = make_alphabet(json_list(data["alphabet"], "alphabet"))
+            alpha = make_alphabet(json_symbols(data["alphabet"], "alphabet"))
             vals = json_pairs(data["values"], "values")
             return cls(json_int(data["n"], "n"), alpha, vals)
         except PAYLOAD_ERRORS as exc:
@@ -143,7 +143,7 @@ class ProductFunction:
     @classmethod
     def from_json(cls, data: dict) -> "ProductFunction":
         try:
-            alpha = make_alphabet(json_list(data["alphabet"], "alphabet"))
+            alpha = make_alphabet(json_symbols(data["alphabet"], "alphabet"))
             rows = []
             for table in json_list(data["factors"], "factors"):
                 if set(table) != set(alpha.symbols):

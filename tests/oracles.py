@@ -29,13 +29,13 @@ decoded support. The every-modulus search `every_modulus_embedding` walks
 all m = 2..max_modulus and every value at every column by an explicit
 stack, where the program searches prime moduli only and forces the value
 at a column where a constraint closes, in the column order of
-`min_scan_column_order`. The unmerged DP `unmerged_acceptance` is the
-column DP as it ran before its states were merged over row swaps: it walks
-the program's diagram, so it checks the merging only, where
-`enumerate_acceptance` checks both. The connectivity oracles search decoded symbol
-tuples, not the integer codes. The tuple-of-codes oracles are the integer
-constructions as they ran on sorted code tuples and dicts, before a
-distribution's codes were one array.
+`min_scan_column_order`; neither searches Z, which m = 2 decides. The
+unmerged DP `unmerged_acceptance` is the column DP as it ran before its
+states were merged over row swaps: it walks the program's diagram, so it
+checks the merging only, where `enumerate_acceptance` checks both. The
+connectivity oracles search decoded symbol tuples, not the integer codes.
+The tuple-of-codes oracles are the integer constructions as they ran on
+sorted code tuples and dicts, before a distribution's codes were one array.
 Keep them slow and obvious.
 `max_acceptance` is no oracle: it maximizes the DP's exact acceptance over
 every dense table.
@@ -67,7 +67,6 @@ from embedlens.embedding import (
     DisconnectedPair,
     EmbeddingVerdict,
     EmbeddingWitness,
-    _rational_kernel,
     _symbol_columns,
     _witness_from_vector,
     verify_witness,
@@ -479,12 +478,17 @@ def fraction_from_json(data: dict) -> JointDistribution:
             raise TypeError(f"{name} must be a list, not {type(value).__name__}")
         return value
 
+    def strings(value, name):
+        if not all(isinstance(s, str) for s in listed(value, name)):
+            raise TypeError(f"{name} must be a list of JSON strings")
+        return value
+
     try:
-        alphabets = [alphabet(listed(a, "alphabet"))
+        alphabets = [alphabet(strings(a, "alphabet"))
                      for a in listed(data["alphabets"], "alphabets")]
         atoms: dict = {}
         for entry in listed(data["atoms"], "atoms"):
-            x = tuple(str(s) for s in listed(entry["x"], "atom x"))
+            x = tuple(strings(entry["x"], "atom x"))
             num, den = entry["p"]
             if den is None:
                 raise TypeError("mass pair has a null denominator")
@@ -913,8 +917,10 @@ def every_modulus_embedding(support, alphabets, max_modulus: int,
     """`brute_force_embedding` as it searched before it skipped composite
     moduli and forced values: every m = 2..max_modulus, every value at every
     column, each closing constraint checked, in the same column order (by
-    `min_scan_column_order`) and with the same input checks, guards and
-    rational fallback."""
+    `min_scan_column_order`) and with the same input checks and guards.
+    None when no modulus has a witness: the search at m = 2 also decides Z."""
+    if max_modulus < 2:
+        raise ValidationError(f"max_modulus must be at least 2, got {max_modulus}")
     support = list(support)
     if not support:
         raise ValidationError("support must be non-empty")
@@ -962,12 +968,7 @@ def every_modulus_embedding(support, alphabets, max_modulus: int,
             vals[order[pos]] = v
             if all(sum(vals[j] for j in cons) % m == 0 for cons in checks[pos]):
                 stack.append(0)
-    vec = _rational_kernel(rows, s)
-    if vec is None:
-        return None
-    witness = _witness_from_vector(index_map, alphabets, vec, 0)
-    assert verify_witness(support, witness)
-    return witness
+    return None
 
 
 # ---------------------------------------------------------------------------

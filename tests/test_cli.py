@@ -1315,20 +1315,27 @@ def _list_field_argv(kind, path, d):
     return {"rows": ["analyze", path], "columnar": ["analyze", path],
             "table": ["stability", path, "--rho", "0.5"],
             "product": ["correlate", mu, path, path, path, "--n", "1"],
-            "symbols": ["dicttest", inst, path],
+            "symbols": ["dicttest", inst, path], "constant": ["dicttest", inst, path],
             "accept": ["dicttest", path, sym], "truth": ["dicttest", path, sym]}[kind]
 
 
 @pytest.mark.parametrize("kind, field", LIST_FIELDS,
                          ids=[f"{k}-{'.'.join(map(str, f))}" for k, f in LIST_FIELDS])
 def test_a_string_or_an_object_in_a_list_field_is_a_parse_error(tmp_path, capsys, kind, field):
+    _assert_parse_errors(tmp_path, capsys, kind, LIST_PAYLOADS[kind], field,
+                         ("0110", {"0": 1, "1": 2}))
+
+
+def _assert_parse_errors(tmp_path, capsys, kind, valid, field, values):
+    """The CLI reads `valid` and exits 0; with each of `values` put at
+    `field` it exits 4 with a one-line parse error."""
     path = str(tmp_path / "payload.json")
     argv = _list_field_argv(kind, path, tmp_path)
-    write_json(path, LIST_PAYLOADS[kind])
-    assert main(list(argv)) == 0  # the payload as given is valid
+    write_json(path, valid)
+    assert main(list(argv)) == 0
     capsys.readouterr()
-    for value in ("0110", {"0": 1, "1": 2}):
-        payload = json.loads(json.dumps(LIST_PAYLOADS[kind]))
+    for value in values:
+        payload = json.loads(json.dumps(valid))
         target = payload
         for key in field[:-1]:
             target = target[key]
@@ -1336,6 +1343,25 @@ def test_a_string_or_an_object_in_a_list_field_is_a_parse_error(tmp_path, capsys
         write_json(path, payload)
         code, err = main(list(argv)), capsys.readouterr().err
         assert code == 4 and err.startswith("parse error") and err.count("\n") == 1, (value, err)
+
+
+# Every place a payload names a symbol: (payload, path of keys to it). A
+# symbol is a JSON string; anything else is a parse error, never read as
+# the text Python prints for it.
+SYMBOL_PAYLOADS = LIST_PAYLOADS | {"constant": {"n": 1, "alphabet": ["0", "1"], "constant": "0"}}
+SYMBOL_FIELDS = [
+    ("rows", ("alphabets", 0, 0)), ("rows", ("atoms", 0, "x", 0)),
+    ("columnar", ("alphabets", 1, 0)), ("table", ("alphabet", 0)), ("product", ("alphabet", 0)),
+    ("symbols", ("alphabet", 0)), ("accept", ("predicate", "alphabet", 0)),
+    ("symbols", ("symbols", 1)), ("constant", ("constant",)),
+]
+
+
+@pytest.mark.parametrize("kind, field", SYMBOL_FIELDS,
+                         ids=[f"{k}-{'.'.join(map(str, f))}" for k, f in SYMBOL_FIELDS])
+def test_a_symbol_that_is_no_string_is_a_parse_error(tmp_path, capsys, kind, field):
+    _assert_parse_errors(tmp_path, capsys, kind, SYMBOL_PAYLOADS[kind], field,
+                         (None, 0, 1.5, True, [1], {"a": 1}))
 
 
 @pytest.mark.parametrize("kind, payload, names", [

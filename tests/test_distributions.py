@@ -304,9 +304,9 @@ HALF = Fraction(1, 2)
 
 
 @pytest.mark.parametrize("atoms, want", [
-    # one atom written two ways (a str, an int): masses add
+    # a symbol is a JSON string: an int is no symbol, not even its text
     ([{"x": ["0"], "p": [1, 4]}, {"x": [0], "p": [1, 4]}, {"x": ["1"], "p": [2, 4]}],
-     {("0",): HALF, ("1",): HALF}),
+     (ParseError, "bad distribution payload: atom x must be a list of JSON strings")),
     # a string of symbols is no atom
     ([{"x": ["0"], "p": [1, 2]}, {"x": "1", "p": [1, 2]}],
      (ParseError, "bad distribution payload: atom x must be a list, not str")),
@@ -325,11 +325,14 @@ HALF = Fraction(1, 2)
     ([{"x": 5, "p": [1, 1]}],
      (ParseError, "bad distribution payload: atom x must be a list, not int")),
     # bad symbols, a wrong arity and a negative mass, named in input order
+    ([{"x": ["2"], "p": [1, 2]}, {"x": ["0"], "p": [-1, 2]}, {"x": ["0", "1"], "p": [1, 2]},
+      {"x": ["1"], "p": [1, 1]}],
+     (ValidationError, "atom ('2',): symbol '2' not in alphabet 0; negative mass at atom ('0',); "
+      "atom ('0', '1') has arity 2, expected 1")),
+    # a list is no symbol either: a parse error, before the faults above are named
     ([{"x": ["2"], "p": [1, 2]}, {"x": ["0"], "p": [-1, 2]}, {"x": [["0"]], "p": [1, 2]},
       {"x": ["0", "1"], "p": [1, 2]}, {"x": ["1"], "p": [1, 1]}],
-     (ValidationError, "atom ('2',): symbol '2' not in alphabet 0; negative mass at atom ('0',); "
-      """atom ("['0']",): symbol "['0']" not in alphabet 0; """
-      "atom ('0', '1') has arity 2, expected 1; mass sum != 1 (got 3/2)")),
+     (ParseError, "bad distribution payload: atom x must be a list of JSON strings")),
 ])
 def test_from_json_reads_atoms_as_the_fraction_reader(atoms, want):
     """The coded reader and the Fraction reader on repeated atoms, pairs that

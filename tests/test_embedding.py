@@ -16,9 +16,6 @@ from embedlens.distributions import JointDistribution, alphabet, uniform_on
 from embedlens.errors import SizeGuardError, ValidationError, read_json, render, write_json
 from embedlens.embedding import (
     _column_order,
-    _fraction_kernel,
-    _rank_mod_p,
-    _rational_kernel,
     brute_force_embedding,
     connected,
     constraint_matrix,
@@ -341,11 +338,41 @@ def test_a_large_max_modulus_without_a_guard_stays_fast():
     assert time.perf_counter() - start < 0.5
 
 
-def test_an_invalid_rational_witness_raises(monkeypatch):
-    # max_modulus 1 searches no modulus; the single atom leaves the rank at 0
-    monkeypatch.setattr(embedlens.embedding, "_fraction_kernel", lambda rows, s: (0,) * s)
-    with pytest.raises(AssertionError, match="rational kernel produced an invalid witness"):
-        brute_force_embedding([("0", "0")], [B, B], max_modulus=1)
+@pytest.mark.parametrize("max_modulus", [1, 0, -3])
+def test_a_max_modulus_below_2_is_refused(max_modulus):
+    # refused before the support is read: an empty one would be refused too
+    for search in (brute_force_embedding, every_modulus_embedding):
+        with pytest.raises(ValidationError) as info:
+            search([], [B, B], max_modulus)
+        assert str(info.value) == f"max_modulus must be at least 2, got {max_modulus}"
+
+
+@st.composite
+def small_supports(draw):
+    """(alphabets, support): k 1..4, alphabets of 1..4 symbols, any density."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    sizes = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(1, 4)))]
+    alphabets = [alphabet([str(v) for v in range(a)]) for a in sizes]
+    cells = list(product(*[a.symbols for a in alphabets]))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    return alphabets, [x for x in cells if rng.random() < density] or [rng.choice(cells)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_supports())
+def test_an_embedding_into_z_is_found_at_p_2(case):
+    """Where the all-rows route (row basis, then the dense Smith form: no
+    code shared with the search) finds a witness into Z, the search at
+    p = 2 finds one into Z_2, and the Z witness, its values coprime, is one
+    into Z_2 read mod 2."""
+    alphabets, support = case
+    verdict = all_rows_embedding(uniform_on(alphabets, support))
+    if not verdict.admits or verdict.witness.modulus:
+        return
+    found = brute_force_embedding(support, alphabets, max_modulus=2, space_guard=None)
+    assert found is not None and found.modulus == 2
+    sigma = tuple({sym: v % 2 for sym, v in t.items()} for t in verdict.witness.sigma)
+    assert verify_witness(support, EmbeddingWitness(2, sigma))
 
 
 def random_support(rng: random.Random):
@@ -373,26 +400,6 @@ def test_oracle_equivalence_random_sample():
         else:
             assert verdict.rank == verdict.s
             assert all(d == 1 for d in verdict.snf_divisors)
-
-
-@st.composite
-def zero_one_rows(draw):
-    s = draw(st.integers(1, 7))
-    cols = st.lists(st.integers(0, s - 1), max_size=s, unique=True).map(lambda c: tuple(sorted(c)))
-    return draw(st.lists(cols, min_size=1, max_size=9)), s
-
-
-@settings(max_examples=150, deadline=None)
-@given(zero_one_rows())
-def test_rank_mod_p_shortcut_agrees_with_fraction_elimination(case):
-    rows, s = case
-    exact = _fraction_kernel(rows, s)
-    assert (_rational_kernel(rows, s) is None) == (exact is None)
-    if _rank_mod_p(rows, s) == s:
-        assert exact is None
-    if exact is not None:
-        assert any(exact)
-        assert all(sum(exact[c] for c in cols) == 0 for cols in rows)
 
 
 def test_detector_invariant_under_renaming_and_permutation():
@@ -501,8 +508,8 @@ def test_witness_json_roundtrip(tmp_path):
 def test_a5_triple_product_admits_nothing():
     # perfect-group input: the detector reports a full unit lattice, and the
     # exhaustive oracle over the prime moduli up to 12 (a witness into any
-    # Z_m would give one into Z_p for a prime p | m) plus the rational rank
-    # test finds no witness either
+    # Z_m would give one into Z_p for a prime p | m, and one into Z one
+    # into Z_2) finds no witness either
     mu = fixtures.a5_triple_product()
     verdict = detect_embedding(mu)
     assert not verdict.admits
